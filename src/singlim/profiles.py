@@ -109,9 +109,6 @@ class ProfileFunction:
         ts = np.asarray(ts, dtype=float)
         return np.column_stack([m.value(ts) for m in self.modes])
 
-    def sample_derivative(self, ts) -> np.ndarray:
-        return self.deriv().sample(ts)
-
     def deriv(self) -> "ProfileFunction":
         return ProfileFunction(
             self.label + "'",

@@ -93,10 +93,6 @@ class SpecVector:
     def scale(self, alpha: float) -> "SpecVector":
         return SpecVector(alpha * self.coefficients)
 
-    @staticmethod
-    def zero(n: int) -> "SpecVector":
-        return SpecVector(np.zeros(n))
-
 
 def _check_lengths(f: SpecVector, g: SpecVector) -> None:
     if len(f) != len(g):

@@ -260,6 +260,39 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["verify", "--config", str(bad)]) == EXIT_CONFIG_ERROR
 
+    # output goes to --out only; output_dir is an unknown field
+    @pytest.mark.parametrize("overrides", [{"output_dir": "out"}, {"output_dir": None}])
+    def test_config_errors_exit_2(self, tmp_path, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["verify", "--config", str(cfg)]) == EXIT_CONFIG_ERROR
+
+    def test_undecayed_integrand_is_a_fail_record(self, tmp_path):
+        # at eps = 1e-9 the squared deviation is rounding noise that has not
+        # fallen below 1e-14 of its peak by t_max
+        cfg = write_config(
+            tmp_path,
+            spectrum="three-mode",
+            u0={"family": "decay", "p": 2.0},
+            u1={"family": "decay", "p": 2.0},
+            epsilons=[1e-9],
+            checks=["inequalities"],
+        )
+        out = tmp_path / "out"
+        result = subprocess.run(
+            [sys.executable, "-m", "singlim.cli", "verify", "--config", str(cfg),
+             "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == EXIT_CHECK_FAILURE
+        assert "Traceback" not in result.stderr
+        report = json.loads((out / "report.json").read_text())
+        record = next(
+            r for r in report if r["id"] == "bound.l2_deviation_constants_2_7[eps=1e-09]"
+        )
+        assert not record["pass"]
+        assert "extend the grid" in record["note"]
+
     def test_cli_entrypoint_subprocess(self, tmp_path):
         cfg = write_config(tmp_path)
         result = subprocess.run(

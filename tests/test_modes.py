@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.integrate import solve_ivp
 
 from singlim.modes import (
     ForcingTerm,
     ModeParams,
-    OracleStepLimitError,
     characteristic_roots,
     rk_reference,
     rk_reference_path,
@@ -208,29 +207,9 @@ def test_ode_residual_property(mf):
     )
 
 
-def expm_reference(p: ModeParams, f: ForcingTerm, t_end: float, steps: int):
-    """(y, y') on linspace(0, t_end, steps + 1) from the augmented linear
-    system for (y, y', e^{-nu t}, t e^{-nu t}): powers of expm(h*M)."""
-    e, lam, nu = p.eps, p.lam, f.nu
-    m = np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0],
-            [-lam / e, -1.0 / e, f.a / e, f.b / e],
-            [0.0, 0.0, -nu, 0.0],
-            [0.0, 0.0, 1.0, -nu],
-        ]
-    )
-    step = expm((t_end / steps) * m)
-    out = [np.array([p.y0, p.y1, 1.0, 0.0])]
-    for _ in range(steps):
-        out.append(step @ out[-1])
-    out = np.array(out)
-    return out[:, 0], out[:, 1]
-
-
 def assert_matches_reference(traj, p, f, rel=1e-12):
     ts = np.linspace(0.0, 6.0, 61)
-    ys, dys = expm_reference(p, f, 6.0, 60)
+    ys, dys = rk_reference_path(p, f, ts, 1e-12)
     y_err = np.max(np.abs(traj.value(ts) - ys)) / np.max(np.abs(ys))
     dy_err = np.max(np.abs(traj.derivative(ts) - dys)) / np.max(np.abs(dys))
     assert y_err <= rel, (p, f, y_err)
@@ -316,7 +295,34 @@ class TestOracle:
         with pytest.raises(ValueError):
             rk_reference(p, ForcingTerm(0, 0, 0), -1.0, 1e-10)
 
-    def test_step_budget(self):
+    def test_small_eps(self):
+        # t/eps = 1e10: no step budget; the error here is about 1.4e-12 of
+        # the data, well below the u*t/eps worst case of the docstring
         p = ModeParams(1e-9, 1.0, 1.0, 0.0)
-        with pytest.raises(OracleStepLimitError):
-            rk_reference(p, ForcingTerm(0, 0, 0), 10.0, 1e-10)
+        traj = solve_homogeneous(p)
+        y, dy = rk_reference(p, ForcingTerm(0, 0, 0), 10.0, 1e-10)
+        assert abs(y - traj.value(10.0)) <= 1e-8
+        assert abs(dy - traj.derivative(10.0)) <= 1e-8
+
+    def test_against_adaptive_integrator(self):
+        # an explicit eighth-order integrator keeps the oracle itself checked
+        cases = [
+            (ModeParams(0.5, 2.0, 1.0, -0.5), ForcingTerm(0.7, 0.3, 1.5)),
+            (ModeParams(0.1, 0.0, -1.0, 2.0), ForcingTerm(1.0, -0.5, 0.0)),
+            (ModeParams(0.05, 10.0, 0.3, 0.0), ForcingTerm(0.0, 1.0, 3.0)),
+            (ModeParams(0.01, 1.0, 2.0, 1.0), ForcingTerm(-1.0, 0.2, 0.5)),
+        ]
+        ts = np.linspace(0.0, 4.0, 9)
+        for p, f in cases:
+            sol = solve_ivp(
+                lambda t, y: (y[1], (f.value(t) - y[1] - p.lam * y[0]) / p.eps),
+                (0.0, 4.0),
+                (p.y0, p.y1),
+                method="DOP853",
+                rtol=1e-12,
+                atol=1e-12,
+                t_eval=ts,
+            )
+            ys, dys = rk_reference_path(p, f, ts, 1e-12)
+            assert np.max(np.abs(ys - sol.y[0])) <= 1e-9, (p, f)
+            assert np.max(np.abs(dys - sol.y[1])) <= 1e-9, (p, f)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ import numpy as np
 from . import __version__
 from .profiles import (
     ProblemData,
+    corrector_remainder,
     exact_solution,
     main_expansion_profile,
     parabolic_profile,
@@ -32,6 +34,7 @@ from .timegrid import TimeGrid, standard_grid
 from .verification import (
     COMPARISON_EXPONENTS,
     COMPARISONS,
+    SHARED_ERROR_CURVE,
     CheckReport,
     ErrorCurve,
     byparts_convolution_bound,
@@ -427,26 +430,43 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
+def _rate_experiments(config: ExperimentConfig, spec, u0, u1, grid):
+    """Yield (comparison, (curve, fit) or the ValueError it raised) for each
+    requested comparison; comparisons of one profile pair share one sweep."""
+    done = {}
+    for comp in config.comparisons:
+        shared = SHARED_ERROR_CURVE.get(comp, comp)
+        if shared not in done:
+            try:
+                done[shared] = run_rate_experiment(
+                    spec, u0, u1, config.epsilons, comp, grid
+                )
+            except ValueError as exc:
+                done[shared] = exc
+        result = done[shared]
+        if not isinstance(result, ValueError):
+            curve, fit = result
+            result = replace(curve, label=comp), fit
+        yield comp, result
+
+
 def _rate_reports(config: ExperimentConfig, spec, u0, u1, grid) -> list[CheckReport]:
     """Slope checks for the requested comparisons (one-sided thresholds)."""
     reports = []
-    for comp in config.comparisons:
+    for comp, result in _rate_experiments(config, spec, u0, u1, grid):
         threshold = COMPARISON_EXPONENTS[comp] - 0.05
-        try:
-            _, fit = run_rate_experiment(
-                spec, u0, u1, config.epsilons, comp, grid
-            )
-        except ValueError as exc:
+        if isinstance(result, ValueError):
             reports.append(
                 CheckReport(
                     check_id=f"rate.slope_{comp}",
                     passed=False,
                     margin=float("-inf"),
                     tolerance=threshold,
-                    note=f"precondition violated: {exc}",
+                    note=f"precondition violated: {result}",
                 )
             )
             continue
+        _, fit = result
         ok = fit.slope >= threshold and fit.r_squared >= 0.99
         reports.append(
             CheckReport(
@@ -472,6 +492,8 @@ def _run_checks(config: ExperimentConfig) -> list[CheckReport]:
         pd = ProblemData(spec, eps, u0, u1)
         grid = config.grid.build([eps])
         suffix = f"[eps={eps:g}]"
+        # corrector_remainder(pd, j), built at most once per eps
+        remainder = functools.cache(functools.partial(corrector_remainder, pd))
 
         def tagged(rs):
             for r in rs:
@@ -479,9 +501,17 @@ def _run_checks(config: ExperimentConfig) -> list[CheckReport]:
             return rs
 
         if "identities" in config.checks:
-            reports.extend(tagged(identity_checks(pd, grid, tol=tol["identity"])))
+            reports.extend(
+                tagged(
+                    identity_checks(
+                        pd, grid, (remainder(1), remainder(2)), tol=tol["identity"]
+                    )
+                )
+            )
         if "data" in config.checks:
-            reports.extend(tagged(remainder_data_checks(pd)))
+            reports.extend(
+                tagged(remainder_data_checks(pd, (remainder(1), remainder(2))))
+            )
         if "inequalities" in config.checks:
             margin = min(
                 resolvent_bound_margin(spec, eps, f)
@@ -531,7 +561,10 @@ def _run_checks(config: ExperimentConfig) -> list[CheckReport]:
             reports.extend(
                 tagged(
                     energy_inequality_checks(
-                        pd, grid, slack=tol["inequality_slack"]
+                        pd,
+                        grid,
+                        slack=tol["inequality_slack"],
+                        remainders=(remainder(1), remainder(2)),
                     )
                 )
             )
@@ -541,6 +574,7 @@ def _run_checks(config: ExperimentConfig) -> list[CheckReport]:
                     duhamel_residual(
                         pd,
                         grid,
+                        remainder(2),
                         tol=tol["duhamel"],
                         include_byparts="inequalities" not in config.checks,
                     )
@@ -594,13 +628,10 @@ def cmd_rates(config: ExperimentConfig, out_dir: Path) -> int:
     grid = config.grid.build(config.epsilons)
     files: dict[str, str] = {}
     fits = []
-    for comp in config.comparisons:
-        try:
-            curve, fit = run_rate_experiment(
-                spec, u0, u1, config.epsilons, comp, grid
-            )
-        except ValueError as exc:
-            raise ConfigError(f"comparison {comp!r}: {exc}") from exc
+    for comp, result in _rate_experiments(config, spec, u0, u1, grid):
+        if isinstance(result, ValueError):
+            raise ConfigError(f"comparison {comp!r}: {result}") from result
+        curve, fit = result
         lines = ["epsilon,error"]
         for e, err in zip(curve.epsilons, curve.errors):
             lines.append(f"{fmt(e)},{fmt(err)}")

@@ -36,6 +36,15 @@ __all__ = ["ExpPoly", "divided_difference_exp", "power_exp_moment"]
 # int_0^t s**k exp(mu*s) ds loses digits to cancellation; use the series.
 _SERIES_THRESHOLD = 0.8
 
+# exp(x) rounds to exactly 0 for x below about -745.8 (half the smallest
+# subnormal, 2.5e-324), so a term whose Re(mu*t) is at most this value
+# contributes exactly 0 and need not be evaluated.
+_UNDERFLOW_EXPONENT = -746.0
+
+# Arrays at least this long evaluate a term only on its live points; on
+# shorter ones the mask costs more than the exponentials it saves.
+_MIN_SPLIT_POINTS = 64
+
 # Two rates share a divided-difference group when they are closer than this
 # fraction of max(1, |z|, |w|) (the 1 is the unit time scale, below which
 # rates count as close to 0).  Between groups the partial-fraction weights
@@ -58,10 +67,15 @@ def power_exp_moment(k: int, mu: complex, t):
         return t ** (k + 1) / (k + 1) + 0j
     out = np.empty(t.shape, dtype=complex)
     small = np.abs(mu * t) < _SERIES_THRESHOLD
+    # where e^{mu t} is exactly 0 the recurrence does not depend on t
+    dead = mu.real * t <= _UNDERFLOW_EXPONENT
+    rest = ~(small | dead)
     if np.any(small):
         out[small] = _moment_series(k, mu, t[small])
-    if np.any(~small):
-        out[~small] = _moment_recurrence(k, mu, t[~small])
+    if np.any(rest):
+        out[rest] = _moment_recurrence(k, mu, t[rest])
+    if np.any(dead):
+        out[dead] = _moment_recurrence(k, mu, t[dead][:1])[0]
     return out
 
 
@@ -352,11 +366,28 @@ class ExpPoly:
         return ExpPoly.build([(0, mu, c)])
 
     def value(self, t):
-        """Evaluate at scalar or array t; returns the real part."""
+        """Evaluate at scalar or array t; returns the real part.
+
+        On arrays of at least _MIN_SPLIT_POINTS times a plain term is
+        evaluated only where its exponential does not underflow to 0; the
+        result is the same, bit for bit.
+        """
         t = np.asarray(t, dtype=float)
         acc = np.zeros(t.shape, dtype=complex)
+        split = t.size >= _MIN_SPLIT_POINTS
+        live_at = {}  # decay rate -> None (all live) or (mask, live times)
         for k, mu, c in self.terms:
-            acc += c * t**k * np.exp(mu * t)
+            live = None
+            if split and mu.real < 0:
+                if mu.real not in live_at:
+                    mask = mu.real * t > _UNDERFLOW_EXPONENT
+                    live_at[mu.real] = None if mask.all() else (mask, t[mask])
+                live = live_at[mu.real]
+            if live is None:
+                acc += c * t**k * np.exp(mu * t)
+            elif live[1].size:
+                mask, tl = live
+                acc[mask] += c * tl**k * np.exp(mu * tl)
         for nodes, c in self.differences:
             acc += c * _difference_value(nodes, t)
         return acc.real if acc.ndim else float(acc.real)

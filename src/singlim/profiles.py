@@ -90,7 +90,6 @@ class ProblemData:
 class ProfileFunction:
     """Time-dependent vector profile, one exponential polynomial per mode."""
 
-    label: str
     spectrum: Spectrum
     modes: tuple[ExpPoly, ...]
 
@@ -110,34 +109,22 @@ class ProfileFunction:
         return np.column_stack([m.value(ts) for m in self.modes])
 
     def deriv(self) -> "ProfileFunction":
-        return ProfileFunction(
-            self.label + "'",
-            self.spectrum,
-            tuple(m.derivative() for m in self.modes),
-        )
+        return ProfileFunction(self.spectrum, tuple(m.derivative() for m in self.modes))
 
     def __add__(self, other: "ProfileFunction") -> "ProfileFunction":
         self._check(other)
         return ProfileFunction(
-            f"({self.label}+{other.label})",
-            self.spectrum,
-            tuple(a + b for a, b in zip(self.modes, other.modes)),
+            self.spectrum, tuple(a + b for a, b in zip(self.modes, other.modes))
         )
 
     def __sub__(self, other: "ProfileFunction") -> "ProfileFunction":
         self._check(other)
         return ProfileFunction(
-            f"({self.label}-{other.label})",
-            self.spectrum,
-            tuple(a - b for a, b in zip(self.modes, other.modes)),
+            self.spectrum, tuple(a - b for a, b in zip(self.modes, other.modes))
         )
 
     def scale(self, alpha: float) -> "ProfileFunction":
-        return ProfileFunction(
-            f"{alpha}*{self.label}",
-            self.spectrum,
-            tuple(m.scale(alpha) for m in self.modes),
-        )
+        return ProfileFunction(self.spectrum, tuple(m.scale(alpha) for m in self.modes))
 
     def operator_power(self, s: float) -> "ProfileFunction":
         """Apply a fractional operator power mode by mode."""
@@ -145,13 +132,9 @@ class ProfileFunction:
             raise ValueError("negative operator powers are not defined")
         lam = self.spectrum.eigenvalues
         return ProfileFunction(
-            f"pow{s}({self.label})",
             self.spectrum,
             tuple(m.scale(lam[i] ** s) for i, m in enumerate(self.modes)),
         )
-
-    def relabel(self, label: str) -> "ProfileFunction":
-        return ProfileFunction(label, self.spectrum, self.modes)
 
     def _check(self, other: "ProfileFunction") -> None:
         if len(self.modes) != len(other.modes):
@@ -159,7 +142,7 @@ class ProfileFunction:
 
 
 def kernel_profile(
-    label: str, spec: Spectrum, coeffs: np.ndarray, n: int, m: float, scale: float = 1.0
+    spec: Spectrum, coeffs: np.ndarray, n: int, m: float, scale: float = 1.0
 ) -> ProfileFunction:
     """Profile scale * t**n * A**m * e^{-tA} applied to the coefficients."""
     lam = spec.eigenvalues
@@ -167,7 +150,7 @@ def kernel_profile(
         ExpPoly.build([(n, -lam[i], scale * lam[i] ** m * coeffs[i])])
         for i in range(len(spec))
     )
-    return ProfileFunction(label, spec, modes)
+    return ProfileFunction(spec, modes)
 
 
 def exact_solution(pd: ProblemData) -> ProfileFunction:
@@ -178,12 +161,12 @@ def exact_solution(pd: ProblemData) -> ProfileFunction:
         solve_homogeneous(ModeParams(pd.eps, lam[i], u0[i], u1[i])).poly
         for i in range(len(pd.spec))
     )
-    return ProfileFunction("u_eps", pd.spec, modes)
+    return ProfileFunction(pd.spec, modes)
 
 
 def parabolic_profile(pd: ProblemData) -> ProfileFunction:
     """First-order limit flow e^{-tA} u0."""
-    return kernel_profile("v", pd.spec, pd.u0.coefficients, 0, 0.0)
+    return kernel_profile(pd.spec, pd.u0.coefficients, 0, 0.0)
 
 
 def theta_layer(pd: ProblemData) -> ProfileFunction:
@@ -193,7 +176,7 @@ def theta_layer(pd: ProblemData) -> ProfileFunction:
         ExpPoly.build([(0, 0.0, pd.eps * c), (0, -1.0 / pd.eps, -pd.eps * c)])
         for c in v1
     )
-    return ProfileFunction("theta", pd.spec, modes)
+    return ProfileFunction(pd.spec, modes)
 
 
 def main_expansion_profile(pd: ProblemData) -> ProfileFunction:
@@ -211,7 +194,7 @@ def main_expansion_profile(pd: ProblemData) -> ProfileFunction:
         )
         for i in range(len(pd.spec))
     )
-    return ProfileFunction("expansion2", pd.spec, modes)
+    return ProfileFunction(pd.spec, modes)
 
 
 def derivative_expansion_profile(pd: ProblemData) -> ProfileFunction:
@@ -233,7 +216,7 @@ def derivative_expansion_profile(pd: ProblemData) -> ProfileFunction:
         )
         for i in range(len(pd.spec))
     )
-    return ProfileFunction("expansion2_deriv", pd.spec, modes)
+    return ProfileFunction(pd.spec, modes)
 
 
 def split_components(pd: ProblemData) -> tuple[ProfileFunction, ProfileFunction]:
@@ -248,14 +231,10 @@ def split_components(pd: ProblemData) -> tuple[ProfileFunction, ProfileFunction]
         solve_homogeneous(ModeParams(pd.eps, lam[i], 0.0, v1[i])).poly
         for i in range(len(pd.spec))
     )
-    return (
-        ProfileFunction("u_split1", pd.spec, first),
-        ProfileFunction("u_split2", pd.spec, second),
-    )
+    return ProfileFunction(pd.spec, first), ProfileFunction(pd.spec, second)
 
 
 def _forced_profile(
-    label: str,
     pd: ProblemData,
     forcing_coeffs: np.ndarray,
     data0: np.ndarray,
@@ -270,7 +249,7 @@ def _forced_profile(
         ).poly
         for i in range(len(pd.spec))
     )
-    return ProfileFunction(label, pd.spec, modes)
+    return ProfileFunction(pd.spec, modes)
 
 
 def corrector_primary(pd: ProblemData) -> ProfileFunction:
@@ -279,9 +258,7 @@ def corrector_primary(pd: ProblemData) -> ProfileFunction:
     ju1 = resolvent(pd.spec, pd.eps, pd.u1).coefficients
     g = pd.u0.coefficients + pd.eps * ju1
     lam = pd.spec.eigenvalues
-    return _forced_profile(
-        "primary_corrector", pd, lam * g, -pd.eps * ju1, -ju1
-    )
+    return _forced_profile(pd, lam * g, -pd.eps * ju1, -ju1)
 
 
 def corrector_halfpower(pd: ProblemData) -> ProfileFunction:
@@ -290,9 +267,7 @@ def corrector_halfpower(pd: ProblemData) -> ProfileFunction:
     lam = pd.spec.eigenvalues
     u0 = pd.u0.coefficients
     zeros = np.zeros(len(pd.spec))
-    return _forced_profile(
-        "halfpower_corrector", pd, -(lam**1.5) * u0, zeros, zeros
-    )
+    return _forced_profile(pd, -(lam**1.5) * u0, zeros, zeros)
 
 
 def corrector_split(pd: ProblemData, j: int) -> ProfileFunction:
@@ -300,14 +275,10 @@ def corrector_split(pd: ProblemData, j: int) -> ProfileFunction:
     lam = pd.spec.eigenvalues
     if j == 1:
         ju0 = resolvent(pd.spec, pd.eps, pd.u0).coefficients
-        return _forced_profile(
-            "split_corrector_1", pd, lam * ju0, pd.eps * lam * ju0, lam * ju0
-        )
+        return _forced_profile(pd, lam * ju0, pd.eps * lam * ju0, lam * ju0)
     if j == 2:
         jv1 = resolvent(pd.spec, pd.eps, pd.v1).coefficients
-        return _forced_profile(
-            "split_corrector_2", pd, pd.eps * lam * jv1, -pd.eps * jv1, -jv1
-        )
+        return _forced_profile(pd, pd.eps * lam * jv1, -pd.eps * jv1, -jv1)
     raise ValueError("component index must be 1 or 2")
 
 
@@ -323,7 +294,7 @@ def corrector_profile(pd: ProblemData, j: int) -> ProfileFunction:
             )
             for i in range(len(pd.spec))
         )
-        return ProfileFunction("corrector_profile_1", pd.spec, modes)
+        return ProfileFunction(pd.spec, modes)
     if j == 2:
         jv1 = resolvent(pd.spec, eps, pd.v1).coefficients
         modes = tuple(
@@ -332,7 +303,7 @@ def corrector_profile(pd: ProblemData, j: int) -> ProfileFunction:
             )
             for i in range(len(pd.spec))
         )
-        return ProfileFunction("corrector_profile_2", pd.spec, modes)
+        return ProfileFunction(pd.spec, modes)
     raise ValueError("component index must be 1 or 2")
 
 
@@ -417,11 +388,11 @@ def corrector_remainder(
     u_tilde = corrector_split(pd, j)
     v_part = corrector_profile(pd, j)
     if j == 1:
-        w = (u_tilde - v_part).scale(1.0 / eps).relabel("remainder_1")
+        w = (u_tilde - v_part).scale(1.0 / eps)
     else:
         _, u2 = split_components(pd)
-        w = (u_tilde - v_part + u2).scale(1.0 / eps).relabel("remainder_2")
-    forcing = v_part.deriv().deriv().scale(-1.0).relabel(f"remainder_forcing_{j}")
+        w = (u_tilde - v_part + u2).scale(1.0 / eps)
+    forcing = v_part.deriv().deriv().scale(-1.0)
 
     grid = standard_grid([eps])
     ts = grid.times
@@ -484,17 +455,20 @@ def remainder_direct_solve(
                 ForcingTerm(a, b, lam[i]),
             ).poly
         )
-    return ProfileFunction(f"remainder_{j}_direct", pd.spec, tuple(modes))
+    return ProfileFunction(pd.spec, tuple(modes))
 
 
-def layer_equation_source(pd: ProblemData) -> ProfileFunction:
+def layer_equation_source(
+    pd: ProblemData, remainder2: CorrectorRemainder
+) -> ProfileFunction:
     """Higher-order source in the relaxation equation for the second split
-    component: sqrt(eps)*W' + sqrt(eps)*(2A e^{-tA}J v1 - t A^2 e^{-tA}J v1)."""
+    component: sqrt(eps)*W' + sqrt(eps)*(2A e^{-tA}J v1 - t A^2 e^{-tA}J v1),
+    with W the second remainder, ``corrector_remainder(pd, 2)``."""
+    if remainder2.component != 2:
+        raise ValueError("the layer source needs the second remainder")
     eps = pd.eps
-    rem = corrector_remainder(pd, 2)
     jv1 = resolvent(pd.spec, eps, pd.v1).coefficients
-    kernel = kernel_profile("k1", pd.spec, jv1, 0, 1.0, 2.0) - kernel_profile(
-        "k2", pd.spec, jv1, 1, 2.0, 1.0
+    kernel = kernel_profile(pd.spec, jv1, 0, 1.0, 2.0) - kernel_profile(
+        pd.spec, jv1, 1, 2.0, 1.0
     )
-    combined = (rem.profile.deriv() + kernel).scale(np.sqrt(eps))
-    return combined.relabel("layer_source")
+    return (remainder2.profile.deriv() + kernel).scale(np.sqrt(eps))

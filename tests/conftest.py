@@ -1,8 +1,20 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from singlim.spectral import SpecVector, Spectrum
-from singlim.profiles import ProblemData
+from singlim.profiles import ProblemData, corrector_remainder
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def cli_env() -> dict:
+    """Environment for a CLI subprocess, with src/ on its import path."""
+    path = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
 def decay_vector(n: int, p: float = 2.0) -> SpecVector:
@@ -17,6 +29,11 @@ def make_problem(lams, eps, p=2.0, il0=False) -> ProblemData:
     else:
         u1 = decay_vector(len(lams), p)
     return ProblemData(spec, eps, u0, u1)
+
+
+def remainders(pd: ProblemData):
+    """Both remainder correctors, as the check functions take them."""
+    return corrector_remainder(pd, 1), corrector_remainder(pd, 2)
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ from singlim.verification import (
     run_rate_experiment,
 )
 
-from conftest import decay_vector
+from conftest import cli_env, decay_vector, remainders
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_CONFIG = REPO_ROOT / "configs" / "default.json"
@@ -59,7 +59,7 @@ def test_criterion_1_identity_suite():
         for eps in (1e-1, 1e-2, 1e-3):
             pd = _problem(lams, eps)
             grid = standard_grid([eps])
-            for report in identity_checks(pd, grid, tol=1e-8):
+            for report in identity_checks(pd, grid, remainders(pd), tol=1e-8):
                 if not report.passed:
                     failures.append(f"{name}/eps={eps:g}/{report.check_id}")
     elapsed = time.time() - start
@@ -84,7 +84,7 @@ def test_criterion_2_explicit_inequality_suite():
             if margin < 0:
                 failures.append(f"{name}/eps={eps:g}/resolvent margin {margin:.3e}")
             reports.extend(
-                energy_inequality_checks(pd, grid, include_measured=False)
+                energy_inequality_checks(pd, grid)
             )
             reports.append(explicit_sup_bound(pd, grid))
             w1 = None
@@ -198,6 +198,7 @@ def test_criterion_6_cli_contract(tmp_path):
             capture_output=True,
             text=True,
             cwd=REPO_ROOT,
+            env=cli_env(),
         )
 
     failures = []

@@ -18,6 +18,8 @@ from singlim.cli import (
     main,
 )
 
+from conftest import cli_env
+
 BASE_CONFIG = {
     "schema_version": 1,
     "spectrum": "single-mode",
@@ -283,6 +285,7 @@ class TestExitCodes:
              "--out", str(out)],
             capture_output=True,
             text=True,
+            env=cli_env(),
         )
         assert result.returncode == EXIT_CHECK_FAILURE
         assert "Traceback" not in result.stderr
@@ -299,6 +302,7 @@ class TestExitCodes:
             [sys.executable, "-m", "singlim.cli", "presets"],
             capture_output=True,
             text=True,
+            env=cli_env(),
         )
         assert result.returncode == 0
         assert "three-mode" in result.stdout

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from singlim.exppoly import ExpPoly, divided_difference_exp, power_exp_moment
+from singlim.exppoly import (
+    ExpPoly,
+    _moment_series,
+    divided_difference_exp,
+    power_exp_moment,
+)
 
 
 def test_build_merges_and_drops_zeros():
@@ -181,3 +186,62 @@ def test_difference_algebra_matches_quadrature():
         assert sq.integral(t) == pytest.approx(want, rel=1e-11)
     want = quad(lambda s: p.value(s), 0.0, np.inf, epsabs=0, epsrel=1e-12)[0]
     assert p.integral_to_infinity() == pytest.approx(want, rel=1e-9)
+
+
+def _plain_value(poly: ExpPoly, t) -> np.ndarray:
+    """Every plain term on every point, in complex arithmetic."""
+    t = np.asarray(t, dtype=float)
+    acc = np.zeros(t.shape, dtype=complex)
+    for k, mu, c in poly.terms:
+        acc += c * t**k * np.exp(mu * t)
+    return acc.real
+
+
+# all live, partly live, the fastest term underflowed, every term underflowed
+_SHORTCUT_TIMES = [
+    np.linspace(0.0, 0.5, 100),
+    np.linspace(0.0, 20.0, 301),
+    np.linspace(10.0, 20.0, 64),
+    np.linspace(300.0, 400.0, 100),
+]
+
+
+_MUS = [complex(-3.0, 2.0), complex(-50.0, 7.0), complex(-1e3, 1.0)]
+_SHORTCUT_POLYS = [
+    # conjugate pairs with complex coefficients
+    ExpPoly.build(
+        [(k, mu, c) for k, (mu, c) in enumerate(zip(_MUS, [1 + 0.5j, 2j, 0.3 - 1j]))]
+        + [(0, mu.conjugate(), 0.7 + 0.1j) for mu in _MUS]
+    ),
+    # real rates and coefficients
+    ExpPoly.build([(0, -2.0, 1.5), (1, -2.0, 0.5), (2, -800.0, 3.0)]),
+]
+
+
+@pytest.mark.parametrize("p", _SHORTCUT_POLYS)
+@pytest.mark.parametrize("ts", _SHORTCUT_TIMES + [np.float64(0.7), np.float64(350.0)])
+def test_value_underflow_shortcut_bitwise(p, ts):
+    assert np.asarray(p.value(ts)).tobytes() == _plain_value(p, ts).tobytes()
+
+
+def _plain_moment(k: int, mu: complex, t: np.ndarray) -> np.ndarray:
+    """power_exp_moment with the upward recurrence on every large point."""
+    out = np.empty(t.shape, dtype=complex)
+    small = np.abs(mu * t) < 0.8
+    out[small] = _moment_series(k, mu, t[small])
+    tl = t[~small]
+    e = np.exp(mu * tl)
+    acc = (e - 1.0) / mu
+    for j in range(1, k + 1):
+        acc = (tl**j * e - j * acc) / mu
+    out[~small] = acc
+    return out
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("mu", [-1e4, -1e3, -50.0, complex(-1e3, 5.0), complex(-3.0, 2.0)])
+def test_moment_underflow_shortcut_bitwise(k, mu):
+    # from the series near 0 through the recurrence to e^{mu t} == 0
+    t = np.concatenate([[0.0, 1e-5], np.linspace(0.01, 20.0, 400)])
+    got = power_exp_moment(k, mu, t)
+    assert got.tobytes() == _plain_moment(k, mu, t).tobytes()

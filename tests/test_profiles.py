@@ -133,7 +133,7 @@ class TestExpansionProfiles:
         pd = make_problem([1.0, 4.0], 0.01, il0=True)
         p = main_expansion_profile(pd)
         expected = parabolic_profile(pd) - kernel_profile(
-            "t_a2", pd.spec, pd.u0.coefficients, 1, 2.0, pd.eps
+            pd.spec, pd.u0.coefficients, 1, 2.0, pd.eps
         )
         ts = np.linspace(0.0, 5.0, 21)
         assert max_gap(p, expected, ts) <= 1e-15
@@ -200,7 +200,7 @@ class TestCorrectors:
         ts = standard_grid([pd.eps]).times
         ju1 = resolvent(pd.spec, pd.eps, pd.u1)
         smoothed = kernel_profile(
-            "sm", pd.spec, pd.u0.coefficients + pd.eps * ju1.coefficients, 0, 0.0
+            pd.spec, pd.u0.coefficients + pd.eps * ju1.coefficients, 0, 0.0
         )
         gap = max_gap(
             exact_solution(pd),
@@ -216,7 +216,6 @@ class TestCorrectors:
         )
         ts = standard_grid([pd.eps]).times
         smoothed = kernel_profile(
-            "sm",
             spec,
             pd.u0.coefficients + pd.eps * pd.u1.coefficients,
             0,
@@ -246,14 +245,14 @@ class TestCorrectors:
         ju0 = resolvent(pd.spec, pd.eps, pd.u0)
         gap1 = max_gap(
             u_one,
-            kernel_profile("sm1", pd.spec, ju0.coefficients, 0, 0.0)
+            kernel_profile(pd.spec, ju0.coefficients, 0, 0.0)
             + corrector_split(pd, 1).deriv().scale(pd.eps),
             ts,
         )
         jv1 = resolvent(pd.spec, pd.eps, pd.v1)
         gap2 = max_gap(
             u_two,
-            kernel_profile("sm2", pd.spec, jv1.coefficients, 0, 0.0).scale(pd.eps)
+            kernel_profile(pd.spec, jv1.coefficients, 0, 0.0).scale(pd.eps)
             + corrector_split(pd, 2).deriv().scale(pd.eps),
             ts,
         )
@@ -280,8 +279,8 @@ class TestCorrectors:
         ju0 = resolvent(pd.spec, pd.eps, pd.u0).coefficients
         d2 = corrector_profile(pd, 1).deriv().deriv()
         expected = kernel_profile(
-            "k", pd.spec, (pd.eps * lam - 1.0) * ju0, 0, 2.0, 2.0
-        ) + kernel_profile("k2", pd.spec, ju0, 1, 3.0)
+            pd.spec, (pd.eps * lam - 1.0) * ju0, 0, 2.0, 2.0
+        ) + kernel_profile(pd.spec, ju0, 1, 3.0)
         ts = np.linspace(0.0, 6.0, 25)
         assert max_gap(d2, expected, ts) <= 1e-12
 
@@ -344,7 +343,7 @@ class TestRemainders:
 class TestLayerSource:
     def test_vanishes_without_layer(self):
         pd = make_problem([1.0, 4.0], 0.1, il0=True)
-        src = layer_equation_source(pd)
+        src = layer_equation_source(pd, corrector_remainder(pd, 2))
         ts = np.linspace(0.0, 4.0, 9)
         assert np.max(np.abs(src.sample(ts))) <= 1e-14
 
@@ -353,14 +352,15 @@ class TestLayerSource:
         ts = standard_grid([pd.eps]).times
         _, u_two = split_components(pd)
         lhs = u_two.deriv().scale(pd.eps) + u_two
-        rhs = kernel_profile(
-            "smv1", pd.spec, pd.v1.coefficients, 0, 0.0
-        ).scale(pd.eps) + layer_equation_source(pd).scale(pd.eps**1.5)
+        source = layer_equation_source(pd, corrector_remainder(pd, 2))
+        rhs = kernel_profile(pd.spec, pd.v1.coefficients, 0, 0.0).scale(
+            pd.eps
+        ) + source.scale(pd.eps**1.5)
         assert max_gap(lhs, rhs, ts) <= 1e-9 * pd.data_scale
 
     def test_boundedness_recorded(self):
         pd = make_problem([0.0, 1.0, 4.0], 0.05)
-        src = layer_equation_source(pd)
+        src = layer_equation_source(pd, corrector_remainder(pd, 2))
         ts = standard_grid([pd.eps]).times
         sup = float(np.max(np.sqrt(np.sum(src.sample(ts) ** 2, axis=1))))
         assert np.isfinite(sup)

@@ -9,6 +9,7 @@ from singlim.profiles import (
     ProfileFunction,
     exact_solution,
     kernel_profile,
+    layer_equation_source,
     parabolic_profile,
 )
 from singlim.spectral import SpecVector, Spectrum
@@ -34,8 +35,9 @@ from singlim.verification import (
     run_rate_experiment,
     sup_norm_error,
 )
+from singlim.verification import _duhamel_convolution
 
-from conftest import decay_vector, make_problem
+from conftest import decay_vector, make_problem, remainders
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +77,7 @@ class TestSupNorm:
 
     def test_max_at_zero(self, grid):
         spec = Spectrum(np.array([1.0]))
-        decaying = kernel_profile("d", spec, np.array([1.0]), 0, 0.0)
+        decaying = kernel_profile(spec, np.array([1.0]), 0, 0.0)
         zero = decaying.scale(0.0)
         assert sup_norm_error(decaying, zero, grid) == pytest.approx(1.0, rel=1e-14)
 
@@ -99,19 +101,19 @@ class TestSupNorm:
 class TestL2Norm:
     def test_zero_profile(self, grid):
         spec = Spectrum(np.array([1.0]))
-        zero = kernel_profile("z", spec, np.array([0.0]), 0, 0.0)
+        zero = kernel_profile(spec, np.array([0.0]), 0, 0.0)
         assert l2_time_norm(zero, grid) == 0.0
 
     def test_exponential(self, grid):
         spec = Spectrum(np.array([1.0]))
-        prof = kernel_profile("e", spec, np.array([1.0]), 0, 0.0)
+        prof = kernel_profile(spec, np.array([1.0]), 0, 0.0)
         assert l2_time_norm(prof, grid) == pytest.approx(0.5, abs=1e-8)
 
     def test_weighted(self):
         # t^2 e^{-2t} needs a slightly longer tail to clear the decay gate
         long_grid = standard_grid([], t_max=25.0)
         spec = Spectrum(np.array([1.0]))
-        prof = kernel_profile("e", spec, np.array([1.0]), 0, 0.0)
+        prof = kernel_profile(spec, np.array([1.0]), 0, 0.0)
         assert l2_time_norm(prof, long_grid, weight_power=2) == pytest.approx(
             0.25, abs=1e-8
         )
@@ -121,21 +123,21 @@ class TestL2Norm:
         # integrates to 4!/2^5
         long_grid = standard_grid([], t_max=25.0)
         mode = ExpPoly.build([], [((-1.0, -1.0 - 1e-9), 1.0)])
-        prof = ProfileFunction("p", Spectrum(np.array([1.0])), (mode,))
+        prof = ProfileFunction(Spectrum(np.array([1.0])), (mode,))
         assert l2_time_norm(prof, long_grid, weight_power=2) == pytest.approx(
             0.75, rel=1e-8
         )
 
     def test_quadrature_cross_check(self, grid):
         spec = Spectrum(np.array([1.0, 2.0]))
-        prof = kernel_profile("e", spec, np.array([1.0, -0.5]), 0, 0.0)
+        prof = kernel_profile(spec, np.array([1.0, -0.5]), 0, 0.0)
         analytic = l2_time_norm(prof, grid)
         quadrature = l2_time_norm_quadrature(prof, grid)
         assert quadrature == pytest.approx(analytic, rel=1e-9)
 
     def test_nondecayed_integrand_rejected(self, grid):
         spec = Spectrum(np.array([0.0]))
-        constant = kernel_profile("c", spec, np.array([1.0]), 0, 0.0)
+        constant = kernel_profile(spec, np.array([1.0]), 0, 0.0)
         with pytest.raises(NonDecayingIntegrandError):
             l2_time_norm(constant, grid)
 
@@ -206,18 +208,20 @@ class TestResolventMargin:
 class TestIdentitySuite:
     def test_all_pass_three_mode(self, grid):
         pd = make_problem([0.0, 1.0, 4.0], 0.01)
-        reports = identity_checks(pd, grid.with_layer_points([0.01]))
+        reports = identity_checks(pd, grid.with_layer_points([0.01]), remainders(pd))
         assert all(r.passed for r in reports)
         assert len(reports) == 8
 
     def test_corrupted_tolerance_fails(self, grid):
         pd = make_problem([0.0, 1.0, 4.0], 0.01)
-        reports = identity_checks(pd, grid.with_layer_points([0.01]), tol=1e-20)
+        reports = identity_checks(
+            pd, grid.with_layer_points([0.01]), remainders(pd), tol=1e-20
+        )
         assert any(not r.passed for r in reports)
 
     def test_remainder_data_reports(self):
         pd = make_problem([0.0, 1.0, 4.0], 0.1)
-        reports = remainder_data_checks(pd)
+        reports = remainder_data_checks(pd, remainders(pd))
         assert all(r.passed for r in reports)
         note = next(
             r.note for r in reports if r.check_id == "data.remainder1_initial"
@@ -230,7 +234,7 @@ class TestEnergyChecks:
         spec = Spectrum(np.array([1.0, 4.0]))
         zero = SpecVector(np.zeros(2))
         pd = ProblemData(spec, 0.1, zero, zero)
-        reports = energy_inequality_checks(pd, grid)
+        reports = energy_inequality_checks(pd, grid, remainders=remainders(pd))
         assert all(r.passed for r in reports)
 
     def test_explicit_constants(self, grid):
@@ -247,7 +251,10 @@ class TestEnergyChecks:
 
     def test_measured_constants_reported(self, grid):
         pd = make_problem([0.0, 1.0, 4.0], 0.05)
-        reports = {r.check_id: r for r in energy_inequality_checks(pd, grid)}
+        reports = {
+            r.check_id: r
+            for r in energy_inequality_checks(pd, grid, remainders=remainders(pd))
+        }
         for j in (1, 2):
             r = reports[f"energy.remainder{j}_measured"]
             assert r.passed
@@ -315,18 +322,56 @@ class TestL2Bounds:
             l2_deviation_bounds(pd, grid, w1=SpecVector(np.array([2.0])))
 
 
+def _per_interval_convolution(integrand, ts, eps):
+    """The Duhamel quadrature one grid interval at a time: the same Gauss
+    subpanels and decay recursion, one sample call per interval."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(10)
+    reach = 45.0 * eps
+    local = np.zeros((ts.size - 1, len(integrand.modes)))
+    for k in range(ts.size - 1):
+        t_left, t_right = ts[k], ts[k + 1]
+        lo = max(t_left, t_right - reach)
+        width = t_right - lo
+        if width <= 0:
+            continue
+        n_sub = min(120, max(1, int(np.ceil(width / (eps / 2.0)))))
+        edges = np.linspace(lo, t_right, n_sub + 1)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
+        weights = (half[:, None] * gl_w[None, :]).ravel()
+        kernel = np.exp((nodes - t_right) / eps)
+        local[k] = (weights * kernel) @ integrand.sample(nodes)
+    convo = np.zeros((ts.size, len(integrand.modes)))
+    for k in range(ts.size - 1):
+        convo[k + 1] = math.exp(-(ts[k + 1] - ts[k]) / eps) * convo[k] + local[k]
+    return convo
+
+
 class TestDuhamel:
     def test_single_mode_representation(self):
         pd = make_problem([1.0], 0.1, p=0.0)
-        reports = duhamel_residual(pd, standard_grid([0.1]))
+        reports = duhamel_residual(pd, standard_grid([0.1]), remainders(pd)[1])
         by_id = {r.check_id: r for r in reports}
         assert by_id["duhamel.representation"].passed
         assert by_id["bound.byparts_convolution"].passed
 
     def test_zero_layer_data(self):
         pd = make_problem([1.0, 4.0], 0.1, il0=True)
-        reports = duhamel_residual(pd, standard_grid([0.1]))
+        reports = duhamel_residual(pd, standard_grid([0.1]), remainders(pd)[1])
         assert all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.01])
+    def test_batched_quadrature_matches_per_interval(self, eps):
+        pd = make_problem([0.0, 1.0, 4.0], eps)
+        source = layer_equation_source(pd, remainders(pd)[1])
+        integrand = kernel_profile(pd.spec, pd.v1.coefficients, 0, 0.0) + source.scale(
+            math.sqrt(eps)
+        )
+        ts = standard_grid([eps]).times
+        batched = _duhamel_convolution(integrand, ts, eps)
+        reference = _per_interval_convolution(integrand, ts, eps)
+        assert np.max(np.abs(batched - reference)) <= 1e-13 * np.max(np.abs(reference))
 
     def test_byparts_bound_alone(self):
         pd = make_problem([0.0, 1.0, 4.0], 0.01)

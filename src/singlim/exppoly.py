@@ -36,14 +36,10 @@ __all__ = ["ExpPoly", "divided_difference_exp", "power_exp_moment"]
 # int_0^t s**k exp(mu*s) ds loses digits to cancellation; use the series.
 _SERIES_THRESHOLD = 0.8
 
-# exp(x) rounds to exactly 0 for x below about -745.8 (half the smallest
+# exp(x) rounds to exactly 0 for x below about -745.13 (half the smallest
 # subnormal, 2.5e-324), so a term whose Re(mu*t) is at most this value
 # contributes exactly 0 and need not be evaluated.
 _UNDERFLOW_EXPONENT = -746.0
-
-# Arrays at least this long evaluate a term only on its live points; on
-# shorter ones the mask costs more than the exponentials it saves.
-_MIN_SPLIT_POINTS = 64
 
 # Two rates share a divided-difference group when they are closer than this
 # fraction of max(1, |z|, |w|) (the 1 is the unit time scale, below which
@@ -368,25 +364,26 @@ class ExpPoly:
     def value(self, t):
         """Evaluate at scalar or array t; returns the real part.
 
-        On arrays of at least _MIN_SPLIT_POINTS times a plain term is
-        evaluated only where its exponential does not underflow to 0; the
-        result is the same, bit for bit.
+        A plain term is evaluated only where its exponential does not
+        underflow to 0; the result is the same, bit for bit, except at
+        t = inf, where such a term reads 0 instead of inf * 0 = NaN.
         """
         t = np.asarray(t, dtype=float)
         acc = np.zeros(t.shape, dtype=complex)
-        split = t.size >= _MIN_SPLIT_POINTS
-        live_at = {}  # decay rate -> None (all live) or (mask, live times)
+        # a term live at the latest time takes the plain path (a decaying
+        # term underflows there first); a NaN time makes t_max NaN, which
+        # keeps every term on the plain path
+        t_max = float(t.max()) if t.size else 0.0
+        live_at = {}  # decay rate -> (mask, live times)
         for k, mu, c in self.terms:
-            live = None
-            if split and mu.real < 0:
-                if mu.real not in live_at:
-                    mask = mu.real * t > _UNDERFLOW_EXPONENT
-                    live_at[mu.real] = None if mask.all() else (mask, t[mask])
-                live = live_at[mu.real]
-            if live is None:
+            if not mu.real * t_max <= _UNDERFLOW_EXPONENT:
                 acc += c * t**k * np.exp(mu * t)
-            elif live[1].size:
-                mask, tl = live
+                continue
+            if mu.real not in live_at:
+                mask = mu.real * t > _UNDERFLOW_EXPONENT
+                live_at[mu.real] = mask, t[mask]
+            mask, tl = live_at[mu.real]
+            if tl.size:
                 acc[mask] += c * tl**k * np.exp(mu * tl)
         for nodes, c in self.differences:
             acc += c * _difference_value(nodes, t)

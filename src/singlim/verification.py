@@ -70,9 +70,12 @@ COMPARISONS = (
     "cor2",
 )
 
-# Comparisons of the same (reference, candidate) profile pair share one
-# error curve: the two order-0 statements differ only in their exponent.
-SHARED_ERROR_CURVE = {"order0_thm11ii": "order0_thm11i"}
+# The two order-0 statements compare the same (reference, candidate)
+# profile pair and differ only in their exponent.
+_ORDER0_COMPARISONS = ("order0_thm11i", "order0_thm11ii")
+
+# comparison -> the comparison whose error curve it reuses
+SHARED_ERROR_CURVE = {c: _ORDER0_COMPARISONS[0] for c in _ORDER0_COMPARISONS[1:]}
 
 # One-sided slope thresholds: an upper-bound statement with exponent p is
 # confirmed by any fitted slope >= p - 0.05 (smooth data may decay faster).
@@ -227,8 +230,7 @@ def max_reg_functional(
     lam = spec.eigenvalues
     c2 = f.coefficients**2
     ts = grid.times
-    semigroup = np.sum(c2 * np.exp(-2.0 * np.outer(ts, lam)), axis=1) / 2.0
-    curve = semigroup + _dissipation_integral_curve(spec, f, n, ts)
+    curve = _dissipation_integral_curve(spec, f, n, ts, semigroup=True)
 
     # quadrature cross-check of the integral part
     qp = grid.quad_points
@@ -236,7 +238,8 @@ def max_reg_functional(
     for i in range(len(spec)):
         integrand += c2[i] * lam[i] ** (n + 1) * qp**n * np.exp(-2.0 * lam[i] * qp)
     factor = 2.0**n / math.factorial(n)
-    quad_curve = factor * grid.cumulative_integral(integrand) + semigroup
+    quad_curve = factor * grid.cumulative_integral(integrand)
+    quad_curve += np.sum(c2 * np.exp(-2.0 * np.outer(ts, lam)), axis=1) / 2.0
     scale = float(np.sum(c2))
     gap = float(np.max(np.abs(curve - quad_curve)))
     if gap > 1e-6 * max(1.0, scale):
@@ -768,14 +771,20 @@ def duhamel_residual(
 
 
 def _dissipation_integral_curve(
-    spec: Spectrum, f: SpecVector, n: int, ts: np.ndarray
+    spec: Spectrum, f: SpecVector, n: int, ts: np.ndarray, semigroup: bool = False
 ) -> np.ndarray:
-    """Cumulative weighted dissipation (2^n/n!) int_0^t s^n |A^{(n+1)/2}e^{-sA}f|^2."""
+    """Cumulative weighted dissipation (2^n/n!) int_0^t s^n |A^{(n+1)/2}e^{-sA}f|^2.
+
+    With ``semigroup`` the semigroup part |e^{-tA}f|^2/2 is added mode by
+    mode as well, which gives the whole functional of max_reg_functional.
+    """
     lam = spec.eigenvalues
     c2 = f.coefficients**2
     factor = 2.0**n / math.factorial(n)
     curve = np.zeros(ts.shape)
     for i in range(len(spec)):
+        if semigroup:
+            curve += c2[i] * np.exp(-2.0 * lam[i] * ts) / 2.0
         if lam[i] > 0:
             moments = power_exp_moment(n, -2.0 * lam[i], ts).real
             curve += factor * lam[i] ** (n + 1) * c2[i] * moments
@@ -900,7 +909,7 @@ def _comparison_profiles(
     """The (reference, candidate) profile pair for a rate comparison."""
     u_eps = exact_solution(pd)
     v = parabolic_profile(pd)
-    if comparison in ("order0_thm11i", "order0_thm11ii"):
+    if comparison in _ORDER0_COMPARISONS:
         return u_eps, v
     if comparison == "order1_theta":
         return u_eps, v + theta_layer(pd)

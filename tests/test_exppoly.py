@@ -197,12 +197,15 @@ def _plain_value(poly: ExpPoly, t) -> np.ndarray:
     return acc.real
 
 
-# all live, partly live, the fastest term underflowed, every term underflowed
+# all live, partly live (long and short), the fastest term underflowed,
+# every term underflowed, and a NaN among underflowed times (it stays NaN)
 _SHORTCUT_TIMES = [
     np.linspace(0.0, 0.5, 100),
     np.linspace(0.0, 20.0, 301),
+    np.linspace(0.0, 20.0, 9),
     np.linspace(10.0, 20.0, 64),
     np.linspace(300.0, 400.0, 100),
+    np.append(np.linspace(300.0, 400.0, 100), np.nan),
 ]
 
 
@@ -219,9 +222,21 @@ _SHORTCUT_POLYS = [
 
 
 @pytest.mark.parametrize("p", _SHORTCUT_POLYS)
-@pytest.mark.parametrize("ts", _SHORTCUT_TIMES + [np.float64(0.7), np.float64(350.0)])
+@pytest.mark.parametrize(
+    "ts", _SHORTCUT_TIMES + [np.float64(0.7), np.float64(350.0), np.float64(np.nan)]
+)
 def test_value_underflow_shortcut_bitwise(p, ts):
     assert np.asarray(p.value(ts)).tobytes() == _plain_value(p, ts).tobytes()
+
+
+def test_value_skips_underflowed_points(monkeypatch):
+    p = ExpPoly.build([(0, -2.0, 1.0), (1, -100.0, 1.0)])
+    t = np.linspace(0.0, 20.0, 301)  # e^{-100 t} == 0 from t = 7.46 (index 112) on
+    sizes = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda x: sizes.append(np.size(x)) or exp(x))
+    p.value(t)
+    assert sorted(sizes) == [112, 301]
 
 
 def _plain_moment(k: int, mu: complex, t: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from singlim.exppoly import ExpPoly
+from singlim.exppoly import ExpPoly, power_exp_moment
 from singlim.profiles import (
     ProblemData,
     ProfileFunction,
@@ -166,6 +166,23 @@ class TestMaxReg:
             assert curve[0] == pytest.approx(
                 np.sum(f.coefficients**2) / 2.0, rel=1e-14
             )
+
+    def test_sums_mode_by_mode(self, grid):
+        # report margins of M_n are rounding-sized, so the summation order is
+        # pinned: each mode adds its semigroup part, then its dissipation
+        spec = Spectrum(np.append(0.0, (np.pi * np.arange(1, 33)) ** 2))
+        f = decay_vector(33)
+        lam, c2, ts = spec.eigenvalues, f.coefficients**2, grid.times
+        for n in (0, 1, 2):
+            factor = 2.0**n / math.factorial(n)
+            want = np.zeros(ts.shape)
+            for i in range(len(spec)):
+                want += c2[i] * np.exp(-2.0 * lam[i] * ts) / 2.0
+                if lam[i] > 0:
+                    moments = power_exp_moment(n, -2.0 * lam[i], ts).real
+                    want += factor * lam[i] ** (n + 1) * c2[i] * moments
+            got = max_reg_functional(spec, f, n, grid)
+            assert got.tobytes() == want.tobytes()
 
     def test_unsupported_order(self, grid):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ import argparse
 import datetime
 import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -19,6 +20,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .profiles import (
@@ -78,6 +80,24 @@ _SCHEMA_VERSION = 1
 
 class ConfigError(ValueError):
     """The experiment configuration is malformed or inconsistent."""
+
+
+def _number(value, field: str, check=lambda x: True, expect="a finite number") -> float:
+    """A finite JSON number that passes ``check``, as a float; anything else
+    is a ConfigError that names the field and the expected range."""
+    if (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max  # False for NaN and infinities
+        and check(value)
+    ):
+        return float(value)
+    raise ConfigError(f"{field} must be {expect}, got {value!r}")
+
+
+def _count(value, field: str, least: int) -> int:
+    expect = f"an integer >= {least}"
+    return int(_number(value, field, lambda n: n == int(n) and n >= least, expect))
 
 
 def _preset_dirichlet(count: int) -> list[float]:
@@ -173,12 +193,13 @@ class ExperimentConfig:
                     f"unknown spectrum preset {spectrum!r}; "
                     f"available: {sorted(SPECTRUM_PRESETS)}"
                 )
-        elif isinstance(spectrum, list):
-            spectrum = tuple(float(x) for x in spectrum)
-            if not spectrum or any(x < 0 for x in spectrum):
-                raise ConfigError("explicit spectrum must be nonempty, nonnegative")
+        elif isinstance(spectrum, list) and spectrum:
+            spectrum = tuple(
+                _number(x, "spectrum", lambda x: x >= 0, "finite numbers >= 0")
+                for x in spectrum
+            )
         else:
-            raise ConfigError("spectrum must be a preset name or a list")
+            raise ConfigError("spectrum must be a preset name or a nonempty list")
 
         u0 = ExperimentConfig._parse_data_spec(raw.get("u0"), "u0", allow_il0=False)
         u1 = ExperimentConfig._parse_data_spec(raw.get("u1"), "u1", allow_il0=True)
@@ -186,22 +207,24 @@ class ExperimentConfig:
         eps_raw = raw.get("epsilons")
         if not isinstance(eps_raw, list) or not eps_raw:
             raise ConfigError("epsilons must be a nonempty list")
-        epsilons = tuple(float(e) for e in eps_raw)
-        if any(not 0.0 < e <= 1.0 for e in epsilons):
-            raise ConfigError("every eps must lie in (0, 1]")
+        epsilons = tuple(
+            _number(e, "epsilons", lambda e: 0 < e <= 1, "numbers in (0, 1]")
+            for e in eps_raw
+        )
+        if len(set(epsilons)) < len(epsilons):
+            raise ConfigError(f"epsilons must be distinct, got {list(epsilons)}")
 
         grid_raw = raw.get("grid", {})
         if not isinstance(grid_raw, dict):
             raise ConfigError("grid must be an object")
-        try:
-            grid = GridParams(
-                t_max=float(grid_raw.get("t_max", 20.0)),
-                linear_count=int(grid_raw.get("linear_count", 2000)),
-                log_count=int(grid_raw.get("log_count", 200)),
-                log_floor=float(grid_raw.get("log_floor", 1e-6)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad grid parameters: {exc}") from exc
+        get = grid_raw.get
+        positive = (lambda x: x > 0, "a finite number > 0")
+        grid = GridParams(
+            t_max=_number(get("t_max", 20.0), "grid.t_max", *positive),
+            linear_count=_count(get("linear_count", 2000), "grid.linear_count", 2),
+            log_count=_count(get("log_count", 200), "grid.log_count", 0),
+            log_floor=_number(get("log_floor", 1e-6), "grid.log_floor", *positive),
+        )
 
         checks_raw = raw.get("checks", "all")
         if checks_raw == "all":
@@ -236,11 +259,14 @@ class ExperimentConfig:
                 f"available: {sorted(_DEFAULT_TOLERANCES)}"
             )
         tolerances = dict(_DEFAULT_TOLERANCES)
-        tolerances.update({k: float(v) for k, v in tol_raw.items()})
+        for k, v in tol_raw.items():
+            tolerances[k] = _number(
+                v, f"tolerances.{k}", lambda x: x >= 0, "a finite number >= 0"
+            )
 
         synthetic = raw.get("synthetic_exponent")
         if synthetic is not None:
-            synthetic = float(synthetic)
+            synthetic = _number(synthetic, "synthetic_exponent")
 
         return ExperimentConfig(
             spectrum=spectrum,
@@ -265,13 +291,13 @@ class ExperimentConfig:
                 f'{name} must be a list, a decay family, or "il0" (u1 only)'
             )
         if isinstance(node, list):
-            return tuple(float(x) for x in node)
+            return tuple(_number(x, name, expect="finite numbers") for x in node)
         if isinstance(node, dict):
             if node.get("family") != "decay" or "p" not in node:
                 raise ConfigError(
                     f'{name} family spec must be {{"family": "decay", "p": <num>}}'
                 )
-            return {"family": "decay", "p": float(node["p"])}
+            return {"family": "decay", "p": _number(node["p"], f"{name}.p")}
         raise ConfigError(f"{name} has unsupported type {type(node).__name__}")
 
     def to_dict(self) -> dict:
@@ -280,16 +306,11 @@ class ExperimentConfig:
             self.spectrum if isinstance(self.spectrum, str) else list(self.spectrum)
         )
 
-        def data_out(node):
-            if isinstance(node, tuple):
-                return list(node)
-            return node
-
-        out = {
+        return {
             "schema_version": _SCHEMA_VERSION,
             "spectrum": spectrum,
-            "u0": data_out(self.u0),
-            "u1": data_out(self.u1),
+            "u0": list(self.u0) if isinstance(self.u0, tuple) else self.u0,
+            "u1": list(self.u1) if isinstance(self.u1, tuple) else self.u1,
             "epsilons": list(self.epsilons),
             "grid": {
                 "t_max": self.grid.t_max,
@@ -302,7 +323,6 @@ class ExperimentConfig:
             "tolerances": dict(sorted(self.tolerances.items())),
             "synthetic_exponent": self.synthetic_exponent,
         }
-        return out
 
     def config_hash(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -349,6 +369,7 @@ class RunManifest:
     config_hash: str
     timestamp: str
     files: tuple[str, ...]
+    environment: dict[str, str]  # python, numpy and scipy versions
 
     def to_dict(self) -> dict:
         return {
@@ -356,17 +377,14 @@ class RunManifest:
             "config_hash": self.config_hash,
             "timestamp": self.timestamp,
             "files": list(self.files),
+            "environment": self.environment,
         }
 
 
 def _load_config(path: str) -> ExperimentConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8 text
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return ExperimentConfig.parse(raw)
 
@@ -381,6 +399,11 @@ def _write_outputs(out_dir: Path, files: dict[str, str], config: ExperimentConfi
         config_hash=config.config_hash(),
         timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
         files=tuple(sorted(files) + ["manifest.json"]),
+        environment={
+            "python": sys.version.split()[0],
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
     )
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest.to_dict(), indent=2) + "\n"
@@ -612,11 +635,10 @@ def cmd_verify(config: ExperimentConfig, out_dir: Path | None) -> int:
         _write_outputs(out_dir, {"report.json": payload}, config)
     else:
         sys.stdout.write(payload)
-    all_pass = all(r.passed for r in reports)
     failed = [r.check_id for r in reports if not r.passed]
     if failed:
         print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
-    return EXIT_OK if all_pass else EXIT_CHECK_FAILURE
+    return EXIT_CHECK_FAILURE if failed else EXIT_OK
 
 
 def cmd_rates(config: ExperimentConfig, out_dir: Path) -> int:
@@ -626,9 +648,18 @@ def cmd_rates(config: ExperimentConfig, out_dir: Path) -> int:
     spec = config.build_spectrum()
     u0, u1 = config.build_data(spec)
     grid = config.grid.build(config.epsilons)
+    experiments = _rate_experiments(config, spec, u0, u1, grid)
+    if config.synthetic_exponent is not None:
+        eps = np.array(sorted(config.epsilons, reverse=True))
+        try:
+            curve = ErrorCurve(eps, eps**config.synthetic_exponent, "synthetic")
+            synthetic = curve, fit_rate(curve)
+        except ValueError as exc:
+            synthetic = exc
+        experiments = itertools.chain(experiments, [("synthetic", synthetic)])
     files: dict[str, str] = {}
     fits = []
-    for comp, result in _rate_experiments(config, spec, u0, u1, grid):
+    for comp, result in experiments:
         if isinstance(result, ValueError):
             raise ConfigError(f"comparison {comp!r}: {result}") from result
         curve, fit = result
@@ -639,22 +670,6 @@ def cmd_rates(config: ExperimentConfig, out_dir: Path) -> int:
         fits.append(
             {
                 "comparison": comp,
-                "slope": fit.slope,
-                "intercept": fit.intercept,
-                "r2": fit.r_squared,
-            }
-        )
-    if config.synthetic_exponent is not None:
-        eps = np.array(sorted(config.epsilons, reverse=True))
-        curve = ErrorCurve(eps, eps**config.synthetic_exponent, "synthetic")
-        fit = fit_rate(curve)
-        lines = ["epsilon,error"]
-        for e, err in zip(curve.epsilons, curve.errors):
-            lines.append(f"{fmt(e)},{fmt(err)}")
-        files["rates_synthetic.csv"] = "\n".join(lines) + "\n"
-        fits.append(
-            {
-                "comparison": "synthetic",
                 "slope": fit.slope,
                 "intercept": fit.intercept,
                 "r2": fit.r_squared,

@@ -23,6 +23,7 @@ pairwise node sums.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -30,7 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ExpPoly", "divided_difference_exp", "power_exp_moment"]
+__all__ = [
+    "ExpPoly", "divided_difference_exp", "evaluate", "integrate", "power_exp_moment"
+]
 
 # Below this value of |mu*t| the upward recurrence for the moments
 # int_0^t s**k exp(mu*s) ds loses digits to cancellation; use the series.
@@ -58,20 +61,32 @@ def power_exp_moment(k: int, mu: complex, t):
     """int_0^t s**k * exp(mu*s) ds for scalar mu and scalar or array t."""
     if k < 0:
         raise ValueError("moment order must be nonnegative")
-    t = np.asarray(t, dtype=float)
+    return _moments(mu, (k,), np.asarray(t, dtype=float))[k]
+
+
+def _moments(mu: complex, orders, t: np.ndarray) -> dict:
+    """{k: int_0^t s**k * exp(mu*s) ds} for each k in orders.
+
+    One upward recurrence to the largest order serves every order, since
+    it passes through the lower ones; the series is summed per order.
+    """
     if mu == 0:
-        return t ** (k + 1) / (k + 1) + 0j
-    out = np.empty(t.shape, dtype=complex)
+        return {k: t ** (k + 1) / (k + 1) + 0j for k in orders}
+    out = {k: np.empty(t.shape, dtype=complex) for k in orders}
     small = np.abs(mu * t) < _SERIES_THRESHOLD
     # where e^{mu t} is exactly 0 the recurrence does not depend on t
     dead = mu.real * t <= _UNDERFLOW_EXPONENT
     rest = ~(small | dead)
     if np.any(small):
-        out[small] = _moment_series(k, mu, t[small])
-    if np.any(rest):
-        out[rest] = _moment_recurrence(k, mu, t[rest])
-    if np.any(dead):
-        out[dead] = _moment_recurrence(k, mu, t[dead][:1])[0]
+        ts = t[small]
+        for k in orders:
+            out[k][small] = _moment_series(k, mu, ts)
+    # the dead points all take the value of the first one
+    for part, times in ((rest, t[rest]), (dead, t[dead][:1])):
+        if times.size:
+            accs = _moment_recurrence(max(orders), mu, times)
+            for k in orders:
+                out[k][part] = accs[k]
     return out
 
 
@@ -88,12 +103,13 @@ def _moment_series(k: int, mu: complex, t: np.ndarray) -> np.ndarray:
     return t ** (k + 1) * acc
 
 
-def _moment_recurrence(k: int, mu: complex, t: np.ndarray) -> np.ndarray:
+def _moment_recurrence(k: int, mu: complex, t: np.ndarray) -> list[np.ndarray]:
+    """The moments of orders 0..k by the upward recurrence."""
     e = np.exp(mu * t)
-    acc = (e - 1.0) / mu
+    accs = [(e - 1.0) / mu]
     for j in range(1, k + 1):
-        acc = (t**j * e - j * acc) / mu
-    return acc
+        accs.append((t**j * e - j * accs[-1]) / mu)
+    return accs
 
 
 def _infinite_moment(k: int, mu: complex) -> complex:
@@ -362,32 +378,8 @@ class ExpPoly:
         return ExpPoly.build([(0, mu, c)])
 
     def value(self, t):
-        """Evaluate at scalar or array t; returns the real part.
-
-        A plain term is evaluated only where its exponential does not
-        underflow to 0; the result is the same, bit for bit, except at
-        t = inf, where such a term reads 0 instead of inf * 0 = NaN.
-        """
-        t = np.asarray(t, dtype=float)
-        acc = np.zeros(t.shape, dtype=complex)
-        # a term live at the latest time takes the plain path (a decaying
-        # term underflows there first); a NaN time makes t_max NaN, which
-        # keeps every term on the plain path
-        t_max = float(t.max()) if t.size else 0.0
-        live_at = {}  # decay rate -> (mask, live times)
-        for k, mu, c in self.terms:
-            if not mu.real * t_max <= _UNDERFLOW_EXPONENT:
-                acc += c * t**k * np.exp(mu * t)
-                continue
-            if mu.real not in live_at:
-                mask = mu.real * t > _UNDERFLOW_EXPONENT
-                live_at[mu.real] = mask, t[mask]
-            mask, tl = live_at[mu.real]
-            if tl.size:
-                acc[mask] += c * tl**k * np.exp(mu * tl)
-        for nodes, c in self.differences:
-            acc += c * _difference_value(nodes, t)
-        return acc.real if acc.ndim else float(acc.real)
+        """Evaluate at scalar or array t; returns the real part (see evaluate)."""
+        return evaluate((self,), t)[0]
 
     def derivative(self) -> "ExpPoly":
         terms = []
@@ -441,17 +433,7 @@ class ExpPoly:
 
     def integral(self, t):
         """int_0^t of the function, evaluated at scalar or array t."""
-        t = np.asarray(t, dtype=float)
-        acc = np.zeros(t.shape, dtype=complex)
-        for k, mu, c in self.terms:
-            acc += c * power_exp_moment(k, mu, t)
-        out = acc.real
-        if self.differences:
-            antiderivative = ExpPoly.build(
-                (), [(nodes + (0j,), c) for nodes, c in self.differences]
-            )
-            out = out + antiderivative.value(t)
-        return out if out.ndim else float(out)
+        return integrate((self,), t)[0]
 
     def integral_to_infinity(self) -> float:
         """int_0^inf of the function; requires every rate to decay."""
@@ -478,3 +460,77 @@ class ExpPoly:
             )),
             default=0.0,
         )
+
+
+def evaluate(polys, t) -> list:
+    """[p.value(t) for p in polys]: real parts at scalar or array t.
+
+    The polynomials share one exponential per rate, one underflow mask per
+    decay rate, one power of t per order and one value per divided
+    difference, but each adds its own terms in its own order: every value
+    is the plain sum of c * t**k * e^{mu t} over its terms, bit for bit.
+    A term is evaluated only where its exponential does not underflow to
+    0, so at t = inf such a term reads 0 instead of inf * 0 = NaN.
+    """
+    t = np.asarray(t, dtype=float)
+    # a term live at the latest time takes every time (a decaying term
+    # underflows there first); a NaN time makes t_max NaN, which keeps
+    # every term on every time
+    t_max = float(t.max()) if t.size else 0.0
+    live = {None: (..., t)}  # decay rate -> (index of the live times, those times)
+    powers, exps, diffs = {}, {}, {}
+    # drop each exponential after its last use: wide arrays kept alive are slower
+    uses = collections.Counter(mu for poly in polys for _, mu, _ in poly.terms)
+    values = []
+    for poly in polys:
+        acc = np.zeros(t.shape, dtype=complex)
+        for k, mu, c in poly.terms:
+            decay = mu.real if mu.real * t_max <= _UNDERFLOW_EXPONENT else None
+            if decay not in live:
+                mask = mu.real * t > _UNDERFLOW_EXPONENT
+                live[decay] = mask, t[mask]
+            mask, tl = live[decay]
+            if (k, decay) not in powers:
+                powers[k, decay] = tl**k
+            if mu not in exps:
+                exps[mu] = np.exp(mu * tl)
+            uses[mu] -= 1
+            e = exps[mu] if uses[mu] else exps.pop(mu)
+            acc[mask] += c * powers[k, decay] * e
+        for nodes, c in poly.differences:
+            if nodes not in diffs:
+                diffs[nodes] = _difference_value(nodes, t)
+            acc += c * diffs[nodes]
+        values.append(acc.real if acc.ndim else float(acc.real))
+    return values
+
+
+def integrate(polys, t) -> list:
+    """[p.integral(t) for p in polys]: int_0^t at scalar or array t.
+
+    One moment table per rate serves every polynomial and order (_moments);
+    each polynomial adds its own terms in its own order.
+    """
+    t = np.asarray(t, dtype=float)
+    orders: dict[complex, set[int]] = {}
+    for poly in polys:
+        for k, mu, _ in poly.terms:
+            orders.setdefault(mu, set()).add(k)
+    moments = {mu: _moments(mu, ks, t) for mu, ks in orders.items()}
+    # int_0^t exp[Z] = exp[Z, 0](t)
+    antiderivatives = [
+        ExpPoly.build((), [(z + (0j,), c) for z, c in p.differences])
+        for p in polys
+        if p.differences
+    ]
+    antiderivatives = iter(evaluate(antiderivatives, t))
+    values = []
+    for poly in polys:
+        acc = np.zeros(t.shape, dtype=complex)
+        for k, mu, c in poly.terms:
+            acc += c * moments[mu][k]
+        out = acc.real
+        if poly.differences:
+            out = out + next(antiderivatives)
+        values.append(out if out.ndim else float(out))
+    return values

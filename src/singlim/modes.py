@@ -85,9 +85,6 @@ class ForcingTerm:
         out = (self.a + self.b * t) * np.exp(-self.nu * t)
         return out if out.ndim else float(out)
 
-    def as_exppoly(self) -> ExpPoly:
-        return ExpPoly.build([(0, -self.nu, self.a), (1, -self.nu, self.b)])
-
 
 ZERO_FORCING = ForcingTerm(0.0, 0.0, 0.0)
 
@@ -147,18 +144,11 @@ class ModeTrajectory:
     particular: ExpPoly
     resonance_escalation: int
 
-    @property
-    def dpoly(self) -> ExpPoly:
-        return self.poly.derivative()
-
     def value(self, t):
         return self.poly.value(t)
 
     def derivative(self, t):
         return self.poly.derivative().value(t)
-
-    def second_derivative(self, t):
-        return self.poly.derivative().derivative().value(t)
 
     def residual(self, t):
         p = self.params

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exppoly import ExpPoly
+from .exppoly import ExpPoly, evaluate
 from .modes import ForcingTerm, ModeParams, solve_forced, solve_homogeneous
 from .spectral import SpecVector, Spectrum, apply_power, norm, resolvent
 from .timegrid import standard_grid
@@ -23,6 +23,7 @@ from .timegrid import standard_grid
 __all__ = [
     "ProblemData",
     "ProfileFunction",
+    "sample_together",
     "CorrectorRemainder",
     "RemainderConsistencyError",
     "kernel_profile",
@@ -105,8 +106,7 @@ class ProfileFunction:
 
     def sample(self, ts) -> np.ndarray:
         """Values on an array of times, shape (len(ts), n_modes)."""
-        ts = np.asarray(ts, dtype=float)
-        return np.column_stack([m.value(ts) for m in self.modes])
+        return sample_together((self,), ts)[0]
 
     def deriv(self) -> "ProfileFunction":
         return ProfileFunction(self.spectrum, tuple(m.derivative() for m in self.modes))
@@ -139,6 +139,23 @@ class ProfileFunction:
     def _check(self, other: "ProfileFunction") -> None:
         if len(self.modes) != len(other.modes):
             raise ValueError("profiles live on different spectra")
+
+
+def sample_together(profiles, ts) -> list[np.ndarray]:
+    """[p.sample(ts) for p in profiles], for profiles on one spectrum.
+
+    Mode by mode the profiles share one table of exponentials and powers
+    (exppoly.evaluate), so a rate they have in common is evaluated once;
+    the values are the same, bit for bit, as sampling them one by one.
+    """
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    for p in profiles[1:]:
+        profiles[0]._check(p)
+    samples = [np.empty((ts.size, len(p.modes))) for p in profiles]
+    for i, modes in enumerate(zip(*(p.modes for p in profiles))):
+        for sample, values in zip(samples, evaluate(modes, ts)):
+            sample[:, i] = values
+    return samples
 
 
 def kernel_profile(
@@ -399,12 +416,8 @@ def corrector_remainder(
     lam = pd.spec.eigenvalues
     w1 = w.deriv()
     w2 = w1.deriv()
-    residual = (
-        eps * w2.sample(ts)
-        + w1.sample(ts)
-        + lam[np.newaxis, :] * w.sample(ts)
-        - forcing.sample(ts)
-    )
+    s2, s1, s0, sf = sample_together((w2, w1, w, forcing), ts)
+    residual = eps * s2 + s1 + lam[np.newaxis, :] * s0 - sf
     max_residual = float(np.max(np.sqrt(np.sum(residual**2, axis=1))))
 
     scale = max(

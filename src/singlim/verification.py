@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .exppoly import ExpPoly, divided_difference_exp, power_exp_moment
+from .exppoly import ExpPoly, divided_difference_exp, integrate, power_exp_moment
 from .profiles import (
     CorrectorRemainder,
     ProblemData,
@@ -30,6 +30,7 @@ from .profiles import (
     derivative_expansion_profile,
     parabolic_profile,
     remainder_direct_solve,
+    sample_together,
     split_components,
     theta_layer,
 )
@@ -163,10 +164,7 @@ def _row_norms(matrix: np.ndarray) -> np.ndarray:
 
 def sup_norm_error(a: ProfileFunction, b: ProfileFunction, grid: TimeGrid) -> float:
     """Max over grid times of the coefficient-space norm of a - b."""
-    if len(a.modes) != len(b.modes):
-        raise ValueError("profiles live on different spectra")
-    diff = a.sample(grid.times) - b.sample(grid.times)
-    return float(np.max(_row_norms(diff)))
+    return _max_gap(a, b, grid.times)
 
 
 def _squared_mode_integrals(
@@ -244,7 +242,8 @@ def max_reg_functional(
     gap = float(np.max(np.abs(curve - quad_curve)))
     if gap > 1e-6 * max(1.0, scale):
         raise ArithmeticError(
-            f"analytic and quadrature dissipation curves disagree by {gap:.3e}"
+            f"analytic and quadrature dissipation curves disagree by {gap:.3e}, "
+            f"more than the cross-check gate {1e-6 * max(1.0, scale):.3e}"
         )
     return curve
 
@@ -261,7 +260,9 @@ def resolvent_bound_margin(spec: Spectrum, eps: float, f: SpecVector) -> float:
 
 
 def _max_gap(a: ProfileFunction, b: ProfileFunction, ts: np.ndarray) -> float:
-    return float(np.max(_row_norms(a.sample(ts) - b.sample(ts))))
+    sa, sb = sample_together((a, b), ts)
+    sa -= sb  # in place: a third wide array costs page faults in a fresh process
+    return float(np.max(_row_norms(sa)))
 
 
 def identity_checks(
@@ -287,16 +288,9 @@ def identity_checks(
     u_eps = exact_solution(pd)
     u_one, u_two = split_components(pd)
 
-    def add(check_id: str, residual: float, note: str) -> None:
-        reports.append(
-            CheckReport(
-                check_id=check_id,
-                passed=residual <= tolerance,
-                margin=tolerance - residual,
-                tolerance=tolerance,
-                note=note,
-            )
-        )
+    def add(check_id: str, residual: float, note: str, tolerance=tolerance) -> None:
+        passed, margin = residual <= tolerance, tolerance - residual
+        reports.append(CheckReport(check_id, passed, margin, tolerance, note))
 
     # solution = smoothed semigroup + eps * primary corrector slope
     ju1 = resolvent(spec, eps, pd.u1)
@@ -371,16 +365,11 @@ def identity_checks(
         )
 
     # superposition of the split
-    sup_tol = 1e-10 * scale
-    gap = _max_gap(u_one + u_two, u_eps, ts)
-    reports.append(
-        CheckReport(
-            check_id="identity.superposition",
-            passed=gap <= sup_tol,
-            margin=sup_tol - gap,
-            tolerance=sup_tol,
-            note="the two split components add up to the solution",
-        )
+    add(
+        "identity.superposition",
+        _max_gap(u_one + u_two, u_eps, ts),
+        "the two split components add up to the solution",
+        tolerance=1e-10 * scale,
     )
 
     # relaxation equation of the second split component
@@ -415,42 +404,25 @@ def remainder_data_checks(
     lam = spec.eigenvalues
     scale = max(pd.data_scale, 1e-30)
     tolerance = 1e-8 * scale * max(1.0, float(np.max(lam)) ** 2)
-    reports = []
     rem1, rem2 = remainders
-
     jv1 = resolvent(spec, eps, pd.v1).coefficients
-    gap_val = float(np.max(np.abs(rem2.initial_value.coefficients - jv1)))
-    gap_slope = float(
-        np.max(np.abs(rem2.initial_slope.coefficients + 2.0 * lam * jv1))
-    )
-    gap = max(gap_val, gap_slope)
-    reports.append(
-        CheckReport(
-            check_id="data.remainder2_initial",
-            passed=gap <= tolerance,
-            margin=tolerance - gap,
-            tolerance=tolerance,
-            note="second remainder starts at (J v1, -2 A J v1)",
-        )
-    )
-
     ju0 = resolvent(spec, eps, pd.u0).coefficients
-    gap_val = float(np.max(np.abs(rem1.initial_value.coefficients + lam * ju0)))
-    gap_slope = float(
-        np.max(np.abs(rem1.initial_slope.coefficients - 2.0 * lam**2 * ju0))
-    )
-    gap = max(gap_val, gap_slope)
-    reports.append(
-        CheckReport(
-            check_id="data.remainder1_initial",
-            passed=gap <= tolerance,
-            margin=tolerance - gap,
-            tolerance=tolerance,
-            note="first remainder starts at (-A J u0, +2 A^2 J u0); the "
-            "slope sign is forced by the decomposition, a value of "
-            "-2 A^2 J u0 would be inconsistent with it",
+    expected = [  # (check id, remainder, initial value, initial slope, note)
+        ("data.remainder2_initial", rem2, jv1, -2.0 * lam * jv1,
+         "second remainder starts at (J v1, -2 A J v1)"),
+        ("data.remainder1_initial", rem1, -lam * ju0, 2.0 * lam**2 * ju0,
+         "first remainder starts at (-A J u0, +2 A^2 J u0); the slope sign is "
+         "forced by the decomposition, a value of -2 A^2 J u0 would be "
+         "inconsistent with it"),
+    ]
+    reports = []
+    for check_id, rem, value, slope, note in expected:
+        gap_val = float(np.max(np.abs(rem.initial_value.coefficients - value)))
+        gap_slope = float(np.max(np.abs(rem.initial_slope.coefficients - slope)))
+        gap = max(gap_val, gap_slope)
+        reports.append(
+            CheckReport(check_id, gap <= tolerance, tolerance - gap, tolerance, note)
         )
-    )
     return reports
 
 
@@ -458,17 +430,29 @@ def remainder_data_checks(
 # energy and explicit-constant inequality checks
 
 
-def _energy_lhs_curve(
-    pd: ProblemData, prof: ProfileFunction, ts: np.ndarray
-) -> np.ndarray:
-    """eps|p'(t)|^2 + |A^{1/2} p(t)|^2 + int_0^t |p'|^2, analytic in t."""
-    dp = prof.deriv()
-    kinetic = pd.eps * np.sum(dp.sample(ts) ** 2, axis=1)
-    potential = np.sum(prof.operator_power(0.5).sample(ts) ** 2, axis=1)
-    dissipated = np.zeros(ts.shape)
-    for mode in dp.modes:
-        dissipated += mode.squared().integral(ts)
-    return kinetic + potential + dissipated
+def _energy_lhs_curves(
+    pd: ProblemData, profiles: list[ProfileFunction], ts: np.ndarray
+) -> list[np.ndarray]:
+    """eps|p'(t)|^2 + |A^{1/2} p(t)|^2 + int_0^t |p'|^2 for each profile p,
+    analytic in t.
+
+    The profiles share their rates, so the dissipated integrals of all of
+    them are taken together mode by mode; each profile's two samples are
+    taken together, one profile at a time, which keeps two sample arrays
+    alive instead of two per profile.
+    """
+    derivs = [p.deriv() for p in profiles]
+    dissipated = [np.zeros(ts.shape) for _ in profiles]
+    for modes in zip(*(dp.modes for dp in derivs)):
+        integrals = integrate([m.squared() for m in modes], ts)
+        for acc, integral in zip(dissipated, integrals):
+            acc += integral
+    curves = []
+    for p, dp, integral in zip(profiles, derivs, dissipated):
+        slope, half = sample_together((dp, p.operator_power(0.5)), ts)
+        kinetic = pd.eps * np.sum(slope**2, axis=1)
+        curves.append(kinetic + np.sum(half**2, axis=1) + integral)
+    return curves
 
 
 def energy_inequality_checks(
@@ -486,46 +470,37 @@ def energy_inequality_checks(
     the smallest constant making its bound hold is measured and reported
     instead of asserted.
     """
-    ts = grid.times
+    primary, halfpower, *remainder_curves = _energy_lhs_curves(
+        pd,
+        [corrector_primary(pd), corrector_halfpower(pd)]
+        + [rem.profile for rem in remainders],
+        grid.times,
+    )
+    explicit = [
+        ("energy.primary_constant3", primary,
+         norm(apply_power(pd.spec, 0.5, pd.u0)) ** 2 + 3.0 * pd.eps * norm(pd.u1) ** 2,
+         "energy of the primary corrector stays below |A^(1/2)u0|^2 + 3 eps |u1|^2"),
+        ("energy.halfpower_constant_half", halfpower,
+         norm(apply_power(pd.spec, 1.0, pd.u0)) ** 2 / 2.0,
+         "energy of the half-power corrector stays below |A u0|^2 / 2"),
+    ]
     reports = []
-
-    bound = (
-        norm(apply_power(pd.spec, 0.5, pd.u0)) ** 2 + 3.0 * pd.eps * norm(pd.u1) ** 2
-    )
-    lhs = float(np.max(_energy_lhs_curve(pd, corrector_primary(pd), ts)))
-    tolerance = slack * max(1.0, bound)
-    reports.append(
-        CheckReport(
-            check_id="energy.primary_constant3",
-            passed=lhs <= bound + tolerance,
-            margin=bound + tolerance - lhs,
-            tolerance=tolerance,
-            note="energy of the primary corrector stays below "
-            "|A^(1/2)u0|^2 + 3 eps |u1|^2",
+    for check_id, curve, bound, note in explicit:
+        lhs = float(np.max(curve))
+        tolerance = slack * max(1.0, bound)
+        margin = bound + tolerance - lhs
+        reports.append(
+            CheckReport(check_id, lhs <= bound + tolerance, margin, tolerance, note)
         )
-    )
-
-    bound = norm(apply_power(pd.spec, 1.0, pd.u0)) ** 2 / 2.0
-    lhs = float(np.max(_energy_lhs_curve(pd, corrector_halfpower(pd), ts)))
-    tolerance = slack * max(1.0, bound)
-    reports.append(
-        CheckReport(
-            check_id="energy.halfpower_constant_half",
-            passed=lhs <= bound + tolerance,
-            margin=bound + tolerance - lhs,
-            tolerance=tolerance,
-            note="energy of the half-power corrector stays below |A u0|^2 / 2",
-        )
-    )
 
     # measured constants for the remainder correctors
     seminorms = {
         1: norm(apply_power(pd.spec, 1.5, pd.u0)) ** 2,
         2: norm(apply_power(pd.spec, 0.5, pd.v1)) ** 2,
     }
-    for rem in remainders:
+    for rem, curve in zip(remainders, remainder_curves):
         j, rhs = rem.component, seminorms[rem.component]
-        lhs = float(np.max(_energy_lhs_curve(pd, rem.profile, ts)))
+        lhs = float(np.max(curve))
         measured = lhs / rhs if rhs > 0 else 0.0
         reports.append(
             CheckReport(
@@ -806,24 +781,35 @@ def max_reg_checks(
     reports = []
     half_norm2 = norm(f) ** 2 / 2.0
     scale = max(1.0, norm(f) ** 2)
-
-    m0 = max_reg_functional(spec, f, 0, grid)
-    gap = float(np.max(np.abs(m0 - half_norm2)))
-    tolerance = 1e-8 * scale
-    reports.append(
-        CheckReport(
-            check_id="maxreg.constant_n0",
-            passed=gap <= tolerance,
-            margin=tolerance - gap,
-            tolerance=tolerance,
-            note="order-0 dissipation functional is identically |f|^2/2",
-        )
-    )
-
     min_pos = spec.min_positive
     t_limit = grid.t_max if min_pos is None else min(grid.t_max, 20.0 / min_pos)
-    for n in (1, 2):
-        mn = max_reg_functional(spec, f, n, grid)
+    for n in (0, 1, 2):
+        try:
+            mn = max_reg_functional(spec, f, n, grid)
+        except ArithmeticError as exc:
+            # the closed form failed its quadrature cross-check: every record
+            # of this order is a FAIL whose note gives the gap
+            kinds = (
+                ["monotone_bounded", "limit", "finite_time_gap"] if n else ["constant"]
+            )
+            reports.extend(
+                CheckReport(f"maxreg.{k}_n{n}", False, -np.inf, 1e-6 * scale, str(exc))
+                for k in kinds
+            )
+            continue
+        if n == 0:
+            gap = float(np.max(np.abs(mn - half_norm2)))
+            tolerance = 1e-8 * scale
+            reports.append(
+                CheckReport(
+                    check_id="maxreg.constant_n0",
+                    passed=gap <= tolerance,
+                    margin=tolerance - gap,
+                    tolerance=tolerance,
+                    note="order-0 dissipation functional is identically |f|^2/2",
+                )
+            )
+            continue
         dissipated = _dissipation_integral_curve(spec, f, n, grid.times)
         drops = float(np.min(np.diff(dissipated)))
         overshoot = float(np.max(mn - half_norm2))

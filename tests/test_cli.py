@@ -1,11 +1,13 @@
 import json
 import math
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from singlim.cli import (
     EXIT_CHECK_FAILURE,
@@ -130,6 +132,11 @@ class TestSimulate:
         assert float(first[6]) == 0.0
         manifest = json.loads((out / "manifest.json").read_text())
         assert "trajectory_eps0.1.csv" in manifest["files"]
+        assert manifest["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        }
 
     def test_zero_data_gives_zero_errors(self, tmp_path):
         cfg = write_config(tmp_path, u0=[0.0], u1=[0.0])
@@ -262,11 +269,82 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["verify", "--config", str(bad)]) == EXIT_CONFIG_ERROR
 
-    # output goes to --out only; output_dir is an unknown field
-    @pytest.mark.parametrize("overrides", [{"output_dir": "out"}, {"output_dir": None}])
+    # output goes to --out only; output_dir is an unknown field.  The other
+    # rows are malformed values, each of which once gave a traceback, a
+    # run on bad input, or a silent exit 0.
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"output_dir": "out"},
+            {"output_dir": None},
+            {"grid": {**BASE_CONFIG["grid"], "linear_count": -5}},
+            {"u0": {"family": "decay", "p": "x"}},
+            {"spectrum": [1.0, math.nan], "u0": [1.0, 1.0], "u1": [0.0, 0.0]},
+            {"epsilons": ["a", 0.1, 0.01]},
+            {"tolerances": {"identity": "x"}},
+            {"grid": {**BASE_CONFIG["grid"], "t_max": math.inf}},
+            {"epsilons": [0.1, 0.1, 0.01]},
+            {"grid": {**BASE_CONFIG["grid"], "log_floor": math.nan}},
+            {"synthetic_exponent": math.inf},
+            {"u0": [math.nan]},
+            {"u1": [math.inf]},
+        ],
+    )
     def test_config_errors_exit_2(self, tmp_path, overrides):
         cfg = write_config(tmp_path, **overrides)
         assert main(["verify", "--config", str(cfg)]) == EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("grid.linear_count", {"grid": {"linear_count": -5}}),
+            ("grid.linear_count", {"grid": {"linear_count": 2.5}}),
+            ("grid.log_count", {"grid": {"log_count": True}}),
+            ("grid.t_max", {"grid": {"t_max": math.inf}}),
+            ("grid.log_floor", {"grid": {"log_floor": 0.0}}),
+            ("u0.p", {"u0": {"family": "decay", "p": "x"}}),
+            ("u1", {"u1": [10**400]}),
+            ("spectrum", {"spectrum": [1.0, -2.0]}),
+            ("epsilons", {"epsilons": [0.1, 0.1, 0.01]}),
+            ("epsilons", {"epsilons": [0.1, "0.01"]}),
+            ("tolerances.identity", {"tolerances": {"identity": -1.0}}),
+            ("synthetic_exponent", {"synthetic_exponent": math.nan}),
+        ],
+    )
+    def test_config_error_names_the_field(self, field, overrides):
+        with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
+            ExperimentConfig.parse({**BASE_CONFIG, **overrides})
+
+    def test_config_file_that_is_not_text_is_a_config_error(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        assert main(["verify", "--config", str(bad)]) == EXIT_CONFIG_ERROR
+
+    def test_dissipation_breakdown_is_a_fail_record(self, tmp_path):
+        # at lam = 1e12 the grid quadrature cannot resolve e^{-2 lam t}, so
+        # the closed form fails its 1e-6 cross-check
+        cfg = write_config(
+            tmp_path,
+            spectrum=[1e12, 1.0],
+            u0=[1.0, 1.0],
+            u1=[0.0, 0.0],
+            checks=["maxreg"],
+        )
+        out = tmp_path / "out"
+        result = subprocess.run(
+            [sys.executable, "-m", "singlim.cli", "verify", "--config", str(cfg),
+             "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=cli_env(),
+        )
+        assert result.returncode == EXIT_CHECK_FAILURE
+        assert "Traceback" not in result.stderr
+        report = {r["id"]: r for r in json.loads((out / "report.json").read_text())}
+        record = report["maxreg.constant_n0"]
+        assert not record["pass"]
+        assert record["margin"] == -math.inf
+        assert "disagree by 1.667e+05" in record["note"]
 
     def test_undecayed_integrand_is_a_fail_record(self, tmp_path):
         # at eps = 1e-9 the squared deviation is rounding noise that has not
@@ -295,6 +373,18 @@ class TestExitCodes:
         )
         assert not record["pass"]
         assert "extend the grid" in record["note"]
+
+    def test_cli_import_leaves_scipy_integrate_unloaded(self):
+        # start-up time: the oracle is a matrix exponential, not an ODE solver
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, singlim.cli; print('scipy.integrate' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=cli_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
     def test_cli_entrypoint_subprocess(self, tmp_path):
         cfg = write_config(tmp_path)

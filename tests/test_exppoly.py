@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import singlim.exppoly as exppoly
 from singlim.exppoly import (
     ExpPoly,
+    _difference_value,
     _moment_series,
     divided_difference_exp,
+    evaluate,
+    integrate,
     power_exp_moment,
 )
 
@@ -260,3 +264,128 @@ def test_moment_underflow_shortcut_bitwise(k, mu):
     t = np.concatenate([[0.0, 1e-5], np.linspace(0.01, 20.0, 400)])
     got = power_exp_moment(k, mu, t)
     assert got.tobytes() == _plain_moment(k, mu, t).tobytes()
+
+
+# Batched evaluation: several polynomials on one time array share their
+# exponentials, masks, powers and moments, and each still sums its own
+# terms in its own order.  The references below take every term on every
+# point, one polynomial at a time.
+
+def _termwise_value(poly: ExpPoly, t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    acc = np.zeros(t.shape, dtype=complex)
+    for k, mu, c in poly.terms:
+        acc += c * t**k * np.exp(mu * t)
+    for nodes, c in poly.differences:
+        acc += c * _difference_value(nodes, t)
+    return acc.real
+
+
+def _termwise_integral(poly: ExpPoly, t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    acc = np.zeros(t.shape, dtype=complex)
+    for k, mu, c in poly.terms:
+        if mu == 0:
+            acc += c * (t ** (k + 1) / (k + 1) + 0j)
+        else:
+            acc += c * _plain_moment(k, mu, t)
+    out = acc.real
+    if poly.differences:
+        anti = ExpPoly.build((), [(z + (0j,), c) for z, c in poly.differences])
+        out = out + _termwise_value(anti, t)
+    return out
+
+
+_A = complex(-3.0, 2.0)
+_BATCH = [
+    # rates shared across the polynomials with mixed powers; -900, -50 and
+    # -1e4 underflow on part of [0, 20] and on all of [300, 400]
+    ExpPoly.build(
+        [(0, _A, 1 + 0.5j), (0, _A.conjugate(), 1 - 0.5j), (1, -900.0, 2.0),
+         (2, -50.0, 0.3)]
+    ),
+    ExpPoly.build(
+        [(0, -900.0, 0.7), (1, _A, -0.2 + 0.1j), (2, _A, 0.05), (0, -50.0, 1.5),
+         (1, -50.0, -4.0), (3, -50.0, 0.01)]
+    ),
+    ExpPoly.build(
+        [(0, 0.0, 2.0), (1, -50.0, 1.0), (0, -2.0, 1.5), (1, -2.0, 0.5),
+         (2, -2.0, -0.25), (0, -1e4, 3.0)]
+    ),
+    # grouped differences, one group shared with the next polynomial
+    _near_resonant_poly(),
+    ExpPoly.build([(1, -2.0, -1.0)], [((-1.0, -1.0 - 1e-9), 0.5)]),
+    # built directly: unsorted terms, one rate at several powers
+    ExpPoly(
+        ((2, -2.0 + 0j, 1.0 + 0j), (0, _A, 0.3 + 0j), (0, -2.0 + 0j, -1.0 + 0j),
+         (1, _A, 2.0 - 1j), (1, -900.0 + 0j, 5.0 + 0j), (0, -900.0 + 0j, 1.0 + 0j))
+    ),
+]
+
+_BATCH_TIMES = [
+    np.linspace(0.0, 20.0, 301),  # partly underflowed
+    np.linspace(0.0, 0.5, 40),  # all live
+    np.linspace(300.0, 400.0, 50),  # fast rates underflowed everywhere
+    np.append(np.linspace(0.0, 20.0, 301), np.nan),
+    np.float64(0.7),
+    350.0,
+    np.float64(np.nan),
+]
+
+
+@pytest.mark.parametrize("t", _BATCH_TIMES)
+def test_evaluate_bitwise(t):
+    values = evaluate(_BATCH, t)
+    assert len(values) == len(_BATCH)
+    for poly, got in zip(_BATCH, values):
+        want = _termwise_value(poly, t).tobytes()
+        assert np.asarray(got).tobytes() == want
+        assert np.asarray(poly.value(t)).tobytes() == want
+        assert isinstance(got, float) == (np.ndim(t) == 0)
+
+
+@pytest.mark.parametrize("t", _BATCH_TIMES)
+def test_integrate_bitwise(t):
+    values = integrate(_BATCH, t)
+    assert len(values) == len(_BATCH)
+    for poly, got in zip(_BATCH, values):
+        want = _termwise_integral(poly, t).tobytes()
+        assert np.asarray(got).tobytes() == want
+        assert np.asarray(poly.integral(t)).tobytes() == want
+        assert isinstance(got, float) == (np.ndim(t) == 0)
+
+
+def test_evaluate_and_integrate_take_empty_batches():
+    assert evaluate([], np.linspace(0.0, 1.0, 5)) == []
+    assert integrate([], 1.0) == []
+
+
+def test_evaluate_computes_each_exponential_once(monkeypatch):
+    polys = [
+        ExpPoly.build([(0, -2.0, 1.0), (1, -2.0, 1.0), (0, _A, 1.0)]),
+        ExpPoly.build([(2, -2.0, 1.0), (1, _A, 1.0), (0, -100.0, 1.0)]),
+        ExpPoly.build([(1, -100.0, 1.0), (0, -2.0, 3.0)]),
+    ]
+    t = np.linspace(0.0, 20.0, 301)  # e^{-100 t} == 0 from t = 7.46 (index 112) on
+    sizes = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda x: sizes.append(np.size(x)) or exp(x))
+    evaluate(polys, t)
+    assert sorted(sizes) == [112, 301, 301]
+
+
+def test_integrate_runs_one_recurrence_per_rate(monkeypatch):
+    polys = [
+        ExpPoly.build([(0, -2.0, 1.0), (2, _A, 1.0)]),
+        ExpPoly.build([(1, -2.0, 1.0), (0, _A, 1.0)]),
+        ExpPoly.build([(3, -2.0, 1.0)]),
+    ]
+    calls = []
+    recurrence = exppoly._moment_recurrence
+    monkeypatch.setattr(
+        exppoly,
+        "_moment_recurrence",
+        lambda k, mu, t: calls.append((k, mu)) or recurrence(k, mu, t),
+    )
+    integrate(polys, np.linspace(0.0, 5.0, 50))
+    assert sorted(calls, key=lambda c: c[0]) == [(2, _A), (3, -2.0)]

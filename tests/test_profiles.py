@@ -17,6 +17,7 @@ from singlim.profiles import (
     main_expansion_profile,
     parabolic_profile,
     remainder_direct_solve,
+    sample_together,
     split_components,
     theta_layer,
 )
@@ -389,3 +390,44 @@ class TestDerivativeConsistency:
                 an = prof.derivative(t).coefficients
                 scale = max(1.0, float(np.max(np.abs(an))))
                 assert np.max(np.abs(fd - an)) <= 1e-6 * scale
+
+
+class TestSampleTogether:
+    @pytest.mark.parametrize("eps", [0.1, 0.001])
+    def test_bitwise_equal_to_one_by_one(self, eps):
+        # profiles of one eps share their rates mode by mode; e^{-t/eps}
+        # underflows on part of the grid at eps = 0.001, and near-critical
+        # modes (lam close to 1/(4 eps)) carry grouped differences
+        pd = make_problem(np.append(2.49, (np.pi * np.arange(1, 9)) ** 2), eps)
+        rem = corrector_remainder(pd, 2)
+        profiles = [
+            exact_solution(pd),
+            parabolic_profile(pd),
+            main_expansion_profile(pd),
+            rem.profile,
+            rem.profile.deriv(),
+            rem.forcing,
+            layer_equation_source(pd, rem),  # grouped differences in low modes
+        ]
+        assert any(m.differences for p in profiles for m in p.modes)
+        ts = standard_grid([eps]).times
+        samples = sample_together(profiles, ts)
+        for prof, got in zip(profiles, samples):
+            want = np.column_stack([m.value(ts) for m in prof.modes])
+            assert got.shape == (ts.size, len(pd.spec))
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+            assert prof.sample(ts).tobytes() == want.tobytes()
+
+    def test_scalar_time_and_one_profile(self):
+        pd = make_problem([0.0, 1.0, 4.0], 0.1)
+        u = exact_solution(pd)
+        (got,) = sample_together([u], 0.5)
+        assert got.shape == (1, 3)
+        np.testing.assert_array_equal(got[0], u.value(0.5).coefficients)
+
+    def test_rejects_mixed_spectra(self):
+        a = exact_solution(make_problem([1.0, 4.0], 0.1))
+        b = exact_solution(make_problem([1.0], 0.1))
+        with pytest.raises(ValueError):
+            sample_together([a, b], np.linspace(0.0, 1.0, 3))

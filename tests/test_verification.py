@@ -7,6 +7,8 @@ from singlim.exppoly import ExpPoly, power_exp_moment
 from singlim.profiles import (
     ProblemData,
     ProfileFunction,
+    corrector_halfpower,
+    corrector_primary,
     exact_solution,
     kernel_profile,
     layer_equation_source,
@@ -35,7 +37,7 @@ from singlim.verification import (
     run_rate_experiment,
     sup_norm_error,
 )
-from singlim.verification import _duhamel_convolution
+from singlim.verification import _duhamel_convolution, _energy_lhs_curves
 
 from conftest import decay_vector, make_problem, remainders
 
@@ -277,6 +279,25 @@ class TestEnergyChecks:
             assert r.passed
             assert np.isfinite(r.margin)
             assert "measured" in r.note
+
+
+    @pytest.mark.parametrize("eps", [0.1, 0.001])
+    def test_curves_together_match_one_at_a_time(self, eps):
+        # the primary, half-power and remainder profiles share their rates
+        # mode by mode; taken together each curve keeps its own bits
+        pd = make_problem(np.append(2.49, (np.pi * np.arange(1, 9)) ** 2), eps)
+        profiles = [corrector_primary(pd), corrector_halfpower(pd)]
+        profiles += [rem.profile for rem in remainders(pd)]
+        ts = standard_grid([eps]).times
+        for prof, got in zip(profiles, _energy_lhs_curves(pd, profiles, ts)):
+            dp = prof.deriv()
+            kinetic = pd.eps * np.sum(dp.sample(ts) ** 2, axis=1)
+            potential = np.sum(prof.operator_power(0.5).sample(ts) ** 2, axis=1)
+            dissipated = np.zeros(ts.shape)
+            for mode in dp.modes:
+                dissipated += mode.squared().integral(ts)
+            want = kinetic + potential + dissipated
+            assert got.tobytes() == want.tobytes()
 
 
 class TestExplicitSupBound:

@@ -217,6 +217,9 @@ class ExperimentConfig:
         grid_raw = raw.get("grid", {})
         if not isinstance(grid_raw, dict):
             raise ConfigError("grid must be an object")
+        unknown = set(grid_raw) - {"t_max", "linear_count", "log_count", "log_floor"}
+        if unknown:
+            raise ConfigError(f"unknown grid fields: {sorted(unknown)}")
         get = grid_raw.get
         positive = (lambda x: x > 0, "a finite number > 0")
         grid = GridParams(

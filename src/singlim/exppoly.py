@@ -262,25 +262,37 @@ def _difference_value(nodes: tuple[complex, ...], t: np.ndarray) -> np.ndarray:
 
 def _scaled_squaring(table: np.ndarray, r: float, t: np.ndarray) -> np.ndarray:
     """exp[w_0..w_n](t) from the series at t/2**s and s squarings of the
-    triangular table exp[w_i..w_j] (exp of the scaled bidiagonal matrix)."""
+    triangular table exp[w_i..w_j] (exp of the scaled bidiagonal matrix).
+
+    The table is held entry by entry, one array over the times per entry
+    i <= j, and squared as (E^2)_ij = sum_{i<=k<=j} E_ik E_kj.  A time that
+    is not finite has no squaring count and gives NaN.
+    """
     n = table.shape[0] - 1
-    squarings = np.ceil(np.log2(r * t / _SERIES_RADIUS)).astype(int)
+    out = np.full(t.shape, np.nan, dtype=table.dtype)
+    finite = np.flatnonzero(np.isfinite(t))
+    squarings = np.ceil(np.log2(r * t[finite] / _SERIES_RADIUS)).astype(int)
     order = np.argsort(-squarings, kind="stable")
-    squarings = squarings[order]
-    tau = np.ldexp(t[order], -squarings)
-    span = np.arange(n + 1)[None, :] - np.arange(n + 1)[:, None]
-    powers = np.where(span >= 0, tau[:, None, None] ** np.maximum(span, 0), 0.0)
-    mat = np.zeros((tau.size, n + 1, n + 1), dtype=table.dtype)
-    rt = (r * tau)[:, None, None]
-    for k in range(table.shape[2] - 1, -1, -1):
-        mat = mat * rt + table[None, :, :, k]
-    mat *= powers
+    finite, squarings = finite[order], squarings[order]
+    tau = np.ldexp(t[finite], -squarings)
+    rt = r * tau
+    entry = {
+        (i, j): tau ** (j - i) * _horner(table[i, j], rt)
+        for i in range(n + 1)
+        for j in range(i, n + 1)
+    }
     # sorted by squarings, the points still to square form a leading slice
-    for step in range(int(squarings[0])):
+    for step in range(squarings.max(initial=0)):
         m = int(np.count_nonzero(squarings > step))
-        mat[:m] = mat[:m] @ mat[:m]
-    out = np.empty(t.shape, dtype=table.dtype)
-    out[order] = mat[:, 0, n]
+        squared = {}
+        for i, j in entry:
+            acc = entry[i, i][:m] * entry[i, j][:m]
+            for k in range(i + 1, j + 1):
+                acc += entry[i, k][:m] * entry[k, j][:m]
+            squared[i, j] = acc
+        for key, value in squared.items():
+            entry[key][:m] = value
+    out[finite] = entry[0, n]
     return out
 
 

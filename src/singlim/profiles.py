@@ -5,12 +5,14 @@ values, derivatives, and time integrals are all analytic.  Besides the
 exact solution and the first-order limit this module builds the initial
 layer, the second-order expansion profiles, the two-way splitting of the
 solution, and the ladder of corrector functions whose decomposition
-identities and energy bounds the verification layer checks.
+identities and energy bounds the verification layer checks.  The
+correctors and their remainders are solved as forced mode equations from
+closed-form data rather than formed as differences of other profiles, so
+they stay accurate as eps -> 0.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,14 +20,11 @@ import numpy as np
 from .exppoly import ExpPoly, evaluate
 from .modes import ForcingTerm, ModeParams, solve_forced, solve_homogeneous
 from .spectral import SpecVector, Spectrum, apply_power, norm, resolvent
-from .timegrid import standard_grid
 
 __all__ = [
     "ProblemData",
     "ProfileFunction",
     "sample_together",
-    "CorrectorRemainder",
-    "RemainderConsistencyError",
     "kernel_profile",
     "exact_solution",
     "parabolic_profile",
@@ -38,22 +37,12 @@ __all__ = [
     "corrector_split",
     "corrector_profile",
     "corrector_remainder",
-    "remainder_direct_solve",
     "layer_equation_source",
 ]
 
 # Tolerance deciding whether the data satisfies the compatibility condition
 # v1 = A u0 + u1 = 0 (which switches off the initial layer).
 _IL0_TOL = 1e-12
-
-# Machine-precision multiplier for the floating-point floor of the
-# remainder ODE residual check.
-_RESIDUAL_FLOOR_ULPS = 64.0
-
-
-class RemainderConsistencyError(RuntimeError):
-    """A remainder corrector failed its own forced-equation residual check."""
-
 
 @dataclass(frozen=True)
 class ProblemData:
@@ -299,189 +288,64 @@ def corrector_split(pd: ProblemData, j: int) -> ProfileFunction:
     raise ValueError("component index must be 1 or 2")
 
 
-def corrector_profile(pd: ProblemData, j: int) -> ProfileFunction:
-    """Explicit semigroup-kernel part of the split correctors."""
+def _profile_part(pd: ProblemData, j: int):
+    """Split corrector j's explicit part (c0 + c1 t) e^{-tA} and the initial
+    data (w(0), w'(0)) of its remainder, as ((c0, c1), (w0, w1)) per mode."""
     eps = pd.eps
     lam = pd.spec.eigenvalues
     if j == 1:
         ju0 = resolvent(pd.spec, eps, pd.u0).coefficients
-        modes = tuple(
-            ExpPoly.build(
-                [(0, -lam[i], 2 * eps * lam[i] * ju0[i]), (1, -lam[i], lam[i] * ju0[i])]
-            )
-            for i in range(len(pd.spec))
-        )
-        return ProfileFunction(pd.spec, modes)
+        return (2 * eps * lam * ju0, lam * ju0), (-lam * ju0, 2.0 * lam**2 * ju0)
     if j == 2:
         jv1 = resolvent(pd.spec, eps, pd.v1).coefficients
-        modes = tuple(
-            ExpPoly.build(
-                [(0, -lam[i], -2 * eps * jv1[i]), (1, -lam[i], eps * lam[i] * jv1[i])]
-            )
-            for i in range(len(pd.spec))
-        )
-        return ProfileFunction(pd.spec, modes)
+        return (-2 * eps * jv1, eps * lam * jv1), (jv1, -2.0 * lam * jv1)
     raise ValueError("component index must be 1 or 2")
 
 
-@dataclass(frozen=True)
-class CorrectorRemainder:
-    """Remainder corrector with its realized initial data and residual.
-
-    The remainder is defined as a decomposition residual (never solved
-    first), then verified against the forced equation it must satisfy,
-    with the forcing given by minus the second derivative of the explicit
-    profile part.  The initial data actually realized is recorded so
-    report layers can compare it with expectations.
-    """
-
-    profile: ProfileFunction
-    component: int
-    initial_value: SpecVector
-    initial_slope: SpecVector
-    forcing: ProfileFunction  # minus the profile part's second derivative
-    max_ode_residual: float
-    residual_tolerance: float
-
-
-def _remainder_residual_floor(
-    pd: ProblemData, w: ProfileFunction, forcing: ProfileFunction, t_max: float
-) -> float:
-    """Rounding-noise bound for the remainder equation residual.
-
-    The remainder is formed as (split corrector - profile part)/eps, so its
-    coefficients are O(1/eps) and cancel pointwise: the achievable residual
-    is limited by machine precision times the magnitude of the cancelling
-    parts.  A divided difference c*exp[z_0..z_n] is bounded like
-    c/n! * t**n * e^{max Re z_j t} (Hermite-Genocchi).
-    """
-
-    def envelope(poly: ExpPoly) -> float:
-        total = 0.0
-        bounds = list(poly.terms)
-        for nodes, c in poly.differences:
-            n = len(nodes) - 1
-            bounds.append((n, max(nodes, key=lambda z: z.real), c / math.factorial(n)))
-        for k, mu, c in bounds:
-            r = mu.real
-            if r >= 0:
-                peak = t_max**k
-            elif k == 0:
-                peak = 1.0
-            else:
-                ts = min(t_max, k / abs(r))
-                peak = ts**k * np.exp(r * ts)
-            total += abs(c) * peak
-        return total
-
+def corrector_profile(pd: ProblemData, j: int) -> ProfileFunction:
+    """Explicit semigroup-kernel part of the split correctors."""
     lam = pd.spec.eigenvalues
-    per_mode = np.array(
-        [
-            pd.eps * envelope(w.modes[i].derivative().derivative())
-            + envelope(w.modes[i].derivative())
-            + lam[i] * envelope(w.modes[i])
-            + envelope(forcing.modes[i])
-            for i in range(len(pd.spec))
-        ]
+    (c0, c1), _ = _profile_part(pd, j)
+    modes = tuple(
+        ExpPoly.build([(0, -lam[i], c0[i]), (1, -lam[i], c1[i])])
+        for i in range(len(pd.spec))
     )
-    return _RESIDUAL_FLOOR_ULPS * np.finfo(float).eps * float(
-        np.sqrt(np.sum(per_mode**2))
-    )
+    return ProfileFunction(pd.spec, modes)
 
 
-def corrector_remainder(
-    pd: ProblemData, j: int, residual_tol: float = 1e-8
-) -> CorrectorRemainder:
-    """Remainder after removing the explicit profile part of a split corrector.
+def corrector_remainder(pd: ProblemData, j: int) -> ProfileFunction:
+    """Remainder w of split corrector j after its explicit profile part v.
 
-    Defined by the residual (split corrector - profile part)/eps, plus the
-    second split component itself when j = 2; verified to satisfy the
-    forced damped equation driven by minus the profile part's second
-    derivative.
+    The split corrector is v + eps*w, minus the second split component
+    when j = 2.  w solves the damped equation forced by -v'' mode by mode,
+    from (-A J u0, +2 A^2 J u0) for j = 1 and (J v1, -2 A J v1) for j = 2;
+    with v = (c0 + c1 t) e^{-tA} the forcing is
+    (2 A c1 - A^2 c0 - A^2 c1 t) e^{-tA}.  Solving directly keeps w
+    accurate as eps -> 0, where forming (split corrector - v)/eps would
+    leave unit roundoff / eps in it; identity_checks compares the two.
     """
-    if j not in (1, 2):
-        raise ValueError("component index must be 1 or 2")
-    eps = pd.eps
-    u_tilde = corrector_split(pd, j)
-    v_part = corrector_profile(pd, j)
-    if j == 1:
-        w = (u_tilde - v_part).scale(1.0 / eps)
-    else:
-        _, u2 = split_components(pd)
-        w = (u_tilde - v_part + u2).scale(1.0 / eps)
-    forcing = v_part.deriv().deriv().scale(-1.0)
-
-    grid = standard_grid([eps])
-    ts = grid.times
     lam = pd.spec.eigenvalues
-    w1 = w.deriv()
-    w2 = w1.deriv()
-    s2, s1, s0, sf = sample_together((w2, w1, w, forcing), ts)
-    residual = eps * s2 + s1 + lam[np.newaxis, :] * s0 - sf
-    max_residual = float(np.max(np.sqrt(np.sum(residual**2, axis=1))))
-
-    scale = max(
-        1.0,
-        norm(w.value(0.0)),
-        norm(w.derivative(0.0)),
-        norm(forcing.value(0.0)),
+    (c0, c1), (w0, w1) = _profile_part(pd, j)
+    a = 2.0 * lam * c1 - lam**2 * c0
+    b = -(lam**2) * c1
+    modes = tuple(
+        solve_forced(
+            ModeParams(pd.eps, lam[i], w0[i], w1[i]), ForcingTerm(a[i], b[i], lam[i])
+        ).poly
+        for i in range(len(pd.spec))
     )
-    floor = _remainder_residual_floor(pd, w, forcing, grid.t_max)
-    tolerance = max(residual_tol * scale, floor)
-    if max_residual > tolerance:
-        raise RemainderConsistencyError(
-            f"remainder {j} violates its forced equation: residual "
-            f"{max_residual:.3e} > tolerance {tolerance:.3e}"
-        )
-    return CorrectorRemainder(
-        profile=w,
-        component=j,
-        initial_value=w.value(0.0),
-        initial_slope=w.derivative(0.0),
-        forcing=forcing,
-        max_ode_residual=max_residual,
-        residual_tolerance=tolerance,
-    )
-
-
-def remainder_direct_solve(
-    pd: ProblemData, j: int, value0: SpecVector, slope0: SpecVector
-) -> ProfileFunction:
-    """Independent route to the remainder corrector: solve its forced damped
-    equation mode by mode from the given initial data, instead of forming
-    the decomposition residual.  Used to cross-check the residual route."""
-    if j not in (1, 2):
-        raise ValueError("component index must be 1 or 2")
-    lam = pd.spec.eigenvalues
-    forcing = corrector_profile(pd, j).deriv().deriv().scale(-1.0)
-    modes = []
-    for i in range(len(pd.spec)):
-        a = b = 0.0
-        for k, mu, c in forcing.modes[i].terms:
-            if k == 0:
-                a = c.real
-            elif k == 1:
-                b = c.real
-        modes.append(
-            solve_forced(
-                ModeParams(pd.eps, lam[i], value0.coefficients[i], slope0.coefficients[i]),
-                ForcingTerm(a, b, lam[i]),
-            ).poly
-        )
-    return ProfileFunction(pd.spec, tuple(modes))
+    return ProfileFunction(pd.spec, modes)
 
 
 def layer_equation_source(
-    pd: ProblemData, remainder2: CorrectorRemainder
+    pd: ProblemData, remainder2: ProfileFunction
 ) -> ProfileFunction:
     """Higher-order source in the relaxation equation for the second split
     component: sqrt(eps)*W' + sqrt(eps)*(2A e^{-tA}J v1 - t A^2 e^{-tA}J v1),
     with W the second remainder, ``corrector_remainder(pd, 2)``."""
-    if remainder2.component != 2:
-        raise ValueError("the layer source needs the second remainder")
     eps = pd.eps
     jv1 = resolvent(pd.spec, eps, pd.v1).coefficients
     kernel = kernel_profile(pd.spec, jv1, 0, 1.0, 2.0) - kernel_profile(
         pd.spec, jv1, 1, 2.0, 1.0
     )
-    return (remainder2.profile.deriv() + kernel).scale(np.sqrt(eps))
+    return (remainder2.deriv() + kernel).scale(np.sqrt(eps))

@@ -2,9 +2,12 @@
 
 All time integrals of closed-form profiles are evaluated analytically per
 mode (the integrands are exponential polynomials); composite Simpson
-quadrature on the grid is kept as an independent cross-check.  Checks
-return serializable reports with the measured margin, the tolerance used,
-and a provenance note.
+quadrature on the grid is kept as an independent cross-check.  Each
+decomposition identity compares two independent constructions (a split
+corrector against its profile part plus eps times the directly solved
+remainder, for instance), so the identities keep holding as eps -> 0
+rather than measure rounding.  Checks return serializable reports with
+the measured margin, the tolerance used, and a provenance note.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import numpy as np
 
 from .exppoly import ExpPoly, divided_difference_exp, integrate, power_exp_moment
 from .profiles import (
-    CorrectorRemainder,
     ProblemData,
     ProfileFunction,
     corrector_halfpower,
@@ -29,7 +31,6 @@ from .profiles import (
     main_expansion_profile,
     derivative_expansion_profile,
     parabolic_profile,
-    remainder_direct_solve,
     sample_together,
     split_components,
     theta_layer,
@@ -90,13 +91,23 @@ COMPARISON_EXPONENTS = {
 }
 
 
-# Gauss-Legendre nodes per subpanel of the Duhamel quadrature.
+# Gauss-Legendre nodes per subpanel of the Duhamel quadrature, and the
+# subpanel width in units of eps: 10 nodes on 2 eps keep the quadrature
+# error of the e^{(s-t)/eps}-weighted integrands near 1e-16 relative.
 _GAUSS_NODES = 10
+_PANEL_EPS = 2.0
 
 # The Duhamel quadrature samples the nodes of consecutive grid intervals
 # together, one ExpPoly.value call per mode for about this many nodes; the
-# bound keeps each block's arrays at a few hundred KB whatever the grid.
-_DUHAMEL_BLOCK_NODES = 16384
+# bound keeps each block's arrays at about 100 KB whatever the grid (the
+# scaling and squaring of a 3-node difference holds a dozen of them).
+_DUHAMEL_BLOCK_NODES = 8192
+
+
+# A difference of profiles keeps a rounding residue of a few ulps of the
+# coefficients that cancel in it, which need not decay (a kernel mode's
+# constant terms); l2_time_norm does not count it as an undecayed tail.
+_ROUNDING_ULPS = 8.0
 
 
 class NonDecayingIntegrandError(ValueError):
@@ -182,25 +193,37 @@ def _squared_mode_integrals(
 
 
 def l2_time_norm(
-    profile: ProfileFunction, grid: TimeGrid, weight_power: int = 0
+    profile: ProfileFunction,
+    grid: TimeGrid,
+    weight_power: int = 0,
+    minus: ProfileFunction | None = None,
 ) -> float:
-    """Integral of t**w * |profile(t)|^2 over [0, t_max], analytic per mode.
+    """Integral of t**w * |profile(t) - minus(t)|^2 over [0, t_max], analytic
+    per mode (minus defaults to 0).
 
     The grid end stands in for infinity, so the integrand must have decayed
-    below 1e-14 of its peak by then; otherwise the truncation is reported
-    as invalid rather than silently wrong.
+    by then: below 1e-14 of its peak, or below the rounding envelope of
+    the difference, _ROUNDING_ULPS ulps of the coefficients that cancel in
+    it (mode by mode, the coefficient scales of profile and minus).  Otherwise
+    the truncation is reported as invalid rather than silently wrong.
     """
     if weight_power < 0:
         raise ValueError("weight power must be a nonnegative integer")
-    samp = profile.sample(grid.quad_points)
+    operands = (profile,) if minus is None else (profile, minus)
+    diff = profile if minus is None else profile - minus
+    samp = diff.sample(grid.quad_points)
     integrand = grid.quad_points**weight_power * np.sum(samp**2, axis=1)
     peak = float(np.max(integrand))
-    if peak > 0 and integrand[-1] > 1e-14 * peak:
+    scales = sum(np.array([m.coefficient_scale() for m in p.modes]) for p in operands)
+    rounding = _ROUNDING_ULPS * np.finfo(float).eps * scales
+    envelope = grid.t_max**weight_power * float(np.sum(rounding**2))
+    if peak > 0 and integrand[-1] > max(1e-14 * peak, envelope):
         raise NonDecayingIntegrandError(
             f"integrand at t={grid.t_max:g} is {integrand[-1]:.3e}, "
-            f"more than 1e-14 of its peak {peak:.3e}; extend the grid"
+            f"more than 1e-14 of its peak {peak:.3e} and than its rounding "
+            f"envelope {envelope:.3e}; extend the grid"
         )
-    total = _squared_mode_integrals(profile, weight_power, np.array([grid.t_max]))
+    total = _squared_mode_integrals(diff, weight_power, np.array([grid.t_max]))
     return float(total[0])
 
 
@@ -268,7 +291,7 @@ def _max_gap(a: ProfileFunction, b: ProfileFunction, ts: np.ndarray) -> float:
 def identity_checks(
     pd: ProblemData,
     grid: TimeGrid,
-    remainders: tuple[CorrectorRemainder, CorrectorRemainder],
+    remainders: tuple[ProfileFunction, ProfileFunction],
     tol: float = 1e-8,
 ) -> list[CheckReport]:
     """All closed-form decomposition identities on the grid.
@@ -287,6 +310,7 @@ def identity_checks(
 
     u_eps = exact_solution(pd)
     u_one, u_two = split_components(pd)
+    splits = (corrector_split(pd, 1), corrector_split(pd, 2))
 
     def add(check_id: str, residual: float, note: str, tolerance=tolerance) -> None:
         passed, margin = residual <= tolerance, tolerance - residual
@@ -324,7 +348,7 @@ def identity_checks(
     gap = _max_gap(
         u_one,
         kernel_profile(spec, ju0.coefficients, 0, 0.0)
-        + corrector_split(pd, 1).deriv().scale(eps),
+        + splits[0].deriv().scale(eps),
         ts,
     )
     add(
@@ -337,7 +361,7 @@ def identity_checks(
     gap = _max_gap(
         u_two,
         kernel_profile(spec, jv1.coefficients, 0, 0.0).scale(eps)
-        + corrector_split(pd, 2).deriv().scale(eps),
+        + splits[1].deriv().scale(eps),
         ts,
     )
     add(
@@ -347,18 +371,14 @@ def identity_checks(
         "eps times the second split corrector slope",
     )
 
-    # remainder reconstruction: residual-route remainder vs direct solve
-    for j, rem in enumerate(remainders, start=1):
-        direct = remainder_direct_solve(pd, j, rem.initial_value, rem.initial_slope)
-        u_tilde = corrector_split(pd, j)
-        v_part = corrector_profile(pd, j)
-        recon = v_part + direct.scale(eps)
+    # remainder reconstruction: split corrector = profile part + eps * remainder
+    for j, (split, w) in enumerate(zip(splits, remainders), start=1):
+        recon = corrector_profile(pd, j) + w.scale(eps)
         if j == 2:
             recon = recon - u_two
-        gap = _max_gap(u_tilde, recon, ts)
         add(
             f"identity.remainder_reconstruction_{j}",
-            gap,
+            _max_gap(split, recon, ts),
             "split corrector equals its explicit profile part plus eps "
             "times the directly solved remainder"
             + (" minus the second split component" if j == 2 else ""),
@@ -389,15 +409,15 @@ def identity_checks(
 
 
 def remainder_data_checks(
-    pd: ProblemData, remainders: tuple[CorrectorRemainder, CorrectorRemainder]
+    pd: ProblemData, remainders: tuple[ProfileFunction, ProfileFunction]
 ) -> list[CheckReport]:
-    """Realized initial data of the remainder correctors, ``remainders`` =
-    ``corrector_remainder(pd, j)`` for j = 1, 2.
+    """Realized initial data w(0), w'(0) of the remainder correctors,
+    ``remainders`` = ``corrector_remainder(pd, j)`` for j = 1, 2.
 
-    The second remainder must start at (J v1, -2 A J v1).  The first
-    remainder's realized slope is +2 A^2 J u0: the decomposition forces
-    the positive sign, so the commonly assumed negative value is flagged
-    as inconsistent rather than enforced.
+    The second remainder must start at (J v1, -2 A J v1) and the first at
+    (-A J u0, +2 A^2 J u0).  The first slope's positive sign is the one the
+    decomposition forces (identity.remainder_reconstruction_1 fails with
+    any other), so the commonly assumed -2 A^2 J u0 is inconsistent with it.
     """
     eps = pd.eps
     spec = pd.spec
@@ -416,9 +436,9 @@ def remainder_data_checks(
          "inconsistent with it"),
     ]
     reports = []
-    for check_id, rem, value, slope, note in expected:
-        gap_val = float(np.max(np.abs(rem.initial_value.coefficients - value)))
-        gap_slope = float(np.max(np.abs(rem.initial_slope.coefficients - slope)))
+    for check_id, w, value, slope, note in expected:
+        gap_val = float(np.max(np.abs(w.value(0.0).coefficients - value)))
+        gap_slope = float(np.max(np.abs(w.derivative(0.0).coefficients - slope)))
         gap = max(gap_val, gap_slope)
         reports.append(
             CheckReport(check_id, gap <= tolerance, tolerance - gap, tolerance, note)
@@ -459,21 +479,21 @@ def energy_inequality_checks(
     pd: ProblemData,
     grid: TimeGrid,
     slack: float = 1e-8,
-    remainders: tuple[CorrectorRemainder, ...] = (),
+    remainders: tuple[ProfileFunction, ...] = (),
 ) -> list[CheckReport]:
     """Energy bounds for the corrector ladder.
 
     The primary corrector is bounded by |A^{1/2}u0|^2 + 3 eps |u1|^2 and
     the half-power corrector by |A u0|^2 / 2, both with explicit
     constants.  The remainder correctors have no explicit constants, so
-    for each of the given ``remainders`` (from ``corrector_remainder``)
-    the smallest constant making its bound hold is measured and reported
-    instead of asserted.
+    for each of the given ``remainders`` (``corrector_remainder(pd, j)``
+    for j = 1, 2, in that order) the smallest constant making its bound
+    hold is measured and reported instead of asserted.
     """
     primary, halfpower, *remainder_curves = _energy_lhs_curves(
         pd,
         [corrector_primary(pd), corrector_halfpower(pd)]
-        + [rem.profile for rem in remainders],
+        + list(remainders),
         grid.times,
     )
     explicit = [
@@ -498,8 +518,8 @@ def energy_inequality_checks(
         1: norm(apply_power(pd.spec, 1.5, pd.u0)) ** 2,
         2: norm(apply_power(pd.spec, 0.5, pd.v1)) ** 2,
     }
-    for rem, curve in zip(remainders, remainder_curves):
-        j, rhs = rem.component, seminorms[rem.component]
+    for j, curve in enumerate(remainder_curves, start=1):
+        rhs = seminorms[j]
         lhs = float(np.max(curve))
         measured = lhs / rhs if rhs > 0 else 0.0
         reports.append(
@@ -542,13 +562,13 @@ def explicit_sup_bound(
 
 def _l2_bound_report(
     check_id: str, profile: ProfileFunction, grid: TimeGrid, bound: float,
-    slack: float, note: str,
+    slack: float, note: str, minus: ProfileFunction | None = None,
 ) -> CheckReport:
-    """int_0^inf |profile|^2 dt <= bound; a grid too short to stand in for
-    infinity gives a FAIL whose note is the reason."""
+    """int_0^inf |profile - minus|^2 dt <= bound; a grid too short to stand
+    in for infinity gives a FAIL whose note is the reason."""
     tolerance = slack * max(1.0, bound)
     try:
-        value = l2_time_norm(profile, grid)
+        value = l2_time_norm(profile, grid, minus=minus)
     except NonDecayingIntegrandError as exc:
         return CheckReport(check_id, False, float("-inf"), tolerance, str(exc))
     return CheckReport(
@@ -582,12 +602,13 @@ def l2_deviation_bounds(
     reports = [
         _l2_bound_report(
             "bound.l2_deviation_constants_2_7",
-            exact_solution(pd) - target,
+            exact_solution(pd),
             grid,
             bound,
             slack,
             "time-integrated squared deviation from the smoothed flow "
             "stays below 2 eps^2 |A^(1/2)u0|^2 + 7 eps^3 |u1|^2",
+            minus=target,
         )
     ]
 
@@ -650,12 +671,13 @@ def _duhamel_convolution(
 ) -> np.ndarray:
     """int_0^t e^{(s-t)/eps} integrand(s) ds at the times ts, shape (len(ts), n_modes).
 
-    Gauss-Legendre subpanels per grid interval, refined on the eps scale
-    near each right endpoint; earlier history enters through the exact
-    interval-to-interval decay factor, so the kernel never overflows.  The
-    nodes of consecutive intervals are sampled together: a block holds the
-    intervals whose first node falls in one window of _DUHAMEL_BLOCK_NODES
-    nodes, so it has at most that many plus one interval's 1200.
+    Gauss-Legendre subpanels of width at most _PANEL_EPS * eps cover the
+    kernel's reach (45 eps) before each right endpoint; earlier history
+    enters through the exact interval-to-interval decay factor, so the
+    kernel never overflows.  The nodes of consecutive intervals are sampled
+    together: a block holds the intervals whose first node falls in one
+    window of _DUHAMEL_BLOCK_NODES nodes, so it has at most that many plus
+    one interval's 230.
     """
     gl_x, gl_w = np.polynomial.legendre.leggauss(_GAUSS_NODES)
     reach = 45.0 * eps  # kernel support: e^{-45} is below double rounding
@@ -663,7 +685,7 @@ def _duhamel_convolution(
     lo = np.maximum(ts[:-1], t_right - reach)
     width = t_right - lo
     n_sub = np.where(
-        width > 0, np.clip(np.ceil(width / (eps / 2.0)), 1, 120), 0
+        width > 0, np.maximum(np.ceil(width / (_PANEL_EPS * eps)), 1), 0
     ).astype(int)
     with_nodes = np.flatnonzero(n_sub)
     first_node = (np.cumsum(n_sub[with_nodes]) - n_sub[with_nodes]) * _GAUSS_NODES
@@ -702,7 +724,7 @@ def _duhamel_convolution(
 def duhamel_residual(
     pd: ProblemData,
     grid: TimeGrid,
-    remainder2: CorrectorRemainder,
+    remainder2: ProfileFunction,
     tol: float = 1e-6,
     include_byparts: bool = True,
 ) -> list[CheckReport]:

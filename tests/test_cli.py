@@ -288,6 +288,7 @@ class TestExitCodes:
             {"synthetic_exponent": math.inf},
             {"u0": [math.nan]},
             {"u1": [math.inf]},
+            {"grid": {**BASE_CONFIG["grid"], "t_mx": 5.0}},
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, overrides):
@@ -309,6 +310,7 @@ class TestExitCodes:
             ("epsilons", {"epsilons": [0.1, "0.01"]}),
             ("tolerances.identity", {"tolerances": {"identity": -1.0}}),
             ("synthetic_exponent", {"synthetic_exponent": math.nan}),
+            ("t_mx", {"grid": {"t_mx": 5.0}}),
         ],
     )
     def test_config_error_names_the_field(self, field, overrides):
@@ -347,14 +349,16 @@ class TestExitCodes:
         assert "disagree by 1.667e+05" in record["note"]
 
     def test_undecayed_integrand_is_a_fail_record(self, tmp_path):
-        # at eps = 1e-9 the squared deviation is rounding noise that has not
-        # fallen below 1e-14 of its peak by t_max
+        # on a grid that ends at t = 5 the squared deviation, of order
+        # eps^2 t^2 e^{-2t}, is still 1e-3 of its peak: far above 1e-14 of
+        # it and above the rounding envelope of the cancelling coefficients
         cfg = write_config(
             tmp_path,
             spectrum="three-mode",
             u0={"family": "decay", "p": 2.0},
             u1={"family": "decay", "p": 2.0},
             epsilons=[1e-9],
+            grid={**BASE_CONFIG["grid"], "t_max": 5.0},
             checks=["inequalities"],
         )
         out = tmp_path / "out"

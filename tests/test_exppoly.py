@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy.integrate import quad
 
 import singlim.exppoly as exppoly
@@ -143,6 +144,49 @@ def test_divided_difference_three_nodes(spread):
                 for i in range(3)
             )
             assert g == pytest.approx(float(want), rel=1e-13, abs=1e-18)
+
+
+def _exp_difference_mp(nodes, t: float) -> complex:
+    """exp[nodes](t) at 50 digits: entry (0, n) of the exponential of t times
+    the bidiagonal matrix with the nodes on its diagonal and ones above it
+    (Opitz's formula), so repeated nodes need no special case."""
+    with mp.workdps(50):
+        n = len(nodes)
+        m = mp.matrix(n, n)
+        for i, z in enumerate(nodes):
+            m[i, i] = mp.mpc(z.real, z.imag) * t
+            if i + 1 < n:
+                m[i, i + 1] = t
+        return complex(mp.expm(m)[0, n - 1])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "nodes",
+    [
+        (-1.0, -1.0, -1.2),  # a root next to a doubled forcing rate
+        (-2.0, -2.1, -2.1, -2.3),
+        (-0.5, -0.55, -0.6, -0.65, -0.7),
+        (-2 + 0.3j, -2 - 0.3j, -2.05),  # underdamped roots near the forcing
+        (-2 + 0.3j, -2 - 0.3j, -2.05, -2.05),
+        (-1 + 0.1j, -1 - 0.1j, -1.1 + 0.05j, -1.1 - 0.05j, -1.0),
+    ],
+)
+def test_scaled_squaring_against_50_digits(nodes):
+    # times where the node spread times t is past the series radius, with
+    # up to 8 squarings; the error bound is a few ulps of max|z t| times the
+    # Hermite-Genocchi envelope t^n/n! e^{max Re z t} of the difference
+    nodes = tuple(complex(z) for z in nodes)
+    n = len(nodes) - 1
+    spread = max(abs(z - w) for z in nodes for w in nodes)
+    ts = np.array([0.6, 1.0, 3.0, 10.0, 40.0, 100.0]) / spread
+    got = divided_difference_exp(nodes, np.append(ts, np.nan))
+    assert np.isnan(got[-1])
+    for t, value in zip(ts, got):
+        envelope = t**n / math.factorial(n) * math.exp(max(z.real for z in nodes) * t)
+        zt = max(abs(z) for z in nodes) * t
+        bound = 4 * np.finfo(float).eps * zt * envelope
+        assert abs(value - _exp_difference_mp(nodes, t)) <= bound
 
 
 def _near_resonant_poly():
@@ -333,6 +377,7 @@ _BATCH_TIMES = [
 ]
 
 
+@pytest.mark.filterwarnings("error")  # a NaN time takes its own path
 @pytest.mark.parametrize("t", _BATCH_TIMES)
 def test_evaluate_bitwise(t):
     values = evaluate(_BATCH, t)
@@ -344,6 +389,7 @@ def test_evaluate_bitwise(t):
         assert isinstance(got, float) == (np.ndim(t) == 0)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("t", _BATCH_TIMES)
 def test_integrate_bitwise(t):
     values = integrate(_BATCH, t)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from singlim.profiles import (
     ProblemData,
@@ -16,7 +17,6 @@ from singlim.profiles import (
     layer_equation_source,
     main_expansion_profile,
     parabolic_profile,
-    remainder_direct_solve,
     sample_together,
     split_components,
     theta_layer,
@@ -294,6 +294,14 @@ class TestCorrectors:
         assert np.max(np.abs(corrector_profile(pd, 1).sample(ts))) == 0.0
 
 
+def remainder_ode_residual(pd, j, w, ts):
+    """Largest |eps w'' + w' + A w + v''| on ts, v the profile part."""
+    forcing = corrector_profile(pd, j).deriv().deriv().scale(-1.0)
+    s2, s1, s0, sf = sample_together((w.deriv().deriv(), w.deriv(), w, forcing), ts)
+    residual = pd.eps * s2 + s1 + pd.spec.eigenvalues * s0 - sf
+    return float(np.max(np.sqrt(np.sum(residual**2, axis=1))))
+
+
 class TestRemainders:
     def test_zero_u0_gives_zero_first_remainder(self):
         spec = Spectrum(np.array([1.0, 4.0]))
@@ -302,16 +310,16 @@ class TestRemainders:
         )
         rem = corrector_remainder(pd, 1)
         ts = np.linspace(0.0, 4.0, 9)
-        assert np.max(np.abs(rem.profile.sample(ts))) <= 1e-14
+        assert np.max(np.abs(rem.sample(ts))) <= 1e-14
 
     def test_second_remainder_initial_data(self):
         pd = make_problem([0.0, 1.0, 4.0], 0.1)
         rem = corrector_remainder(pd, 2)
         lam = pd.spec.eigenvalues
         jv1 = resolvent(pd.spec, pd.eps, pd.v1).coefficients
-        np.testing.assert_allclose(rem.initial_value.coefficients, jv1, atol=1e-12)
+        np.testing.assert_allclose(rem.value(0.0).coefficients, jv1, atol=1e-12)
         np.testing.assert_allclose(
-            rem.initial_slope.coefficients, -2.0 * lam * jv1, atol=1e-12
+            rem.derivative(0.0).coefficients, -2.0 * lam * jv1, atol=1e-12
         )
 
     def test_first_remainder_slope_sign(self):
@@ -321,24 +329,87 @@ class TestRemainders:
         lam = pd.spec.eigenvalues
         ju0 = resolvent(pd.spec, pd.eps, pd.u0).coefficients
         np.testing.assert_allclose(
-            rem.initial_slope.coefficients, +2.0 * lam**2 * ju0, rtol=1e-10
+            rem.derivative(0.0).coefficients, +2.0 * lam**2 * ju0, rtol=1e-10
         )
         np.testing.assert_allclose(
-            rem.initial_value.coefficients, -lam * ju0, atol=1e-12
+            rem.value(0.0).coefficients, -lam * ju0, atol=1e-12
         )
 
     def test_remainder_ode_residual_recorded(self):
         pd = make_problem([1.0], 0.1, p=0.0)
         rem = corrector_remainder(pd, 1)
-        assert rem.max_ode_residual <= 1e-8
+        ts = standard_grid([pd.eps]).times
+        assert remainder_ode_residual(pd, 1, rem, ts) <= 1e-8
 
     def test_direct_solve_matches_residual_route(self):
+        # the decomposition residual (split corrector - profile part)/eps,
+        # plus the second split component for j = 2, is exact enough here
         pd = make_problem([0.0, 1.0, 4.0], 0.05)
+        _, u2 = split_components(pd)
         for j in (1, 2):
-            rem = corrector_remainder(pd, j)
-            direct = remainder_direct_solve(pd, j, rem.initial_value, rem.initial_slope)
+            residual = corrector_split(pd, j) - corrector_profile(pd, j)
+            if j == 2:
+                residual = residual + u2
             ts = standard_grid([pd.eps]).times
-            assert max_gap(rem.profile, direct, ts) <= 1e-8 * pd.data_scale
+            assert (
+                max_gap(corrector_remainder(pd, j), residual.scale(1.0 / pd.eps), ts)
+                <= 1e-8 * pd.data_scale
+            )
+
+
+def _forced_mode_mp(eps, lam, a, y0, y1, t):
+    """y(t) for eps y'' + y' + lam y = a e^{-lam t}, y(0) = y0, y'(0) = y1,
+    as A e^{pt} + B e^{nt} + C e^{-lam t} with mpmath numbers."""
+    root = mp.sqrt(1 - 4 * eps * lam)
+    p, n = (-1 + root) / (2 * eps), (-1 - root) / (2 * eps)
+    c = a / (eps * lam**2) if a else mp.mpf(0)  # q(-lam) = eps lam^2
+    big_a = (y1 + lam * c - n * (y0 - c)) / (p - n)
+    big_b = y0 - c - big_a
+    return big_a * mp.exp(p * t) + big_b * mp.exp(n * t) + c * mp.exp(-lam * t)
+
+
+def _remainder_mp(eps, lam, u0, u1, j, t):
+    """w(t) of one mode as the decomposition residual (split corrector -
+    profile part [+ second split component]) / eps, at 50 digits, where
+    the subtraction costs nothing that matters."""
+    eps, lam, u0, u1, t = map(mp.mpf, (eps, lam, u0, u1, t))
+    jac = 1 / (1 + eps * lam)
+    if j == 1:
+        f = u0 * jac
+        split = _forced_mode_mp(eps, lam, lam * f, eps * lam * f, lam * f, t)
+        part = (2 * eps * lam * f + lam * f * t) * mp.exp(-lam * t)
+        return (split - part) / eps
+    v1 = lam * u0 + u1
+    f = v1 * jac
+    split = _forced_mode_mp(eps, lam, eps * lam * f, -eps * f, -f, t)
+    part = (-2 * eps * f + eps * lam * f * t) * mp.exp(-lam * t)
+    u2 = _forced_mode_mp(eps, lam, 0, 0, v1, t)
+    return (split - part + u2) / eps
+
+
+class TestSmallEpsReference:
+    # Three-mode data at eps where the decomposition residual formed in
+    # double precision keeps unit roundoff / eps in its coefficients (it
+    # misses the j = 1 values below by 6e-10 to 1e-7); the remainder must
+    # match the 50-digit residual to 1e-12 of its size, in the layer and
+    # after it.
+    @pytest.mark.parametrize("eps", [1e-8, 1e-9, 1e-10])
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_remainder_matches_50_digit_reference(self, eps, j):
+        pd = make_problem([0.0, 1.0, 4.0], eps)
+        lam = pd.spec.eigenvalues
+        u0, u1 = pd.u0.coefficients, pd.u1.coefficients
+        ts = np.array([0.0, eps / 2, eps, 3 * eps, 10 * eps, 100 * eps, 1e-3, 0.1,
+                       1.0, 3.0, 10.0, 20.0])
+        got = corrector_remainder(pd, j).sample(ts)
+        with mp.workdps(50):
+            want = np.array(
+                [[_remainder_mp(eps, lam[i], u0[i], u1[i], j, t) for i in range(3)]
+                 for t in ts],
+                dtype=float,
+            )
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 class TestLayerSource:
@@ -404,9 +475,9 @@ class TestSampleTogether:
             exact_solution(pd),
             parabolic_profile(pd),
             main_expansion_profile(pd),
-            rem.profile,
-            rem.profile.deriv(),
-            rem.forcing,
+            rem,
+            rem.deriv(),
+            corrector_profile(pd, 2).deriv().deriv().scale(-1.0),  # the forcing
             layer_equation_source(pd, rem),  # grouped differences in low modes
         ]
         assert any(m.differences for p in profiles for m in p.modes)

@@ -37,6 +37,7 @@ from singlim.verification import (
     run_rate_experiment,
     sup_norm_error,
 )
+import singlim.verification as verification
 from singlim.verification import _duhamel_convolution, _energy_lhs_curves
 
 from conftest import decay_vector, make_problem, remainders
@@ -287,7 +288,7 @@ class TestEnergyChecks:
         # mode by mode; taken together each curve keeps its own bits
         pd = make_problem(np.append(2.49, (np.pi * np.arange(1, 9)) ** 2), eps)
         profiles = [corrector_primary(pd), corrector_halfpower(pd)]
-        profiles += [rem.profile for rem in remainders(pd)]
+        profiles += list(remainders(pd))
         ts = standard_grid([eps]).times
         for prof, got in zip(profiles, _energy_lhs_curves(pd, profiles, ts)):
             dp = prof.deriv()
@@ -351,6 +352,15 @@ class TestL2Bounds:
         # integral is exactly 1/2 against bound 1/2: margin is the slack
         assert semi.margin == pytest.approx(semi.tolerance, rel=1e-2)
 
+    @pytest.mark.parametrize("eps", [1e-8, 1e-9, 1e-10])
+    def test_rounding_residue_is_not_an_undecayed_tail(self, eps):
+        # the kernel mode of u_eps - e^{-tA}(u0 + eps u1) keeps a constant
+        # residue of about one ulp of u0 (the integrand reads 4.9e-32 against
+        # a 1.1e-18 peak at eps = 1e-9); the bound holds and must PASS
+        pd = make_problem([0.0, 1.0, 4.0], eps)
+        (report,) = l2_deviation_bounds(pd, standard_grid([eps]))
+        assert report.passed, report.note
+
     def test_inconsistent_w1_rejected(self, grid):
         spec = Spectrum(np.array([1.0]))
         pd = ProblemData(
@@ -372,7 +382,7 @@ def _per_interval_convolution(integrand, ts, eps):
         width = t_right - lo
         if width <= 0:
             continue
-        n_sub = min(120, max(1, int(np.ceil(width / (eps / 2.0)))))
+        n_sub = max(1, int(np.ceil(width / (verification._PANEL_EPS * eps))))
         edges = np.linspace(lo, t_right, n_sub + 1)
         half = 0.5 * (edges[1:] - edges[:-1])
         mid = 0.5 * (edges[1:] + edges[:-1])
@@ -410,6 +420,20 @@ class TestDuhamel:
         batched = _duhamel_convolution(integrand, ts, eps)
         reference = _per_interval_convolution(integrand, ts, eps)
         assert np.max(np.abs(batched - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("eps", [0.1, 0.01, 0.001])
+    def test_quadrature_against_four_times_finer_panels(self, eps, monkeypatch):
+        # dirichlet-32 with the default decay data
+        pd = make_problem((np.pi * np.arange(1, 33)) ** 2, eps)
+        source = layer_equation_source(pd, remainders(pd)[1])
+        integrand = kernel_profile(pd.spec, pd.v1.coefficients, 0, 0.0) + source.scale(
+            math.sqrt(eps)
+        )
+        ts = standard_grid([eps]).times
+        convo = _duhamel_convolution(integrand, ts, eps)
+        monkeypatch.setattr(verification, "_PANEL_EPS", verification._PANEL_EPS / 4)
+        reference = _duhamel_convolution(integrand, ts, eps)
+        assert np.max(np.abs(convo - reference)) <= 1e-13 * np.max(np.abs(reference))
 
     def test_byparts_bound_alone(self):
         pd = make_problem([0.0, 1.0, 4.0], 0.01)

@@ -414,10 +414,11 @@ def remainder_data_checks(
     """Realized initial data w(0), w'(0) of the remainder correctors,
     ``remainders`` = ``corrector_remainder(pd, j)`` for j = 1, 2.
 
-    The second remainder must start at (J v1, -2 A J v1) and the first at
-    (-A J u0, +2 A^2 J u0).  The first slope's positive sign is the one the
-    decomposition forces (identity.remainder_reconstruction_1 fails with
-    any other), so the commonly assumed -2 A^2 J u0 is inconsistent with it.
+    The remainders are solved from (-A J u0, +2 A^2 J u0) for j = 1 and
+    (J v1, -2 A J v1) for j = 2, so these records check that the solved
+    profiles reproduce their initial data, a check of the solver and the
+    representation.  Whether that data is right, such as the positive sign
+    of the first slope, is decided by identity.remainder_reconstruction_j.
     """
     eps = pd.eps
     spec = pd.spec
@@ -429,11 +430,11 @@ def remainder_data_checks(
     ju0 = resolvent(spec, eps, pd.u0).coefficients
     expected = [  # (check id, remainder, initial value, initial slope, note)
         ("data.remainder2_initial", rem2, jv1, -2.0 * lam * jv1,
-         "second remainder starts at (J v1, -2 A J v1)"),
+         "solved second remainder reproduces its initial data (J v1, -2 A J v1)"),
         ("data.remainder1_initial", rem1, -lam * ju0, 2.0 * lam**2 * ju0,
-         "first remainder starts at (-A J u0, +2 A^2 J u0); the slope sign is "
-         "forced by the decomposition, a value of -2 A^2 J u0 would be "
-         "inconsistent with it"),
+         "solved first remainder reproduces its initial data "
+         "(-A J u0, +2 A^2 J u0); identity.remainder_reconstruction_1 "
+         "decides the slope sign"),
     ]
     reports = []
     for check_id, w, value, slope, note in expected:
@@ -479,22 +480,23 @@ def energy_inequality_checks(
     pd: ProblemData,
     grid: TimeGrid,
     slack: float = 1e-8,
-    remainders: tuple[ProfileFunction, ...] = (),
+    remainders: tuple[ProfileFunction, ProfileFunction] | None = None,
 ) -> list[CheckReport]:
     """Energy bounds for the corrector ladder.
 
     The primary corrector is bounded by |A^{1/2}u0|^2 + 3 eps |u1|^2 and
     the half-power corrector by |A u0|^2 / 2, both with explicit
     constants.  The remainder correctors have no explicit constants, so
-    for each of the given ``remainders`` (``corrector_remainder(pd, j)``
-    for j = 1, 2, in that order) the smallest constant making its bound
-    hold is measured and reported instead of asserted.
+    when ``remainders`` = (``corrector_remainder(pd, 1)``,
+    ``corrector_remainder(pd, 2)``) is given, the smallest constant making
+    each bound hold is measured and reported instead of asserted.
     """
+    profiles = [corrector_primary(pd), corrector_halfpower(pd)]
+    if remainders is not None:
+        rem1, rem2 = remainders
+        profiles += [rem1, rem2]
     primary, halfpower, *remainder_curves = _energy_lhs_curves(
-        pd,
-        [corrector_primary(pd), corrector_halfpower(pd)]
-        + list(remainders),
-        grid.times,
+        pd, profiles, grid.times
     )
     explicit = [
         ("energy.primary_constant3", primary,

@@ -281,6 +281,11 @@ class TestEnergyChecks:
             assert np.isfinite(r.margin)
             assert "measured" in r.note
 
+    def test_remainders_come_as_a_pair(self, grid):
+        pd = make_problem([0.0, 1.0, 4.0], 0.05)
+        with pytest.raises(ValueError):
+            energy_inequality_checks(pd, grid, remainders=(remainders(pd)[1],))
+
 
     @pytest.mark.parametrize("eps", [0.1, 0.001])
     def test_curves_together_match_one_at_a_time(self, eps):

@@ -18,7 +18,6 @@ from .spectral import (
     norm,
     resolvent,
     semigroup,
-    weighted_kernel,
 )
 from .modes import (
     ForcingTerm,
@@ -26,7 +25,6 @@ from .modes import (
     ModeTrajectory,
     RootPair,
     characteristic_roots,
-    rk_reference,
     solve_forced,
     solve_homogeneous,
 )
@@ -41,7 +39,6 @@ __all__ = [
     "apply_power",
     "resolvent",
     "semigroup",
-    "weighted_kernel",
     "inner",
     "norm",
     "ModeParams",
@@ -51,7 +48,6 @@ __all__ = [
     "characteristic_roots",
     "solve_homogeneous",
     "solve_forced",
-    "rk_reference",
     "ProblemData",
     "ProfileFunction",
     "TimeGrid",

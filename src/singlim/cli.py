@@ -12,11 +12,10 @@ import argparse
 import datetime
 import functools
 import hashlib
-import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +28,7 @@ from .profiles import (
     exact_solution,
     main_expansion_profile,
     parabolic_profile,
+    sample_together,
     theta_layer,
 )
 from .spectral import SpecVector, Spectrum, apply_power, norm
@@ -36,7 +36,6 @@ from .timegrid import TimeGrid, standard_grid
 from .verification import (
     COMPARISON_EXPONENTS,
     COMPARISONS,
-    SHARED_ERROR_CURVE,
     CheckReport,
     ErrorCurve,
     byparts_convolution_bound,
@@ -119,6 +118,13 @@ SPECTRUM_PRESETS: dict[str, list[float]] = {
 def fmt(x: float) -> str:
     """17-significant-digit formatting: lossless for binary64."""
     return f"{float(x):.17g}"
+
+
+def _csv(header: str, columns) -> str:
+    """CSV text: the header, then row i of the columns formatted like fmt."""
+    row = ",".join(["%.17g"] * len(columns))
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return "\n".join([header, *(row % r for r in rows)]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -211,8 +217,13 @@ class ExperimentConfig:
             _number(e, "epsilons", lambda e: 0 < e <= 1, "numbers in (0, 1]")
             for e in eps_raw
         )
-        if len(set(epsilons)) < len(epsilons):
-            raise ConfigError(f"epsilons must be distinct, got {list(epsilons)}")
+        labels = [f"{e:g}" for e in epsilons]  # name trajectory files and check ids
+        clash = [e for e, label in zip(epsilons, labels) if labels.count(label) > 1]
+        if clash:
+            raise ConfigError(
+                f"epsilons must be distinct to 6 significant digits, the "
+                f"precision of file names and check ids; {clash} are not"
+            )
 
         grid_raw = raw.get("grid", {})
         if not isinstance(grid_raw, dict):
@@ -418,23 +429,26 @@ def _write_outputs(out_dir: Path, files: dict[str, str], config: ExperimentConfi
 
 
 def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
-    """Trajectory norms and profile errors, one CSV per eps."""
+    """Trajectory norms and profile errors, one CSV per eps.
+
+    Per eps the solution, the parabolic profile, the layer and the
+    second-order expansion are sampled together in one sample_together call.
+    """
     spec = config.build_spectrum()
     u0, u1 = config.build_data(spec)
     files: dict[str, str] = {}
     for eps in config.epsilons:
         pd = ProblemData(spec, eps, u0, u1)
-        grid = config.grid.build([eps])
-        ts = grid.times
-        u_eps = exact_solution(pd)
-        v = parabolic_profile(pd)
-        theta = theta_layer(pd)
-        expansion = main_expansion_profile(pd)
-
-        su = u_eps.sample(ts)
-        sv = v.sample(ts)
-        sth = theta.sample(ts)
-        sexp = expansion.sample(ts)
+        ts = config.grid.build([eps]).times
+        su, sv, sth, sexp = sample_together(
+            (
+                exact_solution(pd),
+                parabolic_profile(pd),
+                theta_layer(pd),
+                main_expansion_profile(pd),
+            ),
+            ts,
+        )
 
         def norms(mat):
             return np.sqrt(np.sum(mat**2, axis=1))
@@ -448,38 +462,21 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
             norms(su - (sv + sth)),
             norms(su - sexp),
         ]
-        lines = ["t,norm_u,norm_v,norm_theta,err_order0,err_theta,err_order2"]
-        for row in zip(*columns):
-            lines.append(",".join(fmt(x) for x in row))
-        files[f"trajectory_eps{eps:g}.csv"] = "\n".join(lines) + "\n"
+        del su, sv, sth, sexp  # free this eps's samples before the next are made
+        header = "t,norm_u,norm_v,norm_theta,err_order0,err_theta,err_order2"
+        files[f"trajectory_eps{eps:g}.csv"] = _csv(header, columns)
     _write_outputs(out_dir, files, config)
     return EXIT_OK
 
 
-def _rate_experiments(config: ExperimentConfig, spec, u0, u1, grid):
-    """Yield (comparison, (curve, fit) or the ValueError it raised) for each
-    requested comparison; comparisons of one profile pair share one sweep."""
-    done = {}
-    for comp in config.comparisons:
-        shared = SHARED_ERROR_CURVE.get(comp, comp)
-        if shared not in done:
-            try:
-                done[shared] = run_rate_experiment(
-                    spec, u0, u1, config.epsilons, comp, grid
-                )
-            except ValueError as exc:
-                done[shared] = exc
-        result = done[shared]
-        if not isinstance(result, ValueError):
-            curve, fit = result
-            result = replace(curve, label=comp), fit
-        yield comp, result
-
-
 def _rate_reports(config: ExperimentConfig, spec, u0, u1, grid) -> list[CheckReport]:
     """Slope checks for the requested comparisons (one-sided thresholds)."""
+    results = run_rate_experiment(
+        spec, u0, u1, config.epsilons, config.comparisons, grid
+    )
     reports = []
-    for comp, result in _rate_experiments(config, spec, u0, u1, grid):
+    for comp in config.comparisons:
+        result = results[comp]
         threshold = COMPARISON_EXPONENTS[comp] - 0.05
         if isinstance(result, ValueError):
             reports.append(
@@ -645,31 +642,37 @@ def cmd_verify(config: ExperimentConfig, out_dir: Path | None) -> int:
 
 
 def cmd_rates(config: ExperimentConfig, out_dir: Path) -> int:
-    """eps sweeps per comparison: two-column CSVs plus fitted rates."""
+    """One eps sweep for every comparison: two-column CSVs plus fitted rates.
+
+    The sweep (run_rate_experiment) builds and samples each eps's exact
+    solution once for all the requested comparisons.
+    """
     if len(config.epsilons) < 3:
         raise ConfigError("rates need at least 3 eps values")
     spec = config.build_spectrum()
     u0, u1 = config.build_data(spec)
     grid = config.grid.build(config.epsilons)
-    experiments = _rate_experiments(config, spec, u0, u1, grid)
+    results = run_rate_experiment(
+        spec, u0, u1, config.epsilons, config.comparisons, grid
+    )
+    experiments = [(comp, results[comp]) for comp in config.comparisons]
     if config.synthetic_exponent is not None:
         eps = np.array(sorted(config.epsilons, reverse=True))
         try:
-            curve = ErrorCurve(eps, eps**config.synthetic_exponent, "synthetic")
+            curve = ErrorCurve(eps, eps**config.synthetic_exponent)
             synthetic = curve, fit_rate(curve)
         except ValueError as exc:
             synthetic = exc
-        experiments = itertools.chain(experiments, [("synthetic", synthetic)])
+        experiments.append(("synthetic", synthetic))
     files: dict[str, str] = {}
     fits = []
     for comp, result in experiments:
         if isinstance(result, ValueError):
             raise ConfigError(f"comparison {comp!r}: {result}") from result
         curve, fit = result
-        lines = ["epsilon,error"]
-        for e, err in zip(curve.epsilons, curve.errors):
-            lines.append(f"{fmt(e)},{fmt(err)}")
-        files[f"rates_{comp}.csv"] = "\n".join(lines) + "\n"
+        files[f"rates_{comp}.csv"] = _csv(
+            "epsilon,error", [curve.epsilons, curve.errors]
+        )
         fits.append(
             {
                 "comparison": comp,

@@ -112,11 +112,6 @@ def _moment_recurrence(k: int, mu: complex, t: np.ndarray) -> list[np.ndarray]:
     return accs
 
 
-def _infinite_moment(k: int, mu: complex) -> complex:
-    # int_0^inf s^k e^{mu s} ds, requires Re mu < 0
-    return math.factorial(k) / (-mu) ** (k + 1)
-
-
 def _node_key(z: complex):
     return (z.real, z.imag)
 
@@ -446,23 +441,6 @@ class ExpPoly:
     def integral(self, t):
         """int_0^t of the function, evaluated at scalar or array t."""
         return integrate((self,), t)[0]
-
-    def integral_to_infinity(self) -> float:
-        """int_0^inf of the function; requires every rate to decay."""
-        acc = 0j
-        rates = [mu for _, mu, _ in self.terms]
-        rates += [z for nodes, _ in self.differences for z in nodes]
-        for mu in rates:
-            if mu.real >= 0:
-                raise ValueError(
-                    f"integrand does not decay (rate {mu}); integral diverges"
-                )
-        for k, mu, c in self.terms:
-            acc += c * _infinite_moment(k, mu)
-        for nodes, c in self.differences:
-            # int_0^inf exp[Z] = (-1/z)[Z] = (-1)**(n+1) / prod Z
-            acc += c * (-1) ** len(nodes) / math.prod(nodes)
-        return acc.real
 
     def coefficient_scale(self) -> float:
         """Largest term magnitude; a conditioning measure for evaluations."""

@@ -36,7 +36,6 @@ __all__ = [
     "characteristic_roots",
     "solve_homogeneous",
     "solve_forced",
-    "rk_reference",
     "rk_reference_path",
 ]
 
@@ -221,11 +220,3 @@ def rk_reference_path(p: ModeParams, f: ForcingTerm, ts, tol: float):
     )
     z = expm(ts[..., None, None] * m) @ np.array([p.y0, p.y1, 1.0, 0.0])
     return z[..., 0], z[..., 1]
-
-
-def rk_reference(p: ModeParams, f: ForcingTerm, t: float, tol: float):
-    """Oracle (y(t), y'(t)) for a single sample time."""
-    if t < 0:
-        raise ValueError("sample time must be nonnegative")
-    ys, dys = rk_reference_path(p, f, np.array([t]), tol)
-    return float(ys[0]), float(dys[0])

@@ -2,7 +2,7 @@
 
 The operator is known only through its eigenvalues; vectors live in the
 eigenbasis, so every operator function (fractional powers, resolvent,
-semigroup, weighted heat kernels) acts coefficientwise and the ambient
+semigroup) acts coefficientwise and the ambient
 Hilbert norm is the Euclidean norm of the coefficients.
 """
 
@@ -19,7 +19,6 @@ __all__ = [
     "apply_power",
     "resolvent",
     "semigroup",
-    "weighted_kernel",
     "inner",
     "norm",
 ]
@@ -134,19 +133,6 @@ def semigroup(spec: Spectrum, t: float, f: SpecVector) -> SpecVector:
         raise ValueError("semigroup time must be nonnegative")
     _check_compat(spec, f)
     return SpecVector(np.exp(-spec.eigenvalues * t) * f.coefficients)
-
-
-def weighted_kernel(
-    spec: Spectrum, t: float, n: int, m: float, f: SpecVector
-) -> SpecVector:
-    """Weighted heat kernel t**n * A**m * e^{-tA} applied coefficientwise."""
-    if t < 0:
-        raise ValueError("kernel time must be nonnegative")
-    if m < 0:
-        raise ValueError("negative operator powers are not defined")
-    _check_compat(spec, f)
-    lam = spec.eigenvalues
-    return SpecVector(t**n * lam**m * np.exp(-lam * t) * f.coefficients)
 
 
 def inner(f: SpecVector, g: SpecVector) -> float:

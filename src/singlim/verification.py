@@ -73,11 +73,9 @@ COMPARISONS = (
 )
 
 # The two order-0 statements compare the same (reference, candidate)
-# profile pair and differ only in their exponent.
-_ORDER0_COMPARISONS = ("order0_thm11i", "order0_thm11ii")
-
-# comparison -> the comparison whose error curve it reuses
-SHARED_ERROR_CURVE = {c: _ORDER0_COMPARISONS[0] for c in _ORDER0_COMPARISONS[1:]}
+# profile pair and differ only in their exponent: comparison -> the
+# comparison whose error curve it shares.
+_SAME_PAIR = {"order0_thm11ii": "order0_thm11i"}
 
 # One-sided slope thresholds: an upper-bound statement with exponent p is
 # confirmed by any fitted slope >= p - 0.05 (smooth data may decay faster).
@@ -120,7 +118,6 @@ class ErrorCurve:
 
     epsilons: np.ndarray
     errors: np.ndarray
-    label: str
 
     def __post_init__(self):
         eps = np.array(self.epsilons, dtype=float)
@@ -225,15 +222,6 @@ def l2_time_norm(
         )
     total = _squared_mode_integrals(diff, weight_power, np.array([grid.t_max]))
     return float(total[0])
-
-
-def l2_time_norm_quadrature(
-    profile: ProfileFunction, grid: TimeGrid, weight_power: int = 0
-) -> float:
-    """Simpson cross-check of l2_time_norm on the same grid."""
-    samp = profile.sample(grid.quad_points)
-    integrand = grid.quad_points**weight_power * np.sum(samp**2, axis=1)
-    return grid.integrate_values(integrand)
 
 
 def max_reg_functional(
@@ -913,26 +901,20 @@ def fit_rate(curve: ErrorCurve) -> RateFit:
     )
 
 
-def _comparison_profiles(
-    pd: ProblemData, comparison: str
-) -> tuple[ProfileFunction, ProfileFunction]:
-    """The (reference, candidate) profile pair for a rate comparison."""
-    u_eps = exact_solution(pd)
-    v = parabolic_profile(pd)
-    if comparison in _ORDER0_COMPARISONS:
-        return u_eps, v
+def _candidate(pd: ProblemData, comparison: str, v: ProfileFunction) -> ProfileFunction:
+    """The profile a comparison measures against the exact solution (against
+    its derivative for cor2); v is the parabolic profile."""
+    if comparison == "order0_thm11i":
+        return v
     if comparison == "order1_theta":
-        return u_eps, v + theta_layer(pd)
+        return v + theta_layer(pd)
     if comparison == "order2_mainthm":
-        return u_eps, main_expansion_profile(pd)
+        return main_expansion_profile(pd)
     if comparison == "cor1":
         if not pd.il0_satisfied:
             raise ValueError("cor1 requires compatible data u1 + A u0 = 0")
-        candidate = v - kernel_profile(pd.spec, pd.u0.coefficients, 1, 2.0, pd.eps)
-        return u_eps, candidate
-    if comparison == "cor2":
-        return u_eps.deriv(), derivative_expansion_profile(pd)
-    raise ValueError(f"unknown comparison {comparison!r}")
+        return v - kernel_profile(pd.spec, pd.u0.coefficients, 1, 2.0, pd.eps)
+    return derivative_expansion_profile(pd)
 
 
 def run_rate_experiment(
@@ -940,26 +922,58 @@ def run_rate_experiment(
     u0: SpecVector,
     u1: SpecVector,
     eps_values,
-    comparison: str,
+    comparisons,
     grid: TimeGrid,
-) -> tuple[ErrorCurve, RateFit]:
-    """Sup-norm error of one comparison over an eps sweep, with a rate fit.
+) -> dict[str, tuple[ErrorCurve, RateFit] | ValueError]:
+    """Sup-norm errors of the requested comparisons over one eps sweep, with
+    a rate fit each: {comparison: (curve, fit), or the ValueError it raised}.
 
-    The grid is augmented with layer points for each eps so the transient
-    peak is always sampled.
+    eps is the outer loop.  Per eps the grid gains layer points for that
+    eps, so the transient peak is always sampled, and the exact solution u
+    and each requested candidate are built once and sampled together in one
+    ``sample_together`` call (with u' for cor2).  Each error is the largest
+    row norm of a candidate's samples minus its reference's, so it equals
+    ``sup_norm_error`` of the pair bit for bit.  The two order-0 statements
+    share one curve and one fit.  Unknown comparison names raise up front.
     """
-    if comparison not in COMPARISONS:
-        raise ValueError(f"unknown comparison {comparison!r}")
+    unknown = [c for c in comparisons if c not in COMPARISONS]
+    if unknown:
+        raise ValueError(f"unknown comparison {unknown[0]!r}")
     eps_values = sorted((float(e) for e in eps_values), reverse=True)
     if len(eps_values) < 3:
-        raise ValueError("need at least 3 eps values for a rate fit")
-    errors = []
+        error = ValueError("need at least 3 eps values for a rate fit")
+        return {c: error for c in comparisons}
+    # one entry per profile pair: its error list, or the ValueError it raised
+    pairs = {_SAME_PAIR.get(c, c): [] for c in comparisons}
     for eps in eps_values:
         pd = ProblemData(spec, eps, u0, u1)
-        refined = grid.with_layer_points([eps])
-        a, b = _comparison_profiles(pd, comparison)
-        errors.append(sup_norm_error(a, b, refined))
-    curve = ErrorCurve(
-        np.array(eps_values), np.array(errors), label=comparison
-    )
-    return curve, fit_rate(curve)
+        u = exact_solution(pd)
+        v = parabolic_profile(pd)
+        profiles, measured = [u], []
+        for name, errors in pairs.items():
+            if isinstance(errors, ValueError):
+                continue
+            try:
+                profiles.append(_candidate(pd, name, v))
+            except ValueError as exc:
+                pairs[name] = exc
+                continue
+            measured.append(name)
+        if "cor2" in measured:
+            profiles.append(u.deriv())
+        samples = sample_together(profiles, grid.with_layer_points([eps]).times)
+        for k, name in enumerate(measured, start=1):
+            # in place, as x * x is x**2: fresh wide arrays cost page faults
+            samples[k] -= samples[-1] if name == "cor2" else samples[0]
+            samples[k] *= samples[k]
+            pairs[name].append(float(np.max(np.sqrt(np.sum(samples[k], axis=1)))))
+        del samples  # free this eps's samples before the next are made
+    for name, errors in pairs.items():
+        if isinstance(errors, ValueError):
+            continue
+        try:
+            curve = ErrorCurve(np.array(eps_values), np.array(errors))
+            pairs[name] = curve, fit_rate(curve)
+        except ValueError as exc:
+            pairs[name] = exc
+    return {c: pairs[_SAME_PAIR.get(c, c)] for c in comparisons}

@@ -1,11 +1,15 @@
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from singlim.exppoly import ExpPoly
+from singlim.modes import ForcingTerm, ModeParams, rk_reference_path
 from singlim.spectral import SpecVector, Spectrum
-from singlim.profiles import ProblemData, corrector_remainder
+from singlim.profiles import ProblemData, ProfileFunction, corrector_remainder
+from singlim.timegrid import TimeGrid
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -34,6 +38,49 @@ def make_problem(lams, eps, p=2.0, il0=False) -> ProblemData:
 def remainders(pd: ProblemData):
     """Both remainder correctors, as the check functions take them."""
     return corrector_remainder(pd, 1), corrector_remainder(pd, 2)
+
+
+def oracle_at(p: ModeParams, f: ForcingTerm, t: float, tol: float):
+    """The oracle's (y(t), y'(t)) at a single time."""
+    ys, dys = rk_reference_path(p, f, np.array([t]), tol)
+    return float(ys[0]), float(dys[0])
+
+
+def weighted_kernel(
+    spec: Spectrum, t: float, n: int, m: float, f: SpecVector
+) -> SpecVector:
+    """Reference weighted heat kernel t**n * A**m * e^{-tA} f, coefficientwise."""
+    if t < 0:
+        raise ValueError("kernel time must be nonnegative")
+    if m < 0:
+        raise ValueError("negative operator powers are not defined")
+    lam = spec.eigenvalues
+    return SpecVector(t**n * lam**m * np.exp(-lam * t) * f.coefficients)
+
+
+def integral_to_infinity(poly: ExpPoly) -> float:
+    """int_0^inf of an exponential polynomial whose every rate decays."""
+    rates = [mu for _, mu, _ in poly.terms]
+    rates += [z for nodes, _ in poly.differences for z in nodes]
+    for mu in rates:
+        if mu.real >= 0:
+            raise ValueError(f"integrand does not decay (rate {mu}); integral diverges")
+    acc = 0j
+    for k, mu, c in poly.terms:
+        acc += c * (math.factorial(k) / (-mu) ** (k + 1))  # int_0^inf s^k e^{mu s}
+    for nodes, c in poly.differences:
+        # int_0^inf exp[Z] = (-1/z)[Z] = (-1)**(n+1) / prod Z
+        acc += c * (-1) ** len(nodes) / math.prod(nodes)
+    return acc.real
+
+
+def l2_time_norm_quadrature(
+    profile: ProfileFunction, grid: TimeGrid, weight_power: int = 0
+) -> float:
+    """Simpson cross-check of verification.l2_time_norm on the same grid."""
+    samp = profile.sample(grid.quad_points)
+    integrand = grid.quad_points**weight_power * np.sum(samp**2, axis=1)
+    return grid.integrate_values(integrand)
 
 
 @pytest.fixture

@@ -17,6 +17,8 @@ from singlim.cli import (
     ConfigError,
     ExperimentConfig,
     SPECTRUM_PRESETS,
+    _csv,
+    fmt,
     main,
 )
 
@@ -84,6 +86,11 @@ class TestConfig:
     def test_rejects_unknown_fields(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.parse({**BASE_CONFIG, "surprise": 1})
+
+    def test_rejects_eps_that_share_a_label(self):
+        # f"{eps:g}" names the trajectory files and the verify check ids
+        with pytest.raises(ConfigError, match=r"\[0\.1, 0\.10000001\]"):
+            ExperimentConfig.parse({**BASE_CONFIG, "epsilons": [0.1, 0.10000001, 0.01]})
 
     def test_rejects_bad_schema_version(self):
         with pytest.raises(ConfigError):
@@ -171,6 +178,23 @@ class TestSimulate:
         for line in lines[1:50]:
             for cell in line.split(","):
                 assert f"{float(cell):.17g}" == cell
+
+
+def test_csv_rows_match_fmt():
+    rng = np.random.default_rng(3)
+    special = [0.0, -0.0, 5e-324, 1.7976931348623157e308, math.inf, math.nan]
+    columns = [
+        np.array(special + list(rng.lognormal(0.0, 40.0, 200))),
+        -rng.lognormal(0.0, 40.0, 206),
+        rng.lognormal(0.0, 1.0, 206),
+    ]
+    text = _csv("a,b,c", columns)
+    rows = [",".join(fmt(x) for x in row) for row in zip(*columns)]
+    assert text == "\n".join(["a,b,c", *rows]) + "\n"
+    for line, row in zip(text.splitlines()[1:], zip(*columns)):
+        for cell, x in zip(line.split(","), row):
+            if math.isfinite(x):
+                assert np.float64(float(cell)).tobytes() == np.float64(x).tobytes()
 
 
 class TestVerify:
@@ -289,6 +313,7 @@ class TestExitCodes:
             {"u0": [math.nan]},
             {"u1": [math.inf]},
             {"grid": {**BASE_CONFIG["grid"], "t_mx": 5.0}},
+            {"epsilons": [0.1, 0.10000001, 0.01]},
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, overrides):

@@ -10,11 +10,12 @@ from singlim.modes import (
     ForcingTerm,
     ModeParams,
     characteristic_roots,
-    rk_reference,
     rk_reference_path,
     solve_forced,
     solve_homogeneous,
 )
+
+from conftest import oracle_at
 
 GRID = np.linspace(0.0, 8.0, 33)
 
@@ -100,7 +101,7 @@ class TestHomogeneous:
     def test_stiff_against_oracle(self):
         p = ModeParams(0.01, 1.0, 1.0, 0.0)
         traj = solve_homogeneous(p)
-        y, dy = rk_reference(p, ForcingTerm(0, 0, 0), 1.0, 1e-12)
+        y, dy = oracle_at(p, ForcingTerm(0, 0, 0), 1.0, 1e-12)
         assert traj.value(1.0) == pytest.approx(y, rel=1e-9)
         assert traj.derivative(1.0) == pytest.approx(dy, rel=1e-9, abs=1e-12)
 
@@ -280,27 +281,27 @@ class TestOracle:
     def test_constant_solution(self):
         p = ModeParams(0.2, 0.0, 1.0, 0.0)
         for t in (0.0, 0.5, 2.0):
-            y, dy = rk_reference(p, ForcingTerm(0, 0, 0), t, 1e-10)
+            y, dy = oracle_at(p, ForcingTerm(0, 0, 0), t, 1e-10)
             assert y == pytest.approx(1.0, abs=1e-10)
             assert dy == pytest.approx(0.0, abs=1e-10)
 
     def test_critical_example(self):
-        y, _ = rk_reference(ModeParams(0.25, 1.0, 1.0, 0.0), ForcingTerm(0, 0, 0), 1.0, 1e-12)
+        y, _ = oracle_at(ModeParams(0.25, 1.0, 1.0, 0.0), ForcingTerm(0, 0, 0), 1.0, 1e-12)
         assert y == pytest.approx(3.0 * math.exp(-2.0), rel=1e-10)
 
     def test_tolerance_validation(self):
         p = ModeParams(0.1, 1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            rk_reference(p, ForcingTerm(0, 0, 0), 1.0, 1e-3)
+            oracle_at(p, ForcingTerm(0, 0, 0), 1.0, 1e-3)
         with pytest.raises(ValueError):
-            rk_reference(p, ForcingTerm(0, 0, 0), -1.0, 1e-10)
+            oracle_at(p, ForcingTerm(0, 0, 0), -1.0, 1e-10)
 
     def test_small_eps(self):
         # t/eps = 1e10: no step budget; the error here is about 1.4e-12 of
         # the data, well below the u*t/eps worst case of the docstring
         p = ModeParams(1e-9, 1.0, 1.0, 0.0)
         traj = solve_homogeneous(p)
-        y, dy = rk_reference(p, ForcingTerm(0, 0, 0), 10.0, 1e-10)
+        y, dy = oracle_at(p, ForcingTerm(0, 0, 0), 10.0, 1e-10)
         assert abs(y - traj.value(10.0)) <= 1e-8
         assert abs(dy - traj.derivative(10.0)) <= 1e-8
 

@@ -13,8 +13,10 @@ from singlim.spectral import (
     norm,
     resolvent,
     semigroup,
-    weighted_kernel,
 )
+from singlim.profiles import kernel_profile
+
+from conftest import weighted_kernel
 
 
 def vec(*xs):
@@ -111,12 +113,18 @@ class TestWeightedKernel:
         np.testing.assert_array_equal(out.coefficients, [0.0, 0.0])
 
     def test_n1_m2(self):
-        out = weighted_kernel(Spectrum(np.array([1.0])), 1.0, 1, 2.0, vec(1))
+        s = Spectrum(np.array([1.0]))
+        out = weighted_kernel(s, 1.0, 1, 2.0, vec(1))
         assert out.coefficients[0] == pytest.approx(math.exp(-1.0), rel=1e-15)
+        profile = kernel_profile(s, np.array([1.0]), 1, 2.0).value(1.0)
+        assert profile.coefficients[0] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_n0_m1(self):
-        out = weighted_kernel(Spectrum(np.array([2.0])), 0.5, 0, 1.0, vec(1))
+        s = Spectrum(np.array([2.0]))
+        out = weighted_kernel(s, 0.5, 0, 1.0, vec(1))
         assert out.coefficients[0] == pytest.approx(2.0 * math.exp(-1.0), rel=1e-15)
+        profile = kernel_profile(s, np.array([1.0]), 0, 1.0).value(0.5)
+        assert profile.coefficients[0] == pytest.approx(2.0 * math.exp(-1.0), rel=1e-15)
 
     def test_rejects_bad_args(self):
         s = Spectrum(np.array([1.0]))

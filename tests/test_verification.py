@@ -9,10 +9,13 @@ from singlim.profiles import (
     ProfileFunction,
     corrector_halfpower,
     corrector_primary,
+    derivative_expansion_profile,
     exact_solution,
     kernel_profile,
     layer_equation_source,
+    main_expansion_profile,
     parabolic_profile,
+    theta_layer,
 )
 from singlim.spectral import SpecVector, Spectrum
 from singlim.timegrid import TimeGrid, standard_grid
@@ -29,7 +32,6 @@ from singlim.verification import (
     identity_checks,
     l2_deviation_bounds,
     l2_time_norm,
-    l2_time_norm_quadrature,
     max_reg_checks,
     max_reg_functional,
     remainder_data_checks,
@@ -40,7 +42,7 @@ from singlim.verification import (
 import singlim.verification as verification
 from singlim.verification import _duhamel_convolution, _energy_lhs_curves
 
-from conftest import decay_vector, make_problem, remainders
+from conftest import decay_vector, l2_time_norm_quadrature, make_problem, remainders
 
 
 @pytest.fixture(scope="module")
@@ -450,24 +452,39 @@ class TestDuhamel:
 class TestRateFit:
     def test_exact_quadratic(self):
         eps = np.array([0.5, 0.1, 0.05, 0.01, 0.005])
-        fit = fit_rate(ErrorCurve(eps, 3.0 * eps**2, "syn"))
+        fit = fit_rate(ErrorCurve(eps, 3.0 * eps**2))
         assert fit.slope == pytest.approx(2.0, abs=1e-10)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_three_halves(self):
         eps = np.array([0.1, 0.01, 0.001])
-        fit = fit_rate(ErrorCurve(eps, 0.7 * eps**1.5, "syn"))
+        fit = fit_rate(ErrorCurve(eps, 0.7 * eps**1.5))
         assert fit.slope == pytest.approx(1.5, abs=1e-10)
 
     def test_noise_floor_exclusion(self):
         eps = np.array([0.1, 0.01, 0.001, 1e-4])
         errors = np.array([1e-2, 1e-4, 1e-15, 1e-16])
         with pytest.raises(ValueError):
-            fit_rate(ErrorCurve(eps, errors, "too few"))
+            fit_rate(ErrorCurve(eps, errors))
 
     def test_rejects_bad_curve(self):
         with pytest.raises(ValueError):
-            ErrorCurve(np.array([0.1, -0.1, 0.01]), np.array([1.0, 1.0, 1.0]), "bad")
+            ErrorCurve(np.array([0.1, -0.1, 0.01]), np.array([1.0, 1.0, 1.0]))
+
+
+def _comparison_pair(pd: ProblemData, comparison: str):
+    """The (reference, candidate) profile pair of a comparison, built alone."""
+    u_eps, v = exact_solution(pd), parabolic_profile(pd)
+    candidates = {
+        "order0_thm11i": lambda: v,
+        "order0_thm11ii": lambda: v,
+        "order1_theta": lambda: v + theta_layer(pd),
+        "order2_mainthm": lambda: main_expansion_profile(pd),
+        "cor1": lambda: v - kernel_profile(pd.spec, pd.u0.coefficients, 1, 2.0, pd.eps),
+    }
+    if comparison == "cor2":
+        return u_eps.deriv(), derivative_expansion_profile(pd)
+    return u_eps, candidates[comparison]()
 
 
 class TestRateExperiments:
@@ -476,9 +493,10 @@ class TestRateExperiments:
         u0 = decay_vector(3)
         u1 = decay_vector(3)
         eps_list = [10 ** (-1 - 0.5 * k) for k in range(5)]
-        _, fit = run_rate_experiment(
-            spec, u0, u1, eps_list, "order0_thm11ii", grid
+        results = run_rate_experiment(
+            spec, u0, u1, eps_list, ["order0_thm11ii"], grid
         )
+        _, fit = results["order0_thm11ii"]
         assert fit.slope >= 0.95
         assert fit.r_squared >= 0.99
 
@@ -486,13 +504,55 @@ class TestRateExperiments:
         spec = Spectrum(np.array([1.0]))
         one = decay_vector(1)
         with pytest.raises(ValueError):
-            run_rate_experiment(spec, one, one, [0.1, 0.01, 0.001], "nope", grid)
+            run_rate_experiment(spec, one, one, [0.1, 0.01, 0.001], ["nope"], grid)
 
     def test_cor_requires_compatibility(self, grid):
+        # the precondition fails cor1 and cor2 alone; the sweep goes on
         spec = Spectrum(np.array([1.0]))
         one = decay_vector(1)
-        with pytest.raises(ValueError):
-            run_rate_experiment(spec, one, one, [0.1, 0.01, 0.001], "cor1", grid)
+        results = run_rate_experiment(
+            spec, one, one, [0.1, 0.01, 0.001], COMPARISONS, grid
+        )
+        for comparison in ("cor1", "cor2"):
+            assert isinstance(results[comparison], ValueError)
+            assert "u1 + A u0 = 0" in str(results[comparison])
+        for comparison in COMPARISONS[:4]:
+            curve, fit = results[comparison]
+            assert isinstance(curve, ErrorCurve) and np.isfinite(fit.slope)
+
+    @pytest.mark.parametrize("lams", [[0.0, 1.0, 4.0], [(k * math.pi) ** 2 for k in range(33)]])
+    def test_sweep_matches_per_comparison_errors(self, grid, lams):
+        spec = Spectrum(np.array(lams))
+        u0 = decay_vector(len(lams))
+        u1 = SpecVector(-spec.eigenvalues * u0.coefficients)
+        eps_list = [0.1, 0.02, 0.004, 0.0008]
+        results = run_rate_experiment(spec, u0, u1, eps_list, COMPARISONS, grid)
+        for comparison in COMPARISONS:
+            curve, _ = results[comparison]
+            want = [
+                sup_norm_error(
+                    *_comparison_pair(ProblemData(spec, eps, u0, u1), comparison),
+                    grid.with_layer_points([eps]),
+                )
+                for eps in eps_list
+            ]
+            assert curve.errors.tolist() == want, comparison
+            assert curve.epsilons.tolist() == eps_list
+
+    def test_one_fit_per_distinct_curve(self, grid, monkeypatch):
+        calls = []
+
+        def counted(curve):
+            calls.append(curve)
+            return fit_rate(curve)
+
+        monkeypatch.setattr(verification, "fit_rate", counted)
+        pd = make_problem([0.0, 1.0, 4.0], 0.1, il0=True)
+        results = run_rate_experiment(
+            pd.spec, pd.u0, pd.u1, [0.1, 0.01, 0.001], COMPARISONS, grid
+        )
+        assert len(calls) == len(COMPARISONS) - 1
+        assert results["order0_thm11i"] is results["order0_thm11ii"]
 
     def test_comparisons_list_complete(self):
         assert set(COMPARISONS) == {

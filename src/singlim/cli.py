@@ -239,6 +239,10 @@ class ExperimentConfig:
             log_count=_count(get("log_count", 200), "grid.log_count", 0),
             log_floor=_number(get("log_floor", 1e-6), "grid.log_floor", *positive),
         )
+        if grid.log_count and grid.log_floor >= min(1.0, grid.t_max):
+            raise ConfigError(  # the log points run from log_floor to min(1, t_max)
+                f"grid.log_floor must be < min(1, t_max), got {grid.log_floor!r}"
+            )
 
         checks_raw = raw.get("checks", "all")
         if checks_raw == "all":

@@ -31,9 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "ExpPoly", "divided_difference_exp", "evaluate", "integrate", "power_exp_moment"
-]
+__all__ = ["ExpPoly", "divided_difference_exp", "evaluate", "integrate",
+           "moment_tables", "power_exp_moment"]
 
 # Below this value of |mu*t| the upward recurrence for the moments
 # int_0^t s**k exp(mu*s) ds loses digits to cancellation; use the series.
@@ -61,46 +60,69 @@ def power_exp_moment(k: int, mu: complex, t):
     """int_0^t s**k * exp(mu*s) ds for scalar mu and scalar or array t."""
     if k < 0:
         raise ValueError("moment order must be nonnegative")
-    return _moments(mu, (k,), np.asarray(t, dtype=float))[k]
+    return next(moment_tables([(mu, [k])], t))[k]
 
 
-def _moments(mu: complex, orders, t: np.ndarray) -> dict:
-    """{k: int_0^t s**k * exp(mu*s) ds} for each k in orders.
+def moment_tables(orders, t):
+    """Yield {k: int_0^t s**k * exp(mu*s) ds for k in ks} for each (mu, ks)
+    of orders in turn, at scalar or array t.
 
-    One upward recurrence to the largest order serves every order, since
-    it passes through the lower ones; the series is summed per order.
+    The series on the small points of all (mu, k) runs as one batch first;
+    each rate's upward recurrence runs once, to its largest order, when its
+    table is taken.  A real mu stays real.
     """
-    if mu == 0:
-        return {k: t ** (k + 1) / (k + 1) + 0j for k in orders}
-    out = {k: np.empty(t.shape, dtype=complex) for k in orders}
-    small = np.abs(mu * t) < _SERIES_THRESHOLD
-    # where e^{mu t} is exactly 0 the recurrence does not depend on t
-    dead = mu.real * t <= _UNDERFLOW_EXPONENT
-    rest = ~(small | dead)
-    if np.any(small):
-        ts = t[small]
-        for k in orders:
-            out[k][small] = _moment_series(k, mu, ts)
-    # the dead points all take the value of the first one
-    for part, times in ((rest, t[rest]), (dead, t[dead][:1])):
-        if times.size:
-            accs = _moment_recurrence(max(orders), mu, times)
-            for k in orders:
-                out[k][part] = accs[k]
-    return out
+    t = np.asarray(t, dtype=float)
+    orders = [(mu, sorted(ks), np.abs(mu * t) < _SERIES_THRESHOLD) for mu, ks in orders]
+    series = iter(_batched_series(
+        [(k, mu, t[small]) for mu, ks, small in orders if mu != 0 for k in ks]
+    ))
+    for mu, ks, small in orders:
+        if mu == 0:
+            yield {k: t ** (k + 1) / (k + 1) + 0j for k in ks}
+            continue
+        # e^{mu t} is exactly 0 at every dead point: they take the first one's value
+        dead = mu.real * t <= _UNDERFLOW_EXPONENT
+        rest = ~(small | dead)
+        accs = _moment_recurrence(ks[-1], mu, np.concatenate([t[rest], t[dead][:1]]))
+        out = {k: np.empty(t.shape, dtype=complex) for k in ks}
+        for k in ks:  # the first dead time comes last; with none, [-1:] fills nothing
+            out[k][small] = next(series)
+            out[k][rest], out[k][dead] = accs[k][: np.count_nonzero(rest)], accs[k][-1:]
+        yield out
 
 
-def _moment_series(k: int, mu: complex, t: np.ndarray) -> np.ndarray:
-    # int_0^t s^k e^{mu s} ds = t^{k+1} * sum_m (mu t)^m / (m! (k+m+1))
-    z = mu * t
-    term = np.ones(t.shape, dtype=complex) / (k + 1)
+def _batched_series(pairs) -> list[np.ndarray]:
+    """[int_0^t s**k * exp(mu*s) ds for (k, mu, t) in pairs] by the series
+    t**(k+1) * sum_m (mu t)**m / (m! (k+m+1)), all pairs as one batch.  A
+    pair's segment stops at the first term with all(|term| <= 1e-18 |acc|)
+    on it, with complex factors, as a loop over it alone does: the bits
+    are that loop's."""
+    sizes = np.array([t.size for _, _, t in pairs], dtype=int)
+    z = np.concatenate([mu * t for _, mu, t in pairs] + [np.empty(0)], dtype=complex)
+    order = np.repeat([k for k, _, _ in pairs], sizes).astype(int)
+    out = np.empty(z.shape, dtype=complex)
+    # the points still summing and the sizes of their segments
+    at, live = np.arange(z.size), sizes[sizes > 0]
+    term = np.ones(z.shape, dtype=complex) / (order + 1)
     acc = term.copy()
     for m in range(1, 60):
-        term = term * z * (k + m) / (m * (k + m + 1))
-        acc += term
-        if np.all(np.abs(term) <= 1e-18 * np.abs(acc)):
+        if not at.size:
             break
-    return t ** (k + 1) * acc
+        term = term * z * (order + m) / (m * (order + m + 1))
+        acc += term
+        starts = np.cumsum(live) - live
+        stop = np.logical_and.reduceat(np.abs(term) <= 1e-18 * np.abs(acc), starts)
+        done, live = np.repeat(stop, live), live[~stop]
+        out[at[done]] = acc[done]
+        keep = ~done  # one array at a time: few old and new copies alive together
+        at = at[keep]
+        term = term[keep]
+        acc = acc[keep]
+        z = z[keep]
+        order = order[keep]
+    out[at] = acc
+    out *= np.concatenate([t ** (k + 1) for k, _, t in pairs] + [np.empty(0)])
+    return np.split(out, np.cumsum(sizes))[:-1]
 
 
 def _moment_recurrence(k: int, mu: complex, t: np.ndarray) -> list[np.ndarray]:
@@ -440,7 +462,7 @@ class ExpPoly:
 
     def integral(self, t):
         """int_0^t of the function, evaluated at scalar or array t."""
-        return integrate((self,), t)[0]
+        return next(integrate((self,), t))
 
     def coefficient_scale(self) -> float:
         """Largest term magnitude; a conditioning measure for evaluations."""
@@ -495,18 +517,21 @@ def evaluate(polys, t) -> list:
     return values
 
 
-def integrate(polys, t) -> list:
-    """[p.integral(t) for p in polys]: int_0^t at scalar or array t.
+def integrate(polys, t):
+    """Yield p.integral(t) for each p of the sequence polys in turn.
 
-    One moment table per rate serves every polynomial and order (_moments);
-    each polynomial adds its own terms in its own order.
+    One batched series serves all rates and orders (moment_tables); a
+    rate's moments are made at its first use and dropped after its last,
+    and each polynomial adds its own terms in its own order.
     """
     t = np.asarray(t, dtype=float)
     orders: dict[complex, set[int]] = {}
     for poly in polys:
         for k, mu, _ in poly.terms:
             orders.setdefault(mu, set()).add(k)
-    moments = {mu: _moments(mu, ks, t) for mu, ks in orders.items()}
+    tables = moment_tables(orders.items(), t)  # in the order of first use
+    uses = collections.Counter(mu for poly in polys for _, mu, _ in poly.terms)
+    moments = {}
     # int_0^t exp[Z] = exp[Z, 0](t)
     antiderivatives = [
         ExpPoly.build((), [(z + (0j,), c) for z, c in p.differences])
@@ -514,13 +539,13 @@ def integrate(polys, t) -> list:
         if p.differences
     ]
     antiderivatives = iter(evaluate(antiderivatives, t))
-    values = []
     for poly in polys:
         acc = np.zeros(t.shape, dtype=complex)
         for k, mu, c in poly.terms:
-            acc += c * moments[mu][k]
+            moments[mu] = moments[mu] if mu in moments else next(tables)
+            uses[mu] -= 1
+            acc += c * (moments[mu] if uses[mu] else moments.pop(mu))[k]
         out = acc.real
         if poly.differences:
             out = out + next(antiderivatives)
-        values.append(out if out.ndim else float(out))
-    return values
+        yield out if out.ndim else float(out)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .exppoly import ExpPoly, divided_difference_exp, integrate, power_exp_moment
+from .exppoly import ExpPoly, divided_difference_exp, integrate, moment_tables
 from .profiles import (
     ProblemData,
     ProfileFunction,
@@ -178,15 +178,11 @@ def sup_norm_error(a: ProfileFunction, b: ProfileFunction, grid: TimeGrid) -> fl
 def _squared_mode_integrals(
     profile: ProfileFunction, weight_power: int, ts: np.ndarray
 ) -> np.ndarray:
-    """Analytic cumulative integral of t**w * |profile|^2 at the given times."""
-    acc = np.zeros(ts.shape)
+    """Cumulative integral of t**w * |profile|^2 at ts, from one integrate call."""
     weight = ExpPoly.build([(weight_power, 0.0, 1.0)])
-    for mode in profile.modes:
-        sq = mode.squared()
-        if weight_power:
-            sq = sq.multiply(weight)
-        acc += sq.integral(ts)
-    return acc
+    squares = [m.squared() for m in profile.modes]
+    squares = [sq.multiply(weight) for sq in squares] if weight_power else squares
+    return sum(integrate(squares, ts), np.zeros(ts.shape))
 
 
 def l2_time_norm(
@@ -445,17 +441,16 @@ def _energy_lhs_curves(
     """eps|p'(t)|^2 + |A^{1/2} p(t)|^2 + int_0^t |p'|^2 for each profile p,
     analytic in t.
 
-    The profiles share their rates, so the dissipated integrals of all of
-    them are taken together mode by mode; each profile's two samples are
-    taken together, one profile at a time, which keeps two sample arrays
-    alive instead of two per profile.
+    The dissipated integrals of all of them stream from one integrate
+    call, mode-major, into each profile's sum in mode order; each
+    profile's two samples are taken together, one profile at a time,
+    which keeps two sample arrays alive instead of two per profile.
     """
     derivs = [p.deriv() for p in profiles]
     dissipated = [np.zeros(ts.shape) for _ in profiles]
-    for modes in zip(*(dp.modes for dp in derivs)):
-        integrals = integrate([m.squared() for m in modes], ts)
-        for acc, integral in zip(dissipated, integrals):
-            acc += integral
+    squares = [m.squared() for ms in zip(*(dp.modes for dp in derivs)) for m in ms]
+    for j, integral in enumerate(integrate(squares, ts)):
+        dissipated[j % len(profiles)] += integral
     curves = []
     for p, dp, integral in zip(profiles, derivs, dissipated):
         slope, half = sample_together((dp, p.operator_power(0.5)), ts)
@@ -762,19 +757,20 @@ def _dissipation_integral_curve(
 ) -> np.ndarray:
     """Cumulative weighted dissipation (2^n/n!) int_0^t s^n |A^{(n+1)/2}e^{-sA}f|^2.
 
+    The moments at the real rates -2 lam come from one moment_tables call.
     With ``semigroup`` the semigroup part |e^{-tA}f|^2/2 is added mode by
     mode as well, which gives the whole functional of max_reg_functional.
     """
     lam = spec.eigenvalues
     c2 = f.coefficients**2
     factor = 2.0**n / math.factorial(n)
+    tables = moment_tables([(-2.0 * x, [n]) for x in lam if x > 0], ts)
     curve = np.zeros(ts.shape)
     for i in range(len(spec)):
         if semigroup:
             curve += c2[i] * np.exp(-2.0 * lam[i] * ts) / 2.0
         if lam[i] > 0:
-            moments = power_exp_moment(n, -2.0 * lam[i], ts).real
-            curve += factor * lam[i] ** (n + 1) * c2[i] * moments
+            curve += factor * lam[i] ** (n + 1) * c2[i] * next(tables)[n].real
     return curve
 
 

@@ -74,6 +74,58 @@ def integral_to_infinity(poly: ExpPoly) -> float:
     return acc.real
 
 
+def moment_series(k: int, mu: complex, t: np.ndarray) -> np.ndarray:
+    """Reference series for int_0^t s^k e^{mu s} ds: one loop per rate and
+    order, stopping when all(|term| <= 1e-18 |acc|)."""
+    # int_0^t s^k e^{mu s} ds = t^{k+1} * sum_m (mu t)^m / (m! (k+m+1))
+    z = mu * t
+    term = np.ones(t.shape, dtype=complex) / (k + 1)
+    acc = term.copy()
+    for m in range(1, 60):
+        term = term * z * (k + m) / (m * (k + m + 1))
+        acc += term
+        if np.all(np.abs(term) <= 1e-18 * np.abs(acc)):
+            break
+    return t ** (k + 1) * acc
+
+
+def reference_moment(k: int, mu: complex, t) -> np.ndarray:
+    """Reference power_exp_moment: moment_series on the small points |mu t| <
+    0.8, the upward recurrence on the others, the first dead point's value
+    (Re(mu t) <= -746) on every dead point."""
+    t = np.asarray(t, dtype=float)
+    if mu == 0:
+        return t ** (k + 1) / (k + 1) + 0j
+    out = np.empty(t.shape, dtype=complex)
+    small = np.abs(mu * t) < 0.8
+    dead = mu.real * t <= -746.0
+    rest = ~(small | dead)
+    if np.any(small):
+        out[small] = moment_series(k, mu, t[small])
+    for part, times in ((rest, t[rest]), (dead, t[dead][:1])):
+        if times.size:
+            e = np.exp(mu * times)
+            acc = (e - 1.0) / mu
+            for j in range(1, k + 1):
+                acc = (times**j * e - j * acc) / mu
+            out[part] = acc
+    return out
+
+
+def reference_integral(poly: ExpPoly, t):
+    """Reference ExpPoly.integral: its terms in order, each moment from
+    reference_moment; divided differences through exp[Z, 0]."""
+    t = np.asarray(t, dtype=float)
+    acc = np.zeros(t.shape, dtype=complex)
+    for k, mu, c in poly.terms:
+        acc += c * reference_moment(k, mu, t)
+    out = acc.real
+    if poly.differences:
+        anti = ExpPoly.build((), [(z + (0j,), c) for z, c in poly.differences])
+        out = out + anti.value(t)
+    return out if out.ndim else float(out)
+
+
 def l2_time_norm_quadrature(
     profile: ProfileFunction, grid: TimeGrid, weight_power: int = 0
 ) -> float:

@@ -92,6 +92,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"\[0\.1, 0\.10000001\]"):
             ExperimentConfig.parse({**BASE_CONFIG, "epsilons": [0.1, 0.10000001, 0.01]})
 
+    def test_log_floor_bounds_only_the_log_points(self):
+        # the log points run from log_floor up to min(1, t_max); without
+        # them log_floor is not used
+        grid = {"t_max": 0.5, "log_count": 0, "log_floor": 5.0}
+        assert ExperimentConfig.parse({**BASE_CONFIG, "grid": grid}).grid.log_floor == 5.0
+        with pytest.raises(ConfigError, match=r"grid\.log_floor"):
+            ExperimentConfig.parse({**BASE_CONFIG, "grid": {**grid, "log_count": 10}})
+
     def test_rejects_bad_schema_version(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.parse({**BASE_CONFIG, "schema_version": 99})
@@ -314,6 +322,7 @@ class TestExitCodes:
             {"u1": [math.inf]},
             {"grid": {**BASE_CONFIG["grid"], "t_mx": 5.0}},
             {"epsilons": [0.1, 0.10000001, 0.01]},
+            {"grid": {**BASE_CONFIG["grid"], "log_floor": 5.0}},
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, overrides):
@@ -336,6 +345,7 @@ class TestExitCodes:
             ("tolerances.identity", {"tolerances": {"identity": -1.0}}),
             ("synthetic_exponent", {"synthetic_exponent": math.nan}),
             ("t_mx", {"grid": {"t_mx": 5.0}}),
+            ("grid.log_floor", {"grid": {"t_max": 1.0, "log_floor": 1.0}}),
         ],
     )
     def test_config_error_names_the_field(self, field, overrides):

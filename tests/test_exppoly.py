@@ -9,14 +9,19 @@ import singlim.exppoly as exppoly
 from singlim.exppoly import (
     ExpPoly,
     _difference_value,
-    _moment_series,
     divided_difference_exp,
     evaluate,
     integrate,
+    moment_tables,
     power_exp_moment,
 )
 
-from conftest import integral_to_infinity
+from conftest import (
+    integral_to_infinity,
+    moment_series,
+    reference_integral,
+    reference_moment,
+)
 
 
 def test_build_merges_and_drops_zeros():
@@ -293,7 +298,7 @@ def _plain_moment(k: int, mu: complex, t: np.ndarray) -> np.ndarray:
     """power_exp_moment with the upward recurrence on every large point."""
     out = np.empty(t.shape, dtype=complex)
     small = np.abs(mu * t) < 0.8
-    out[small] = _moment_series(k, mu, t[small])
+    out[small] = moment_series(k, mu, t[small])
     tl = t[~small]
     e = np.exp(mu * tl)
     acc = (e - 1.0) / mu
@@ -394,7 +399,7 @@ def test_evaluate_bitwise(t):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("t", _BATCH_TIMES)
 def test_integrate_bitwise(t):
-    values = integrate(_BATCH, t)
+    values = list(integrate(_BATCH, t))
     assert len(values) == len(_BATCH)
     for poly, got in zip(_BATCH, values):
         want = _termwise_integral(poly, t).tobytes()
@@ -405,7 +410,7 @@ def test_integrate_bitwise(t):
 
 def test_evaluate_and_integrate_take_empty_batches():
     assert evaluate([], np.linspace(0.0, 1.0, 5)) == []
-    assert integrate([], 1.0) == []
+    assert list(integrate([], 1.0)) == []
 
 
 def test_evaluate_computes_each_exponential_once(monkeypatch):
@@ -435,5 +440,81 @@ def test_integrate_runs_one_recurrence_per_rate(monkeypatch):
         "_moment_recurrence",
         lambda k, mu, t: calls.append((k, mu)) or recurrence(k, mu, t),
     )
-    integrate(polys, np.linspace(0.0, 5.0, 50))
+    list(integrate(polys, np.linspace(0.0, 5.0, 50)))
     assert sorted(calls, key=lambda c: c[0]) == [(2, _A), (3, -2.0)]
+
+
+# The series of every rate and order of one call runs as one batch; each
+# rate must keep the bits of its own loop (conftest.reference_moment).
+
+_SPREAD = np.geomspace(1e-3, 1e3, 40)
+_MOMENT_RATES = (
+    [0.0, -2.0, 0.4, -1e3, -1e4, complex(-3.0, 2.0), complex(-1e3, 5.0), 3j]
+    + list(-_SPREAD)  # their segments stop at many different iterations
+    + [complex(-x, x / 3) for x in _SPREAD[::4]]
+)
+_MOMENT_TIMES = [
+    # |mu t| = 0.8 falls inside the array for most rates; the fast rates
+    # have dead points (Re(mu t) <= -746) from t = 0.746 on
+    np.concatenate(
+        [[0.0, 1e-5], np.geomspace(1e-4, 0.5, 60), np.linspace(0.51, 20.0, 120)]
+    ),
+    np.append(np.linspace(0.0, 2.0, 41), np.nan),
+    np.float64(0.7),
+    np.float64(0.05),
+    350.0,
+    np.float64(np.nan),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", _MOMENT_TIMES)
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_batched_moments_are_the_per_rate_loops(k, t):
+    assert len(_MOMENT_RATES) >= 50
+    got = [table[k] for table in moment_tables([(mu, [k]) for mu in _MOMENT_RATES], t)]
+    assert len(got) == len(_MOMENT_RATES)
+    for mu, value in zip(_MOMENT_RATES, got):
+        want = reference_moment(k, mu, t).tobytes()
+        assert np.asarray(value).tobytes() == want
+        assert np.asarray(power_exp_moment(k, mu, t)).tobytes() == want
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", _MOMENT_TIMES)
+def test_integrate_is_the_per_rate_loops(t):
+    # every rate at orders 0..3, spread over polynomials that share rates
+    terms = [(k, mu, complex(1 + k, j % 3 - 1)) for j, mu in enumerate(_MOMENT_RATES)
+             for k in range(4)]
+    polys = [ExpPoly.build(terms[i::7]) for i in range(7)]
+    for poly, got in zip(polys, integrate(polys, t), strict=True):
+        want = np.asarray(reference_integral(poly, t)).tobytes()
+        assert np.asarray(got).tobytes() == want
+
+
+def test_integrate_streams_from_one_series_pass(monkeypatch):
+    passes, recurrences = [], []
+    series, recurrence = exppoly._batched_series, exppoly._moment_recurrence
+    monkeypatch.setattr(
+        exppoly, "_batched_series", lambda pairs: passes.append(len(pairs)) or series(pairs)
+    )
+    monkeypatch.setattr(
+        exppoly,
+        "_moment_recurrence",
+        lambda k, mu, t: recurrences.append(mu) or recurrence(k, mu, t),
+    )
+    polys = [
+        ExpPoly.build([(0, -2.0, 1.0), (2, _A, 1.0)]),
+        ExpPoly.build([(1, -2.0, 1.0), (0, -7.0, 1.0)]),
+        ExpPoly.build([(3, -5.0, 1.0), (1, _A, 1.0)]),
+    ]
+    values = integrate(polys, np.linspace(0.0, 5.0, 50))
+    assert passes == [] and recurrences == []
+    next(values)
+    # one pass over all six (rate, order) pairs; only the first polynomial's
+    # recurrences have run
+    assert passes == [6]
+    assert recurrences == [-2.0, _A]
+    list(values)
+    assert passes == [6]
+    assert recurrences == [-2.0, _A, -7.0, -5.0]

@@ -15,6 +15,7 @@ from singlim.profiles import (
     layer_equation_source,
     main_expansion_profile,
     parabolic_profile,
+    sample_together,
     theta_layer,
 )
 from singlim.spectral import SpecVector, Spectrum
@@ -39,10 +40,22 @@ from singlim.verification import (
     run_rate_experiment,
     sup_norm_error,
 )
+import singlim.exppoly as exppoly
 import singlim.verification as verification
-from singlim.verification import _duhamel_convolution, _energy_lhs_curves
+from singlim.verification import (
+    _dissipation_integral_curve,
+    _duhamel_convolution,
+    _energy_lhs_curves,
+)
 
-from conftest import decay_vector, l2_time_norm_quadrature, make_problem, remainders
+from conftest import (
+    decay_vector,
+    l2_time_norm_quadrature,
+    make_problem,
+    reference_integral,
+    reference_moment,
+    remainders,
+)
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +319,85 @@ class TestEnergyChecks:
                 dissipated += mode.squared().integral(ts)
             want = kinetic + potential + dissipated
             assert got.tobytes() == want.tobytes()
+
+
+_DIRICHLET_32 = (np.pi * np.arange(1, 33)) ** 2
+
+
+class TestBatchedIntegralCallSites:
+    """Each call site takes its exact time integrals of all modes from one
+    batched call; the references are the per-mode loops with per-rate
+    moments that came before, and the results must keep their bits."""
+
+    @pytest.mark.parametrize("eps", [0.1, 0.01, 0.001])
+    def test_energy_curves(self, eps):
+        pd = make_problem(_DIRICHLET_32, eps)
+        profiles = [corrector_primary(pd), corrector_halfpower(pd), *remainders(pd)]
+        ts = standard_grid([eps]).times
+        derivs = [p.deriv() for p in profiles]
+        dissipated = [np.zeros(ts.shape) for _ in profiles]
+        for modes in zip(*(dp.modes for dp in derivs)):
+            for acc, mode in zip(dissipated, modes):
+                acc += reference_integral(mode.squared(), ts)
+        got = _energy_lhs_curves(pd, profiles, ts)
+        for p, dp, integral, curve in zip(profiles, derivs, dissipated, got, strict=True):
+            slope, half = sample_together((dp, p.operator_power(0.5)), ts)
+            want = pd.eps * np.sum(slope**2, axis=1) + np.sum(half**2, axis=1) + integral
+            assert curve.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("eps", [0.1, 0.01, 0.001])
+    def test_l2_time_norm(self, eps):
+        pd = make_problem(_DIRICHLET_32, eps)
+        grid = standard_grid([eps])
+        target = kernel_profile(
+            pd.spec, pd.u0.coefficients + eps * pd.u1.coefficients, 0, 0.0
+        )
+        cases = [(exact_solution(pd), target, 0), (corrector_primary(pd), None, 1)]
+        for profile, minus, w in cases:
+            diff = profile if minus is None else profile - minus
+            weight = ExpPoly.build([(w, 0.0, 1.0)])
+            want = np.zeros(1)
+            for mode in diff.modes:
+                sq = mode.squared()
+                if w:
+                    sq = sq.multiply(weight)
+                want += reference_integral(sq, np.array([grid.t_max]))
+            got = l2_time_norm(profile, grid, w, minus=minus)
+            assert np.float64(got).tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("eps", [0.1, 0.01, 0.001])
+    def test_dissipation_curves(self, eps):
+        spec, f = Spectrum(_DIRICHLET_32), decay_vector(32)
+        grid = standard_grid([eps])
+        lam, c2, ts = spec.eigenvalues, f.coefficients**2, grid.times
+        for n in (0, 1, 2):
+            factor = 2.0**n / math.factorial(n)
+            semigroup, dissipated = np.zeros(ts.shape), np.zeros(ts.shape)
+            for i in range(len(spec)):
+                semigroup += c2[i] * np.exp(-2.0 * lam[i] * ts) / 2.0
+                # the real rate -2 lam, as the curve passes it
+                moments = reference_moment(n, -2.0 * lam[i], ts).real
+                semigroup += factor * lam[i] ** (n + 1) * c2[i] * moments
+                dissipated += factor * lam[i] ** (n + 1) * c2[i] * moments
+            got = max_reg_functional(spec, f, n, grid)
+            assert got.tobytes() == semigroup.tobytes()
+            got = _dissipation_integral_curve(spec, f, n, ts)
+            assert got.tobytes() == dissipated.tobytes()
+
+    def test_one_integrate_call_and_series_pass_per_eps(self, grid, monkeypatch):
+        pd = make_problem(_DIRICHLET_32[:8], 0.01)
+        rem = remainders(pd)
+        calls, passes = [], []
+        integrate, series = verification.integrate, exppoly._batched_series
+        monkeypatch.setattr(
+            verification, "integrate", lambda polys, t: calls.append(1) or integrate(polys, t)
+        )
+        monkeypatch.setattr(
+            exppoly, "_batched_series", lambda pairs: passes.append(1) or series(pairs)
+        )
+        energy_inequality_checks(pd, grid, remainders=rem)
+        assert calls == [1]
+        assert passes == [1]
 
 
 class TestExplicitSupBound:

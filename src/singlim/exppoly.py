@@ -261,7 +261,15 @@ def _difference_value(nodes: tuple[complex, ...], t: np.ndarray) -> np.ndarray:
         a, b = nodes
         if a.imag == 0 and b.imag == 0:
             a, b = a.real, b.real
-        return np.exp(b * t) * np.expm1((a - b) * t) / (a - b)
+        x = (a - b) * t
+        # below the normal range x has lost bits (or all of them, rounding
+        # to 0 for a subnormal gap); there expm1(x)/(a - b) = t to the ulp.
+        # Those points divide 1 by 1 instead: complex division by a
+        # subnormal overflows.
+        tiny = np.abs(x) < np.finfo(float).tiny
+        quotient = np.expm1(np.where(tiny, 1.0, x)) / np.where(tiny, 1.0, a - b)
+        ratio = np.where(tiny, t, quotient)
+        return np.exp(b * t) * ratio
     shift, r, table = _difference_table(nodes)
     n = len(nodes) - 1
     flat = t.ravel()

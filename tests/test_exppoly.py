@@ -130,6 +130,18 @@ def test_divided_difference_pair_and_confluent_limit():
     np.testing.assert_allclose(got.real, ts**2 * np.exp(-2 * ts) / 2, rtol=1e-14)
 
 
+@pytest.mark.parametrize("gap", [5e-324, 3e-321, 1e-310, -5e-324j, 2e-315 + 7e-320j])
+def test_divided_difference_pair_subnormal_gap(gap):
+    # a gap times t below the normal range rounds to few bits or to 0; the
+    # pair is then t e^{bt} to the ulp, not expm1(0)/gap = 0
+    ts = np.linspace(0.0, 6.0, 13)
+    got = divided_difference_exp((-gap, 0.0), ts)
+    np.testing.assert_allclose(got.real, ts, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(got.imag, 0.0, atol=1e-300)
+    got = divided_difference_exp((-1.0 - gap, -1.0), ts)
+    np.testing.assert_allclose(got.real, ts * np.exp(-ts), rtol=1e-15, atol=1e-300)
+
+
 @pytest.mark.parametrize("spread", [1e-13, 1e-6, 0.3, 2.0])
 def test_divided_difference_three_nodes(spread):
     # series and scaling-and-squaring paths against the partial-fraction form

@@ -7,7 +7,9 @@ integrals for the energy functionals, with quadrature demoted to a
 cross-check.
 
 Rates mu may be complex; real-valued functions carry conjugate term pairs
-and evaluation returns the real part.
+and evaluation returns the real part, summed in real arithmetic: a real
+rate takes a real exponential, and a conjugate pair shares one exponential
+and one cosine and sine of its phase.
 
 Rates that are close but not equal would need large cancelling
 coefficients in that form: (e^{at} - e^{bt}) / (a - b) for a near b.  Such
@@ -485,44 +487,77 @@ class ExpPoly:
 def evaluate(polys, t) -> list:
     """[p.value(t) for p in polys]: real parts at scalar or array t.
 
-    The polynomials share one exponential per rate, one underflow mask per
-    decay rate, one power of t per order and one value per divided
-    difference, but each adds its own terms in its own order: every value
-    is the plain sum of c * t**k * e^{mu t} over its terms, bit for bit.
+    Each term adds Re(c * t**k * e^{mu t}) = t**k * (Re c Re e - Im c Im e)
+    in float64, and a divided difference d adds Re c Re d - Im c Im d.  A
+    real rate takes the real exponential.  A complex rate's exponential is
+    made once per (Re mu, |Im mu|), as e^{Re(mu) t} times the cosine and
+    sine of |Im mu| t, and its conjugate reuses it with the sign of Im e
+    flipped.  The polynomials share those exponentials, one set of live
+    times per decay rate, one power of t per order and one value per
+    divided difference, but each adds its own terms in its own order:
+    every value is the real termwise sum above, bit for bit.
+
     A term is evaluated only where its exponential does not underflow to
-    0, so at t = inf such a term reads 0 instead of inf * 0 = NaN.
+    0, so at t = inf such a term reads 0 instead of inf * 0 = NaN.  On
+    sorted 1-D times those points are a prefix and are taken as a slice.
     """
     t = np.asarray(t, dtype=float)
     # a term live at the latest time takes every time (a decaying term
-    # underflows there first); a NaN time makes t_max NaN, which keeps
-    # every term on every time
-    t_max = float(t.max()) if t.size else 0.0
+    # underflows there first); NaN times are not counted, and only when
+    # every time is NaN does t_max read NaN and keep every term
+    t_max = float(np.fmax.reduce(t, axis=None)) if t.size else 0.0
     live = {None: (..., t)}  # decay rate -> (index of the live times, those times)
     powers, exps, diffs = {}, {}, {}
-    # drop each exponential after its last use: wide arrays kept alive are slower
-    uses = collections.Counter(mu for poly in polys for _, mu, _ in poly.terms)
     values = []
     for poly in polys:
-        acc = np.zeros(t.shape, dtype=complex)
+        acc = np.zeros(t.shape)
         for k, mu, c in poly.terms:
-            decay = mu.real if mu.real * t_max <= _UNDERFLOW_EXPONENT else None
+            x, y = mu.real, mu.imag
+            decay = x if x * t_max <= _UNDERFLOW_EXPONENT else None
             if decay not in live:
-                mask = mu.real * t > _UNDERFLOW_EXPONENT
-                live[decay] = mask, t[mask]
-            mask, tl = live[decay]
-            if (k, decay) not in powers:
-                powers[k, decay] = tl**k
-            if mu not in exps:
-                exps[mu] = np.exp(mu * tl)
-            uses[mu] -= 1
-            e = exps[mu] if uses[mu] else exps.pop(mu)
-            acc[mask] += c * powers[k, decay] * e
+                live[decay] = _live_times(decay, t)
+            at, tl = live[decay]
+            key = (x, abs(y))
+            if key not in exps:
+                r = np.exp(x * tl)
+                if y != 0:
+                    phase = key[1] * tl
+                    r = (r * np.cos(phase), r * np.sin(phase))
+                exps[key] = r
+            if y == 0:
+                term = c.real * exps[key]
+            else:
+                re, im = exps[key]
+                term = c.real * re - (c.imag if y > 0 else -c.imag) * im
+            if k:
+                if (k, decay) not in powers:
+                    powers[k, decay] = tl**k
+                term *= powers[k, decay]
+            acc[at] += term
         for nodes, c in poly.differences:
             if nodes not in diffs:
                 diffs[nodes] = _difference_value(nodes, t)
-            acc += c * diffs[nodes]
-        values.append(acc.real if acc.ndim else float(acc.real))
+            d = diffs[nodes]
+            acc += c.real * d.real - c.imag * d.imag if np.iscomplexobj(d) else c.real * d
+        values.append(acc if acc.ndim else float(acc))
     return values
+
+
+def _live_times(decay: float, t: np.ndarray):
+    """(index, times) of the points where e^{decay t} does not underflow,
+    NaN times included: a leading slice on sorted 1-D times with decay < 0,
+    a mask otherwise."""
+    if decay < 0 and t.ndim == 1 and (t[1:] >= t[:-1]).all():
+        # decay * t <= _UNDERFLOW_EXPONENT from the first dead point on;
+        # the search lands within rounding of it, the steps settle it
+        n = int(np.searchsorted(t, _UNDERFLOW_EXPONENT / decay))
+        while n > 0 and decay * t[n - 1] <= _UNDERFLOW_EXPONENT:
+            n -= 1
+        while n < t.size and not decay * t[n] <= _UNDERFLOW_EXPONENT:
+            n += 1
+        return slice(0, n), t[:n]
+    live = ~(decay * t <= _UNDERFLOW_EXPONENT)
+    return live, t[live]
 
 
 def integrate(polys, t):

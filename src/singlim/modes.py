@@ -4,7 +4,7 @@ Solves eps*y'' + y' + lam*y = (a + b*t)*exp(-nu*t) exactly.  With p, n the
 roots of q(z) = eps*z**2 + z + lam and m = -nu, the Laplace transform gives
 one formula in divided differences of z -> e^{zt}:
 
-    y = y0 e^{nt} + (y1 - n*y0) exp[p, n]
+    y = y0 e^{pt} + (y1 - p*y0) exp[p, n]
         + (a/eps) exp[p, n, m] + (b/eps) exp[p, n, m, m].
 
 No coefficient is divided by q(-nu) or by the root gap sqrt(1 - 4*eps*lam),
@@ -117,10 +117,15 @@ def characteristic_roots(eps: float, lam: float) -> RootPair:
 
 
 def _homogeneous_poly(roots: RootPair, y0: float, y1: float) -> ExpPoly:
-    """Homogeneous solution y0 e^{nt} + (y1 - n*y0) exp[p, n] matching
-    (y(0), y'(0)) = (y0, y1)."""
+    """Homogeneous solution y0 e^{pt} + (y1 - p*y0) exp[p, n] matching
+    (y(0), y'(0)) = (y0, y1).
+
+    p is the slow root: with the fast root n ~ -1/eps in its place, the
+    coefficient of e^{nt} would come out of cancelling O(|y0|) terms and
+    the slope n*c would keep unit roundoff * |y0| / eps of rounding.
+    """
     p, n = roots.mu_plus, roots.mu_minus
-    return ExpPoly.build([(0, n, y0)], [((p, n), y1 - n * y0)])
+    return ExpPoly.build([(0, p, y0)], [((p, n), y1 - p * y0)])
 
 
 @dataclass(frozen=True)
@@ -162,7 +167,8 @@ class ModeTrajectory:
 
 
 def solve_homogeneous(p: ModeParams) -> ModeTrajectory:
-    """Exact unforced solution y0 e^{nt} + (y1 - n*y0) exp[p, n]."""
+    """Exact unforced solution y0 e^{pt} + (y1 - p*y0) exp[p, n], with p
+    the slow root and n the fast one (see _homogeneous_poly)."""
     roots = characteristic_roots(p.eps, p.lam)
     poly = _homogeneous_poly(roots, p.y0, p.y1)
     return ModeTrajectory(p, ZERO_FORCING, roots, poly, ExpPoly.zero(), 0)

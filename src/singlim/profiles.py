@@ -134,8 +134,9 @@ def sample_together(profiles, ts) -> list[np.ndarray]:
     """[p.sample(ts) for p in profiles], for profiles on one spectrum.
 
     Mode by mode the profiles share one table of exponentials and powers
-    (exppoly.evaluate), so a rate they have in common is evaluated once;
-    the values are the same, bit for bit, as sampling them one by one.
+    (exppoly.evaluate), so a rate they have in common, or its conjugate,
+    is evaluated once; each value is the real termwise sum of its mode's
+    terms, the same bit for bit as sampling the profiles one by one.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     for p in profiles[1:]:

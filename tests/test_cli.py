@@ -243,6 +243,25 @@ class TestVerify:
         report = json.loads((out / "report.json").read_text())
         assert any("precondition" in r["note"] for r in report)
 
+    def test_small_eps_initial_data_checks_pass(self, tmp_path):
+        # the remainders' initial slopes at eps down to 1e-11: the fast-root
+        # form of the mode solution missed w'(0) by 5.7e-6 and 1.1e-5 at
+        # eps = 1e-11, against a tolerance of 3.3e-7
+        cfg = write_config(
+            tmp_path,
+            spectrum="three-mode",
+            u0={"family": "decay", "p": 2.0},
+            u1={"family": "decay", "p": 2.0},
+            epsilons=[1e-9, 1e-10, 1e-11],
+            checks=["identities", "data", "inequalities", "energy"],
+        )
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert {"data.remainder1_initial[eps=1e-11]", "data.remainder2_initial[eps=1e-11]"} <= {
+            r["id"] for r in report
+        }
+
     def test_byte_identical_reports(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -255,13 +255,25 @@ def test_difference_algebra_matches_quadrature():
     assert integral_to_infinity(p) == pytest.approx(want, rel=1e-9)
 
 
+def _real_term(k: int, mu: complex, c: complex, t) -> np.ndarray:
+    """Re(c * t**k * e^{mu t}) = t**k * (Re c Re e - Im c Im e) in float64,
+    with Re e = e^{Re(mu) t} cos(|Im mu| t) and Im e = +-e^{Re(mu) t}
+    sin(|Im mu| t), negated when Im mu < 0."""
+    r = np.exp(mu.real * t)
+    if mu.imag == 0:
+        return t**k * (c.real * r)
+    phase = abs(mu.imag) * t
+    im = r * np.sin(phase)
+    return t**k * (c.real * (r * np.cos(phase)) - c.imag * (im if mu.imag > 0 else -im))
+
+
 def _plain_value(poly: ExpPoly, t) -> np.ndarray:
-    """Every plain term on every point, in complex arithmetic."""
+    """Every plain term on every point, in real arithmetic."""
     t = np.asarray(t, dtype=float)
-    acc = np.zeros(t.shape, dtype=complex)
+    acc = np.zeros(t.shape)
     for k, mu, c in poly.terms:
-        acc += c * t**k * np.exp(mu * t)
-    return acc.real
+        acc += _real_term(k, mu, c, t)
+    return acc
 
 
 # all live, partly live (long and short), the fastest term underflowed,
@@ -306,6 +318,121 @@ def test_value_skips_underflowed_points(monkeypatch):
     assert sorted(sizes) == [112, 301]
 
 
+def test_evaluate_exponentials_and_live_slices(monkeypatch):
+    # a real rate takes a real exponential and no phase, a conjugate pair
+    # shares one exponential and one phase, and on sorted times a decayed
+    # rate's live points are a leading slice: no boolean gather or scatter
+    exps, cosines, indexes = [], [], []
+    exp, cos, live_times = np.exp, np.cos, exppoly._live_times
+
+    def counted_live_times(decay, t):
+        index, times = live_times(decay, t)
+        indexes.append(type(index))
+        return index, times
+
+    monkeypatch.setattr(np, "exp", lambda x: exps.append(np.asarray(x).dtype.kind) or exp(x))
+    monkeypatch.setattr(np, "cos", lambda x: cosines.append(np.size(x)) or cos(x))
+    monkeypatch.setattr(exppoly, "_live_times", counted_live_times)
+    t = np.linspace(0.0, 20.0, 301)  # e^{-100 t} == 0 from t = 7.46 on
+    real = [ExpPoly.build([(0, -2.0, 1.0), (1, -2.0, 0.5 + 1j), (0, -100.0, 1.0)])]
+    evaluate(real, t)
+    assert exps == ["f", "f"] and cosines == [] and indexes == [slice]
+    pairs = [
+        ExpPoly.build([(0, _A, 1 + 0.5j), (0, _A.conjugate(), 1 - 0.5j)]),
+        ExpPoly.build([(1, _A.conjugate(), 2j), (0, complex(-1.0, 5.0), 1.0)]),
+        ExpPoly.build([(0, complex(-100.0, 7.0), 1.0), (2, complex(-100.0, -7.0), 3.0)]),
+    ]
+    exps.clear()
+    indexes.clear()
+    values = evaluate(pairs, t)
+    assert exps == ["f", "f", "f"] and cosines == [301, 301, 112] and indexes == [slice]
+    # unsorted times keep the masks and the same bits
+    indexes.clear()
+    for got, want in zip(evaluate(pairs, t[::-1]), values, strict=True):
+        assert got.tobytes() == want[::-1].tobytes()
+    assert indexes == [np.ndarray]
+
+
+@pytest.mark.parametrize("decay", [-1.0, -100.0, -1e3 / 3, -7e4])
+def test_live_prefix_is_the_mask_count(decay):
+    # times packed within a few ulps of the cutoff, repeated, and spread out
+    cut = exppoly._UNDERFLOW_EXPONENT / decay
+    near = cut + np.arange(-6, 7) * np.spacing(cut)
+    for t in (np.sort(np.concatenate([near, near, [0.0, cut / 2, 2 * cut]])),
+              near[:3], near[-3:], np.array([cut])):
+        index, times = exppoly._live_times(decay, t)
+        n = np.count_nonzero(decay * t > exppoly._UNDERFLOW_EXPONENT)
+        assert index == slice(0, n) and times.tobytes() == t[:n].tobytes()
+
+
+# Accuracy of evaluate against 50 digits.  A term's error is that of its
+# exponential, a few ulps times max(1, |mu t|) (the rounding of mu t moves
+# the phase), times its size |c| t^k e^{Re(mu) t}; a divided difference of
+# n + 1 nodes is at most t^n/n! e^{max Re(z) t} (Hermite-Genocchi).  At the
+# underflow edge a subnormal exponential, or one skipped at Re(mu t) <=
+# -746, is off by up to the smallest subnormal, times |c| t^k.
+
+_GATE_POLYS = [
+    _SHORTCUT_POLYS[0],  # conjugate pairs with complex coefficients
+    ExpPoly.build([(0, complex(-1.0, 2.0), 0.5 - 0.25j),
+                   (0, complex(-1.0, -2.0), 0.5 + 0.25j), (1, -2.0, 1.5)]),
+    ExpPoly.build([(1, complex(-0.5, 3.0), 1 - 2j)]),  # a lone complex term
+    # |Im(mu) t| up to 1e4 on [0, 10]
+    ExpPoly.build([(0, complex(-1e-2, 1e3), 1 + 1j), (2, complex(-1e-3, -500.0), 0.5j)]),
+    _near_resonant_poly(),  # a grouped pair and triple of real nodes
+    ExpPoly.build([], [((-2 + 0.3j, -2 - 0.3j, -2.05), 1 + 0.5j),
+                       ((-1 + 0.1j, -1.05 + 0.1j), 2 - 1j)]),
+    # e^{-100 t} is subnormal from t = 7.08 and 0 from t = 7.46
+    ExpPoly.build([(0, -100.0, 3.0), (2, complex(-100.0, 40.0), 1 - 1j)]),
+]
+_GATE_TIMES = np.sort(np.concatenate(
+    [[0.0, 1e-3], np.linspace(0.05, 10.0, 24), np.linspace(7.05, 7.47, 15)]
+))
+
+
+def _value_mp(poly: ExpPoly, t: float) -> float:
+    with mp.workdps(50):
+        tm = mp.mpf(t)
+        acc = mp.mpf(0)
+        for k, mu, c in poly.terms:
+            acc += (mp.mpc(c) * tm**k * mp.exp(mp.mpc(mu) * tm)).real
+        for nodes, c in poly.differences:
+            acc += (mp.mpc(c) * mp.mpc(_exp_difference_mp(nodes, t))).real
+        return float(acc)
+
+
+def _gate(poly: ExpPoly, t: float) -> float:
+    # (|c| t^k, Re mu) per term, (|c| t^n/n!, max Re z) per difference
+    parts = [(abs(c) * t**k, mu.real) for k, mu, c in poly.terms]
+    parts += [(abs(c) * t ** (len(z) - 1) / math.factorial(len(z) - 1), max(x.real for x in z))
+              for z, c in poly.differences]
+    envelope = sum(size * math.exp(growth * t) for size, growth in parts)
+    rates = [mu for _, mu, _ in poly.terms] + [z for nodes, _ in poly.differences for z in nodes]
+    phase = max(1.0, max(abs(mu) * t for mu in rates))
+    tiny = np.finfo(float).smallest_subnormal
+    return 4 * np.finfo(float).eps * phase * envelope + 2 * tiny * sum(size for size, _ in parts)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("poly", _GATE_POLYS)
+def test_evaluate_against_50_digits(poly):
+    for ts in (_GATE_TIMES, _GATE_TIMES[::-1]):  # prefix slices and masks
+        for t, got in zip(ts, evaluate([poly], ts)[0], strict=True):
+            assert abs(got - _value_mp(poly, t)) <= _gate(poly, t)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("poly", [p for p in _GATE_POLYS if not p.differences])
+def test_evaluate_at_nan_and_inf_times(poly):
+    # every rate here decays: at t = inf each term is skipped and reads 0
+    # (not inf * 0 = NaN); a NaN time gives NaN
+    ts = np.array([1.0, np.inf, np.nan])
+    got = evaluate([poly], ts)[0]
+    assert abs(got[0] - _value_mp(poly, 1.0)) <= _gate(poly, 1.0)
+    assert got[1] == 0.0 and np.isnan(got[2])
+    assert poly.value(np.inf) == 0.0 and np.isnan(poly.value(np.nan))
+
+
 def _plain_moment(k: int, mu: complex, t: np.ndarray) -> np.ndarray:
     """power_exp_moment with the upward recurrence on every large point."""
     out = np.empty(t.shape, dtype=complex)
@@ -336,12 +463,11 @@ def test_moment_underflow_shortcut_bitwise(k, mu):
 
 def _termwise_value(poly: ExpPoly, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    acc = np.zeros(t.shape, dtype=complex)
-    for k, mu, c in poly.terms:
-        acc += c * t**k * np.exp(mu * t)
+    acc = _plain_value(poly, t)
     for nodes, c in poly.differences:
-        acc += c * _difference_value(nodes, t)
-    return acc.real
+        d = _difference_value(nodes, t)
+        acc += c.real * d.real - c.imag * d.imag if np.iscomplexobj(d) else c.real * d
+    return acc
 
 
 def _termwise_integral(poly: ExpPoly, t) -> np.ndarray:

@@ -357,34 +357,59 @@ class TestRemainders:
             )
 
 
-def _forced_mode_mp(eps, lam, a, y0, y1, t):
-    """y(t) for eps y'' + y' + lam y = a e^{-lam t}, y(0) = y0, y'(0) = y1,
-    as A e^{pt} + B e^{nt} + C e^{-lam t} with mpmath numbers."""
+def _forced_mode_mp(eps, lam, a, y0, y1, t, order=0):
+    """The order-th derivative of y(t) for eps y'' + y' + lam y = a e^{-lam t},
+    y(0) = y0, y'(0) = y1, as A e^{pt} + B e^{nt} + C e^{-lam t} with mpmath
+    numbers."""
     root = mp.sqrt(1 - 4 * eps * lam)
     p, n = (-1 + root) / (2 * eps), (-1 - root) / (2 * eps)
     c = a / (eps * lam**2) if a else mp.mpf(0)  # q(-lam) = eps lam^2
     big_a = (y1 + lam * c - n * (y0 - c)) / (p - n)
     big_b = y0 - c - big_a
-    return big_a * mp.exp(p * t) + big_b * mp.exp(n * t) + c * mp.exp(-lam * t)
+    return sum(
+        coeff * rate**order * mp.exp(rate * t)
+        for coeff, rate in ((big_a, p), (big_b, n), (c, -lam))
+    )
 
 
-def _remainder_mp(eps, lam, u0, u1, j, t):
-    """w(t) of one mode as the decomposition residual (split corrector -
-    profile part [+ second split component]) / eps, at 50 digits, where
-    the subtraction costs nothing that matters."""
+def _kernel_part_mp(alpha, beta, lam, t, order):
+    """The order-th derivative (0 or 1) of (alpha + beta t) e^{-lam t}."""
+    value = alpha + beta * t
+    if order:
+        value = beta - lam * value
+    return value * mp.exp(-lam * t)
+
+
+def _remainder_mp(eps, lam, u0, u1, j, t, order=0):
+    """The order-th derivative (0 or 1) of w(t) of one mode as the
+    decomposition residual (split corrector - profile part [+ second split
+    component]) / eps, at 50 digits, where the subtraction costs nothing
+    that matters."""
     eps, lam, u0, u1, t = map(mp.mpf, (eps, lam, u0, u1, t))
     jac = 1 / (1 + eps * lam)
     if j == 1:
         f = u0 * jac
-        split = _forced_mode_mp(eps, lam, lam * f, eps * lam * f, lam * f, t)
-        part = (2 * eps * lam * f + lam * f * t) * mp.exp(-lam * t)
+        split = _forced_mode_mp(eps, lam, lam * f, eps * lam * f, lam * f, t, order)
+        part = _kernel_part_mp(2 * eps * lam * f, lam * f, lam, t, order)
         return (split - part) / eps
     v1 = lam * u0 + u1
     f = v1 * jac
-    split = _forced_mode_mp(eps, lam, eps * lam * f, -eps * f, -f, t)
-    part = (-2 * eps * f + eps * lam * f * t) * mp.exp(-lam * t)
-    u2 = _forced_mode_mp(eps, lam, 0, 0, v1, t)
+    split = _forced_mode_mp(eps, lam, eps * lam * f, -eps * f, -f, t, order)
+    part = _kernel_part_mp(-2 * eps * f, eps * lam * f, lam, t, order)
+    u2 = _forced_mode_mp(eps, lam, 0, 0, v1, t, order)
     return (split - part + u2) / eps
+
+
+def _layer_times(eps):
+    """Times through the initial layer and after it."""
+    return np.array([0.0, eps / 2, eps, 3 * eps, 10 * eps, 100 * eps, 1e-3, 0.1,
+                     1.0, 3.0, 10.0, 20.0])
+
+
+def _mp_table(ts, mode_value):
+    """mode_value(i, t) at 50 digits for the three modes, as floats."""
+    with mp.workdps(50):
+        return np.array([[mode_value(i, t) for i in range(3)] for t in ts], dtype=float)
 
 
 class TestSmallEpsReference:
@@ -399,17 +424,47 @@ class TestSmallEpsReference:
         pd = make_problem([0.0, 1.0, 4.0], eps)
         lam = pd.spec.eigenvalues
         u0, u1 = pd.u0.coefficients, pd.u1.coefficients
-        ts = np.array([0.0, eps / 2, eps, 3 * eps, 10 * eps, 100 * eps, 1e-3, 0.1,
-                       1.0, 3.0, 10.0, 20.0])
+        ts = _layer_times(eps)
         got = corrector_remainder(pd, j).sample(ts)
-        with mp.workdps(50):
-            want = np.array(
-                [[_remainder_mp(eps, lam[i], u0[i], u1[i], j, t) for i in range(3)]
-                 for t in ts],
-                dtype=float,
-            )
+        want = _mp_table(ts, lambda i, t: _remainder_mp(eps, lam[i], u0[i], u1[i], j, t))
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    # The slopes inside the layer: written as y0 e^{nt} + (y1 - n y0) exp[p, n]
+    # with the fast root n ~ -1/eps, the coefficient of e^{nt} cancels O(|y0|)
+    # terms and the slope keeps unit roundoff * |y0| / eps: errors of 6e-9 to
+    # 1.3e-6 of the scale for the solution and 5e-10 to 2.5e-6 for the
+    # remainders here.  The slow-root form stays within a few ulps.
+    @pytest.mark.parametrize("eps", [1e-8, 1e-9, 1e-10, 1e-11])
+    def test_exact_solution_slope_matches_50_digits(self, eps):
+        pd = make_problem([0.0, 1.0, 4.0], eps)
+        lam = pd.spec.eigenvalues
+        u0, u1 = pd.u0.coefficients, pd.u1.coefficients
+        ts = _layer_times(eps)
+        got = exact_solution(pd).deriv().sample(ts)
+        want = _mp_table(
+            ts,
+            lambda i, t: _forced_mode_mp(
+                mp.mpf(eps), mp.mpf(lam[i]), 0, mp.mpf(u0[i]), mp.mpf(u1[i]),
+                mp.mpf(t), 1,
+            ),
+        )
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-9, 1e-10, 1e-11])
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_remainder_slope_matches_50_digit_reference(self, eps, j):
+        pd = make_problem([0.0, 1.0, 4.0], eps)
+        lam = pd.spec.eigenvalues
+        u0, u1 = pd.u0.coefficients, pd.u1.coefficients
+        ts = _layer_times(eps)
+        got = corrector_remainder(pd, j).deriv().sample(ts)
+        want = _mp_table(
+            ts, lambda i, t: _remainder_mp(eps, lam[i], u0[i], u1[i], j, t, order=1)
+        )
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
 
 class TestLayerSource:

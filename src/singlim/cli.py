@@ -49,6 +49,7 @@ from .verification import (
     remainder_data_checks,
     resolvent_bound_margin,
     run_rate_experiment,
+    squared_norms,
 )
 
 __all__ = [
@@ -453,19 +454,14 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
             ),
             ts,
         )
-
-        def norms(mat):
-            return np.sqrt(np.sum(mat**2, axis=1))
-
-        columns = [
-            ts,
-            norms(su),
-            norms(sv),
-            norms(sth),
-            norms(su - sv),
-            norms(su - (sv + sth)),
-            norms(su - sexp),
+        # every sample and difference is squared in place, after its last use
+        errors = [
+            squared_norms(su - sv),
+            squared_norms(su - (sv + sth)),
+            squared_norms(su - sexp),
         ]
+        sizes = [squared_norms(x) for x in (su, sv, sth)]
+        columns = [ts] + [np.sqrt(x) for x in sizes + errors]
         del su, sv, sth, sexp  # free this eps's samples before the next are made
         header = "t,norm_u,norm_v,norm_theta,err_order0,err_theta,err_order2"
         files[f"trajectory_eps{eps:g}.csv"] = _csv(header, columns)

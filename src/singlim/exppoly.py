@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ExpPoly", "divided_difference_exp", "evaluate", "integrate",
-           "moment_tables", "power_exp_moment"]
+__all__ = ["ExpPoly", "SampleTimes", "accumulate", "divided_difference_exp",
+           "evaluate", "integrate", "moment_tables", "power_exp_moment"]
 
 # Below this value of |mu*t| the upward recurrence for the moments
 # int_0^t s**k exp(mu*s) ds loses digits to cancellation; use the series.
@@ -257,7 +257,14 @@ def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _difference_value(nodes: tuple[complex, ...], t: np.ndarray) -> np.ndarray:
-    """exp[nodes](t) for a sorted group of unequal nodes and a float array t."""
+    """exp[nodes](t) for a sorted group of unequal nodes and a float array t,
+    at every time of t.
+
+    Its last node has the largest real part, and the value is e^{z_n t}
+    times a bounded factor, so it is exactly +-0 wherever e^{z_n t}
+    underflows: accumulate passes only the live times of Re z_n.  The
+    series order follows the largest small time passed in.
+    """
     if len(nodes) == 2:
         # e^{bt} * expm1((a - b) t) / (a - b), Re(a - b) <= 0 after sorting
         a, b = nodes
@@ -293,7 +300,10 @@ def _scaled_squaring(table: np.ndarray, r: float, t: np.ndarray) -> np.ndarray:
 
     The table is held entry by entry, one array over the times per entry
     i <= j, and squared as (E^2)_ij = sum_{i<=k<=j} E_ik E_kj.  A time that
-    is not finite has no squaring count and gives NaN.
+    is not finite has no squaring count and gives NaN.  Through accumulate
+    that is a NaN time, or t = inf for a group whose largest rate does not
+    decay: a decaying group never gets t = inf, which is one of its dead
+    times and reads 0.
     """
     n = table.shape[0] - 1
     out = np.full(t.shape, np.nan, dtype=table.dtype)
@@ -308,17 +318,17 @@ def _scaled_squaring(table: np.ndarray, r: float, t: np.ndarray) -> np.ndarray:
         for i in range(n + 1)
         for j in range(i, n + 1)
     }
-    # sorted by squarings, the points still to square form a leading slice
+    # sorted by squarings, the points still to square form a leading slice;
+    # the widest entries go first, so each is squared in place: (E^2)_ij
+    # reads only entries no wider than (i, j), and of its width only itself
+    keys = sorted(entry, key=lambda ij: ij[0] - ij[1])
     for step in range(squarings.max(initial=0)):
         m = int(np.count_nonzero(squarings > step))
-        squared = {}
-        for i, j in entry:
+        for i, j in keys:
             acc = entry[i, i][:m] * entry[i, j][:m]
             for k in range(i + 1, j + 1):
                 acc += entry[i, k][:m] * entry[k, j][:m]
-            squared[i, j] = acc
-        for key, value in squared.items():
-            entry[key][:m] = value
+            entry[i, j][:m] = acc
     out[finite] = entry[0, n]
     return out
 
@@ -484,42 +494,68 @@ class ExpPoly:
         )
 
 
+class SampleTimes(dict):
+    """Times t, and {decay: (index, times)}: the live times of e^{decay t},
+    the points where it does not underflow, found at a rate's first use
+    and shared by every evaluation on t.  The key None holds every time.
+
+    A rate live at the latest time takes every time (a decaying rate
+    underflows there first); NaN times are not counted, and only when
+    every time is NaN does t_max read NaN and keep every rate live.
+    """
+
+    __slots__ = ("t", "t_max")
+
+    def __init__(self, t: np.ndarray):
+        self.t = t
+        self.t_max = float(np.fmax.reduce(t, axis=None)) if t.size else 0.0
+
+    def __missing__(self, decay: float | None):
+        live = (..., self.t) if decay is None else _live_times(decay, self.t)
+        self[decay] = live
+        return live
+
+
 def evaluate(polys, t) -> list:
-    """[p.value(t) for p in polys]: real parts at scalar or array t.
+    """[p.value(t) for p in polys]: real parts at scalar or array t, each
+    accumulated into a fresh zero array."""
+    times = SampleTimes(np.asarray(t, dtype=float))
+    rows = [np.zeros(times.t.shape) for _ in polys]
+    accumulate(polys, times, rows)
+    return [row if row.ndim else float(row) for row in rows]
+
+
+def accumulate(polys, times: SampleTimes, rows) -> None:
+    """Add p's values at times.t to row, in place, for p, row in zip(polys, rows).
 
     Each term adds Re(c * t**k * e^{mu t}) = t**k * (Re c Re e - Im c Im e)
     in float64, and a divided difference d adds Re c Re d - Im c Im d.  A
-    real rate takes the real exponential.  A complex rate's exponential is
+    real rate takes the real exponential, and a rate 0 takes ones, so a
+    constant reads itself at t = inf.  A complex rate's exponential is
     made once per (Re mu, |Im mu|), as e^{Re(mu) t} times the cosine and
     sine of |Im mu| t, and its conjugate reuses it with the sign of Im e
-    flipped.  The polynomials share those exponentials, one set of live
-    times per decay rate, one power of t per order and one value per
-    divided difference, but each adds its own terms in its own order:
-    every value is the real termwise sum above, bit for bit.
+    flipped.  The polynomials share those exponentials, one power of t per
+    order and decay rate and one value per divided difference, but each
+    adds its own terms in its own order: a row that starts at zero gets the
+    real termwise sum above, bit for bit.
 
-    A term is evaluated only where its exponential does not underflow to
-    0, so at t = inf such a term reads 0 instead of inf * 0 = NaN.  On
-    sorted 1-D times those points are a prefix and are taken as a slice.
+    A term is evaluated only at the live times of its decay rate (times),
+    and a divided difference only at those of its largest rate: elsewhere
+    its value is exactly +-0, which leaves a sum started at +0 as it is,
+    and at t = inf it reads 0 instead of inf * 0 = NaN.  On sorted 1-D
+    times the live times are a leading slice.
     """
-    t = np.asarray(t, dtype=float)
-    # a term live at the latest time takes every time (a decaying term
-    # underflows there first); NaN times are not counted, and only when
-    # every time is NaN does t_max read NaN and keep every term
-    t_max = float(np.fmax.reduce(t, axis=None)) if t.size else 0.0
-    live = {None: (..., t)}  # decay rate -> (index of the live times, those times)
+    t_max = times.t_max
     powers, exps, diffs = {}, {}, {}
-    values = []
-    for poly in polys:
-        acc = np.zeros(t.shape)
+    for poly, acc in zip(polys, rows):
         for k, mu, c in poly.terms:
             x, y = mu.real, mu.imag
             decay = x if x * t_max <= _UNDERFLOW_EXPONENT else None
-            if decay not in live:
-                live[decay] = _live_times(decay, t)
-            at, tl = live[decay]
+            at, tl = times[decay]
             key = (x, abs(y))
             if key not in exps:
-                r = np.exp(x * tl)
+                # rate 0 takes ones, as exp(0 * inf) would be NaN; NaN times stay NaN
+                r = np.exp(x * tl) if x else np.where(np.isnan(tl), tl, 1.0)
                 if y != 0:
                     phase = key[1] * tl
                     r = (r * np.cos(phase), r * np.sin(phase))
@@ -536,11 +572,15 @@ def evaluate(polys, t) -> list:
             acc[at] += term
         for nodes, c in poly.differences:
             if nodes not in diffs:
-                diffs[nodes] = _difference_value(nodes, t)
-            d = diffs[nodes]
-            acc += c.real * d.real - c.imag * d.imag if np.iscomplexobj(d) else c.real * d
-        values.append(acc if acc.ndim else float(acc))
-    return values
+                # sorted nodes: the last has the largest real part
+                x = nodes[-1].real
+                at, tl = times[x if x * t_max <= _UNDERFLOW_EXPONENT else None]
+                diffs[nodes] = at, _difference_value(nodes, tl)
+            at, d = diffs[nodes]
+            if np.iscomplexobj(d):
+                acc[at] += c.real * d.real - c.imag * d.imag
+            else:
+                acc[at] += c.real * d
 
 
 def _live_times(decay: float, t: np.ndarray):

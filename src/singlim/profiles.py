@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exppoly import ExpPoly, evaluate
+from .exppoly import ExpPoly, SampleTimes, accumulate
 from .modes import ForcingTerm, ModeParams, solve_forced, solve_homogeneous
 from .spectral import SpecVector, Spectrum, apply_power, norm, resolvent
 
@@ -94,7 +94,8 @@ class ProfileFunction:
         return SpecVector(np.array([m.derivative().value(t) for m in self.modes]))
 
     def sample(self, ts) -> np.ndarray:
-        """Values on an array of times, shape (len(ts), n_modes)."""
+        """Values on an array of times, shape (len(ts), n_modes), mode-major
+        (see sample_together)."""
         return sample_together((self,), ts)[0]
 
     def deriv(self) -> "ProfileFunction":
@@ -133,19 +134,23 @@ class ProfileFunction:
 def sample_together(profiles, ts) -> list[np.ndarray]:
     """[p.sample(ts) for p in profiles], for profiles on one spectrum.
 
-    Mode by mode the profiles share one table of exponentials and powers
-    (exppoly.evaluate), so a rate they have in common, or its conjugate,
-    is evaluated once; each value is the real termwise sum of its mode's
-    terms, the same bit for bit as sampling the profiles one by one.
+    Each profile is sampled into a zeroed mode-major (n_modes, n_times)
+    buffer, returned as its transposed (n_times, n_modes) view.  Mode by
+    mode, exppoly.accumulate adds the modes' terms into their rows in
+    place, sharing one table of exponentials and powers, so a rate the
+    profiles have in common, or its conjugate, is evaluated once; the live
+    times of each decay rate are found once for all modes.  Each value is
+    the real termwise sum of its mode's terms, the same bit for bit as
+    sampling the profiles one by one.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     for p in profiles[1:]:
         profiles[0]._check(p)
-    samples = [np.empty((ts.size, len(p.modes))) for p in profiles]
+    times = SampleTimes(ts)
+    buffers = [np.zeros((len(p.modes), ts.size)) for p in profiles]
     for i, modes in enumerate(zip(*(p.modes for p in profiles))):
-        for sample, values in zip(samples, evaluate(modes, ts)):
-            sample[:, i] = values
-    return samples
+        accumulate(modes, times, [buffer[i] for buffer in buffers])
+    return [buffer.T for buffer in buffers]
 
 
 def kernel_profile(

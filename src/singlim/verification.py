@@ -58,6 +58,7 @@ __all__ = [
     "max_reg_checks",
     "fit_rate",
     "run_rate_experiment",
+    "squared_norms",
 ]
 
 # Error values below this are treated as rounding noise by the rate fit.
@@ -96,9 +97,13 @@ _GAUSS_NODES = 10
 _PANEL_EPS = 2.0
 
 # The Duhamel quadrature samples the nodes of consecutive grid intervals
-# together, one ExpPoly.value call per mode for about this many nodes; the
-# bound keeps each block's arrays at about 100 KB whatever the grid (the
+# together, one sample_together call per block of nodes.  A block's
+# mode-major buffer holds at most _DUHAMEL_BLOCK_VALUES values (512 KB, no
+# more than a grid sample of 32 modes, so it adds nothing to the peak
+# memory), and each mode's row at most _DUHAMEL_BLOCK_NODES, which keeps
+# the per-mode working arrays at about 100 KB whatever the grid (the
 # scaling and squaring of a 3-node difference holds a dozen of them).
+_DUHAMEL_BLOCK_VALUES = 2**16
 _DUHAMEL_BLOCK_NODES = 8192
 
 
@@ -166,8 +171,16 @@ class CheckReport:
         }
 
 
-def _row_norms(matrix: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(matrix**2, axis=1))
+def squared_norms(samples: np.ndarray) -> np.ndarray:
+    """|x(t)|^2 for each time of samples (n_times, n_modes): the squares
+    added over the modes one mode at a time, in mode order, whatever the
+    memory layout.  The samples are squared in place, so no second wide
+    array is made: callers pass a buffer they own and no longer need."""
+    samples *= samples
+    total = np.zeros(samples.shape[0])
+    for column in samples.T:
+        total += column
+    return total
 
 
 def sup_norm_error(a: ProfileFunction, b: ProfileFunction, grid: TimeGrid) -> float:
@@ -205,7 +218,7 @@ def l2_time_norm(
     operands = (profile,) if minus is None else (profile, minus)
     diff = profile if minus is None else profile - minus
     samp = diff.sample(grid.quad_points)
-    integrand = grid.quad_points**weight_power * np.sum(samp**2, axis=1)
+    integrand = grid.quad_points**weight_power * squared_norms(samp)
     peak = float(np.max(integrand))
     scales = sum(np.array([m.coefficient_scale() for m in p.modes]) for p in operands)
     rounding = _ROUNDING_ULPS * np.finfo(float).eps * scales
@@ -269,7 +282,7 @@ def resolvent_bound_margin(spec: Spectrum, eps: float, f: SpecVector) -> float:
 def _max_gap(a: ProfileFunction, b: ProfileFunction, ts: np.ndarray) -> float:
     sa, sb = sample_together((a, b), ts)
     sa -= sb  # in place: a third wide array costs page faults in a fresh process
-    return float(np.max(_row_norms(sa)))
+    return float(np.max(np.sqrt(squared_norms(sa))))
 
 
 def identity_checks(
@@ -454,8 +467,8 @@ def _energy_lhs_curves(
     curves = []
     for p, dp, integral in zip(profiles, derivs, dissipated):
         slope, half = sample_together((dp, p.operator_power(0.5)), ts)
-        kinetic = pd.eps * np.sum(slope**2, axis=1)
-        curves.append(kinetic + np.sum(half**2, axis=1) + integral)
+        kinetic = pd.eps * squared_norms(slope)
+        curves.append(kinetic + squared_norms(half) + integral)
     return curves
 
 
@@ -638,7 +651,7 @@ def byparts_convolution_bound(
         axis=1,
     )
     weighted = eps * lam[np.newaxis, :] * pd.v1.coefficients[np.newaxis, :] * kernels
-    sup = float(np.max(_row_norms(weighted)))
+    sup = float(np.max(np.sqrt(squared_norms(weighted))))
     bound = eps**1.5 / 2.0 * norm(apply_power(pd.spec, 0.5, pd.v1))
     tolerance = slack * max(1.0, bound)
     return CheckReport(
@@ -660,9 +673,11 @@ def _duhamel_convolution(
     kernel's reach (45 eps) before each right endpoint; earlier history
     enters through the exact interval-to-interval decay factor, so the
     kernel never overflows.  The nodes of consecutive intervals are sampled
-    together: a block holds the intervals whose first node falls in one
-    window of _DUHAMEL_BLOCK_NODES nodes, so it has at most that many plus
-    one interval's 230.
+    together, in one sample_together call per block: a block holds the
+    intervals whose first node falls in one window of the block size (see
+    _DUHAMEL_BLOCK_VALUES), so it has at most that many plus one
+    interval's 230.  Each interval's weighted values are summed per mode
+    by one reduceat over the block's mode-major rows.
     """
     gl_x, gl_w = np.polynomial.legendre.leggauss(_GAUSS_NODES)
     reach = 45.0 * eps  # kernel support: e^{-45} is below double rounding
@@ -674,10 +689,15 @@ def _duhamel_convolution(
     ).astype(int)
     with_nodes = np.flatnonzero(n_sub)
     first_node = (np.cumsum(n_sub[with_nodes]) - n_sub[with_nodes]) * _GAUSS_NODES
-    window = first_node // _DUHAMEL_BLOCK_NODES
+    n_modes = len(integrand.modes)
+    size = max(min(_DUHAMEL_BLOCK_VALUES // n_modes, _DUHAMEL_BLOCK_NODES), 1)
+    window = first_node // size
     blocks = np.split(with_nodes, np.flatnonzero(np.diff(window)) + 1)
 
-    local = np.zeros((ts.size - 1, len(integrand.modes)))
+    # interval k's own integral goes to convo[k + 1]; the decay recursion
+    # then adds the history in place
+    convo = np.zeros((ts.size, n_modes))
+    local = convo[1:]
     for ks in blocks:
         # subpanel edges as np.linspace(lo, t_right, n_sub + 1) per interval
         counts = n_sub[ks]
@@ -694,15 +714,12 @@ def _duhamel_convolution(
         nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
         weights = (half[:, None] * gl_w[None, :]).ravel()
         weights *= np.exp((nodes - np.repeat(t_right[k_sub], _GAUSS_NODES)) / eps)
-        for i, mode in enumerate(integrand.modes):
-            local[ks, i] = np.add.reduceat(
-                weights * mode.value(nodes), first_sub * _GAUSS_NODES
-            )
+        rows = integrand.sample(nodes).T  # mode-major, one row per mode
+        rows *= weights
+        local[ks] = np.add.reduceat(rows, first_sub * _GAUSS_NODES, axis=1).T
 
-    convo = np.zeros((ts.size, len(integrand.modes)))
     for k in range(ts.size - 1):
-        decay = math.exp(-(ts[k + 1] - ts[k]) / eps)
-        convo[k + 1] = decay * convo[k] + local[k]
+        convo[k + 1] += math.exp(-(ts[k + 1] - ts[k]) / eps) * convo[k]
     return convo
 
 
@@ -731,7 +748,7 @@ def duhamel_residual(
     integrand = sm_v1 + source.scale(math.sqrt(eps))
     convo = _duhamel_convolution(integrand, ts, eps)
 
-    residual = float(np.max(_row_norms(u_two.sample(ts) - convo)))
+    residual = float(np.max(np.sqrt(squared_norms(u_two.sample(ts) - convo))))
     tolerance = tol * max(norm(pd.v1), 1e-30)
     reports = [
         CheckReport(
@@ -959,10 +976,9 @@ def run_rate_experiment(
             profiles.append(u.deriv())
         samples = sample_together(profiles, grid.with_layer_points([eps]).times)
         for k, name in enumerate(measured, start=1):
-            # in place, as x * x is x**2: fresh wide arrays cost page faults
+            # in place: fresh wide arrays cost page faults
             samples[k] -= samples[-1] if name == "cor2" else samples[0]
-            samples[k] *= samples[k]
-            pairs[name].append(float(np.max(np.sqrt(np.sum(samples[k], axis=1)))))
+            pairs[name].append(float(np.max(np.sqrt(squared_norms(samples[k])))))
         del samples  # free this eps's samples before the next are made
     for name, errors in pairs.items():
         if isinstance(errors, ValueError):

@@ -15,6 +15,7 @@ from singlim.exppoly import (
     moment_tables,
     power_exp_moment,
 )
+from singlim.modes import ForcingTerm, ModeParams, solve_forced, solve_homogeneous
 
 from conftest import (
     integral_to_infinity,
@@ -351,6 +352,67 @@ def test_evaluate_exponentials_and_live_slices(monkeypatch):
     for got, want in zip(evaluate(pairs, t[::-1]), values, strict=True):
         assert got.tobytes() == want[::-1].tobytes()
     assert indexes == [np.ndarray]
+
+
+# Limits at t = inf: a rate-0 term reads its constant and a decayed
+# divided-difference group reads 0, with no RuntimeWarning.
+
+@pytest.mark.filterwarnings("error")
+def test_rate_zero_reads_its_constant_at_infinity():
+    constant = ExpPoly.build([(0, 0.0, 2.0)])
+    assert constant.value(np.inf) == 2.0
+    assert np.isnan(constant.value(np.nan))
+    # a kernel mode (lam = 0) tends to u0 + eps u1
+    kernel = solve_homogeneous(ModeParams(0.1, 0.0, 1.0, 0.5)).poly
+    assert kernel.value(np.inf) == pytest.approx(1.05, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_decayed_group_reads_zero_at_infinity():
+    params, forcing = ModeParams(0.01, 4.0, 1.0, -0.5), ForcingTerm(0.3, -0.2, 4.0)
+    mode = solve_forced(params, forcing).poly
+    assert any(len(nodes) > 2 for nodes, _ in mode.differences)
+    got = mode.value([1.0, 50.0, np.inf])
+    assert got[:2].tobytes() == mode.value([1.0, 50.0]).tobytes()
+    assert got[0] == pytest.approx(0.0196, rel=1e-2)
+    assert got[1] == pytest.approx(-7.4e-86, rel=1e-2)
+    assert got[2] == 0.0
+
+
+_SKIPPED_GROUPS = [
+    ((-50.0, -50.3), 1.5),  # a pair: the expm1 form
+    ((-50.0, -50.2, -50.5), 0.7 - 0.2j),  # series and scaling and squaring
+    ((complex(-40.0, -3.0), complex(-40.0, 3.0), -40.5), 2.0 + 1j),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("nodes, c", _SKIPPED_GROUPS)
+def test_decayed_group_is_skipped(nodes, c, monkeypatch):
+    # where the group's largest rate underflows the group is not evaluated
+    # and reads +0; at the live points it is the group evaluated on those
+    # points alone, on sorted and on unsorted times
+    poly = ExpPoly.build((), [(nodes, c)])
+    ((group, coeff),) = poly.differences
+    sizes = []
+    value = exppoly._difference_value
+    monkeypatch.setattr(
+        exppoly, "_difference_value", lambda z, t: sizes.append(t.size) or value(z, t)
+    )
+    t = np.append(np.linspace(0.0, 30.0, 301), np.inf)
+    for ts in (t, np.random.default_rng(2).permutation(t)):
+        live = ~(group[-1].real * ts <= exppoly._UNDERFLOW_EXPONENT)
+        assert 0 < np.count_nonzero(live) < ts.size - 1
+        sizes.clear()
+        got = poly.value(ts)
+        assert sizes == [np.count_nonzero(live)]
+        d = value(group, ts[live])
+        want = np.zeros(ts.shape)
+        if np.iscomplexobj(d):
+            want[live] += coeff.real * d.real - coeff.imag * d.imag
+        else:
+            want[live] += coeff.real * d
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("decay", [-1.0, -100.0, -1e3 / 3, -7e4])

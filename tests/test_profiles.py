@@ -21,6 +21,7 @@ from singlim.profiles import (
     split_components,
     theta_layer,
 )
+import singlim.exppoly as exppoly
 from singlim.spectral import SpecVector, Spectrum, norm, resolvent
 from singlim.timegrid import standard_grid
 
@@ -541,9 +542,36 @@ class TestSampleTogether:
         for prof, got in zip(profiles, samples):
             want = np.column_stack([m.value(ts) for m in prof.modes])
             assert got.shape == (ts.size, len(pd.spec))
-            assert got.flags.c_contiguous
+            assert got.T.flags.c_contiguous  # mode-major buffer
             assert got.tobytes() == want.tobytes()
             assert prof.sample(ts).tobytes() == want.tobytes()
+
+    def test_one_live_times_call_per_decaying_rate(self, monkeypatch):
+        # dirichlet-32: every mode shares the live times of each decay rate,
+        # e^{-t/eps} and the group rates among them
+        eps = 0.001
+        pd = make_problem((np.pi * np.arange(1, 33)) ** 2, eps)
+        profiles = [
+            exact_solution(pd),
+            main_expansion_profile(pd),
+            layer_equation_source(pd, corrector_remainder(pd, 2)),
+        ]
+        ts = standard_grid([eps]).times
+        calls = []
+        live_times = exppoly._live_times
+
+        def counted(decay, t):
+            calls.append(decay)
+            return live_times(decay, t)
+
+        monkeypatch.setattr(exppoly, "_live_times", counted)
+        sample_together(profiles, ts)
+        modes = [m for p in profiles for m in p.modes]
+        rates = {mu.real for m in modes for _, mu, _ in m.terms}
+        rates |= {nodes[-1].real for m in modes for nodes, _ in m.differences}
+        decaying = {x for x in rates if x * ts[-1] <= exppoly._UNDERFLOW_EXPONENT}
+        assert -1.0 / eps in decaying
+        assert sorted(calls) == sorted(decaying)
 
     def test_scalar_time_and_one_profile(self):
         pd = make_problem([0.0, 1.0, 4.0], 0.1)

@@ -38,6 +38,7 @@ from singlim.verification import (
     remainder_data_checks,
     resolvent_bound_margin,
     run_rate_experiment,
+    squared_norms,
     sup_norm_error,
 )
 import singlim.exppoly as exppoly
@@ -324,6 +325,19 @@ class TestEnergyChecks:
 _DIRICHLET_32 = (np.pi * np.arange(1, 33)) ** 2
 
 
+class TestSquaredNorms:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_sums_squares_in_mode_order(self, order):
+        x = np.asarray(np.random.default_rng(1).standard_normal((50, 33)), order=order)
+        want = np.zeros(50)
+        for i in range(33):
+            want = want + x[:, i] * x[:, i]
+        squares = x * x
+        assert squared_norms(x).tobytes() == want.tobytes()
+        assert x.tobytes() == squares.tobytes()  # squared in place
+        assert squared_norms(np.zeros((4, 0))).tobytes() == np.zeros(4).tobytes()
+
+
 class TestBatchedIntegralCallSites:
     """Each call site takes its exact time integrals of all modes from one
     batched call; the references are the per-mode loops with per-rate
@@ -495,6 +509,47 @@ def _per_interval_convolution(integrand, ts, eps):
     return convo
 
 
+def _per_mode_convolution(integrand, ts, eps):
+    """The Duhamel quadrature with blocks of 8192 nodes sampled one mode at
+    a time by ExpPoly.value, each mode's weighted values summed by its own
+    reduceat, and the decay recursion into a separate array."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(verification._GAUSS_NODES)
+    g = verification._GAUSS_NODES
+    reach = 45.0 * eps
+    t_right = ts[1:]
+    lo = np.maximum(ts[:-1], t_right - reach)
+    width = t_right - lo
+    n_sub = np.where(
+        width > 0, np.maximum(np.ceil(width / (verification._PANEL_EPS * eps)), 1), 0
+    ).astype(int)
+    with_nodes = np.flatnonzero(n_sub)
+    first_node = (np.cumsum(n_sub[with_nodes]) - n_sub[with_nodes]) * g
+    blocks = np.split(with_nodes, np.flatnonzero(np.diff(first_node // 8192)) + 1)
+    local = np.zeros((ts.size - 1, len(integrand.modes)))
+    for ks in blocks:
+        counts = n_sub[ks]
+        first_sub = np.cumsum(counts) - counts
+        k_sub = np.repeat(ks, counts)
+        j_sub = np.arange(k_sub.size) - np.repeat(first_sub, counts)
+        step = width[k_sub] / n_sub[k_sub]
+        left = j_sub * step + lo[k_sub]
+        right = np.where(
+            j_sub + 1 == n_sub[k_sub], t_right[k_sub], (j_sub + 1) * step + lo[k_sub]
+        )
+        half = 0.5 * (right - left)
+        mid = 0.5 * (right + left)
+        nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
+        weights = (half[:, None] * gl_w[None, :]).ravel()
+        weights *= np.exp((nodes - np.repeat(t_right[k_sub], g)) / eps)
+        for i, mode in enumerate(integrand.modes):
+            local[ks, i] = np.add.reduceat(weights * mode.value(nodes), first_sub * g)
+    convo = np.zeros((ts.size, len(integrand.modes)))
+    for k in range(ts.size - 1):
+        decay = math.exp(-(ts[k + 1] - ts[k]) / eps)
+        convo[k + 1] = decay * convo[k] + local[k]
+    return convo
+
+
 class TestDuhamel:
     def test_single_mode_representation(self):
         pd = make_problem([1.0], 0.1, p=0.0)
@@ -519,6 +574,19 @@ class TestDuhamel:
         batched = _duhamel_convolution(integrand, ts, eps)
         reference = _per_interval_convolution(integrand, ts, eps)
         assert np.max(np.abs(batched - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("eps", [0.1, 0.01, 0.001])
+    def test_block_sampling_is_the_per_mode_loop(self, eps):
+        # dirichlet-32: one sample_together call per block of 2048 nodes,
+        # against per-mode value calls on blocks of 8192, bit for bit
+        pd = make_problem(_DIRICHLET_32, eps)
+        source = layer_equation_source(pd, remainders(pd)[1])
+        integrand = kernel_profile(pd.spec, pd.v1.coefficients, 0, 0.0) + source.scale(
+            math.sqrt(eps)
+        )
+        ts = standard_grid([eps]).times
+        got = _duhamel_convolution(integrand, ts, eps)
+        assert got.tobytes() == _per_mode_convolution(integrand, ts, eps).tobytes()
 
     @pytest.mark.parametrize("eps", [0.1, 0.01, 0.001])
     def test_quadrature_against_four_times_finer_panels(self, eps, monkeypatch):

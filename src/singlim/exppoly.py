@@ -262,7 +262,7 @@ def _difference_value(nodes: tuple[complex, ...], t: np.ndarray) -> np.ndarray:
 
     Its last node has the largest real part, and the value is e^{z_n t}
     times a bounded factor, so it is exactly +-0 wherever e^{z_n t}
-    underflows: accumulate passes only the live times of Re z_n.  The
+    underflows: its callers pass only the live times of Re z_n.  The
     series order follows the largest small time passed in.
     """
     if len(nodes) == 2:
@@ -301,9 +301,9 @@ def _scaled_squaring(table: np.ndarray, r: float, t: np.ndarray) -> np.ndarray:
     The table is held entry by entry, one array over the times per entry
     i <= j, and squared as (E^2)_ij = sum_{i<=k<=j} E_ik E_kj.  A time that
     is not finite has no squaring count and gives NaN.  Through accumulate
-    that is a NaN time, or t = inf for a group whose largest rate does not
-    decay: a decaying group never gets t = inf, which is one of its dead
-    times and reads 0.
+    and divided_difference_exp that is a NaN time, or t = inf for a group
+    whose largest rate does not decay: a decaying group never gets t = inf,
+    which is one of its dead times and reads 0.
     """
     n = table.shape[0] - 1
     out = np.full(t.shape, np.nan, dtype=table.dtype)
@@ -340,15 +340,19 @@ def divided_difference_exp(nodes, t):
     e^{bt} expm1((a-b)t)/(a-b); more nodes use a Taylor series of the
     shifted nodes while max|w|*t is small and scaling and squaring beyond.
     The relative error is that of the exponentials themselves (a few ulps
-    times max|z*t|), whatever the spacing of the nodes.
+    times max|z*t|), whatever the spacing of the nodes.  As in accumulate,
+    only the live times of the largest rate are evaluated: elsewhere the
+    value is exactly 0, also at t = inf for a decaying group.
     """
     nodes = tuple(sorted((complex(z) for z in nodes), key=_node_key))
-    t = np.asarray(t, dtype=float)
+    times = SampleTimes(np.asarray(t, dtype=float))
+    at, tl = times.live(nodes[-1].real)
+    out = np.zeros(times.t.shape, dtype=complex)
     n = len(nodes) - 1
     if all(z == nodes[0] for z in nodes):
-        out = t**n * np.exp(nodes[0] * t) / math.factorial(n)
+        out[at] = tl**n * np.exp(nodes[0] * tl) / math.factorial(n)
     else:
-        out = _difference_value(nodes, t) + 0j
+        out[at] = _difference_value(nodes, tl)
     return out if out.ndim else complex(out)
 
 
@@ -420,11 +424,6 @@ class ExpPoly:
     @staticmethod
     def zero() -> "ExpPoly":
         return ExpPoly(())
-
-    @staticmethod
-    def exponential(c: float, mu: complex) -> "ExpPoly":
-        """c * exp(mu*t)."""
-        return ExpPoly.build([(0, mu, c)])
 
     def value(self, t):
         """Evaluate at scalar or array t; returns the real part (see evaluate)."""
@@ -502,18 +501,24 @@ class SampleTimes(dict):
     A rate live at the latest time takes every time (a decaying rate
     underflows there first); NaN times are not counted, and only when
     every time is NaN does t_max read NaN and keep every rate live.
+    Whether t is 1-D and ascending is decided once, here.
     """
 
-    __slots__ = ("t", "t_max")
+    __slots__ = ("t", "t_max", "ascending")
 
     def __init__(self, t: np.ndarray):
         self.t = t
         self.t_max = float(np.fmax.reduce(t, axis=None)) if t.size else 0.0
+        self.ascending = t.ndim == 1 and bool((t[1:] >= t[:-1]).all())
 
     def __missing__(self, decay: float | None):
-        live = (..., self.t) if decay is None else _live_times(decay, self.t)
+        live = (..., self.t) if decay is None else _live_times(decay, self)
         self[decay] = live
         return live
+
+    def live(self, rate: float):
+        """(index, times) of the live times of e^{rate t}."""
+        return self[rate if rate * self.t_max <= _UNDERFLOW_EXPONENT else None]
 
 
 def evaluate(polys, t) -> list:
@@ -573,8 +578,7 @@ def accumulate(polys, times: SampleTimes, rows) -> None:
         for nodes, c in poly.differences:
             if nodes not in diffs:
                 # sorted nodes: the last has the largest real part
-                x = nodes[-1].real
-                at, tl = times[x if x * t_max <= _UNDERFLOW_EXPONENT else None]
+                at, tl = times.live(nodes[-1].real)
                 diffs[nodes] = at, _difference_value(nodes, tl)
             at, d = diffs[nodes]
             if np.iscomplexobj(d):
@@ -583,11 +587,12 @@ def accumulate(polys, times: SampleTimes, rows) -> None:
                 acc[at] += c.real * d
 
 
-def _live_times(decay: float, t: np.ndarray):
-    """(index, times) of the points where e^{decay t} does not underflow,
-    NaN times included: a leading slice on sorted 1-D times with decay < 0,
-    a mask otherwise."""
-    if decay < 0 and t.ndim == 1 and (t[1:] >= t[:-1]).all():
+def _live_times(decay: float, times: SampleTimes):
+    """(index, times) of the points of times.t where e^{decay t} does not
+    underflow, NaN times included: a leading slice on ascending 1-D times
+    with decay < 0, a mask otherwise."""
+    t = times.t
+    if decay < 0 and times.ascending:
         # decay * t <= _UNDERFLOW_EXPONENT from the first dead point on;
         # the search lands within rounding of it, the steps settle it
         n = int(np.searchsorted(t, _UNDERFLOW_EXPONENT / decay))

@@ -13,7 +13,7 @@ the measured margin, the tolerance used, and a provenance note.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,6 +54,7 @@ __all__ = [
     "explicit_sup_bound",
     "l2_deviation_bounds",
     "byparts_convolution_bound",
+    "inequality_checks",
     "duhamel_residual",
     "max_reg_checks",
     "fit_rate",
@@ -161,14 +162,28 @@ class CheckReport:
     note: str = ""
 
     def to_dict(self) -> dict:
-        d = asdict(self)
         return {
-            "id": d["check_id"],
-            "pass": d["passed"],
-            "margin": d["margin"],
-            "tolerance": d["tolerance"],
-            "note": d["note"],
+            "id": self.check_id,
+            "pass": self.passed,
+            "margin": self.margin,
+            "tolerance": self.tolerance,
+            "note": self.note,
         }
+
+
+def _at_most(
+    check_id: str, value: float, bound: float, tolerance: float, note: str
+) -> CheckReport:
+    """The check value <= bound + tolerance, with margin bound + tolerance - value."""
+    return CheckReport(
+        check_id, value <= bound + tolerance, bound + tolerance - value, tolerance, note
+    )
+
+
+def _measured(check_id: str, value: float, note: str) -> CheckReport:
+    """A record that only measures: it passes, with the value as its margin
+    and an infinite tolerance."""
+    return CheckReport(check_id, True, value, float("inf"), note)
 
 
 def squared_norms(samples: np.ndarray) -> np.ndarray:
@@ -290,13 +305,15 @@ def identity_checks(
     grid: TimeGrid,
     remainders: tuple[ProfileFunction, ProfileFunction],
     tol: float = 1e-8,
+    superposition_tol: float = 1e-10,
 ) -> list[CheckReport]:
     """All closed-form decomposition identities on the grid.
 
     Each identity compares two independently constructed closed forms;
     residuals are measured in the vector norm and compared against
-    tol * (|u0| + |u1|).  ``remainders`` are ``corrector_remainder(pd, j)``
-    for j = 1, 2.
+    tol * (|u0| + |u1|), the superposition of the split against
+    superposition_tol * (|u0| + |u1|).  ``remainders`` are
+    ``corrector_remainder(pd, j)`` for j = 1, 2.
     """
     ts = grid.times
     scale = max(pd.data_scale, 1e-30)
@@ -310,8 +327,7 @@ def identity_checks(
     splits = (corrector_split(pd, 1), corrector_split(pd, 2))
 
     def add(check_id: str, residual: float, note: str, tolerance=tolerance) -> None:
-        passed, margin = residual <= tolerance, tolerance - residual
-        reports.append(CheckReport(check_id, passed, margin, tolerance, note))
+        reports.append(_at_most(check_id, residual, 0.0, tolerance, note))
 
     # solution = smoothed semigroup + eps * primary corrector slope
     ju1 = resolvent(spec, eps, pd.u1)
@@ -386,7 +402,7 @@ def identity_checks(
         "identity.superposition",
         _max_gap(u_one + u_two, u_eps, ts),
         "the two split components add up to the solution",
-        tolerance=1e-10 * scale,
+        tolerance=superposition_tol * scale,
     )
 
     # relaxation equation of the second split component
@@ -437,10 +453,7 @@ def remainder_data_checks(
     for check_id, w, value, slope, note in expected:
         gap_val = float(np.max(np.abs(w.value(0.0).coefficients - value)))
         gap_slope = float(np.max(np.abs(w.derivative(0.0).coefficients - slope)))
-        gap = max(gap_val, gap_slope)
-        reports.append(
-            CheckReport(check_id, gap <= tolerance, tolerance - gap, tolerance, note)
-        )
+        reports.append(_at_most(check_id, max(gap_val, gap_slope), 0.0, tolerance, note))
     return reports
 
 
@@ -502,14 +515,10 @@ def energy_inequality_checks(
          norm(apply_power(pd.spec, 1.0, pd.u0)) ** 2 / 2.0,
          "energy of the half-power corrector stays below |A u0|^2 / 2"),
     ]
-    reports = []
-    for check_id, curve, bound, note in explicit:
-        lhs = float(np.max(curve))
-        tolerance = slack * max(1.0, bound)
-        margin = bound + tolerance - lhs
-        reports.append(
-            CheckReport(check_id, lhs <= bound + tolerance, margin, tolerance, note)
-        )
+    reports = [
+        _at_most(check_id, float(np.max(curve)), bound, slack * max(1.0, bound), note)
+        for check_id, curve, bound, note in explicit
+    ]
 
     # measured constants for the remainder correctors
     seminorms = {
@@ -521,19 +530,15 @@ def energy_inequality_checks(
         lhs = float(np.max(curve))
         measured = lhs / rhs if rhs > 0 else 0.0
         reports.append(
-            CheckReport(
-                check_id=f"energy.remainder{j}_measured",
-                passed=True,
-                margin=measured,
-                tolerance=float("inf"),
-                note=(
-                    f"smallest constant bounding the remainder-{j} energy "
-                    f"by the data seminorm: {measured:.6g} (measured, "
-                    "no explicit constant is asserted)"
-                    if rhs > 0
-                    else f"data seminorm vanishes; remainder-{j} energy "
-                    f"max is {lhs:.3e}"
-                ),
+            _measured(
+                f"energy.remainder{j}_measured",
+                measured,
+                f"smallest constant bounding the remainder-{j} energy "
+                f"by the data seminorm: {measured:.6g} (measured, "
+                "no explicit constant is asserted)"
+                if rhs > 0
+                else f"data seminorm vanishes; remainder-{j} energy "
+                f"max is {lhs:.3e}",
             )
         )
     return reports
@@ -548,12 +553,9 @@ def explicit_sup_bound(
     bound = pd.eps * norm(pd.u1) + math.sqrt(pd.eps) * math.sqrt(
         norm(apply_power(pd.spec, 0.5, pd.u0)) ** 2 + 3.0 * pd.eps * norm(pd.u1) ** 2
     )
-    return CheckReport(
-        check_id="bound.sup_error_explicit",
-        passed=sup <= bound + slack,
-        margin=bound + slack - sup,
-        tolerance=slack,
-        note="sup error of the first-order limit stays below the explicit "
+    return _at_most(
+        "bound.sup_error_explicit", sup, bound, slack,
+        "sup error of the first-order limit stays below the explicit "
         "eps |u1| + sqrt(eps) energy bound",
     )
 
@@ -569,9 +571,7 @@ def _l2_bound_report(
         value = l2_time_norm(profile, grid, minus=minus)
     except NonDecayingIntegrandError as exc:
         return CheckReport(check_id, False, float("-inf"), tolerance, str(exc))
-    return CheckReport(
-        check_id, value <= bound + tolerance, bound + tolerance - value, tolerance, note
-    )
+    return _at_most(check_id, value, bound, tolerance, note)
 
 
 def l2_deviation_bounds(
@@ -653,15 +653,51 @@ def byparts_convolution_bound(
     weighted = eps * lam[np.newaxis, :] * pd.v1.coefficients[np.newaxis, :] * kernels
     sup = float(np.max(np.sqrt(squared_norms(weighted))))
     bound = eps**1.5 / 2.0 * norm(apply_power(pd.spec, 0.5, pd.v1))
-    tolerance = slack * max(1.0, bound)
-    return CheckReport(
-        check_id="bound.byparts_convolution",
-        passed=sup <= bound + tolerance,
-        margin=bound + tolerance - sup,
-        tolerance=tolerance,
-        note="operator-weighted convolution of the semigroup of v1 "
+    return _at_most(
+        "bound.byparts_convolution", sup, bound, slack * max(1.0, bound),
+        "operator-weighted convolution of the semigroup of v1 "
         "stays below eps^(3/2)/2 * |A^(1/2) v1|",
     )
+
+
+def inequality_checks(
+    pd: ProblemData, grid: TimeGrid, slack: float = 1e-8, sup_slack: float = 1e-10
+) -> list[CheckReport]:
+    """The explicit-constant inequalities of one eps: the resolvent bound for
+    the initial data and the layer slope, the sup bound (with sup_slack),
+    and the L2 deviation and by-parts convolution bounds (with slack).
+
+    u1 is in the half-power range when it has no kernel component; then
+    w1 = A^{-1/2} u1 bounds its semigroup integral, and otherwise that
+    record says it is skipped.  A w1 that overflows certifies nothing and
+    gives no record.
+    """
+    lam, u1 = pd.spec.eigenvalues, pd.u1.coefficients
+    margin = min(resolvent_bound_margin(pd.spec, pd.eps, f) for f in (pd.u0, pd.u1, pd.v1))
+    reports = [
+        CheckReport(
+            "bound.resolvent_halfpower", margin >= 0.0, margin, 0.0,
+            "smoothed half-power norm stays below |f|^2/eps for the initial "
+            "data and the layer slope",
+        ),
+        explicit_sup_bound(pd, grid, slack=sup_slack),
+    ]
+    kernel = bool(np.any((lam == 0) & (u1 != 0)))
+    with np.errstate(over="ignore"):
+        w = np.where(lam > 0, u1 / np.sqrt(np.where(lam > 0, lam, 1.0)), 0.0)
+    w1 = SpecVector(w) if not kernel and np.all(np.isfinite(w)) else None
+    reports += l2_deviation_bounds(pd, grid, w1=w1, slack=slack)
+    if kernel:
+        reports.append(
+            CheckReport(
+                "bound.l2_semigroup_range_half", True, 0.0, 0.0,
+                "skipped: u1 has a stationary kernel component, so it is not "
+                "in the half-power range and its semigroup flow is not square "
+                "integrable in time",
+            )
+        )
+    reports.append(byparts_convolution_bound(pd, grid, slack=slack))
+    return reports
 
 
 def _duhamel_convolution(
@@ -728,7 +764,6 @@ def duhamel_residual(
     grid: TimeGrid,
     remainder2: ProfileFunction,
     tol: float = 1e-6,
-    include_byparts: bool = True,
 ) -> list[CheckReport]:
     """Variation-of-constants representation of the second split component.
 
@@ -736,8 +771,7 @@ def duhamel_residual(
     convolution of the semigroup of v1 plus sqrt(eps) times the layer
     source (built from ``remainder2 = corrector_remainder(pd, 2)``), using
     panel-wise Gauss quadrature refined on the eps scale, and compares
-    with the closed form.  Also checks the integrated-by-parts bound
-    eps^{3/2}/2 * |A^{1/2} v1| for the operator-weighted convolution.
+    with the closed form.
     """
     eps = pd.eps
     spec = pd.spec
@@ -749,20 +783,13 @@ def duhamel_residual(
     convo = _duhamel_convolution(integrand, ts, eps)
 
     residual = float(np.max(np.sqrt(squared_norms(u_two.sample(ts) - convo))))
-    tolerance = tol * max(norm(pd.v1), 1e-30)
-    reports = [
-        CheckReport(
-            check_id="duhamel.representation",
-            passed=residual <= tolerance,
-            margin=tolerance - residual,
-            tolerance=tolerance,
-            note="second split component matches its exponentially weighted "
+    return [
+        _at_most(
+            "duhamel.representation", residual, 0.0, tol * max(norm(pd.v1), 1e-30),
+            "second split component matches its exponentially weighted "
             "convolution representation (quadrature-limited tolerance)",
         )
     ]
-    if include_byparts:
-        reports.append(byparts_convolution_bound(pd, grid))
-    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -824,14 +851,10 @@ def max_reg_checks(
             continue
         if n == 0:
             gap = float(np.max(np.abs(mn - half_norm2)))
-            tolerance = 1e-8 * scale
             reports.append(
-                CheckReport(
-                    check_id="maxreg.constant_n0",
-                    passed=gap <= tolerance,
-                    margin=tolerance - gap,
-                    tolerance=tolerance,
-                    note="order-0 dissipation functional is identically |f|^2/2",
+                _at_most(
+                    "maxreg.constant_n0", gap, 0.0, 1e-8 * scale,
+                    "order-0 dissipation functional is identically |f|^2/2",
                 )
             )
             continue
@@ -854,14 +877,10 @@ def max_reg_checks(
         idx = int(np.searchsorted(grid.times, t_limit))
         idx = min(idx, grid.times.size - 1)
         limit_gap = float(abs(mn[idx] - half_norm2))
-        tolerance = 1e-6 * scale
         reports.append(
-            CheckReport(
-                check_id=f"maxreg.limit_n{n}",
-                passed=limit_gap <= tolerance,
-                margin=tolerance - limit_gap,
-                tolerance=tolerance,
-                note=f"order-{n} functional reaches |f|^2/2 once every "
+            _at_most(
+                f"maxreg.limit_n{n}", limit_gap, 0.0, 1e-6 * scale,
+                f"order-{n} functional reaches |f|^2/2 once every "
                 "positive mode has relaxed (t ~ 20 / min positive eigenvalue)",
             )
         )
@@ -869,17 +888,13 @@ def max_reg_checks(
         interior = mn[(grid.times > 0.0) & (grid.times < t_limit)]
         max_gap = float(half_norm2 - np.min(interior)) if interior.size else 0.0
         reports.append(
-            CheckReport(
-                check_id=f"maxreg.finite_time_gap_n{n}",
-                passed=True,
-                margin=max_gap,
-                tolerance=float("inf"),
-                note=(
-                    f"order-{n} functional sits strictly below |f|^2/2 at "
-                    f"finite times (largest observed gap {max_gap:.3e}); a "
-                    "claim of equality at every finite time does not hold "
-                    "for n >= 1, only the bound and the limit do"
-                ),
+            _measured(
+                f"maxreg.finite_time_gap_n{n}",
+                max_gap,
+                f"order-{n} functional sits strictly below |f|^2/2 at "
+                f"finite times (largest observed gap {max_gap:.3e}); a "
+                "claim of equality at every finite time does not hold "
+                "for n >= 1, only the bound and the limit do",
             )
         )
     return reports
@@ -947,11 +962,14 @@ def run_rate_experiment(
     ``sample_together`` call (with u' for cor2).  Each error is the largest
     row norm of a candidate's samples minus its reference's, so it equals
     ``sup_norm_error`` of the pair bit for bit.  The two order-0 statements
-    share one curve and one fit.  Unknown comparison names raise up front.
+    share one curve and one fit.  Unknown comparison names raise up front,
+    and with no comparison nothing is sampled.
     """
     unknown = [c for c in comparisons if c not in COMPARISONS]
     if unknown:
         raise ValueError(f"unknown comparison {unknown[0]!r}")
+    if not comparisons:
+        return {}
     eps_values = sorted((float(e) for e in eps_values), reverse=True)
     if len(eps_values) < 3:
         error = ValueError("need at least 3 eps values for a rate fit")

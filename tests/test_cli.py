@@ -16,8 +16,10 @@ from singlim.cli import (
     EXIT_OK,
     ConfigError,
     ExperimentConfig,
+    FIELDS,
     SPECTRUM_PRESETS,
     _csv,
+    _field_reference,
     fmt,
     main,
 )
@@ -96,7 +98,7 @@ class TestConfig:
         # the log points run from log_floor up to min(1, t_max); without
         # them log_floor is not used
         grid = {"t_max": 0.5, "log_count": 0, "log_floor": 5.0}
-        assert ExperimentConfig.parse({**BASE_CONFIG, "grid": grid}).grid.log_floor == 5.0
+        assert ExperimentConfig.parse({**BASE_CONFIG, "grid": grid})["grid.log_floor"] == 5.0
         with pytest.raises(ConfigError, match=r"grid\.log_floor"):
             ExperimentConfig.parse({**BASE_CONFIG, "grid": {**grid, "log_count": 10}})
 
@@ -262,6 +264,30 @@ class TestVerify:
             r["id"] for r in report
         }
 
+    def test_superposition_tolerance_is_honoured(self, tmp_path):
+        cfg = write_config(tmp_path, tolerances={"superposition": 0.0})
+        out = tmp_path / "out"
+        main(["verify", "--config", str(cfg), "--out", str(out)])
+        report = {r["id"]: r for r in json.loads((out / "report.json").read_text())}
+        for eps in ("0.1", "0.01"):
+            assert report[f"identity.superposition[eps={eps}]"]["tolerance"] == 0.0
+
+    def test_byparts_bound_belongs_to_the_inequalities_group(self, tmp_path):
+        # one record, from the inequalities group, with the configured slack
+        def byparts_records(checks):
+            cfg = write_config(
+                tmp_path, checks=checks, epsilons=[0.1],
+                tolerances={"inequality_slack": 0.0},
+            )
+            out = tmp_path / "-".join(checks)
+            main(["verify", "--config", str(cfg), "--out", str(out)])
+            report = json.loads((out / "report.json").read_text())
+            return [r for r in report if r["id"].startswith("bound.byparts")]
+
+        assert byparts_records(["duhamel"]) == []
+        (record,) = byparts_records(["inequalities", "duhamel"])
+        assert record["tolerance"] == 0.0
+
     def test_byte_identical_reports(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -310,6 +336,19 @@ class TestRates:
         )
 
 
+def test_help_and_readme_list_every_field(capsys):
+    # both come from the field table: --help prints it, README.md holds a copy
+    reference = _field_reference()
+    heads = [line.split(" (")[0] for line in reference.splitlines() if line[0] != " "]
+    assert heads == [path for path, *_ in FIELDS]
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert reference in capsys.readouterr().out
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    begin = "<!-- config fields: generated from singlim.cli.FIELDS -->\n```text\n"
+    assert readme.split(begin)[1].split("\n```\n")[0] == reference
+
+
 class TestExitCodes:
     def test_missing_config_is_io_error(self, tmp_path):
         code = main(["verify", "--config", str(tmp_path / "nope.json")])
@@ -342,6 +381,9 @@ class TestExitCodes:
             {"grid": {**BASE_CONFIG["grid"], "t_mx": 5.0}},
             {"epsilons": [0.1, 0.10000001, 0.01]},
             {"grid": {**BASE_CONFIG["grid"], "log_floor": 5.0}},
+            {"u0": {"family": "decay", "p": 2, "bogus": 1}},
+            {"checks": ["identities", "identities"]},
+            {"comparisons": ["order0_thm11i", "order0_thm11i"]},
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, overrides):
@@ -365,6 +407,10 @@ class TestExitCodes:
             ("synthetic_exponent", {"synthetic_exponent": math.nan}),
             ("t_mx", {"grid": {"t_mx": 5.0}}),
             ("grid.log_floor", {"grid": {"t_max": 1.0, "log_floor": 1.0}}),
+            ("u0.bogus", {"u0": {"family": "decay", "p": 2, "bogus": 1}}),
+            ("checks", {"checks": ["identities", "identities"]}),
+            ("comparisons", {"comparisons": ["order0_thm11i", "order0_thm11i"]}),
+            ("tolerances.identiy", {"tolerances": {"identiy": 1e-8}}),
         ],
     )
     def test_config_error_names_the_field(self, field, overrides):

@@ -379,6 +379,17 @@ def test_decayed_group_reads_zero_at_infinity():
     assert got[2] == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("nodes", [(-1.0, -1.5, -2.0), (-2.0, -2.0, -2.0)])
+def test_decaying_divided_difference_reads_zero_at_infinity(nodes):
+    # a three-node and a confluent group: divided_difference_exp evaluates
+    # only the live times of the largest rate, as accumulate does
+    assert divided_difference_exp(nodes, np.inf) == 0
+    got = divided_difference_exp(nodes, [1.0, 50.0, np.inf])
+    assert got[:2].tobytes() == divided_difference_exp(nodes, [1.0, 50.0]).tobytes()
+    assert got[2] == 0 and got[0] != 0
+
+
 _SKIPPED_GROUPS = [
     ((-50.0, -50.3), 1.5),  # a pair: the expm1 form
     ((-50.0, -50.2, -50.5), 0.7 - 0.2j),  # series and scaling and squaring
@@ -422,7 +433,7 @@ def test_live_prefix_is_the_mask_count(decay):
     near = cut + np.arange(-6, 7) * np.spacing(cut)
     for t in (np.sort(np.concatenate([near, near, [0.0, cut / 2, 2 * cut]])),
               near[:3], near[-3:], np.array([cut])):
-        index, times = exppoly._live_times(decay, t)
+        index, times = exppoly._live_times(decay, exppoly.SampleTimes(t))
         n = np.count_nonzero(decay * t > exppoly._UNDERFLOW_EXPONENT)
         assert index == slice(0, n) and times.tobytes() == t[:n].tobytes()
 

@@ -31,6 +31,7 @@ from singlim.verification import (
     explicit_sup_bound,
     fit_rate,
     identity_checks,
+    inequality_checks,
     l2_deviation_bounds,
     l2_time_norm,
     max_reg_checks,
@@ -474,6 +475,31 @@ class TestL2Bounds:
         (report,) = l2_deviation_bounds(pd, standard_grid([eps]))
         assert report.passed, report.note
 
+    def test_inequality_group_decides_the_halfpower_range(self):
+        # u1 with a kernel component is not in the half-power range, and the
+        # record says it is skipped; without one, w1 = A^(-1/2) u1 bounds
+        # the semigroup integral; a w1 that overflows gives no record
+        eps = 0.1
+        overflow = ProblemData(
+            Spectrum(np.array([1e-320, 1.0])), eps,
+            SpecVector(np.array([1.0, 1.0])), SpecVector(np.array([1e150, 0.0])),
+        )
+        cases = [
+            (make_problem([0.0, 1.0, 4.0], eps), "skipped"),
+            (make_problem([1.0, 4.0], eps), "semigroup integral"),
+            (overflow, None),
+        ]
+        for pd, note in cases:
+            reports = inequality_checks(pd, standard_grid([eps]))
+            by_id = {r.check_id: r for r in reports}
+            assert len(by_id) == len(reports) == (4 if note is None else 5)
+            assert all(r.passed for r in reports)
+            record = by_id.get("bound.l2_semigroup_range_half")
+            if note is None:
+                assert record is None
+            else:
+                assert record.note.startswith(note)
+
     def test_inconsistent_w1_rejected(self, grid):
         spec = Spectrum(np.array([1.0]))
         pd = ProblemData(
@@ -552,11 +578,12 @@ def _per_mode_convolution(integrand, ts, eps):
 
 class TestDuhamel:
     def test_single_mode_representation(self):
+        # the by-parts bound is its own check (the inequalities group)
         pd = make_problem([1.0], 0.1, p=0.0)
-        reports = duhamel_residual(pd, standard_grid([0.1]), remainders(pd)[1])
-        by_id = {r.check_id: r for r in reports}
-        assert by_id["duhamel.representation"].passed
-        assert by_id["bound.byparts_convolution"].passed
+        grid = standard_grid([0.1])
+        (report,) = duhamel_residual(pd, grid, remainders(pd)[1])
+        assert report.check_id == "duhamel.representation" and report.passed
+        assert byparts_convolution_bound(pd, grid).passed
 
     def test_zero_layer_data(self):
         pd = make_problem([1.0, 4.0], 0.1, il0=True)

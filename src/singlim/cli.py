@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .profiles import (
@@ -209,9 +208,9 @@ def _numbers(value, ok=lambda x: True, nonempty=False) -> tuple[float, ...]:
     raise ValueError
 
 
-def _names(choices, value) -> tuple[str, ...]:
+def _names(choices, value, nonempty=False) -> tuple[str, ...]:
     """A JSON list of distinct names from choices, as a tuple."""
-    if not isinstance(value, list):
+    if not isinstance(value, list) or (nonempty and not value):
         raise ValueError
     names = tuple(_name(choices, x) for x in value)
     repeated = sorted({x for x in names if names.count(x) > 1})
@@ -276,8 +275,10 @@ FIELDS = (
     ("grid.log_floor", 1e-6,
      "a finite number > 0, and < min(1, t_max) when log_count > 0", _positive),
     ("checks", "all",
-     f'"all" or a list of distinct check groups from {", ".join(CHECK_GROUPS)}',
-     lambda v, p: CHECK_GROUPS if v == "all" else _names(CHECK_GROUPS, v)),
+     f'"all" or a nonempty list of distinct check groups from '
+     f'{", ".join(CHECK_GROUPS)} (a run with no check would assert nothing)',
+     lambda v, p: CHECK_GROUPS if v == "all"
+     else _names(CHECK_GROUPS, v, nonempty=True)),
     ("comparisons", [],
      f"a list of distinct comparisons for rates from {', '.join(COMPARISONS)} "
      '(cor1 and cor2 need "u1": "il0")',
@@ -437,7 +438,6 @@ def _write_outputs(out_dir: Path, files: dict[str, str], config: ExperimentConfi
         "environment": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")

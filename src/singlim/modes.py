@@ -14,8 +14,8 @@ ExpPoly expands the divided differences: well separated rates become plain
 terms, equal rates become powers of t (the exact-collision cases), and
 close but unequal rates stay grouped as divided differences evaluated by a
 series.  There is no resonance or critical window to tune.  The matrix
-exponential of the augmented 4x4 linear system is provided as an independent
-numerical oracle.
+exponential of the augmented 4x4 linear system, by its own Taylor scaling
+and squaring, is provided as an independent numerical oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .exppoly import ExpPoly
 
@@ -196,25 +195,73 @@ def solve_forced(p: ModeParams, f: ForcingTerm) -> ModeTrajectory:
     return ModeTrajectory(p, f, roots, homog + particular, particular, escalation)
 
 
+# _expm's Taylor degree, and the bound on the power norm of a / 2^s that
+# sets the number s of squarings.
+_TAYLOR_DEGREE = 40
+_TAYLOR_THETA = 6.0
+
+
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """The 1-norm of each matrix of the stack a[..., n, n]."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def _expm(a) -> np.ndarray:
+    """exp(a) for each matrix of a stack a[..., n, n], by scaling and squaring
+    a Taylor polynomial, with the scaling of Al-Mohy & Higham (2009).
+
+    alpha = max(|a^6|^(1/6), |a^7|^(1/7)) in the 1-norm.  The series tail
+    starts at degree 41 >= 6 * 5, so by their Theorem 4.2 the tail of
+    a / 2^s is at most sum_{k>40} 6^k / k! < 3e-18 once alpha / 2^s <= 6,
+    however far from normal a is.  alpha is never above |a|_1, and for the
+    oracle's matrices it is far below: they carry lam/eps, a/eps and b/eps
+    off the diagonal but decay at about 1/eps, and each squaring that a
+    1-norm scaling would add doubles the rounding error.  For the same
+    reason the bound 6 is large and the degree high: the squarings carry
+    most of the rounding error.  Each matrix is squared its own s times,
+    and no more; a matrix whose powers overflow is scaled by its 1-norm
+    instead.
+    """
+    a = np.asarray(a, dtype=float)
+    eye = np.eye(a.shape[-1])
+    a3 = a @ a @ a
+    a6 = a3 @ a3
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        alpha = np.maximum(_norm1(a6) ** (1 / 6), _norm1(a6 @ a) ** (1 / 7))
+        s = np.ceil(np.log2(np.fmin(alpha, _norm1(a)) / _TAYLOR_THETA))
+    s = np.where(s > 0, s, 0).astype(int)
+    x = a * np.ldexp(1.0, -s)[..., None, None]
+    e = eye + x / _TAYLOR_DEGREE
+    for k in range(_TAYLOR_DEGREE - 1, 0, -1):
+        e = eye + (x @ e) / k
+    for k in range(s.max(initial=0)):
+        live = s > k
+        part = e[live]
+        e[live] = part @ part
+    return e
+
+
 def rk_reference_path(p: ModeParams, f: ForcingTerm, ts, tol: float):
     """Oracle values (y, y') at the sample times ts, in any order.
 
     The state (y, y', e^{-nu t}, t e^{-nu t}) obeys z' = M z with a constant
-    4x4 M, so z(t) = expm(t M) z(0) (Van Loan 1978); scipy's Pade scaling
+    4x4 M, so z(t) = exp(t M) z(0) (Van Loan 1978); _expm's Taylor scaling
     and squaring shares no code with the closed form.  `tol` is range
     checked for compatibility but no longer changes the computation.
 
-    The rounding error grows like u*t/eps (u the unit roundoff).  Relative
+    The rounding error grows with t/eps, through the squarings.  Relative
     to max(1, |y|), random modes with lam <= 50 and unit-size data and
-    forcing gave at worst 3.4e-9 at eps = 1e-7 on t <= 5 and 1.8e-9 at
-    eps = 1e-6 on t <= 20, but 1.9e-8 at eps = 1e-7 on t <= 20: the oracle
-    holds a 1e-8 gate while t/eps stays below about 5e7, and no further.
+    forcing gave at worst 4.5e-10 at eps = 1e-7 on t <= 5 and 2.7e-9 at
+    eps = 1e-7 on t <= 20.  A grid of lam up to 50 with slowly decaying
+    forcing of size 2 gave 4.5e-9 for t/eps up to 2e8, 7.0e-9 at 5e8 and
+    1.4e-8 at 1e9: the oracle holds a 1e-8 gate while t/eps stays below
+    about 5e8, and no further.
     """
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError("oracle tolerance must lie in [1e-13, 1e-6]")
     ts = np.asarray(ts, dtype=float)
-    if np.any(ts < 0):
-        raise ValueError("sample times must be nonnegative")
+    if not np.all((ts >= 0) & (ts < np.inf)):
+        raise ValueError("sample times must be finite and nonnegative")
     e, nu = p.eps, f.nu
     m = np.array(
         [
@@ -224,5 +271,5 @@ def rk_reference_path(p: ModeParams, f: ForcingTerm, ts, tol: float):
             [0.0, 0.0, 1.0, -nu],
         ]
     )
-    z = expm(ts[..., None, None] * m) @ np.array([p.y0, p.y1, 1.0, 0.0])
+    z = _expm(ts[..., None, None] * m) @ np.array([p.y0, p.y1, 1.0, 0.0])
     return z[..., 0], z[..., 1]

@@ -16,6 +16,13 @@ import numpy as np
 __all__ = ["TimeGrid", "standard_grid"]
 
 
+def _distinct_sorted(times) -> np.ndarray:
+    """The distinct values of times in increasing order: np.unique for finite
+    times, without the numpy.ma import that np.unique makes on its first call."""
+    t = np.sort(times)
+    return t[np.concatenate(([True], t[1:] != t[:-1]))]
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Strictly increasing sample times starting at 0, with quadrature."""
@@ -72,7 +79,7 @@ class TimeGrid:
         extra = [e for e in extra if 0.0 < e <= self.t_max]
         if not extra:
             return self
-        return TimeGrid(np.unique(np.concatenate([self.times, extra])))
+        return TimeGrid(_distinct_sorted(np.concatenate([self.times, extra])))
 
     def cumulative_integral(self, values: np.ndarray) -> np.ndarray:
         """Running integral from 0 to each grid time, samples at quad_points."""
@@ -105,7 +112,7 @@ def standard_grid(
         pieces.append(np.geomspace(log_floor, top, log_count))
     for eps in eps_values:
         pieces.append(np.array([eps, 2 * eps, 5 * eps, 10 * eps]))
-    times = np.unique(np.concatenate(pieces))
+    times = _distinct_sorted(np.concatenate(pieces))
     times = times[(times >= 0.0) & (times <= t_max)]
     if times[0] != 0.0:
         times = np.concatenate([[0.0], times])

@@ -97,6 +97,20 @@ COMPARISON_EXPONENTS = {
 _GAUSS_NODES = 10
 _PANEL_EPS = 2.0
 
+# The 10-point Gauss-Legendre rule on [-1, 1], bit for bit as
+# np.polynomial.legendre.leggauss(10) gives it (the rule is symmetric);
+# written out, so that no run imports numpy.polynomial.
+_GL_HALF_NODES = np.array([
+    0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+    0.8650633666889845, 0.9739065285171717,
+])
+_GL_HALF_WEIGHTS = np.array([
+    0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+    0.1494513491505804, 0.06667134430868814,
+])
+_GL_NODES = np.concatenate([-_GL_HALF_NODES[::-1], _GL_HALF_NODES])
+_GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
+
 # The Duhamel quadrature samples the nodes of consecutive grid intervals
 # together, one sample_together call per block of nodes.  A block's
 # mode-major buffer holds at most _DUHAMEL_BLOCK_VALUES values (512 KB, no
@@ -174,10 +188,20 @@ class CheckReport:
 def _at_most(
     check_id: str, value: float, bound: float, tolerance: float, note: str
 ) -> CheckReport:
-    """The check value <= bound + tolerance, with margin bound + tolerance - value."""
-    return CheckReport(
-        check_id, value <= bound + tolerance, bound + tolerance - value, tolerance, note
-    )
+    """The check value <= bound + tolerance, with margin bound + tolerance - value.
+
+    An overflow certifies nothing: when the value, the bound or the margin
+    is not finite, the record is a FAIL with margin -inf, and its note
+    gives the numbers.
+    """
+    margin = bound + tolerance - value
+    if not all(math.isfinite(x) for x in (value, bound, margin)):
+        return CheckReport(
+            check_id, False, float("-inf"), tolerance,
+            f"not finite: value {value:.6g}, bound {bound:.6g}, tolerance "
+            f"{tolerance:.6g}; {note}",
+        )
+    return CheckReport(check_id, value <= bound + tolerance, margin, tolerance, note)
 
 
 def _measured(check_id: str, value: float, note: str) -> CheckReport:
@@ -715,7 +739,6 @@ def _duhamel_convolution(
     interval's 230.  Each interval's weighted values are summed per mode
     by one reduceat over the block's mode-major rows.
     """
-    gl_x, gl_w = np.polynomial.legendre.leggauss(_GAUSS_NODES)
     reach = 45.0 * eps  # kernel support: e^{-45} is below double rounding
     t_right = ts[1:]
     lo = np.maximum(ts[:-1], t_right - reach)
@@ -747,8 +770,8 @@ def _duhamel_convolution(
         )
         half = 0.5 * (right - left)
         mid = 0.5 * (right + left)
-        nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-        weights = (half[:, None] * gl_w[None, :]).ravel()
+        nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+        weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
         weights *= np.exp((nodes - np.repeat(t_right[k_sub], _GAUSS_NODES)) / eps)
         rows = integrand.sample(nodes).T  # mode-major, one row per mode
         rows *= weights

@@ -40,6 +40,31 @@ def remainders(pd: ProblemData):
     return corrector_remainder(pd, 1), corrector_remainder(pd, 2)
 
 
+def oracle_generator_cases(n: int = 50, seed: int = 20240811) -> list:
+    """The acceptance suite's oracle-equivalence cases, (params, forcing, ts):
+    log10 eps uniform on [-4, 0], lam = 0 with probability 0.2 and else
+    log10 lam uniform on [-2, 1.7], y0, y1, a, b uniform on [-2, 2], nu
+    uniform on [0, 5], and 20 sorted times uniform on [0, t_end], t_end
+    uniform on [0.5, 5]."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(n):
+        eps = float(10.0 ** rng.uniform(-4.0, 0.0))
+        lam = 0.0 if rng.uniform() < 0.2 else float(10.0 ** rng.uniform(-2.0, 1.7))
+        y0, y1, a, b = (float(x) for x in rng.uniform(-2.0, 2.0, size=4))
+        nu = float(rng.uniform(0.0, 5.0))
+        t_end = float(rng.uniform(0.5, 5.0))
+        ts = np.sort(rng.uniform(0.0, t_end, size=20))
+        cases.append((ModeParams(eps, lam, y0, y1), ForcingTerm(a, b, nu), ts))
+    return cases
+
+
+def oracle_rel_err(closed, oracle) -> float:
+    """Worst error relative to max(1, |closed|, |oracle|) over the samples."""
+    scale = np.maximum(1.0, np.maximum(np.abs(closed), np.abs(oracle)))
+    return float(np.max(np.abs(closed - oracle) / scale))
+
+
 def oracle_at(p: ModeParams, f: ForcingTerm, t: float, tol: float):
     """The oracle's (y(t), y'(t)) at a single time."""
     ys, dys = rk_reference_path(p, f, np.array([t]), tol)

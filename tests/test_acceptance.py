@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from singlim.modes import ForcingTerm, ModeParams, rk_reference_path, solve_forced
+from singlim.modes import rk_reference_path, solve_forced
 from singlim.profiles import ProblemData
 from singlim.spectral import SpecVector, Spectrum, norm
 from singlim.timegrid import standard_grid
@@ -25,7 +25,13 @@ from singlim.verification import (
     run_rate_experiment,
 )
 
-from conftest import cli_env, decay_vector, remainders
+from conftest import (
+    cli_env,
+    decay_vector,
+    oracle_generator_cases,
+    oracle_rel_err,
+    remainders,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_CONFIG = REPO_ROOT / "configs" / "default.json"
@@ -171,25 +177,15 @@ def test_criterion_4_rate_reproduction():
 
 def test_criterion_5_oracle_equivalence():
     start = time.time()
-    rng = np.random.default_rng(20240811)
     failures = []
-    for case in range(50):
-        eps = float(10.0 ** rng.uniform(-4.0, 0.0))
-        lam = 0.0 if rng.uniform() < 0.2 else float(10.0 ** rng.uniform(-2.0, 1.7))
-        y0, y1, a, b = (float(x) for x in rng.uniform(-2.0, 2.0, size=4))
-        nu = float(rng.uniform(0.0, 5.0))
-        t_end = float(rng.uniform(0.5, 5.0))
-        params = ModeParams(eps, lam, y0, y1)
-        forcing = ForcingTerm(a, b, nu)
-        traj = solve_forced(params, forcing)
-        ts = np.sort(rng.uniform(0.0, t_end, size=20))
+    for case, (params, forcing, ts) in enumerate(oracle_generator_cases()):
         ys, dys = rk_reference_path(params, forcing, ts, 1e-11)
-        closed = traj.poly.value(ts)
-        scale = np.maximum(1.0, np.maximum(np.abs(closed), np.abs(ys)))
-        worst = float(np.max(np.abs(closed - ys) / scale))
+        closed = solve_forced(params, forcing).poly.value(ts)
+        worst = oracle_rel_err(closed, ys)
         if worst > 1e-8:
             failures.append(
-                f"case {case}: eps={eps:.2e} lam={lam:.2e} rel err {worst:.2e}"
+                f"case {case}: eps={params.eps:.2e} lam={params.lam:.2e} "
+                f"rel err {worst:.2e}"
             )
     elapsed = time.time() - start
     ok = not failures and elapsed <= 30.0

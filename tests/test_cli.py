@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from singlim.cli import (
     EXIT_CHECK_FAILURE,
@@ -152,7 +151,6 @@ class TestSimulate:
         assert manifest["environment"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         }
 
     def test_zero_data_gives_zero_errors(self, tmp_path):
@@ -384,6 +382,7 @@ class TestExitCodes:
             {"u0": {"family": "decay", "p": 2, "bogus": 1}},
             {"checks": ["identities", "identities"]},
             {"comparisons": ["order0_thm11i", "order0_thm11i"]},
+            {"checks": []},
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, overrides):
@@ -411,6 +410,7 @@ class TestExitCodes:
             ("checks", {"checks": ["identities", "identities"]}),
             ("comparisons", {"comparisons": ["order0_thm11i", "order0_thm11i"]}),
             ("tolerances.identiy", {"tolerances": {"identiy": 1e-8}}),
+            ("checks", {"checks": []}),
         ],
     )
     def test_config_error_names_the_field(self, field, overrides):
@@ -478,17 +478,80 @@ class TestExitCodes:
         assert not record["pass"]
         assert "extend the grid" in record["note"]
 
-    def test_cli_import_leaves_scipy_integrate_unloaded(self):
-        # start-up time: the oracle is a matrix exponential, not an ODE solver
+    def test_overflowing_bound_is_a_fail_record(self, tmp_path):
+        # |u1|^2 overflows, so both bounds are inf; they once passed with
+        # margin NaN.  A subprocess, since the overflow warns.
+        cfg = write_config(
+            tmp_path,
+            spectrum=[1e-300, 1.0],
+            u0=[1.0, 1.0],
+            u1=[1e200, 0.0],
+            epsilons=[0.1],
+            checks=["inequalities"],
+        )
+        out = tmp_path / "out"
         result = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, singlim.cli; print('scipy.integrate' in sys.modules)"],
+            [sys.executable, "-m", "singlim.cli", "verify", "--config", str(cfg),
+             "--out", str(out)],
             capture_output=True,
             text=True,
             env=cli_env(),
         )
+        assert result.returncode == EXIT_CHECK_FAILURE
+        assert "Traceback" not in result.stderr
+        text = (out / "report.json").read_text()
+        assert "NaN" not in text
+        failed = {r["id"]: r for r in json.loads(text) if not r["pass"]}
+        assert sorted(failed) == [
+            "bound.l2_deviation_constants_2_7[eps=0.1]",
+            "bound.sup_error_explicit[eps=0.1]",
+        ]
+        assert all(r["note"].startswith("not finite: ") for r in failed.values())
+
+    def test_cli_and_modes_imports_load_no_scipy(self):
+        # start-up time: no module of singlim needs scipy, the oracle's
+        # matrix exponential included
+        for module in ("singlim.cli", "singlim.modes"):
+            result = subprocess.run(
+                [sys.executable, "-c",
+                 f"import sys, {module}; "
+                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+                capture_output=True,
+                text=True,
+                env=cli_env(),
+            )
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.strip() == "[]", module
+
+    def test_runs_import_no_numpy_or_scipy_module(self, tmp_path):
+        # a module that a run imports first is paid for inside every run
+        # (np.unique imports numpy.ma, leggauss numpy.polynomial)
+        cfg = write_config(
+            tmp_path,
+            spectrum="three-mode",
+            u0={"family": "decay", "p": 2.0},
+            u1={"family": "decay", "p": 2.0},
+            epsilons=[0.1, 0.05, 0.02],
+            grid={"t_max": 5.0, "linear_count": 60, "log_count": 10, "log_floor": 1e-4},
+            checks="all",
+            comparisons=["order0_thm11i", "order1_theta"],
+        )
+        script = (
+            "import sys, singlim.cli\n"
+            "before = set(sys.modules)\n"
+            "for cmd in ('simulate', 'rates', 'verify'):\n"
+            f"    singlim.cli.main([cmd, '--config', {str(cfg)!r},\n"
+            f"                      '--out', {str(tmp_path / 'out-')!r} + cmd])\n"
+            "print(sorted(m for m in set(sys.modules) - before\n"
+            "             if m.startswith(('numpy', 'scipy'))))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=cli_env()
+        )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "[]"
+        for cmd in ("simulate", "rates", "verify"):
+            assert (tmp_path / f"out-{cmd}" / "manifest.json").exists()
 
     def test_cli_entrypoint_subprocess(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -43,6 +43,7 @@ from singlim.verification import (
     sup_norm_error,
 )
 import singlim.exppoly as exppoly
+import singlim.timegrid as timegrid
 import singlim.verification as verification
 from singlim.verification import (
     _dissipation_integral_curve,
@@ -87,6 +88,13 @@ class TestTimeGrid:
             TimeGrid(np.array([0.1, 0.2]))
         with pytest.raises(ValueError):
             TimeGrid(np.array([0.0, 0.0, 1.0]))
+
+    def test_distinct_sorted_is_np_unique_for_finite_times(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            x = np.round(rng.normal(size=int(rng.integers(1, 40))), 1)
+            x = np.concatenate([x, x[:5], [0.0, -0.0]])
+            assert timegrid._distinct_sorted(x).tobytes() == np.unique(x).tobytes()
 
 
 class TestSupNorm:
@@ -577,6 +585,11 @@ def _per_mode_convolution(integrand, ts, eps):
 
 
 class TestDuhamel:
+    def test_gauss_legendre_rule_is_leggauss_bit_for_bit(self):
+        x, w = np.polynomial.legendre.leggauss(verification._GAUSS_NODES)
+        assert verification._GL_NODES.tobytes() == x.tobytes()
+        assert verification._GL_WEIGHTS.tobytes() == w.tobytes()
+
     def test_single_mode_representation(self):
         # the by-parts bound is its own check (the inequalities group)
         pd = make_problem([1.0], 0.1, p=0.0)
@@ -762,3 +775,16 @@ def test_report_serialization():
         "tolerance": 1e-8,
         "note": "note",
     }
+
+
+@pytest.mark.parametrize(
+    "value, bound, tolerance",
+    [(math.inf, math.inf, 1e-8), (1.0, math.inf, 1e-8), (1.0, 2.0, math.inf),
+     (math.nan, 2.0, 1e-8), (-1e308, 1e308, 1e308)],
+)
+def test_bound_that_is_not_finite_fails_with_a_reason(value, bound, tolerance):
+    # an overflowed bound once passed with margin NaN or inf
+    report = verification._at_most("bound.x", value, bound, tolerance, "the bound")
+    assert not report.passed
+    assert report.margin == -math.inf
+    assert report.note.startswith("not finite: ") and report.note.endswith("; the bound")

@@ -17,7 +17,6 @@ from .spectral import (
     inner,
     norm,
     resolvent,
-    semigroup,
 )
 from .modes import (
     ForcingTerm,
@@ -38,7 +37,6 @@ __all__ = [
     "SpecVector",
     "apply_power",
     "resolvent",
-    "semigroup",
     "inner",
     "norm",
     "ModeParams",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import functools
 import hashlib
 import json
 import math
@@ -21,15 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .profiles import (
-    ProblemData,
-    corrector_remainder,
-    exact_solution,
-    main_expansion_profile,
-    parabolic_profile,
-    sample_together,
-    theta_layer,
-)
+from .profiles import ProblemData, sample_together
 from .spectral import SpecVector, Spectrum, norm
 from .timegrid import TimeGrid, standard_grid
 from .verification import (
@@ -91,10 +82,10 @@ def _csv(header: str, columns) -> str:
 
 
 class _Context:
-    """What the check groups share.  Per eps: the problem pd, its grid, the
-    tolerances, the tag of its check ids, and its remainder correctors,
-    each built at most once.  With eps None, the whole run: one grid with
-    the layer points of every eps, and no tag."""
+    """What the check groups share.  Per eps: the problem pd, which builds
+    each of its profiles once for all the groups, its grid, the tolerances
+    and the tag of its check ids.  With eps None, the whole run: one grid
+    with the layer points of every eps, and no tag."""
 
     def __init__(self, config: ExperimentConfig, spec, u0, u1, eps=None):
         self.config, self.spec, self.u0, self.u1 = config, spec, u0, u1
@@ -102,11 +93,6 @@ class _Context:
         self.grid = config.time_grid(config["epsilons"] if eps is None else [eps])
         self.suffix = "" if eps is None else f"[eps={eps:g}]"
         self.pd = None if eps is None else ProblemData(spec, eps, u0, u1)
-        # corrector_remainder(pd, j)
-        self.remainder = functools.cache(functools.partial(corrector_remainder, self.pd))
-
-    def remainders(self):
-        return self.remainder(1), self.remainder(2)
 
 
 def _rate_reports(c: _Context) -> list[CheckReport]:
@@ -138,23 +124,21 @@ def _rate_reports(c: _Context) -> list[CheckReport]:
 # the run-wide groups run once, after every eps.
 _GROUPS = (
     ("identities", True, lambda c: identity_checks(
-        c.pd, c.grid, c.remainders(), tol=c.tol["identity"],
+        c.pd, c.grid, tol=c.tol["identity"],
         superposition_tol=c.tol["superposition"],
     )),
-    ("data", True, lambda c: remainder_data_checks(c.pd, c.remainders())),
+    ("data", True, lambda c: remainder_data_checks(c.pd)),
     ("inequalities", True, lambda c: inequality_checks(
         c.pd, c.grid, slack=c.tol["inequality_slack"],
         sup_slack=c.tol["sup_bound_slack"],
     )),
     ("energy", True, lambda c: energy_inequality_checks(
-        c.pd, c.grid, slack=c.tol["inequality_slack"], remainders=c.remainders()
+        c.pd, c.grid, slack=c.tol["inequality_slack"]
     )),
     ("maxreg", False, lambda c: max_reg_checks(
         c.spec, c.u0 if norm(c.u0) > 0 else c.u1, c.grid
     )),
-    ("duhamel", True, lambda c: duhamel_residual(
-        c.pd, c.grid, c.remainder(2), tol=c.tol["duhamel"]
-    )),
+    ("duhamel", True, lambda c: duhamel_residual(c.pd, c.grid, tol=c.tol["duhamel"])),
     ("rates", False, _rate_reports),
 )
 
@@ -412,10 +396,6 @@ class ExperimentConfig:
             return spec, u0, SpecVector(-spec.eigenvalues * u0.coefficients)
         return spec, u0, realize(self["u1"])
 
-    def problem(self, eps: float) -> ProblemData:
-        spec, u0, u1 = self.data()
-        return ProblemData(spec, eps, u0, u1)
-
 
 def _load_config(path: str) -> ExperimentConfig:
     try:
@@ -459,13 +439,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
         pd = ProblemData(spec, eps, u0, u1)
         ts = config.time_grid([eps]).times
         su, sv, sth, sexp = sample_together(
-            (
-                exact_solution(pd),
-                parabolic_profile(pd),
-                theta_layer(pd),
-                main_expansion_profile(pd),
-            ),
-            ts,
+            (pd.solution, pd.parabolic, pd.theta, pd.main_expansion), ts
         )
         # every sample and difference is squared in place, after its last use
         errors = [

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["ExpPoly", "SampleTimes", "accumulate", "divided_difference_exp",
-           "evaluate", "integrate", "moment_tables", "power_exp_moment"]
+           "evaluate", "integrate", "moment_tables"]
 
 # Below this value of |mu*t| the upward recurrence for the moments
 # int_0^t s**k exp(mu*s) ds loses digits to cancellation; use the series.
@@ -56,13 +56,6 @@ _GROUP_GAP = 0.2
 # below this radius; larger times are reached by squaring (scaling and
 # squaring of the bidiagonal node matrix).
 _SERIES_RADIUS = 0.5
-
-
-def power_exp_moment(k: int, mu: complex, t):
-    """int_0^t s**k * exp(mu*s) ds for scalar mu and scalar or array t."""
-    if k < 0:
-        raise ValueError("moment order must be nonnegative")
-    return next(moment_tables([(mu, [k])], t))[k]
 
 
 def moment_tables(orders, t):
@@ -421,10 +414,6 @@ class ExpPoly:
         )
         return ExpPoly(cleaned, grouped)
 
-    @staticmethod
-    def zero() -> "ExpPoly":
-        return ExpPoly(())
-
     def value(self, t):
         """Evaluate at scalar or array t; returns the real part (see evaluate)."""
         return evaluate((self,), t)[0]
@@ -478,10 +467,6 @@ class ExpPoly:
 
     def squared(self) -> "ExpPoly":
         return self.multiply(self)
-
-    def integral(self, t):
-        """int_0^t of the function, evaluated at scalar or array t."""
-        return next(integrate((self,), t))
 
     def coefficient_scale(self) -> float:
         """Largest term magnitude; a conditioning measure for evaluations."""

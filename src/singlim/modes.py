@@ -57,9 +57,10 @@ class ModeParams:
 
 @dataclass(frozen=True)
 class RootPair:
+    """The slow root mu_plus and the fast root mu_minus."""
+
     mu_plus: complex
     mu_minus: complex
-    classification: str
 
 
 @dataclass(frozen=True)
@@ -90,29 +91,28 @@ ZERO_FORCING = ForcingTerm(0.0, 0.0, 0.0)
 def characteristic_roots(eps: float, lam: float) -> RootPair:
     """Roots of eps*mu**2 + mu + lam = 0 with a cancellation-safe slow root.
 
-    "critical" means an exactly vanishing discriminant; nearly equal roots
-    need no special branch, because the solution is built from divided
-    differences of the exponential.
+    Nearly equal roots need no special branch, because the solution is
+    built from divided differences of the exponential.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     if lam == 0.0:
-        return RootPair(0.0 + 0j, complex(-1.0 / eps), "degenerate_lambda_zero")
+        return RootPair(0.0 + 0j, complex(-1.0 / eps))
     d = 1.0 - 4.0 * eps * lam
     if d == 0.0:
         mu = complex(-1.0 / (2.0 * eps))
-        return RootPair(mu, mu, "critical")
+        return RootPair(mu, mu)
     if d > 0:
         sq = math.sqrt(d)
         # rationalized form keeps the slow root accurate when eps*lam << 1
         mu_plus = -2.0 * lam / (1.0 + sq)
         mu_minus = -(1.0 + sq) / (2.0 * eps)
-        return RootPair(complex(mu_plus), complex(mu_minus), "overdamped")
+        return RootPair(complex(mu_plus), complex(mu_minus))
     beta = math.sqrt(-d) / (2.0 * eps)
     alpha = -1.0 / (2.0 * eps)
-    return RootPair(complex(alpha, beta), complex(alpha, -beta), "underdamped")
+    return RootPair(complex(alpha, beta), complex(alpha, -beta))
 
 
 def _homogeneous_poly(roots: RootPair, y0: float, y1: float) -> ExpPoly:
@@ -133,7 +133,6 @@ class ModeTrajectory:
 
     Evaluation at 0 reproduces the initial data by construction; the
     residual method recomputes eps*y'' + y' + lam*y - f analytically.
-    `particular` is the response to the forcing from zero data.
     `resonance_escalation` counts the characteristic roots equal to the
     forcing rate -nu: the extra powers of t in the forced part (0 plain,
     1 at a simple root, 2 at the double root).  Near but unequal rates
@@ -144,7 +143,6 @@ class ModeTrajectory:
     forcing: ForcingTerm
     roots: RootPair
     poly: ExpPoly
-    particular: ExpPoly
     resonance_escalation: int
 
     def value(self, t):
@@ -170,7 +168,7 @@ def solve_homogeneous(p: ModeParams) -> ModeTrajectory:
     the slow root and n the fast one (see _homogeneous_poly)."""
     roots = characteristic_roots(p.eps, p.lam)
     poly = _homogeneous_poly(roots, p.y0, p.y1)
-    return ModeTrajectory(p, ZERO_FORCING, roots, poly, ExpPoly.zero(), 0)
+    return ModeTrajectory(p, ZERO_FORCING, roots, poly, 0)
 
 
 def solve_forced(p: ModeParams, f: ForcingTerm) -> ModeTrajectory:
@@ -184,7 +182,7 @@ def solve_forced(p: ModeParams, f: ForcingTerm) -> ModeTrajectory:
     """
     if f.is_zero:
         traj = solve_homogeneous(p)
-        return ModeTrajectory(p, f, traj.roots, traj.poly, ExpPoly.zero(), 0)
+        return ModeTrajectory(p, f, traj.roots, traj.poly, 0)
     roots = characteristic_roots(p.eps, p.lam)
     mp, mn, m = roots.mu_plus, roots.mu_minus, complex(-f.nu)
     particular = ExpPoly.build(
@@ -192,7 +190,7 @@ def solve_forced(p: ModeParams, f: ForcingTerm) -> ModeTrajectory:
     )
     homog = _homogeneous_poly(roots, p.y0, p.y1)
     escalation = (mp == m) + (mn == m)
-    return ModeTrajectory(p, f, roots, homog + particular, particular, escalation)
+    return ModeTrajectory(p, f, roots, homog + particular, escalation)
 
 
 # _expm's Taylor degree, and the bound on the power norm of a / 2^s that

@@ -8,12 +8,14 @@ solution, and the ladder of corrector functions whose decomposition
 identities and energy bounds the verification layer checks.  The
 correctors and their remainders are solved as forced mode equations from
 closed-form data rather than formed as differences of other profiles, so
-they stay accurate as eps -> 0.
+they stay accurate as eps -> 0.  ProblemData holds one eps and its data,
+and builds each of these profiles once, when it is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,24 +23,7 @@ from .exppoly import ExpPoly, SampleTimes, accumulate
 from .modes import ForcingTerm, ModeParams, solve_forced, solve_homogeneous
 from .spectral import SpecVector, Spectrum, apply_power, norm, resolvent
 
-__all__ = [
-    "ProblemData",
-    "ProfileFunction",
-    "sample_together",
-    "kernel_profile",
-    "exact_solution",
-    "parabolic_profile",
-    "theta_layer",
-    "main_expansion_profile",
-    "derivative_expansion_profile",
-    "split_components",
-    "corrector_primary",
-    "corrector_halfpower",
-    "corrector_split",
-    "corrector_profile",
-    "corrector_remainder",
-    "layer_equation_source",
-]
+__all__ = ["ProblemData", "ProfileFunction", "sample_together", "kernel_profile"]
 
 # Tolerance deciding whether the data satisfies the compatibility condition
 # v1 = A u0 + u1 = 0 (which switches off the initial layer).
@@ -46,7 +31,14 @@ _IL0_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ProblemData:
-    """Problem instance: eps in (0, 1], initial data, derived slope v1."""
+    """Problem instance: eps in (0, 1], initial data, and the profiles of
+    this eps.
+
+    Each profile is a cached property, built on first use and shared by
+    every check of this eps (cached_property writes the instance's
+    __dict__, which the frozen dataclass allows).  The pairs are indexed
+    by the split component j = 1, 2.
+    """
 
     spec: Spectrum
     eps: float
@@ -59,7 +51,7 @@ class ProblemData:
         if len(self.u0) != len(self.spec) or len(self.u1) != len(self.spec):
             raise ValueError("initial data length must match the spectrum")
 
-    @property
+    @cached_property
     def v1(self) -> SpecVector:
         """Combined slope A u0 + u1 that drives the initial layer."""
         return SpecVector(
@@ -74,6 +66,193 @@ class ProblemData:
     @property
     def data_scale(self) -> float:
         return norm(self.u0) + norm(self.u1)
+
+    @cached_property
+    def ju0(self) -> np.ndarray:
+        """Coefficients of J u0, J = (I + eps A)^{-1} the smoothing resolvent."""
+        return resolvent(self.spec, self.eps, self.u0).coefficients
+
+    @cached_property
+    def ju1(self) -> np.ndarray:
+        """Coefficients of J u1."""
+        return resolvent(self.spec, self.eps, self.u1).coefficients
+
+    @cached_property
+    def jv1(self) -> np.ndarray:
+        """Coefficients of J v1."""
+        return resolvent(self.spec, self.eps, self.v1).coefficients
+
+    @cached_property
+    def solution(self) -> ProfileFunction:
+        """Solution of eps*u'' + A u + u' = 0 with data (u0, u1), mode by mode."""
+        lam = self.spec.eigenvalues
+        u0, u1 = self.u0.coefficients, self.u1.coefficients
+        modes = tuple(
+            solve_homogeneous(ModeParams(self.eps, lam[i], u0[i], u1[i])).poly
+            for i in range(len(self.spec))
+        )
+        return ProfileFunction(self.spec, modes)
+
+    @cached_property
+    def parabolic(self) -> ProfileFunction:
+        """First-order limit flow e^{-tA} u0."""
+        return kernel_profile(self.spec, self.u0.coefficients, 0, 0.0)
+
+    @cached_property
+    def theta(self) -> ProfileFunction:
+        """Initial layer eps*(1 - e^{-t/eps}) * v1: zero at t=0, slope v1."""
+        eps = self.eps
+        modes = tuple(
+            ExpPoly.build([(0, 0.0, eps * c), (0, -1.0 / eps, -eps * c)])
+            for c in self.v1.coefficients
+        )
+        return ProfileFunction(self.spec, modes)
+
+    @cached_property
+    def main_expansion(self) -> ProfileFunction:
+        """Second-order profile: e^{-tA}u0 + eps*(e^{-tA}v1 - t A^2 e^{-tA}u0 - e^{-t/eps}v1)."""
+        eps = self.eps
+        lam = self.spec.eigenvalues
+        u0, v1 = self.u0.coefficients, self.v1.coefficients
+        modes = tuple(
+            ExpPoly.build(
+                [
+                    (0, -lam[i], u0[i] + eps * v1[i]),
+                    (1, -lam[i], -eps * lam[i] ** 2 * u0[i]),
+                    (0, -1.0 / eps, -eps * v1[i]),
+                ]
+            )
+            for i in range(len(self.spec))
+        )
+        return ProfileFunction(self.spec, modes)
+
+    @cached_property
+    def derivative_expansion(self) -> ProfileFunction:
+        """Second-order profile for u'; defined only for compatible data (v1 = 0)."""
+        if not self.il0_satisfied:
+            raise ValueError(
+                "derivative expansion requires compatible data u1 + A u0 = 0"
+            )
+        eps = self.eps
+        lam = self.spec.eigenvalues
+        u0 = self.u0.coefficients
+        modes = tuple(
+            ExpPoly.build(
+                [
+                    (0, -lam[i], -lam[i] * u0[i] - eps * lam[i] ** 2 * u0[i]),
+                    (1, -lam[i], eps * lam[i] ** 3 * u0[i]),
+                    (0, -1.0 / eps, eps * lam[i] ** 2 * u0[i]),
+                ]
+            )
+            for i in range(len(self.spec))
+        )
+        return ProfileFunction(self.spec, modes)
+
+    @cached_property
+    def splits(self) -> tuple[ProfileFunction, ProfileFunction]:
+        """Split of the solution into the (u0, -A u0) part and the (0, v1) part."""
+        lam = self.spec.eigenvalues
+        u0, v1 = self.u0.coefficients, self.v1.coefficients
+        first = tuple(
+            solve_homogeneous(ModeParams(self.eps, lam[i], u0[i], -lam[i] * u0[i])).poly
+            for i in range(len(self.spec))
+        )
+        second = tuple(
+            solve_homogeneous(ModeParams(self.eps, lam[i], 0.0, v1[i])).poly
+            for i in range(len(self.spec))
+        )
+        return ProfileFunction(self.spec, first), ProfileFunction(self.spec, second)
+
+    def _forced(self, a, b, data0, data1) -> ProfileFunction:
+        """Per-mode forced solve with forcing (a_i + b_i t) e^{-lam_i t} and
+        initial data (data0_i, data1_i)."""
+        lam = self.spec.eigenvalues
+        modes = tuple(
+            solve_forced(
+                ModeParams(self.eps, lam[i], data0[i], data1[i]),
+                ForcingTerm(a[i], b[i], lam[i]),
+            ).poly
+            for i in range(len(self.spec))
+        )
+        return ProfileFunction(self.spec, modes)
+
+    @cached_property
+    def corrector_primary(self) -> ProfileFunction:
+        """Corrector whose eps-scaled slope closes the gap between the solution
+        and the resolvent-smoothed semigroup flow e^{-tA}(u0 + eps*J u1)."""
+        ju1 = self.ju1
+        g = self.u0.coefficients + self.eps * ju1
+        lam = self.spec.eigenvalues
+        return self._forced(lam * g, np.zeros(len(self.spec)), -self.eps * ju1, -ju1)
+
+    @cached_property
+    def corrector_halfpower(self) -> ProfileFunction:
+        """Corrector entering through a half power of the operator: the first
+        split component equals e^{-tA}u0 + eps * A^{1/2} * (this profile)."""
+        lam = self.spec.eigenvalues
+        zeros = np.zeros(len(self.spec))
+        return self._forced(-(lam**1.5) * self.u0.coefficients, zeros, zeros, zeros)
+
+    @cached_property
+    def split_correctors(self) -> tuple[ProfileFunction, ProfileFunction]:
+        """Correctors for the two split components against smoothed semigroups."""
+        eps, lam, ju0, jv1 = self.eps, self.spec.eigenvalues, self.ju0, self.jv1
+        zeros = np.zeros(len(self.spec))
+        return (
+            self._forced(lam * ju0, zeros, eps * lam * ju0, lam * ju0),
+            self._forced(eps * lam * jv1, zeros, -eps * jv1, -jv1),
+        )
+
+    @cached_property
+    def _split_parts(self):
+        """Split corrector j's explicit part (c0 + c1 t) e^{-tA} and the initial
+        data (w(0), w'(0)) of its remainder, as ((c0, c1), (w0, w1)) per mode."""
+        eps, lam, ju0, jv1 = self.eps, self.spec.eigenvalues, self.ju0, self.jv1
+        return (
+            ((2 * eps * lam * ju0, lam * ju0), (-lam * ju0, 2.0 * lam**2 * ju0)),
+            ((-2 * eps * jv1, eps * lam * jv1), (jv1, -2.0 * lam * jv1)),
+        )
+
+    @cached_property
+    def corrector_profiles(self) -> tuple[ProfileFunction, ProfileFunction]:
+        """Explicit semigroup-kernel parts (c0 + c1 t) e^{-tA} of the split
+        correctors."""
+        lam = self.spec.eigenvalues
+        return tuple(
+            ProfileFunction(self.spec, tuple(
+                ExpPoly.build([(0, -lam[i], c0[i]), (1, -lam[i], c1[i])])
+                for i in range(len(self.spec))
+            ))
+            for (c0, c1), _ in self._split_parts
+        )
+
+    @cached_property
+    def remainders(self) -> tuple[ProfileFunction, ProfileFunction]:
+        """Remainders w of the split correctors after their explicit parts v.
+
+        Split corrector j is v + eps*w, minus the second split component
+        when j = 2.  w solves the damped equation forced by -v'' mode by
+        mode, from (-A J u0, +2 A^2 J u0) for j = 1 and (J v1, -2 A J v1)
+        for j = 2; with v = (c0 + c1 t) e^{-tA} the forcing is
+        (2 A c1 - A^2 c0 - A^2 c1 t) e^{-tA}.  Solving directly keeps w
+        accurate as eps -> 0, where forming (split corrector - v)/eps would
+        leave unit roundoff / eps in it; identity_checks compares the two.
+        """
+        lam = self.spec.eigenvalues
+        return tuple(
+            self._forced(2.0 * lam * c1 - lam**2 * c0, -(lam**2) * c1, w0, w1)
+            for (c0, c1), (w0, w1) in self._split_parts
+        )
+
+    @cached_property
+    def layer_source(self) -> ProfileFunction:
+        """Higher-order source in the relaxation equation for the second split
+        component: sqrt(eps)*W' + sqrt(eps)*(2A e^{-tA}J v1 - t A^2 e^{-tA}J v1),
+        with W the second remainder."""
+        kernel = kernel_profile(self.spec, self.jv1, 0, 1.0, 2.0) - kernel_profile(
+            self.spec, self.jv1, 1, 2.0, 1.0
+        )
+        return (self.remainders[1].deriv() + kernel).scale(np.sqrt(self.eps))
 
 
 @dataclass(frozen=True)
@@ -163,195 +342,3 @@ def kernel_profile(
         for i in range(len(spec))
     )
     return ProfileFunction(spec, modes)
-
-
-def exact_solution(pd: ProblemData) -> ProfileFunction:
-    """Solution of eps*u'' + A u + u' = 0 with data (u0, u1), mode by mode."""
-    lam = pd.spec.eigenvalues
-    u0, u1 = pd.u0.coefficients, pd.u1.coefficients
-    modes = tuple(
-        solve_homogeneous(ModeParams(pd.eps, lam[i], u0[i], u1[i])).poly
-        for i in range(len(pd.spec))
-    )
-    return ProfileFunction(pd.spec, modes)
-
-
-def parabolic_profile(pd: ProblemData) -> ProfileFunction:
-    """First-order limit flow e^{-tA} u0."""
-    return kernel_profile(pd.spec, pd.u0.coefficients, 0, 0.0)
-
-
-def theta_layer(pd: ProblemData) -> ProfileFunction:
-    """Initial layer eps*(1 - e^{-t/eps}) * v1: zero at t=0, slope v1."""
-    v1 = pd.v1.coefficients
-    modes = tuple(
-        ExpPoly.build([(0, 0.0, pd.eps * c), (0, -1.0 / pd.eps, -pd.eps * c)])
-        for c in v1
-    )
-    return ProfileFunction(pd.spec, modes)
-
-
-def main_expansion_profile(pd: ProblemData) -> ProfileFunction:
-    """Second-order profile: e^{-tA}u0 + eps*(e^{-tA}v1 - t A^2 e^{-tA}u0 - e^{-t/eps}v1)."""
-    eps = pd.eps
-    lam = pd.spec.eigenvalues
-    u0, v1 = pd.u0.coefficients, pd.v1.coefficients
-    modes = tuple(
-        ExpPoly.build(
-            [
-                (0, -lam[i], u0[i] + eps * v1[i]),
-                (1, -lam[i], -eps * lam[i] ** 2 * u0[i]),
-                (0, -1.0 / eps, -eps * v1[i]),
-            ]
-        )
-        for i in range(len(pd.spec))
-    )
-    return ProfileFunction(pd.spec, modes)
-
-
-def derivative_expansion_profile(pd: ProblemData) -> ProfileFunction:
-    """Second-order profile for u'; defined only for compatible data (v1 = 0)."""
-    if not pd.il0_satisfied:
-        raise ValueError(
-            "derivative expansion requires compatible data u1 + A u0 = 0"
-        )
-    eps = pd.eps
-    lam = pd.spec.eigenvalues
-    u0 = pd.u0.coefficients
-    modes = tuple(
-        ExpPoly.build(
-            [
-                (0, -lam[i], -lam[i] * u0[i] - eps * lam[i] ** 2 * u0[i]),
-                (1, -lam[i], eps * lam[i] ** 3 * u0[i]),
-                (0, -1.0 / eps, eps * lam[i] ** 2 * u0[i]),
-            ]
-        )
-        for i in range(len(pd.spec))
-    )
-    return ProfileFunction(pd.spec, modes)
-
-
-def split_components(pd: ProblemData) -> tuple[ProfileFunction, ProfileFunction]:
-    """Split of the solution into the (u0, -A u0) part and the (0, v1) part."""
-    lam = pd.spec.eigenvalues
-    u0, v1 = pd.u0.coefficients, pd.v1.coefficients
-    first = tuple(
-        solve_homogeneous(ModeParams(pd.eps, lam[i], u0[i], -lam[i] * u0[i])).poly
-        for i in range(len(pd.spec))
-    )
-    second = tuple(
-        solve_homogeneous(ModeParams(pd.eps, lam[i], 0.0, v1[i])).poly
-        for i in range(len(pd.spec))
-    )
-    return ProfileFunction(pd.spec, first), ProfileFunction(pd.spec, second)
-
-
-def _forced_profile(
-    pd: ProblemData,
-    forcing_coeffs: np.ndarray,
-    data0: np.ndarray,
-    data1: np.ndarray,
-) -> ProfileFunction:
-    """Per-mode forced solve with forcing a_i * e^{-lam_i t} and given data."""
-    lam = pd.spec.eigenvalues
-    modes = tuple(
-        solve_forced(
-            ModeParams(pd.eps, lam[i], data0[i], data1[i]),
-            ForcingTerm(forcing_coeffs[i], 0.0, lam[i]),
-        ).poly
-        for i in range(len(pd.spec))
-    )
-    return ProfileFunction(pd.spec, modes)
-
-
-def corrector_primary(pd: ProblemData) -> ProfileFunction:
-    """Corrector whose eps-scaled slope closes the gap between the solution
-    and the resolvent-smoothed semigroup flow e^{-tA}(u0 + eps*J u1)."""
-    ju1 = resolvent(pd.spec, pd.eps, pd.u1).coefficients
-    g = pd.u0.coefficients + pd.eps * ju1
-    lam = pd.spec.eigenvalues
-    return _forced_profile(pd, lam * g, -pd.eps * ju1, -ju1)
-
-
-def corrector_halfpower(pd: ProblemData) -> ProfileFunction:
-    """Corrector entering through a half power of the operator: the first
-    split component equals e^{-tA}u0 + eps * A^{1/2} * (this profile)."""
-    lam = pd.spec.eigenvalues
-    u0 = pd.u0.coefficients
-    zeros = np.zeros(len(pd.spec))
-    return _forced_profile(pd, -(lam**1.5) * u0, zeros, zeros)
-
-
-def corrector_split(pd: ProblemData, j: int) -> ProfileFunction:
-    """Correctors for the two split components against smoothed semigroups."""
-    lam = pd.spec.eigenvalues
-    if j == 1:
-        ju0 = resolvent(pd.spec, pd.eps, pd.u0).coefficients
-        return _forced_profile(pd, lam * ju0, pd.eps * lam * ju0, lam * ju0)
-    if j == 2:
-        jv1 = resolvent(pd.spec, pd.eps, pd.v1).coefficients
-        return _forced_profile(pd, pd.eps * lam * jv1, -pd.eps * jv1, -jv1)
-    raise ValueError("component index must be 1 or 2")
-
-
-def _profile_part(pd: ProblemData, j: int):
-    """Split corrector j's explicit part (c0 + c1 t) e^{-tA} and the initial
-    data (w(0), w'(0)) of its remainder, as ((c0, c1), (w0, w1)) per mode."""
-    eps = pd.eps
-    lam = pd.spec.eigenvalues
-    if j == 1:
-        ju0 = resolvent(pd.spec, eps, pd.u0).coefficients
-        return (2 * eps * lam * ju0, lam * ju0), (-lam * ju0, 2.0 * lam**2 * ju0)
-    if j == 2:
-        jv1 = resolvent(pd.spec, eps, pd.v1).coefficients
-        return (-2 * eps * jv1, eps * lam * jv1), (jv1, -2.0 * lam * jv1)
-    raise ValueError("component index must be 1 or 2")
-
-
-def corrector_profile(pd: ProblemData, j: int) -> ProfileFunction:
-    """Explicit semigroup-kernel part of the split correctors."""
-    lam = pd.spec.eigenvalues
-    (c0, c1), _ = _profile_part(pd, j)
-    modes = tuple(
-        ExpPoly.build([(0, -lam[i], c0[i]), (1, -lam[i], c1[i])])
-        for i in range(len(pd.spec))
-    )
-    return ProfileFunction(pd.spec, modes)
-
-
-def corrector_remainder(pd: ProblemData, j: int) -> ProfileFunction:
-    """Remainder w of split corrector j after its explicit profile part v.
-
-    The split corrector is v + eps*w, minus the second split component
-    when j = 2.  w solves the damped equation forced by -v'' mode by mode,
-    from (-A J u0, +2 A^2 J u0) for j = 1 and (J v1, -2 A J v1) for j = 2;
-    with v = (c0 + c1 t) e^{-tA} the forcing is
-    (2 A c1 - A^2 c0 - A^2 c1 t) e^{-tA}.  Solving directly keeps w
-    accurate as eps -> 0, where forming (split corrector - v)/eps would
-    leave unit roundoff / eps in it; identity_checks compares the two.
-    """
-    lam = pd.spec.eigenvalues
-    (c0, c1), (w0, w1) = _profile_part(pd, j)
-    a = 2.0 * lam * c1 - lam**2 * c0
-    b = -(lam**2) * c1
-    modes = tuple(
-        solve_forced(
-            ModeParams(pd.eps, lam[i], w0[i], w1[i]), ForcingTerm(a[i], b[i], lam[i])
-        ).poly
-        for i in range(len(pd.spec))
-    )
-    return ProfileFunction(pd.spec, modes)
-
-
-def layer_equation_source(
-    pd: ProblemData, remainder2: ProfileFunction
-) -> ProfileFunction:
-    """Higher-order source in the relaxation equation for the second split
-    component: sqrt(eps)*W' + sqrt(eps)*(2A e^{-tA}J v1 - t A^2 e^{-tA}J v1),
-    with W the second remainder, ``corrector_remainder(pd, 2)``."""
-    eps = pd.eps
-    jv1 = resolvent(pd.spec, eps, pd.v1).coefficients
-    kernel = kernel_profile(pd.spec, jv1, 0, 1.0, 2.0) - kernel_profile(
-        pd.spec, jv1, 1, 2.0, 1.0
-    )
-    return (remainder2.deriv() + kernel).scale(np.sqrt(eps))

@@ -1,9 +1,9 @@
 """Finite spectral model of a nonnegative self-adjoint operator.
 
 The operator is known only through its eigenvalues; vectors live in the
-eigenbasis, so every operator function (fractional powers, resolvent,
-semigroup) acts coefficientwise and the ambient
-Hilbert norm is the Euclidean norm of the coefficients.
+eigenbasis, so every operator function (fractional powers, resolvent)
+acts coefficientwise and the ambient Hilbert norm is the Euclidean norm
+of the coefficients.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "SpecVector",
     "apply_power",
     "resolvent",
-    "semigroup",
     "inner",
     "norm",
 ]
@@ -58,10 +57,6 @@ class Spectrum:
         """Smallest strictly positive eigenvalue, or None if all are zero."""
         pos = self.eigenvalues[self.eigenvalues > 0]
         return float(pos.min()) if pos.size else None
-
-    @property
-    def has_kernel(self) -> bool:
-        return bool(np.any(self.eigenvalues == 0.0))
 
 
 @dataclass(frozen=True)
@@ -125,14 +120,6 @@ def resolvent(spec: Spectrum, eps: float, f: SpecVector) -> SpecVector:
         raise ValueError("resolvent parameter must be positive")
     _check_compat(spec, f)
     return SpecVector(f.coefficients / (1.0 + eps * spec.eigenvalues))
-
-
-def semigroup(spec: Spectrum, t: float, f: SpecVector) -> SpecVector:
-    """Heat semigroup e^{-tA}: multiplies mode i by exp(-lam_i * t)."""
-    if t < 0:
-        raise ValueError("semigroup time must be nonnegative")
-    _check_compat(spec, f)
-    return SpecVector(np.exp(-spec.eigenvalues * t) * f.coefficients)
 
 
 def inner(f: SpecVector, g: SpecVector) -> float:

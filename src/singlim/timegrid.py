@@ -1,4 +1,4 @@
-"""Sample grids in time with composite quadrature weights.
+"""Sample grids in time with composite Simpson quadrature.
 
 The standard grid mixes a uniform sweep of the diffusive range, a
 logarithmic sweep of small times, and explicit multiples of each eps so
@@ -53,23 +53,6 @@ class TimeGrid:
         out[0::2] = t
         out[1::2] = mids
         return out
-
-    @property
-    def quad_weights(self) -> np.ndarray:
-        """Simpson weights matching quad_points; all positive."""
-        h = np.diff(self.times)
-        w = np.zeros(self.times.size + h.size)
-        w[0:-1:2] += h / 6.0
-        w[1::2] += 4.0 * h / 6.0
-        w[2::2] += h / 6.0
-        return w
-
-    def integrate_values(self, values: np.ndarray) -> float:
-        """Integral over [0, t_max] of samples given at quad_points."""
-        values = np.asarray(values, dtype=float)
-        if values.shape[0] != self.quad_points.size:
-            raise ValueError("values must be sampled at quad_points")
-        return float(np.sum(self.quad_weights * values))
 
     def with_layer_points(self, eps_values) -> "TimeGrid":
         """Copy of the grid with multiples of each eps added."""

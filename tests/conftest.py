@@ -8,7 +8,7 @@ import pytest
 from singlim.exppoly import ExpPoly
 from singlim.modes import ForcingTerm, ModeParams, rk_reference_path
 from singlim.spectral import SpecVector, Spectrum
-from singlim.profiles import ProblemData, ProfileFunction, corrector_remainder
+from singlim.profiles import ProblemData, ProfileFunction
 from singlim.timegrid import TimeGrid
 
 
@@ -33,11 +33,6 @@ def make_problem(lams, eps, p=2.0, il0=False) -> ProblemData:
     else:
         u1 = decay_vector(len(lams), p)
     return ProblemData(spec, eps, u0, u1)
-
-
-def remainders(pd: ProblemData):
-    """Both remainder correctors, as the check functions take them."""
-    return corrector_remainder(pd, 1), corrector_remainder(pd, 2)
 
 
 def oracle_generator_cases(n: int = 50, seed: int = 20240811) -> list:
@@ -151,13 +146,10 @@ def reference_integral(poly: ExpPoly, t):
     return out if out.ndim else float(out)
 
 
-def l2_time_norm_quadrature(
-    profile: ProfileFunction, grid: TimeGrid, weight_power: int = 0
-) -> float:
+def l2_time_norm_quadrature(profile: ProfileFunction, grid: TimeGrid) -> float:
     """Simpson cross-check of verification.l2_time_norm on the same grid."""
     samp = profile.sample(grid.quad_points)
-    integrand = grid.quad_points**weight_power * np.sum(samp**2, axis=1)
-    return grid.integrate_values(integrand)
+    return float(grid.cumulative_integral(np.sum(samp**2, axis=1))[-1])
 
 
 @pytest.fixture

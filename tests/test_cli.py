@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import platform
@@ -22,6 +23,8 @@ from singlim.cli import (
     fmt,
     main,
 )
+import singlim.profiles as profiles
+from singlim.profiles import ProblemData
 
 from conftest import cli_env
 
@@ -108,14 +111,14 @@ class TestConfig:
     def test_length_mismatch(self):
         cfg = ExperimentConfig.parse({**BASE_CONFIG, "u0": [1.0, 2.0]})
         with pytest.raises(ConfigError):
-            cfg.problem(0.1)
+            cfg.data()
 
     def test_il0_data(self):
         cfg = ExperimentConfig.parse(
             {**BASE_CONFIG, "spectrum": "three-mode", "u0": [1.0, 1.0, 1.0], "u1": "il0"}
         )
-        pd = cfg.problem(0.1)
-        assert pd.il0_satisfied
+        spec, u0, u1 = cfg.data()
+        assert ProblemData(spec, 0.1, u0, u1).il0_satisfied
 
     def test_decay_family(self):
         cfg = ExperimentConfig.parse(
@@ -126,10 +129,8 @@ class TestConfig:
                 "u1": {"family": "decay", "p": 2.0},
             }
         )
-        pd = cfg.problem(0.1)
-        np.testing.assert_allclose(
-            pd.u0.coefficients, [1.0, 0.25, 1.0 / 9.0], rtol=1e-15
-        )
+        _, u0, _ = cfg.data()
+        np.testing.assert_allclose(u0.coefficients, [1.0, 0.25, 1.0 / 9.0], rtol=1e-15)
 
 
 class TestSimulate:
@@ -216,6 +217,26 @@ class TestVerify:
         assert all(r["pass"] for r in report)
         ids = [r["id"] for r in report]
         assert ids == sorted(ids)
+
+    def test_each_forced_profile_is_built_once_per_eps(self, tmp_path, monkeypatch):
+        # per mode: the primary and half-power correctors, the two split
+        # correctors and the two remainders, each solved once for every group
+        calls = collections.Counter()
+        solve = profiles.solve_forced
+        monkeypatch.setattr(
+            profiles, "solve_forced", lambda p, f: calls.update([p.lam]) or solve(p, f)
+        )
+        cfg = write_config(
+            tmp_path,
+            spectrum="three-mode",
+            u0={"family": "decay", "p": 2.0},
+            u1={"family": "decay", "p": 2.0},
+            epsilons=[0.1],
+            checks="all",
+        )
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert calls == {0.0: 6, 1.0: 6, 4.0: 6}
 
     def test_corrupted_tolerance_flips_exit(self, tmp_path):
         cfg = write_config(tmp_path, tolerances={"identity": 1e-20})
@@ -480,7 +501,9 @@ class TestExitCodes:
 
     def test_overflowing_bound_is_a_fail_record(self, tmp_path):
         # |u1|^2 overflows, so both bounds are inf; they once passed with
-        # margin NaN.  A subprocess, since the overflow warns.
+        # margin NaN, and the resolvent bound of u1 with a finite margin,
+        # the least of those of u0, u1 and v1.  A subprocess, since the
+        # overflow warns.
         cfg = write_config(
             tmp_path,
             spectrum=[1e-300, 1.0],
@@ -504,9 +527,57 @@ class TestExitCodes:
         failed = {r["id"]: r for r in json.loads(text) if not r["pass"]}
         assert sorted(failed) == [
             "bound.l2_deviation_constants_2_7[eps=0.1]",
+            "bound.resolvent_halfpower[eps=0.1]",
             "bound.sup_error_explicit[eps=0.1]",
         ]
         assert all(r["note"].startswith("not finite: ") for r in failed.values())
+
+    @pytest.mark.parametrize(
+        "u0, checks, failing",
+        [
+            # u0 = 0, so the dissipation functionals take f = u1, whose
+            # square overflows: their curves are NaN, and the NaN cross-check
+            # gap once passed it, leaving records with margin NaN
+            ([0.0, 0.0], ["maxreg", "inequalities"], [
+                "maxreg.finite_time_gap_n1", "maxreg.finite_time_gap_n2",
+                "maxreg.monotone_bounded_n1", "maxreg.monotone_bounded_n2",
+            ]),
+            # every group: the resolvent bound of u1 is inf, and the least
+            # margin over u0, u1 and v1 once hid it
+            ([1.0, 1.0], "all", ["bound.resolvent_halfpower[eps=0.1]"]),
+        ],
+    )
+    def test_nonfinite_data_gives_fail_records_with_a_reason(
+        self, tmp_path, u0, checks, failing
+    ):
+        cfg = write_config(
+            tmp_path,
+            spectrum=[1e-300, 1.0],
+            u0=u0,
+            u1=[1e200, 0.0],
+            epsilons=[0.1],
+            checks=checks,
+        )
+        out = tmp_path / "out"
+        result = subprocess.run(
+            [sys.executable, "-m", "singlim.cli", "verify", "--config", str(cfg),
+             "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=cli_env(),
+        )
+        assert result.returncode == EXIT_CHECK_FAILURE
+        assert "Traceback" not in result.stderr
+        text = (out / "report.json").read_text()
+        assert "NaN" not in text
+        records = {r["id"]: r for r in json.loads(text)}
+        for check_id in failing:
+            record = records[check_id]
+            assert not record["pass"]
+            assert record["margin"] == -math.inf
+            assert record["note"].startswith(
+                ("not finite: ", "analytic and quadrature dissipation curves disagree")
+            )
 
     def test_cli_and_modes_imports_load_no_scipy(self):
         # start-up time: no module of singlim needs scipy, the oracle's

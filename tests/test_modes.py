@@ -26,13 +26,11 @@ GRID = np.linspace(0.0, 8.0, 33)
 class TestRoots:
     def test_lambda_zero_factorization(self):
         r = characteristic_roots(0.2, 0.0)
-        assert r.classification == "degenerate_lambda_zero"
         assert r.mu_plus == 0.0
         assert r.mu_minus == pytest.approx(-5.0, rel=1e-15)
 
     def test_critical(self):
         r = characteristic_roots(0.25, 1.0)
-        assert r.classification == "critical"
         assert r.mu_plus == r.mu_minus == pytest.approx(-2.0, rel=1e-14)
         # root satisfies the characteristic polynomial
         mu = r.mu_plus
@@ -40,7 +38,6 @@ class TestRoots:
 
     def test_small_eps_values(self):
         r = characteristic_roots(0.01, 1.0)
-        assert r.classification == "overdamped"
         assert r.mu_plus.real == pytest.approx(-1.0102051443364382, rel=1e-12)
         assert r.mu_minus.real == pytest.approx(-98.98979485566356, rel=1e-12)
         assert (r.mu_plus + r.mu_minus).real == pytest.approx(-100.0, rel=1e-13)
@@ -48,7 +45,6 @@ class TestRoots:
 
     def test_underdamped(self):
         r = characteristic_roots(1.0, 1.0)
-        assert r.classification == "underdamped"
         assert r.mu_plus.imag > 0
         assert r.mu_plus.real == pytest.approx(-0.5, rel=1e-15)
 

@@ -4,23 +4,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from singlim.profiles import (
-    ProblemData,
-    corrector_halfpower,
-    corrector_primary,
-    corrector_profile,
-    corrector_remainder,
-    corrector_split,
-    derivative_expansion_profile,
-    exact_solution,
-    kernel_profile,
-    layer_equation_source,
-    main_expansion_profile,
-    parabolic_profile,
-    sample_together,
-    split_components,
-    theta_layer,
-)
+from singlim.profiles import ProblemData, kernel_profile, sample_together
 import singlim.exppoly as exppoly
 from singlim.spectral import SpecVector, Spectrum, norm, resolvent
 from singlim.timegrid import standard_grid
@@ -59,7 +43,7 @@ class TestBasicProfiles:
         pd = ProblemData(
             spec, 0.3, SpecVector(np.array([1.0])), SpecVector(np.array([0.0]))
         )
-        u = exact_solution(pd)
+        u = pd.solution
         for t in (0.0, 0.5, 7.0):
             assert u.value(t).coefficients[0] == pytest.approx(1.0, abs=1e-15)
 
@@ -68,13 +52,13 @@ class TestBasicProfiles:
         pd = ProblemData(
             spec, 0.25, SpecVector(np.array([1.0])), SpecVector(np.array([0.0]))
         )
-        assert exact_solution(pd).value(1.0).coefficients[0] == pytest.approx(
+        assert pd.solution.value(1.0).coefficients[0] == pytest.approx(
             3.0 * math.exp(-2.0), rel=1e-14
         )
 
     def test_limit_profile_values(self):
         pd = make_problem([1.0], 0.1, p=0.0)  # u0 = (1,)
-        v = parabolic_profile(pd)
+        v = pd.parabolic
         assert v.value(0.0).coefficients[0] == 1.0
         assert v.value(math.log(2.0)).coefficients[0] == pytest.approx(0.5, rel=1e-15)
 
@@ -83,7 +67,7 @@ class TestBasicProfiles:
         pd = ProblemData(
             spec, 0.1, SpecVector(np.array([0.0])), SpecVector(np.array([1.0]))
         )  # v1 = (1,)
-        theta = theta_layer(pd)
+        theta = pd.theta
         assert norm(theta.value(0.0)) == 0.0
         assert theta.value(0.2).coefficients[0] == pytest.approx(
             0.1 * (1.0 - math.exp(-2.0)), rel=1e-14
@@ -91,13 +75,13 @@ class TestBasicProfiles:
 
     def test_layer_vanishes_under_compatibility(self):
         pd = make_problem([0.0, 1.0, 4.0], 0.05, il0=True)
-        theta = theta_layer(pd)
+        theta = pd.theta
         ts = np.linspace(0.0, 5.0, 11)
         assert np.max(np.abs(theta.sample(ts))) == 0.0
 
     def test_layer_slope_is_v1(self):
         pd = make_problem([0.0, 1.0, 4.0], 0.05)
-        theta = theta_layer(pd)
+        theta = pd.theta
         np.testing.assert_allclose(
             theta.derivative(0.0).coefficients, pd.v1.coefficients, rtol=1e-13
         )
@@ -105,7 +89,7 @@ class TestBasicProfiles:
     def test_layer_solves_relaxation_equation(self):
         # eps theta'' + theta' = 0 holds identically
         pd = make_problem([0.0, 1.0, 4.0], 0.05)
-        theta = theta_layer(pd)
+        theta = pd.theta
         ts = np.linspace(0.0, 2.0, 9)
         residual = pd.eps * theta.deriv().deriv().sample(ts) + theta.deriv().sample(ts)
         assert np.max(np.abs(residual)) <= 1e-13
@@ -114,7 +98,7 @@ class TestBasicProfiles:
 class TestExpansionProfiles:
     def test_matches_initial_value(self):
         pd = make_problem([0.0, 1.0, 4.0], 0.01)
-        p = main_expansion_profile(pd)
+        p = pd.main_expansion
         np.testing.assert_allclose(
             p.value(0.0).coefficients, pd.u0.coefficients, atol=1e-15
         )
@@ -127,14 +111,14 @@ class TestExpansionProfiles:
         expected = math.exp(-1.0) + 0.01 * (
             math.exp(-1.0) - math.exp(-1.0) - math.exp(-100.0)
         )
-        assert main_expansion_profile(pd).value(1.0).coefficients[0] == pytest.approx(
+        assert pd.main_expansion.value(1.0).coefficients[0] == pytest.approx(
             expected, rel=1e-14
         )
 
     def test_compatible_data_drops_layer(self):
         pd = make_problem([1.0, 4.0], 0.01, il0=True)
-        p = main_expansion_profile(pd)
-        expected = parabolic_profile(pd) - kernel_profile(
+        p = pd.main_expansion
+        expected = pd.parabolic - kernel_profile(
             pd.spec, pd.u0.coefficients, 1, 2.0, pd.eps
         )
         ts = np.linspace(0.0, 5.0, 21)
@@ -142,7 +126,7 @@ class TestExpansionProfiles:
 
     def test_derivative_profile_initial_value(self):
         pd = make_problem([1.0, 4.0], 0.01, il0=True)
-        d = derivative_expansion_profile(pd)
+        d = pd.derivative_expansion
         np.testing.assert_allclose(
             d.value(0.0).coefficients, pd.u1.coefficients, atol=1e-14
         )
@@ -152,27 +136,27 @@ class TestExpansionProfiles:
         pd = ProblemData(
             spec, 0.1, SpecVector(np.array([1.0, 2.0])), SpecVector(np.zeros(2))
         )
-        d = derivative_expansion_profile(pd)
+        d = pd.derivative_expansion
         ts = np.linspace(0.0, 3.0, 7)
         assert np.max(np.abs(d.sample(ts))) == 0.0
 
     def test_derivative_profile_requires_compatibility(self):
         pd = make_problem([1.0], 0.1)
         with pytest.raises(ValueError):
-            derivative_expansion_profile(pd)
+            pd.derivative_expansion
 
 
 class TestSplit:
     def test_superposition(self):
         pd = make_problem([0.0, 1.0, 4.0], 0.05)
-        a, b = split_components(pd)
+        a, b = pd.splits
         ts = standard_grid([pd.eps]).times
-        gap = max_gap(a + b, exact_solution(pd), ts)
+        gap = max_gap(a + b, pd.solution, ts)
         assert gap <= 1e-10 * pd.data_scale
 
     def test_compatible_data_kills_second(self):
         pd = make_problem([0.0, 1.0, 4.0], 0.05, il0=True)
-        _, b = split_components(pd)
+        _, b = pd.splits
         ts = np.linspace(0.0, 5.0, 11)
         assert np.max(np.abs(b.sample(ts))) == 0.0
 
@@ -181,7 +165,7 @@ class TestSplit:
         pd = ProblemData(
             spec, 0.1, SpecVector(np.zeros(2)), SpecVector(np.array([1.0, -1.0]))
         )
-        a, _ = split_components(pd)
+        a, _ = pd.splits
         ts = np.linspace(0.0, 5.0, 11)
         assert np.max(np.abs(a.sample(ts))) == 0.0
 
@@ -192,10 +176,10 @@ class TestCorrectors:
         zero = SpecVector(np.zeros(2))
         pd = ProblemData(spec, 0.1, zero, zero)
         ts = np.linspace(0.0, 4.0, 9)
-        assert np.max(np.abs(corrector_primary(pd).sample(ts))) == 0.0
-        assert np.max(np.abs(corrector_halfpower(pd).sample(ts))) == 0.0
+        assert np.max(np.abs(pd.corrector_primary.sample(ts))) == 0.0
+        assert np.max(np.abs(pd.corrector_halfpower.sample(ts))) == 0.0
         for j in (1, 2):
-            assert np.max(np.abs(corrector_split(pd, j).sample(ts))) == 0.0
+            assert np.max(np.abs(pd.split_correctors[j - 1].sample(ts))) == 0.0
 
     def test_primary_identity(self):
         pd = make_problem([1.0], 0.1, p=0.0)
@@ -205,8 +189,8 @@ class TestCorrectors:
             pd.spec, pd.u0.coefficients + pd.eps * ju1.coefficients, 0, 0.0
         )
         gap = max_gap(
-            exact_solution(pd),
-            smoothed + corrector_primary(pd).deriv().scale(pd.eps),
+            pd.solution,
+            smoothed + pd.corrector_primary.deriv().scale(pd.eps),
             ts,
         )
         assert gap <= 1e-9
@@ -224,8 +208,8 @@ class TestCorrectors:
             0.0,
         )
         gap = max_gap(
-            exact_solution(pd),
-            smoothed + corrector_primary(pd).deriv().scale(pd.eps),
+            pd.solution,
+            smoothed + pd.corrector_primary.deriv().scale(pd.eps),
             ts,
         )
         assert gap <= 1e-13
@@ -233,29 +217,29 @@ class TestCorrectors:
     def test_halfpower_identity(self):
         pd = make_problem([1.0], 0.05, p=0.0)
         ts = standard_grid([pd.eps]).times
-        u_one, _ = split_components(pd)
-        z = corrector_halfpower(pd)
+        u_one, _ = pd.splits
+        z = pd.corrector_halfpower
         gap = max_gap(
-            u_one, parabolic_profile(pd) + z.operator_power(0.5).scale(pd.eps), ts
+            u_one, pd.parabolic + z.operator_power(0.5).scale(pd.eps), ts
         )
         assert gap <= 1e-9
 
     def test_split_corrector_identities(self):
         pd = make_problem([1.0], 0.1)
         ts = standard_grid([pd.eps]).times
-        u_one, u_two = split_components(pd)
+        u_one, u_two = pd.splits
         ju0 = resolvent(pd.spec, pd.eps, pd.u0)
         gap1 = max_gap(
             u_one,
             kernel_profile(pd.spec, ju0.coefficients, 0, 0.0)
-            + corrector_split(pd, 1).deriv().scale(pd.eps),
+            + pd.split_correctors[0].deriv().scale(pd.eps),
             ts,
         )
         jv1 = resolvent(pd.spec, pd.eps, pd.v1)
         gap2 = max_gap(
             u_two,
             kernel_profile(pd.spec, jv1.coefficients, 0, 0.0).scale(pd.eps)
-            + corrector_split(pd, 2).deriv().scale(pd.eps),
+            + pd.split_correctors[1].deriv().scale(pd.eps),
             ts,
         )
         assert max(gap1, gap2) <= 1e-9
@@ -265,11 +249,11 @@ class TestCorrectors:
         lam = pd.spec.eigenvalues
         ju0 = resolvent(pd.spec, pd.eps, pd.u0).coefficients
         jv1 = resolvent(pd.spec, pd.eps, pd.v1).coefficients
-        v1p = corrector_profile(pd, 1)
+        v1p = pd.corrector_profiles[0]
         np.testing.assert_allclose(
             v1p.value(0.0).coefficients, 2.0 * pd.eps * lam * ju0, rtol=1e-14
         )
-        v2p = corrector_profile(pd, 2)
+        v2p = pd.corrector_profiles[1]
         np.testing.assert_allclose(
             v2p.value(0.0).coefficients, -2.0 * pd.eps * jv1, rtol=1e-14
         )
@@ -279,7 +263,7 @@ class TestCorrectors:
         pd = make_problem([1.0], 0.1, p=0.0)
         lam = pd.spec.eigenvalues
         ju0 = resolvent(pd.spec, pd.eps, pd.u0).coefficients
-        d2 = corrector_profile(pd, 1).deriv().deriv()
+        d2 = pd.corrector_profiles[0].deriv().deriv()
         expected = kernel_profile(
             pd.spec, (pd.eps * lam - 1.0) * ju0, 0, 2.0, 2.0
         ) + kernel_profile(pd.spec, ju0, 1, 3.0)
@@ -292,12 +276,12 @@ class TestCorrectors:
             spec, 0.1, SpecVector(np.array([1.0])), SpecVector(np.array([0.0]))
         )
         ts = np.linspace(0.0, 3.0, 7)
-        assert np.max(np.abs(corrector_profile(pd, 1).sample(ts))) == 0.0
+        assert np.max(np.abs(pd.corrector_profiles[0].sample(ts))) == 0.0
 
 
 def remainder_ode_residual(pd, j, w, ts):
     """Largest |eps w'' + w' + A w + v''| on ts, v the profile part."""
-    forcing = corrector_profile(pd, j).deriv().deriv().scale(-1.0)
+    forcing = pd.corrector_profiles[j - 1].deriv().deriv().scale(-1.0)
     s2, s1, s0, sf = sample_together((w.deriv().deriv(), w.deriv(), w, forcing), ts)
     residual = pd.eps * s2 + s1 + pd.spec.eigenvalues * s0 - sf
     return float(np.max(np.sqrt(np.sum(residual**2, axis=1))))
@@ -309,13 +293,13 @@ class TestRemainders:
         pd = ProblemData(
             spec, 0.1, SpecVector(np.zeros(2)), SpecVector(np.array([1.0, 0.5]))
         )
-        rem = corrector_remainder(pd, 1)
+        rem = pd.remainders[0]
         ts = np.linspace(0.0, 4.0, 9)
         assert np.max(np.abs(rem.sample(ts))) <= 1e-14
 
     def test_second_remainder_initial_data(self):
         pd = make_problem([0.0, 1.0, 4.0], 0.1)
-        rem = corrector_remainder(pd, 2)
+        rem = pd.remainders[1]
         lam = pd.spec.eigenvalues
         jv1 = resolvent(pd.spec, pd.eps, pd.v1).coefficients
         np.testing.assert_allclose(rem.value(0.0).coefficients, jv1, atol=1e-12)
@@ -326,7 +310,7 @@ class TestRemainders:
     def test_first_remainder_slope_sign(self):
         # the decomposition forces the +2 A^2 J u0 slope
         pd = make_problem([1.0, 4.0], 0.1)
-        rem = corrector_remainder(pd, 1)
+        rem = pd.remainders[0]
         lam = pd.spec.eigenvalues
         ju0 = resolvent(pd.spec, pd.eps, pd.u0).coefficients
         np.testing.assert_allclose(
@@ -338,7 +322,7 @@ class TestRemainders:
 
     def test_remainder_ode_residual_recorded(self):
         pd = make_problem([1.0], 0.1, p=0.0)
-        rem = corrector_remainder(pd, 1)
+        rem = pd.remainders[0]
         ts = standard_grid([pd.eps]).times
         assert remainder_ode_residual(pd, 1, rem, ts) <= 1e-8
 
@@ -346,14 +330,14 @@ class TestRemainders:
         # the decomposition residual (split corrector - profile part)/eps,
         # plus the second split component for j = 2, is exact enough here
         pd = make_problem([0.0, 1.0, 4.0], 0.05)
-        _, u2 = split_components(pd)
+        _, u2 = pd.splits
         for j in (1, 2):
-            residual = corrector_split(pd, j) - corrector_profile(pd, j)
+            residual = pd.split_correctors[j - 1] - pd.corrector_profiles[j - 1]
             if j == 2:
                 residual = residual + u2
             ts = standard_grid([pd.eps]).times
             assert (
-                max_gap(corrector_remainder(pd, j), residual.scale(1.0 / pd.eps), ts)
+                max_gap(pd.remainders[j - 1], residual.scale(1.0 / pd.eps), ts)
                 <= 1e-8 * pd.data_scale
             )
 
@@ -426,7 +410,7 @@ class TestSmallEpsReference:
         lam = pd.spec.eigenvalues
         u0, u1 = pd.u0.coefficients, pd.u1.coefficients
         ts = _layer_times(eps)
-        got = corrector_remainder(pd, j).sample(ts)
+        got = pd.remainders[j - 1].sample(ts)
         want = _mp_table(ts, lambda i, t: _remainder_mp(eps, lam[i], u0[i], u1[i], j, t))
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
@@ -442,7 +426,7 @@ class TestSmallEpsReference:
         lam = pd.spec.eigenvalues
         u0, u1 = pd.u0.coefficients, pd.u1.coefficients
         ts = _layer_times(eps)
-        got = exact_solution(pd).deriv().sample(ts)
+        got = pd.solution.deriv().sample(ts)
         want = _mp_table(
             ts,
             lambda i, t: _forced_mode_mp(
@@ -460,7 +444,7 @@ class TestSmallEpsReference:
         lam = pd.spec.eigenvalues
         u0, u1 = pd.u0.coefficients, pd.u1.coefficients
         ts = _layer_times(eps)
-        got = corrector_remainder(pd, j).deriv().sample(ts)
+        got = pd.remainders[j - 1].deriv().sample(ts)
         want = _mp_table(
             ts, lambda i, t: _remainder_mp(eps, lam[i], u0[i], u1[i], j, t, order=1)
         )
@@ -471,16 +455,16 @@ class TestSmallEpsReference:
 class TestLayerSource:
     def test_vanishes_without_layer(self):
         pd = make_problem([1.0, 4.0], 0.1, il0=True)
-        src = layer_equation_source(pd, corrector_remainder(pd, 2))
+        src = pd.layer_source
         ts = np.linspace(0.0, 4.0, 9)
         assert np.max(np.abs(src.sample(ts))) <= 1e-14
 
     def test_relaxation_identity(self):
         pd = make_problem([0.0, 1.0, 4.0], 0.1)
         ts = standard_grid([pd.eps]).times
-        _, u_two = split_components(pd)
+        _, u_two = pd.splits
         lhs = u_two.deriv().scale(pd.eps) + u_two
-        source = layer_equation_source(pd, corrector_remainder(pd, 2))
+        source = pd.layer_source
         rhs = kernel_profile(pd.spec, pd.v1.coefficients, 0, 0.0).scale(
             pd.eps
         ) + source.scale(pd.eps**1.5)
@@ -488,7 +472,7 @@ class TestLayerSource:
 
     def test_boundedness_recorded(self):
         pd = make_problem([0.0, 1.0, 4.0], 0.05)
-        src = layer_equation_source(pd, corrector_remainder(pd, 2))
+        src = pd.layer_source
         ts = standard_grid([pd.eps]).times
         sup = float(np.max(np.sqrt(np.sum(src.sample(ts) ** 2, axis=1))))
         assert np.isfinite(sup)
@@ -501,11 +485,11 @@ class TestDerivativeConsistency:
         pd = make_problem([0.0, 1.0, 4.0], eps)
         h = 1e-5
         profiles = [
-            exact_solution(pd),
-            parabolic_profile(pd),
-            theta_layer(pd),
-            corrector_primary(pd),
-            corrector_split(pd, 1),
+            pd.solution,
+            pd.parabolic,
+            pd.theta,
+            pd.corrector_primary,
+            pd.split_correctors[0],
         ]
         ts = [t for t in (10 * eps, 0.5, 1.0, 3.0) if t >= 10 * eps]
         for prof in profiles:
@@ -526,15 +510,15 @@ class TestSampleTogether:
         # underflows on part of the grid at eps = 0.001, and near-critical
         # modes (lam close to 1/(4 eps)) carry grouped differences
         pd = make_problem(np.append(2.49, (np.pi * np.arange(1, 9)) ** 2), eps)
-        rem = corrector_remainder(pd, 2)
+        rem = pd.remainders[1]
         profiles = [
-            exact_solution(pd),
-            parabolic_profile(pd),
-            main_expansion_profile(pd),
+            pd.solution,
+            pd.parabolic,
+            pd.main_expansion,
             rem,
             rem.deriv(),
-            corrector_profile(pd, 2).deriv().deriv().scale(-1.0),  # the forcing
-            layer_equation_source(pd, rem),  # grouped differences in low modes
+            pd.corrector_profiles[1].deriv().deriv().scale(-1.0),  # the forcing
+            pd.layer_source,  # grouped differences in low modes
         ]
         assert any(m.differences for p in profiles for m in p.modes)
         ts = standard_grid([eps]).times
@@ -552,9 +536,9 @@ class TestSampleTogether:
         eps = 0.001
         pd = make_problem((np.pi * np.arange(1, 33)) ** 2, eps)
         profiles = [
-            exact_solution(pd),
-            main_expansion_profile(pd),
-            layer_equation_source(pd, corrector_remainder(pd, 2)),
+            pd.solution,
+            pd.main_expansion,
+            pd.layer_source,
         ]
         ts = standard_grid([eps]).times
         calls = []
@@ -575,13 +559,13 @@ class TestSampleTogether:
 
     def test_scalar_time_and_one_profile(self):
         pd = make_problem([0.0, 1.0, 4.0], 0.1)
-        u = exact_solution(pd)
+        u = pd.solution
         (got,) = sample_together([u], 0.5)
         assert got.shape == (1, 3)
         np.testing.assert_array_equal(got[0], u.value(0.5).coefficients)
 
     def test_rejects_mixed_spectra(self):
-        a = exact_solution(make_problem([1.0, 4.0], 0.1))
-        b = exact_solution(make_problem([1.0], 0.1))
+        a = make_problem([1.0, 4.0], 0.1).solution
+        b = make_problem([1.0], 0.1).solution
         with pytest.raises(ValueError):
             sample_together([a, b], np.linspace(0.0, 1.0, 3))

@@ -3,21 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from singlim.exppoly import ExpPoly, power_exp_moment
-from singlim.profiles import (
-    ProblemData,
-    ProfileFunction,
-    corrector_halfpower,
-    corrector_primary,
-    derivative_expansion_profile,
-    exact_solution,
-    kernel_profile,
-    layer_equation_source,
-    main_expansion_profile,
-    parabolic_profile,
-    sample_together,
-    theta_layer,
-)
+from singlim.exppoly import ExpPoly, integrate
+from singlim.profiles import ProblemData, ProfileFunction, kernel_profile, sample_together
 from singlim.spectral import SpecVector, Spectrum
 from singlim.timegrid import TimeGrid, standard_grid
 from singlim.verification import (
@@ -37,7 +24,7 @@ from singlim.verification import (
     max_reg_checks,
     max_reg_functional,
     remainder_data_checks,
-    resolvent_bound_margin,
+    resolvent_bound,
     run_rate_experiment,
     squared_norms,
     sup_norm_error,
@@ -46,9 +33,9 @@ import singlim.exppoly as exppoly
 import singlim.timegrid as timegrid
 import singlim.verification as verification
 from singlim.verification import (
-    _dissipation_integral_curve,
     _duhamel_convolution,
     _energy_lhs_curves,
+    _squared_mode_integrals,
 )
 
 from conftest import (
@@ -57,7 +44,6 @@ from conftest import (
     make_problem,
     reference_integral,
     reference_moment,
-    remainders,
 )
 
 
@@ -70,18 +56,18 @@ class TestTimeGrid:
     def test_invariants(self, grid):
         assert grid.times[0] == 0.0
         assert np.all(np.diff(grid.times) > 0)
-        assert np.all(grid.quad_weights > 0)
 
     def test_quadrature_exact_for_cubics(self):
         g = TimeGrid(np.array([0.0, 0.3, 1.0, 2.5]))
         vals = g.quad_points**3
-        assert g.integrate_values(vals) == pytest.approx(2.5**4 / 4.0, rel=1e-14)
+        want = g.times**4 / 4.0
+        np.testing.assert_allclose(g.cumulative_integral(vals), want, rtol=1e-14)
 
-    def test_cumulative_matches_total(self):
+    def test_cumulative_matches_exact_integral(self):
+        # Simpson's error on panels of width 0.1 is h^4/2880 = 3.5e-8 relative
         g = TimeGrid(np.linspace(0.0, 2.0, 21))
-        vals = np.exp(-g.quad_points)
-        cum = g.cumulative_integral(vals)
-        assert cum[-1] == pytest.approx(g.integrate_values(vals), rel=1e-14)
+        cum = g.cumulative_integral(np.exp(-g.quad_points))
+        np.testing.assert_allclose(cum[1:], 1.0 - np.exp(-g.times[1:]), rtol=1e-7)
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):
@@ -100,7 +86,7 @@ class TestTimeGrid:
 class TestSupNorm:
     def test_identical_profiles(self, grid):
         pd = make_problem([1.0], 0.1)
-        u = exact_solution(pd)
+        u = pd.solution
         assert sup_norm_error(u, u, grid) == 0.0
 
     def test_max_at_zero(self, grid):
@@ -118,8 +104,8 @@ class TestSupNorm:
             )
             sups.append(
                 sup_norm_error(
-                    exact_solution(pd),
-                    parabolic_profile(pd),
+                    pd.solution,
+                    pd.parabolic,
                     grid.with_layer_points([eps]),
                 )
             )
@@ -138,23 +124,19 @@ class TestL2Norm:
         assert l2_time_norm(prof, grid) == pytest.approx(0.5, abs=1e-8)
 
     def test_weighted(self):
-        # t^2 e^{-2t} needs a slightly longer tail to clear the decay gate
-        long_grid = standard_grid([], t_max=25.0)
+        # int_0^25 t^2 e^{-2t}, the weight max_reg_functional's n = 2 uses
         spec = Spectrum(np.array([1.0]))
         prof = kernel_profile(spec, np.array([1.0]), 0, 0.0)
-        assert l2_time_norm(prof, long_grid, weight_power=2) == pytest.approx(
-            0.25, abs=1e-8
-        )
+        (got,) = _squared_mode_integrals(prof, 2, np.array([25.0]))
+        assert got == pytest.approx(0.25, abs=1e-8)
 
     def test_weighted_divided_difference(self):
         # (e^{-t} - e^{-(1+1e-9)t})/1e-9 is t e^{-t} to 1e-9: t^2 * it squared
         # integrates to 4!/2^5
-        long_grid = standard_grid([], t_max=25.0)
         mode = ExpPoly.build([], [((-1.0, -1.0 - 1e-9), 1.0)])
         prof = ProfileFunction(Spectrum(np.array([1.0])), (mode,))
-        assert l2_time_norm(prof, long_grid, weight_power=2) == pytest.approx(
-            0.75, rel=1e-8
-        )
+        (got,) = _squared_mode_integrals(prof, 2, np.array([25.0]))
+        assert got == pytest.approx(0.75, rel=1e-8)
 
     def test_quadrature_cross_check(self, grid):
         spec = Spectrum(np.array([1.0, 2.0]))
@@ -174,14 +156,14 @@ class TestMaxReg:
     def test_constant_for_n0(self, grid):
         spec = Spectrum(np.array([1.0]))
         f = SpecVector(np.array([1.0]))
-        curve = max_reg_functional(spec, f, 0, grid)
+        curve, _ = max_reg_functional(spec, f, 0, grid)
         np.testing.assert_allclose(curve, 0.5, atol=1e-10)
 
     def test_n1_closed_form(self, grid):
         # 1/2 - t e^{-2t} for a unit single mode
         spec = Spectrum(np.array([1.0]))
         f = SpecVector(np.array([1.0]))
-        curve = max_reg_functional(spec, f, 1, grid)
+        curve, _ = max_reg_functional(spec, f, 1, grid)
         idx = int(np.argmin(np.abs(grid.times - 1.0)))
         t = grid.times[idx]
         assert curve[idx] == pytest.approx(0.5 - t * math.exp(-2 * t), rel=1e-12)
@@ -190,27 +172,31 @@ class TestMaxReg:
         spec = Spectrum(np.array([0.0, 2.0, 5.0]))
         f = SpecVector(np.array([1.0, -1.0, 0.5]))
         for n in (0, 1, 2):
-            curve = max_reg_functional(spec, f, n, grid)
+            curve, dissipated = max_reg_functional(spec, f, n, grid)
+            assert dissipated[0] == 0.0
             assert curve[0] == pytest.approx(
                 np.sum(f.coefficients**2) / 2.0, rel=1e-14
             )
 
     def test_sums_mode_by_mode(self, grid):
-        # report margins of M_n are rounding-sized, so the summation order is
-        # pinned: each mode adds its semigroup part, then its dissipation
+        # the reference adds c_i^2 e^{-2 lam_i t}/2 and (2^n/n!) lam_i^{n+1}
+        # c_i^2 times the moment of each mode in turn, with a kernel mode
         spec = Spectrum(np.append(0.0, (np.pi * np.arange(1, 33)) ** 2))
         f = decay_vector(33)
         lam, c2, ts = spec.eigenvalues, f.coefficients**2, grid.times
+        atol = 1e-15 * max(1.0, float(np.sum(c2)))
         for n in (0, 1, 2):
             factor = 2.0**n / math.factorial(n)
-            want = np.zeros(ts.shape)
+            want, want_dissipated = np.zeros(ts.shape), np.zeros(ts.shape)
             for i in range(len(spec)):
                 want += c2[i] * np.exp(-2.0 * lam[i] * ts) / 2.0
                 if lam[i] > 0:
-                    moments = power_exp_moment(n, -2.0 * lam[i], ts).real
+                    moments = reference_moment(n, -2.0 * lam[i], ts).real
                     want += factor * lam[i] ** (n + 1) * c2[i] * moments
-            got = max_reg_functional(spec, f, n, grid)
-            assert got.tobytes() == want.tobytes()
+                    want_dissipated += factor * lam[i] ** (n + 1) * c2[i] * moments
+            got, dissipated = max_reg_functional(spec, f, n, grid)
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+            np.testing.assert_allclose(dissipated, want_dissipated, rtol=0, atol=atol)
 
     def test_unsupported_order(self, grid):
         with pytest.raises(ValueError):
@@ -234,39 +220,40 @@ class TestResolventMargin:
     def test_kernel_vector(self):
         spec = Spectrum(np.array([0.0]))
         f = SpecVector(np.array([2.0]))
-        assert resolvent_bound_margin(spec, 0.5, f) == pytest.approx(
-            8.0, rel=1e-14
-        )
+        report = resolvent_bound(spec, 0.5, f)
+        assert report.margin == pytest.approx(8.0, rel=1e-14)
+        assert report.passed and report.tolerance == 0.0
 
     def test_unit_example(self):
         spec = Spectrum(np.array([1.0]))
         f = SpecVector(np.array([1.0]))
-        assert resolvent_bound_margin(spec, 1.0, f) == pytest.approx(0.75, rel=1e-14)
+        assert resolvent_bound(spec, 1.0, f).margin == pytest.approx(0.75, rel=1e-14)
 
     def test_sweep_nonnegative(self):
         spec = Spectrum(np.array([0.0, 1.0, 9.0, 100.0]))
         f = decay_vector(4)
         for eps in (1.0, 0.3, 0.1, 1e-2, 1e-3, 1e-4):
-            assert resolvent_bound_margin(spec, eps, f) >= 0.0
+            report = resolvent_bound(spec, eps, f)
+            assert report.passed and report.margin >= 0.0
 
 
 class TestIdentitySuite:
     def test_all_pass_three_mode(self, grid):
         pd = make_problem([0.0, 1.0, 4.0], 0.01)
-        reports = identity_checks(pd, grid.with_layer_points([0.01]), remainders(pd))
+        reports = identity_checks(pd, grid.with_layer_points([0.01]))
         assert all(r.passed for r in reports)
         assert len(reports) == 8
 
     def test_corrupted_tolerance_fails(self, grid):
         pd = make_problem([0.0, 1.0, 4.0], 0.01)
         reports = identity_checks(
-            pd, grid.with_layer_points([0.01]), remainders(pd), tol=1e-20
+            pd, grid.with_layer_points([0.01]), tol=1e-20
         )
         assert any(not r.passed for r in reports)
 
     def test_remainder_data_reports(self):
         pd = make_problem([0.0, 1.0, 4.0], 0.1)
-        reports = remainder_data_checks(pd, remainders(pd))
+        reports = remainder_data_checks(pd)
         assert all(r.passed for r in reports)
         note = next(
             r.note for r in reports if r.check_id == "data.remainder1_initial"
@@ -279,7 +266,7 @@ class TestEnergyChecks:
         spec = Spectrum(np.array([1.0, 4.0]))
         zero = SpecVector(np.zeros(2))
         pd = ProblemData(spec, 0.1, zero, zero)
-        reports = energy_inequality_checks(pd, grid, remainders=remainders(pd))
+        reports = energy_inequality_checks(pd, grid)
         assert all(r.passed for r in reports)
 
     def test_explicit_constants(self, grid):
@@ -298,7 +285,7 @@ class TestEnergyChecks:
         pd = make_problem([0.0, 1.0, 4.0], 0.05)
         reports = {
             r.check_id: r
-            for r in energy_inequality_checks(pd, grid, remainders=remainders(pd))
+            for r in energy_inequality_checks(pd, grid)
         }
         for j in (1, 2):
             r = reports[f"energy.remainder{j}_measured"]
@@ -306,19 +293,14 @@ class TestEnergyChecks:
             assert np.isfinite(r.margin)
             assert "measured" in r.note
 
-    def test_remainders_come_as_a_pair(self, grid):
-        pd = make_problem([0.0, 1.0, 4.0], 0.05)
-        with pytest.raises(ValueError):
-            energy_inequality_checks(pd, grid, remainders=(remainders(pd)[1],))
-
 
     @pytest.mark.parametrize("eps", [0.1, 0.001])
     def test_curves_together_match_one_at_a_time(self, eps):
         # the primary, half-power and remainder profiles share their rates
         # mode by mode; taken together each curve keeps its own bits
         pd = make_problem(np.append(2.49, (np.pi * np.arange(1, 9)) ** 2), eps)
-        profiles = [corrector_primary(pd), corrector_halfpower(pd)]
-        profiles += list(remainders(pd))
+        profiles = [pd.corrector_primary, pd.corrector_halfpower]
+        profiles += list(pd.remainders)
         ts = standard_grid([eps]).times
         for prof, got in zip(profiles, _energy_lhs_curves(pd, profiles, ts)):
             dp = prof.deriv()
@@ -326,7 +308,7 @@ class TestEnergyChecks:
             potential = np.sum(prof.operator_power(0.5).sample(ts) ** 2, axis=1)
             dissipated = np.zeros(ts.shape)
             for mode in dp.modes:
-                dissipated += mode.squared().integral(ts)
+                dissipated += next(integrate((mode.squared(),), ts))
             want = kinetic + potential + dissipated
             assert got.tobytes() == want.tobytes()
 
@@ -355,7 +337,7 @@ class TestBatchedIntegralCallSites:
     @pytest.mark.parametrize("eps", [0.1, 0.01, 0.001])
     def test_energy_curves(self, eps):
         pd = make_problem(_DIRICHLET_32, eps)
-        profiles = [corrector_primary(pd), corrector_halfpower(pd), *remainders(pd)]
+        profiles = [pd.corrector_primary, pd.corrector_halfpower, *pd.remainders]
         ts = standard_grid([eps]).times
         derivs = [p.deriv() for p in profiles]
         dissipated = [np.zeros(ts.shape) for _ in profiles]
@@ -375,41 +357,46 @@ class TestBatchedIntegralCallSites:
         target = kernel_profile(
             pd.spec, pd.u0.coefficients + eps * pd.u1.coefficients, 0, 0.0
         )
-        cases = [(exact_solution(pd), target, 0), (corrector_primary(pd), None, 1)]
-        for profile, minus, w in cases:
-            diff = profile if minus is None else profile - minus
-            weight = ExpPoly.build([(w, 0.0, 1.0)])
-            want = np.zeros(1)
-            for mode in diff.modes:
-                sq = mode.squared()
-                if w:
-                    sq = sq.multiply(weight)
-                want += reference_integral(sq, np.array([grid.t_max]))
-            got = l2_time_norm(profile, grid, w, minus=minus)
-            assert np.float64(got).tobytes() == want[0].tobytes()
+        end = np.array([grid.t_max])
+        diff = pd.solution - target
+        want = np.zeros(1)
+        for mode in diff.modes:
+            want += reference_integral(mode.squared(), end)
+        got = l2_time_norm(pd.solution, grid, minus=target)
+        assert np.float64(got).tobytes() == want[0].tobytes()
+        # weighted by t, as the order-1 dissipation functional integrates
+        weight = ExpPoly.build([(1, 0.0, 1.0)])
+        want = np.zeros(1)
+        for mode in pd.corrector_primary.modes:
+            want += reference_integral(mode.squared().multiply(weight), end)
+        got = _squared_mode_integrals(pd.corrector_primary, 1, end)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("eps", [0.1, 0.01, 0.001])
     def test_dissipation_curves(self, eps):
+        # the dissipation is the t^n-weighted squared integral of the profile
+        # sqrt(2^n/n!) A^{(n+1)/2} e^{-tA} f, added mode by mode; report
+        # margins of M_n are rounding-sized, so its bits are pinned
         spec, f = Spectrum(_DIRICHLET_32), decay_vector(32)
         grid = standard_grid([eps])
-        lam, c2, ts = spec.eigenvalues, f.coefficients**2, grid.times
+        lam, c, ts = spec.eigenvalues, f.coefficients, grid.times
         for n in (0, 1, 2):
-            factor = 2.0**n / math.factorial(n)
-            semigroup, dissipated = np.zeros(ts.shape), np.zeros(ts.shape)
+            weight = ExpPoly.build([(n, 0.0, 1.0)])
+            scale = math.sqrt(2.0**n / math.factorial(n))
+            dissipated = np.zeros(ts.shape)
             for i in range(len(spec)):
-                semigroup += c2[i] * np.exp(-2.0 * lam[i] * ts) / 2.0
-                # the real rate -2 lam, as the curve passes it
-                moments = reference_moment(n, -2.0 * lam[i], ts).real
-                semigroup += factor * lam[i] ** (n + 1) * c2[i] * moments
-                dissipated += factor * lam[i] ** (n + 1) * c2[i] * moments
-            got = max_reg_functional(spec, f, n, grid)
-            assert got.tobytes() == semigroup.tobytes()
-            got = _dissipation_integral_curve(spec, f, n, ts)
-            assert got.tobytes() == dissipated.tobytes()
+                mode = ExpPoly.build([(0, -lam[i], scale * lam[i] ** ((n + 1) / 2) * c[i])])
+                square = mode.squared().multiply(weight) if n else mode.squared()
+                dissipated += reference_integral(square, ts)
+            semigroup = np.zeros(ts.shape)
+            for i in range(len(spec)):
+                semigroup += (c[i] * np.exp(-lam[i] * ts)) ** 2
+            got, got_dissipated = max_reg_functional(spec, f, n, grid)
+            assert got_dissipated.tobytes() == dissipated.tobytes()
+            np.testing.assert_allclose(got, semigroup / 2.0 + dissipated, rtol=1e-14, atol=0)
 
     def test_one_integrate_call_and_series_pass_per_eps(self, grid, monkeypatch):
         pd = make_problem(_DIRICHLET_32[:8], 0.01)
-        rem = remainders(pd)
         calls, passes = [], []
         integrate, series = verification.integrate, exppoly._batched_series
         monkeypatch.setattr(
@@ -418,7 +405,7 @@ class TestBatchedIntegralCallSites:
         monkeypatch.setattr(
             exppoly, "_batched_series", lambda pairs: passes.append(1) or series(pairs)
         )
-        energy_inequality_checks(pd, grid, remainders=rem)
+        energy_inequality_checks(pd, grid)
         assert calls == [1]
         assert passes == [1]
 
@@ -594,19 +581,19 @@ class TestDuhamel:
         # the by-parts bound is its own check (the inequalities group)
         pd = make_problem([1.0], 0.1, p=0.0)
         grid = standard_grid([0.1])
-        (report,) = duhamel_residual(pd, grid, remainders(pd)[1])
+        (report,) = duhamel_residual(pd, grid)
         assert report.check_id == "duhamel.representation" and report.passed
         assert byparts_convolution_bound(pd, grid).passed
 
     def test_zero_layer_data(self):
         pd = make_problem([1.0, 4.0], 0.1, il0=True)
-        reports = duhamel_residual(pd, standard_grid([0.1]), remainders(pd)[1])
+        reports = duhamel_residual(pd, standard_grid([0.1]))
         assert all(r.passed for r in reports)
 
     @pytest.mark.parametrize("eps", [0.1, 0.01])
     def test_batched_quadrature_matches_per_interval(self, eps):
         pd = make_problem([0.0, 1.0, 4.0], eps)
-        source = layer_equation_source(pd, remainders(pd)[1])
+        source = pd.layer_source
         integrand = kernel_profile(pd.spec, pd.v1.coefficients, 0, 0.0) + source.scale(
             math.sqrt(eps)
         )
@@ -620,7 +607,7 @@ class TestDuhamel:
         # dirichlet-32: one sample_together call per block of 2048 nodes,
         # against per-mode value calls on blocks of 8192, bit for bit
         pd = make_problem(_DIRICHLET_32, eps)
-        source = layer_equation_source(pd, remainders(pd)[1])
+        source = pd.layer_source
         integrand = kernel_profile(pd.spec, pd.v1.coefficients, 0, 0.0) + source.scale(
             math.sqrt(eps)
         )
@@ -632,7 +619,7 @@ class TestDuhamel:
     def test_quadrature_against_four_times_finer_panels(self, eps, monkeypatch):
         # dirichlet-32 with the default decay data
         pd = make_problem((np.pi * np.arange(1, 33)) ** 2, eps)
-        source = layer_equation_source(pd, remainders(pd)[1])
+        source = pd.layer_source
         integrand = kernel_profile(pd.spec, pd.v1.coefficients, 0, 0.0) + source.scale(
             math.sqrt(eps)
         )
@@ -674,16 +661,16 @@ class TestRateFit:
 
 def _comparison_pair(pd: ProblemData, comparison: str):
     """The (reference, candidate) profile pair of a comparison, built alone."""
-    u_eps, v = exact_solution(pd), parabolic_profile(pd)
+    u_eps, v = pd.solution, pd.parabolic
     candidates = {
         "order0_thm11i": lambda: v,
         "order0_thm11ii": lambda: v,
-        "order1_theta": lambda: v + theta_layer(pd),
-        "order2_mainthm": lambda: main_expansion_profile(pd),
+        "order1_theta": lambda: v + pd.theta,
+        "order2_mainthm": lambda: pd.main_expansion,
         "cor1": lambda: v - kernel_profile(pd.spec, pd.u0.coefficients, 1, 2.0, pd.eps),
     }
     if comparison == "cor2":
-        return u_eps.deriv(), derivative_expansion_profile(pd)
+        return u_eps.deriv(), pd.derivative_expansion
     return u_eps, candidates[comparison]()
 
 

@@ -76,10 +76,14 @@ COMPARISON_EXPONENTS = {
 
 
 # Gauss-Legendre nodes per subpanel of the Duhamel quadrature, and the
-# subpanel width in units of eps: 10 nodes on 2 eps keep the quadrature
-# error of the e^{(s-t)/eps}-weighted integrands near 1e-16 relative.
+# widest subpanel in units of eps.  The 10-node rule integrates e^x on
+# [-a, a] to 2.3e-16 relative at a = 2, 9.9e-16 at a = 3 and 1.1e-14 at
+# a = 3.5 (measured at 40 digits), so 6 eps panels keep the kernel
+# e^{(s-t)/eps} at rounding level.  They also cover the default grid's
+# step at eps = 1e-3 (20/1999 = 10.005 eps) in two panels, where 5 eps
+# panels would take three.
 _GAUSS_NODES = 10
-_PANEL_EPS = 2.0
+_PANEL_EPS = 6.0
 
 # The 10-point Gauss-Legendre rule on [-1, 1], bit for bit as
 # np.polynomial.legendre.leggauss(10) gives it (the rule is symmetric);
@@ -707,13 +711,17 @@ def _duhamel_convolution(
     together, in one sample_together call per block: a block holds the
     intervals whose first node falls in one window of the block size (see
     _DUHAMEL_BLOCK_VALUES), so it has at most that many plus one
-    interval's 230.  Each interval's weighted values are summed per mode
-    by one reduceat over the block's mode-major rows.
+    interval's 80 (8 panels).  Each interval's weighted values are summed
+    per mode by one reduceat over the block's mode-major rows.
+
+    The panels are laid out as offsets from the right endpoint, and the
+    kernel is e^{offset/eps}, so it keeps its digits at small eps: an
+    absolute node time near t = 20 is rounded by ulp(20), which is
+    3.6e-6 eps at eps = 1e-9.
     """
     reach = 45.0 * eps  # kernel support: e^{-45} is below double rounding
     t_right = ts[1:]
-    lo = np.maximum(ts[:-1], t_right - reach)
-    width = t_right - lo
+    width = np.minimum(np.diff(ts), reach)
     n_sub = np.where(
         width > 0, np.maximum(np.ceil(width / (_PANEL_EPS * eps)), 1), 0
     ).astype(int)
@@ -729,21 +737,22 @@ def _duhamel_convolution(
     convo = np.zeros((ts.size, n_modes))
     local = convo[1:]
     for ks in blocks:
-        # subpanel edges as np.linspace(lo, t_right, n_sub + 1) per interval
+        # subpanel edges as offsets from t_right, np.linspace(-width, 0,
+        # n_sub + 1) per interval
         counts = n_sub[ks]
         first_sub = np.cumsum(counts) - counts
         k_sub = np.repeat(ks, counts)
         j_sub = np.arange(k_sub.size) - np.repeat(first_sub, counts)
-        step = width[k_sub] / n_sub[k_sub]
-        left = j_sub * step + lo[k_sub]
-        right = np.where(
-            j_sub + 1 == n_sub[k_sub], t_right[k_sub], (j_sub + 1) * step + lo[k_sub]
-        )
+        span = width[k_sub]
+        step = span / n_sub[k_sub]
+        left = j_sub * step - span
+        right = np.where(j_sub + 1 == n_sub[k_sub], 0.0, (j_sub + 1) * step - span)
         half = 0.5 * (right - left)
         mid = 0.5 * (right + left)
-        nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+        offsets = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
         weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-        weights *= np.exp((nodes - np.repeat(t_right[k_sub], _GAUSS_NODES)) / eps)
+        weights *= np.exp(offsets / eps)
+        nodes = np.repeat(t_right[k_sub], _GAUSS_NODES) + offsets
         rows = integrand.sample(nodes).T  # mode-major, one row per mode
         rows *= weights
         local[ks] = np.add.reduceat(rows, first_sub * _GAUSS_NODES, axis=1).T

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from singlim.exppoly import ExpPoly, integrate
 from singlim.profiles import ProblemData, ProfileFunction, kernel_profile, sample_together
@@ -511,19 +512,18 @@ def _per_interval_convolution(integrand, ts, eps):
     reach = 45.0 * eps
     local = np.zeros((ts.size - 1, len(integrand.modes)))
     for k in range(ts.size - 1):
-        t_left, t_right = ts[k], ts[k + 1]
-        lo = max(t_left, t_right - reach)
-        width = t_right - lo
+        t_right = ts[k + 1]
+        width = min(t_right - ts[k], reach)
         if width <= 0:
             continue
         n_sub = max(1, int(np.ceil(width / (verification._PANEL_EPS * eps))))
-        edges = np.linspace(lo, t_right, n_sub + 1)
+        edges = np.linspace(-width, 0.0, n_sub + 1)  # offsets from t_right
         half = 0.5 * (edges[1:] - edges[:-1])
         mid = 0.5 * (edges[1:] + edges[:-1])
-        nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
+        offsets = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
         weights = (half[:, None] * gl_w[None, :]).ravel()
-        kernel = np.exp((nodes - t_right) / eps)
-        local[k] = (weights * kernel) @ integrand.sample(nodes)
+        kernel = np.exp(offsets / eps)
+        local[k] = (weights * kernel) @ integrand.sample(t_right + offsets)
     convo = np.zeros((ts.size, len(integrand.modes)))
     for k in range(ts.size - 1):
         convo[k + 1] = math.exp(-(ts[k + 1] - ts[k]) / eps) * convo[k] + local[k]
@@ -538,8 +538,7 @@ def _per_mode_convolution(integrand, ts, eps):
     g = verification._GAUSS_NODES
     reach = 45.0 * eps
     t_right = ts[1:]
-    lo = np.maximum(ts[:-1], t_right - reach)
-    width = t_right - lo
+    width = np.minimum(np.diff(ts), reach)
     n_sub = np.where(
         width > 0, np.maximum(np.ceil(width / (verification._PANEL_EPS * eps)), 1), 0
     ).astype(int)
@@ -552,16 +551,16 @@ def _per_mode_convolution(integrand, ts, eps):
         first_sub = np.cumsum(counts) - counts
         k_sub = np.repeat(ks, counts)
         j_sub = np.arange(k_sub.size) - np.repeat(first_sub, counts)
-        step = width[k_sub] / n_sub[k_sub]
-        left = j_sub * step + lo[k_sub]
-        right = np.where(
-            j_sub + 1 == n_sub[k_sub], t_right[k_sub], (j_sub + 1) * step + lo[k_sub]
-        )
+        span = width[k_sub]
+        step = span / n_sub[k_sub]
+        left = j_sub * step - span
+        right = np.where(j_sub + 1 == n_sub[k_sub], 0.0, (j_sub + 1) * step - span)
         half = 0.5 * (right - left)
         mid = 0.5 * (right + left)
-        nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
+        offsets = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
         weights = (half[:, None] * gl_w[None, :]).ravel()
-        weights *= np.exp((nodes - np.repeat(t_right[k_sub], g)) / eps)
+        weights *= np.exp(offsets / eps)
+        nodes = np.repeat(t_right[k_sub], g) + offsets
         for i, mode in enumerate(integrand.modes):
             local[ks, i] = np.add.reduceat(weights * mode.value(nodes), first_sub * g)
     convo = np.zeros((ts.size, len(integrand.modes)))
@@ -615,15 +614,41 @@ class TestDuhamel:
         got = _duhamel_convolution(integrand, ts, eps)
         assert got.tobytes() == _per_mode_convolution(integrand, ts, eps).tobytes()
 
-    @pytest.mark.parametrize("eps", [0.1, 0.01, 0.001])
+    def test_panel_width_keeps_the_rule_at_rounding_level(self):
+        # the widest subpanel, scaled to [-a, a]: the rule integrates e^x to
+        # rounding level there (at a = 3.5 it is already 1.1e-14 off)
+        a = verification._PANEL_EPS / 2
+        rule = a * np.sum(verification._GL_WEIGHTS * np.exp(a * verification._GL_NODES))
+        assert abs(rule - 2 * math.sinh(a)) <= 1.5e-15 * 2 * math.sinh(a)
+
+    @pytest.mark.parametrize("eps", [0.1, 1e-3, 1e-6, 1e-9])
+    def test_convolution_against_50_digit_closed_form(self, eps):
+        # int_0^t e^{(s-t)/eps} e^{-lam s} ds, one mode at a time, on the full
+        # grid, whose layer points keep the peak near t = eps
+        ts = standard_grid([eps]).times
+        for lam in (0.0, 1.0, 1e4, (1 + 1e-7) / eps):
+            one = kernel_profile(Spectrum(np.array([lam])), np.array([1.0]), 0, 0.0)
+            got = _duhamel_convolution(one, ts, eps)[:, 0]
+            with mp.workdps(50):
+                rate = 1 / mp.mpf(eps) - mp.mpf(lam)
+                reference = np.array([
+                    float((mp.exp(-mp.mpf(lam) * t) - mp.exp(-mp.mpf(t) / eps)) / rate)
+                    for t in ts
+                ])
+            scale = np.max(np.abs(reference))
+            assert np.max(np.abs(got - reference)) <= 2e-15 * scale, lam
+
+    @pytest.mark.parametrize("eps", [0.1, 0.01, 0.001, 1e-6, 1e-9])
     def test_quadrature_against_four_times_finer_panels(self, eps, monkeypatch):
-        # dirichlet-32 with the default decay data
+        # dirichlet-32 with the default decay data; below eps = 1e-3 a short
+        # grid, since each interval then costs the same 8 panels
         pd = make_problem((np.pi * np.arange(1, 33)) ** 2, eps)
         source = pd.layer_source
         integrand = kernel_profile(pd.spec, pd.v1.coefficients, 0, 0.0) + source.scale(
             math.sqrt(eps)
         )
-        ts = standard_grid([eps]).times
+        short = {"t_max": 1.0, "linear_count": 100, "log_count": 50}
+        ts = standard_grid([eps], **(short if eps < 1e-3 else {})).times
         convo = _duhamel_convolution(integrand, ts, eps)
         monkeypatch.setattr(verification, "_PANEL_EPS", verification._PANEL_EPS / 4)
         reference = _duhamel_convolution(integrand, ts, eps)

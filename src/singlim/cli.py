@@ -26,14 +26,14 @@ from .timegrid import TimeGrid, standard_grid
 from .verification import (
     COMPARISON_EXPONENTS,
     COMPARISONS,
+    TOLERANCES,
     CheckReport,
-    ErrorCurve,
     duhamel_residual,
     energy_inequality_checks,
-    fit_rate,
     identity_checks,
     inequality_checks,
     max_reg_checks,
+    rate_errors,
     remainder_data_checks,
     run_rate_experiment,
     squared_norms,
@@ -95,20 +95,17 @@ class _Context:
         self.pd = None if eps is None else ProblemData(spec, eps, u0, u1)
 
 
-def _rate_reports(c: _Context) -> list[CheckReport]:
-    """Slope checks for the requested comparisons (one-sided thresholds)."""
-    comparisons = c.config["comparisons"]
-    results = run_rate_experiment(
-        c.spec, c.u0, c.u1, c.config["epsilons"], comparisons, c.grid
-    )
+def _rate_reports(comparisons, per_eps) -> list[CheckReport]:
+    """Slope checks for the requested comparisons (one-sided thresholds),
+    fitted over each eps's (eps, rate_errors) pair."""
     reports = []
-    for comp in comparisons:
+    for comp, result in run_rate_experiment(per_eps, comparisons).items():
         threshold = COMPARISON_EXPONENTS[comp] - 0.05
-        if isinstance(results[comp], ValueError):
+        if isinstance(result, ValueError):
             passed, margin = False, float("-inf")
-            note = f"precondition violated: {results[comp]}"
+            note = f"precondition violated: {result}"
         else:
-            _, fit = results[comp]
+            _, fit = result
             passed = fit.slope >= threshold and fit.r_squared >= 0.99
             margin = min(fit.slope - threshold, fit.r_squared - 0.99)
             note = (
@@ -119,9 +116,9 @@ def _rate_reports(c: _Context) -> list[CheckReport]:
     return reports
 
 
-# The check groups in config order: (name, once per eps?, its records from
-# the shared context).  Each eps runs the per-eps groups in this order, and
-# the run-wide groups run once, after every eps.
+# The check groups in config order but rates (last, see _run_checks): (name,
+# once per eps?, its records from the shared context).  Each eps runs the
+# per-eps groups in this order, and maxreg runs once, after every eps.
 _GROUPS = (
     ("identities", True, lambda c: identity_checks(
         c.pd, c.grid, tol=c.tol["identity"],
@@ -139,24 +136,30 @@ _GROUPS = (
         c.spec, c.u0 if norm(c.u0) > 0 else c.u1, c.grid
     )),
     ("duhamel", True, lambda c: duhamel_residual(c.pd, c.grid, tol=c.tol["duhamel"])),
-    ("rates", False, _rate_reports),
 )
 
-CHECK_GROUPS = tuple(name for name, _, _ in _GROUPS)
+CHECK_GROUPS = (*(name for name, _, _ in _GROUPS), "rates")
 
 
 def _run_checks(config: ExperimentConfig) -> list[CheckReport]:
     """The records of the configured check groups, sorted by id; a per-eps
-    record's id is tagged with its eps here."""
+    record's id is tagged with its eps here.  Each eps's problem also gives
+    its rate errors on the run-wide grid, which the rates group fits."""
     spec, u0, u1 = config.data()
+    comparisons = config["comparisons"] if "rates" in config["checks"] else ()
+    run = _Context(config, spec, u0, u1)
     reports: list[CheckReport] = []
+    per_eps = []  # (eps, its rate errors)
     for eps in [*config["epsilons"], None]:  # None: the run-wide groups
-        c = _Context(config, spec, u0, u1, eps)
-        for name, per_eps, checks in _GROUPS:
-            if name in config["checks"] and per_eps == (eps is not None):
+        c = run if eps is None else _Context(config, spec, u0, u1, eps)
+        for name, once_per_eps, checks in _GROUPS:
+            if name in config["checks"] and once_per_eps == (eps is not None):
                 for report in checks(c):
                     report.check_id += c.suffix
                     reports.append(report)
+        if eps is not None:
+            per_eps.append((eps, rate_errors(c.pd, comparisons, run.grid.times)))
+    reports += _rate_reports(comparisons, per_eps)
     reports.sort(key=lambda r: r.check_id)
     return reports
 
@@ -267,18 +270,18 @@ FIELDS = (
      f"a list of distinct comparisons for rates from {', '.join(COMPARISONS)} "
      '(cor1 and cor2 need "u1": "il0")',
      lambda v, p: _names(COMPARISONS, v)),
-    ("tolerances.identity", 1e-8,
+    ("tolerances.identity", TOLERANCES["identity"],
      "a finite number >= 0: the identity records' tolerance, relative to "
      "|u0| + |u1|", _nonnegative),
-    ("tolerances.superposition", 1e-10,
+    ("tolerances.superposition", TOLERANCES["superposition"],
      "a finite number >= 0: identity.superposition's tolerance, relative to "
      "|u0| + |u1|", _nonnegative),
-    ("tolerances.inequality_slack", 1e-8,
+    ("tolerances.inequality_slack", TOLERANCES["inequality_slack"],
      "a finite number >= 0: the slack of the L2, by-parts and energy bounds, "
      "relative to max(1, bound)", _nonnegative),
-    ("tolerances.sup_bound_slack", 1e-10,
+    ("tolerances.sup_bound_slack", TOLERANCES["sup_bound_slack"],
      "a finite number >= 0: the absolute slack of the sup bound", _nonnegative),
-    ("tolerances.duhamel", 1e-6,
+    ("tolerances.duhamel", TOLERANCES["duhamel"],
      "a finite number >= 0: duhamel.representation's tolerance, relative to "
      "|v1|", _nonnegative),
     ("synthetic_exponent", None,
@@ -472,28 +475,23 @@ def cmd_verify(config: ExperimentConfig, out_dir: Path | None) -> int:
 
 def cmd_rates(config: ExperimentConfig, out_dir: Path) -> int:
     """One eps sweep for every comparison: two-column CSVs plus fitted rates.
-
-    The sweep (run_rate_experiment) builds and samples each eps's exact
-    solution once for all the requested comparisons.
-    """
+    Each eps's problem is built in turn, and its exact solution is sampled
+    once for all the comparisons (rate_errors)."""
     epsilons, comparisons = config["epsilons"], config["comparisons"]
     if len(epsilons) < 3:
         raise ConfigError("rates need at least 3 eps values")
     spec, u0, u1 = config.data()
-    grid = config.time_grid(epsilons)
-    results = run_rate_experiment(spec, u0, u1, epsilons, comparisons, grid)
-    experiments = [(comp, results[comp]) for comp in comparisons]
-    if config["synthetic_exponent"] is not None:
+    ts = config.time_grid(epsilons).times
+    problems = (ProblemData(spec, eps, u0, u1) for eps in epsilons)  # one at a time
+    per_eps = [(pd.eps, rate_errors(pd, comparisons, ts)) for pd in problems]
+    results = run_rate_experiment(per_eps, comparisons)
+    if config["synthetic_exponent"] is not None:  # the fit of eps^p itself
         eps = np.array(sorted(epsilons, reverse=True))
-        try:
-            curve = ErrorCurve(eps, eps ** config["synthetic_exponent"])
-            synthetic = curve, fit_rate(curve)
-        except ValueError as exc:
-            synthetic = exc
-        experiments.append(("synthetic", synthetic))
+        errors = ({"synthetic": x} for x in eps ** config["synthetic_exponent"])
+        results |= run_rate_experiment(zip(eps, errors), ["synthetic"])
     files: dict[str, str] = {}
     fits = []
-    for comp, result in experiments:
+    for comp, result in results.items():
         if isinstance(result, ValueError):
             raise ConfigError(f"comparison {comp!r}: {result}") from result
         curve, fit = result

@@ -132,4 +132,10 @@ def inner(f: SpecVector, g: SpecVector) -> float:
 
 
 def norm(f: SpecVector) -> float:
-    return math.sqrt(inner(f, f))
+    """sqrt(inner(f, f)); where that sum overflows, max|c| * norm(f / max|c|)."""
+    with np.errstate(over="ignore"):  # an overflowed sum is redone below
+        total = inner(f, f)
+    if math.isfinite(total):
+        return math.sqrt(total)
+    big = float(np.max(np.abs(f.coefficients)))
+    return big * norm(f.scale(1.0 / big))

@@ -54,16 +54,6 @@ class TimeGrid:
         out[1::2] = mids
         return out
 
-    def with_layer_points(self, eps_values) -> "TimeGrid":
-        """Copy of the grid with multiples of each eps added."""
-        extra = []
-        for eps in eps_values:
-            extra.extend([eps, 2 * eps, 5 * eps, 10 * eps])
-        extra = [e for e in extra if 0.0 < e <= self.t_max]
-        if not extra:
-            return self
-        return TimeGrid(_distinct_sorted(np.concatenate([self.times, extra])))
-
     def cumulative_integral(self, values: np.ndarray) -> np.ndarray:
         """Running integral from 0 to each grid time, samples at quad_points."""
         values = np.asarray(values, dtype=float)

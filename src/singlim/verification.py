@@ -28,6 +28,7 @@ __all__ = [
     "CheckReport",
     "NonDecayingIntegrandError",
     "COMPARISONS",
+    "TOLERANCES",
     "sup_norm_error",
     "l2_time_norm",
     "max_reg_functional",
@@ -42,12 +43,17 @@ __all__ = [
     "duhamel_residual",
     "max_reg_checks",
     "fit_rate",
+    "rate_errors",
     "run_rate_experiment",
     "squared_norms",
 ]
 
 # Error values below this are treated as rounding noise by the rate fit.
 NOISE_FLOOR = 1e-14
+
+# The checks' default tolerances, by config field tolerances.<name> (cli.FIELDS).
+TOLERANCES = {"identity": 1e-8, "superposition": 1e-10, "inequality_slack": 1e-8,
+              "sup_bound_slack": 1e-10, "duhamel": 1e-6}
 
 COMPARISONS = (
     "order0_thm11i",
@@ -204,6 +210,11 @@ def _measured(check_id: str, value: float, note: str) -> CheckReport:
     return CheckReport(check_id, True, value, float("inf"), note)
 
 
+def _norm_sq(f: SpecVector) -> float:
+    """|f|^2, inf where that overflows (norm(f) ** 2 would raise)."""
+    return norm(f) * norm(f)
+
+
 def squared_norms(samples: np.ndarray) -> np.ndarray:
     """|x(t)|^2 for each time of samples (n_times, n_modes): the squares
     added over the modes one mode at a time, in mode order, whatever the
@@ -309,7 +320,7 @@ def resolvent_bound(spec: Spectrum, eps: float, f: SpecVector) -> CheckReport:
     its margin is nonnegative when the bound holds."""
     half = apply_power(spec, 0.5, resolvent(spec, eps, f))
     return _at_most(
-        "bound.resolvent_halfpower", norm(half) ** 2, (1.0 / eps) * norm(f) ** 2, 0.0,
+        "bound.resolvent_halfpower", _norm_sq(half), (1.0 / eps) * _norm_sq(f), 0.0,
         "smoothed half-power norm stays below |f|^2/eps for the initial "
         "data and the layer slope",
     )
@@ -328,8 +339,8 @@ def _max_gap(a: ProfileFunction, b: ProfileFunction, ts: np.ndarray) -> float:
 def identity_checks(
     pd: ProblemData,
     grid: TimeGrid,
-    tol: float = 1e-8,
-    superposition_tol: float = 1e-10,
+    tol: float = TOLERANCES["identity"],
+    superposition_tol: float = TOLERANCES["superposition"],
 ) -> list[CheckReport]:
     """All closed-form decomposition identities on the grid.
 
@@ -493,7 +504,7 @@ def _energy_lhs_curves(
 
 
 def energy_inequality_checks(
-    pd: ProblemData, grid: TimeGrid, slack: float = 1e-8
+    pd: ProblemData, grid: TimeGrid, slack: float = TOLERANCES["inequality_slack"]
 ) -> list[CheckReport]:
     """Energy bounds for the corrector ladder.
 
@@ -509,10 +520,10 @@ def energy_inequality_checks(
     )
     explicit = [
         ("energy.primary_constant3", primary,
-         norm(apply_power(pd.spec, 0.5, pd.u0)) ** 2 + 3.0 * pd.eps * norm(pd.u1) ** 2,
+         _norm_sq(apply_power(pd.spec, 0.5, pd.u0)) + 3.0 * pd.eps * _norm_sq(pd.u1),
          "energy of the primary corrector stays below |A^(1/2)u0|^2 + 3 eps |u1|^2"),
         ("energy.halfpower_constant_half", halfpower,
-         norm(apply_power(pd.spec, 1.0, pd.u0)) ** 2 / 2.0,
+         _norm_sq(apply_power(pd.spec, 1.0, pd.u0)) / 2.0,
          "energy of the half-power corrector stays below |A u0|^2 / 2"),
     ]
     reports = [
@@ -522,8 +533,8 @@ def energy_inequality_checks(
 
     # measured constants for the remainder correctors
     seminorms = {
-        1: norm(apply_power(pd.spec, 1.5, pd.u0)) ** 2,
-        2: norm(apply_power(pd.spec, 0.5, pd.v1)) ** 2,
+        1: _norm_sq(apply_power(pd.spec, 1.5, pd.u0)),
+        2: _norm_sq(apply_power(pd.spec, 0.5, pd.v1)),
     }
     for j, curve in enumerate(remainder_curves, start=1):
         rhs = seminorms[j]
@@ -545,13 +556,13 @@ def energy_inequality_checks(
 
 
 def explicit_sup_bound(
-    pd: ProblemData, grid: TimeGrid, slack: float = 1e-10
+    pd: ProblemData, grid: TimeGrid, slack: float = TOLERANCES["sup_bound_slack"]
 ) -> CheckReport:
     """Explicit first-order bound: sup_t |u_eps - e^{-tA}u0| <=
     eps|u1| + sqrt(eps) * (|A^{1/2}u0|^2 + 3 eps |u1|^2)^{1/2}."""
     sup = sup_norm_error(pd.solution, pd.parabolic, grid)
     bound = pd.eps * norm(pd.u1) + math.sqrt(pd.eps) * math.sqrt(
-        norm(apply_power(pd.spec, 0.5, pd.u0)) ** 2 + 3.0 * pd.eps * norm(pd.u1) ** 2
+        _norm_sq(apply_power(pd.spec, 0.5, pd.u0)) + 3.0 * pd.eps * _norm_sq(pd.u1)
     )
     return _at_most(
         "bound.sup_error_explicit", sup, bound, slack,
@@ -578,7 +589,7 @@ def l2_deviation_bounds(
     pd: ProblemData,
     grid: TimeGrid,
     w1: SpecVector | None = None,
-    slack: float = 1e-8,
+    slack: float = TOLERANCES["inequality_slack"],
 ) -> list[CheckReport]:
     """Squared-in-time bounds for the deviation from the smoothed flow.
 
@@ -594,8 +605,8 @@ def l2_deviation_bounds(
         spec, pd.u0.coefficients + eps * pd.u1.coefficients, 0, 0.0
     )
     bound = (
-        2.0 * eps**2 * norm(apply_power(spec, 0.5, pd.u0)) ** 2
-        + 7.0 * eps**3 * norm(pd.u1) ** 2
+        2.0 * eps**2 * _norm_sq(apply_power(spec, 0.5, pd.u0))
+        + 7.0 * eps**3 * _norm_sq(pd.u1)
     )
     reports = [
         _l2_bound_report(
@@ -622,7 +633,7 @@ def l2_deviation_bounds(
                 "bound.l2_semigroup_range_half",
                 kernel_profile(spec, pd.u1.coefficients, 0, 0.0),
                 grid,
-                norm(w1) ** 2 / 2.0,
+                _norm_sq(w1) / 2.0,
                 slack,
                 "semigroup integral of u1 in the half-power range "
                 "stays below |w1|^2 / 2",
@@ -636,7 +647,7 @@ def l2_deviation_bounds(
 
 
 def byparts_convolution_bound(
-    pd: ProblemData, grid: TimeGrid, slack: float = 1e-8
+    pd: ProblemData, grid: TimeGrid, slack: float = TOLERANCES["inequality_slack"]
 ) -> CheckReport:
     """Integrated-by-parts bound for the operator-weighted convolution:
     sup_t |eps int_0^t e^{(s-t)/eps} A e^{-sA} v1 ds| <= eps^{3/2}/2 * |A^{1/2}v1|.
@@ -661,7 +672,8 @@ def byparts_convolution_bound(
 
 
 def inequality_checks(
-    pd: ProblemData, grid: TimeGrid, slack: float = 1e-8, sup_slack: float = 1e-10
+    pd: ProblemData, grid: TimeGrid, slack: float = TOLERANCES["inequality_slack"],
+    sup_slack: float = TOLERANCES["sup_bound_slack"],
 ) -> list[CheckReport]:
     """The explicit-constant inequalities of one eps: the resolvent bound for
     the initial data and the layer slope, the sup bound (with sup_slack),
@@ -763,7 +775,7 @@ def _duhamel_convolution(
 
 
 def duhamel_residual(
-    pd: ProblemData, grid: TimeGrid, tol: float = 1e-6
+    pd: ProblemData, grid: TimeGrid, tol: float = TOLERANCES["duhamel"]
 ) -> list[CheckReport]:
     """Variation-of-constants representation of the second split component.
 
@@ -806,8 +818,8 @@ def max_reg_checks(
     gap is measured and documented rather than treated as zero.
     """
     reports = []
-    half_norm2 = norm(f) ** 2 / 2.0
-    scale = max(1.0, norm(f) ** 2)
+    half_norm2 = _norm_sq(f) / 2.0
+    scale = max(1.0, _norm_sq(f))
     min_pos = spec.min_positive
     t_limit = grid.t_max if min_pos is None else min(grid.t_max, 20.0 / min_pos)
     for n in (0, 1, 2):
@@ -918,63 +930,55 @@ def _candidate(pd: ProblemData, comparison: str) -> ProfileFunction:
     return pd.derivative_expansion
 
 
-def run_rate_experiment(
-    spec: Spectrum,
-    u0: SpecVector,
-    u1: SpecVector,
-    eps_values,
-    comparisons,
-    grid: TimeGrid,
-) -> dict[str, tuple[ErrorCurve, RateFit] | ValueError]:
-    """Sup-norm errors of the requested comparisons over one eps sweep, with
-    a rate fit each: {comparison: (curve, fit), or the ValueError it raised}.
-
-    eps is the outer loop.  Per eps the grid gains layer points for that
-    eps, so the transient peak is always sampled, and the exact solution u
-    and each requested candidate are built once and sampled together in one
-    ``sample_together`` call (with u' for cor2).  Each error is the largest
-    row norm of a candidate's samples minus its reference's, so it equals
-    ``sup_norm_error`` of the pair bit for bit.  The two order-0 statements
-    share one curve and one fit.  Unknown comparison names raise up front,
-    and with no comparison nothing is sampled.
-    """
+def rate_errors(pd: ProblemData, comparisons, ts) -> dict[str, float | ValueError]:
+    """{pair: its sup-norm error at pd's eps over the times ts, or the
+    ValueError its candidate raised} for the pairs the comparisons measure.
+    The solution u and the candidates are sampled together (with u' for
+    cor2); each error equals ``sup_norm_error`` of its pair bit for bit."""
     unknown = [c for c in comparisons if c not in COMPARISONS]
     if unknown:
         raise ValueError(f"unknown comparison {unknown[0]!r}")
-    if not comparisons:
-        return {}
-    eps_values = sorted((float(e) for e in eps_values), reverse=True)
-    if len(eps_values) < 3:
+    errors, profiles, measured = {}, [pd.solution], []
+    for name in dict.fromkeys(_SAME_PAIR.get(c, c) for c in comparisons):
+        try:
+            profiles.append(_candidate(pd, name))
+            measured.append(name)
+        except ValueError as exc:
+            errors[name] = exc
+    if "cor2" in measured:
+        profiles.append(pd.solution.deriv())
+    samples = sample_together(profiles, ts) if measured else []
+    for k, name in enumerate(measured, start=1):
+        # in place: fresh wide arrays cost page faults
+        samples[k] -= samples[-1] if name == "cor2" else samples[0]
+        errors[name] = float(np.max(np.sqrt(squared_norms(samples[k]))))
+    return errors
+
+
+def run_rate_experiment(
+    per_eps, comparisons
+) -> dict[str, tuple[ErrorCurve, RateFit] | ValueError]:
+    """{comparison: (curve, fit), or the ValueError it raised} over one
+    (eps, rate_errors) pair per eps of a sweep, taken in descending eps, so
+    the curves and fits keep their bits in any eps order.  Each eps's errors
+    must come from times that hold its layer points eps, 2 eps, 5 eps, 10 eps
+    up to t_max, as standard_grid(eps_values) does for every eps, so that
+    each transient peak is sampled.  A pair whose candidate raised takes the
+    ValueError of its largest eps; the order-0 statements share one fit."""
+    per_eps = sorted(per_eps, key=lambda item: item[0], reverse=True)
+    if len(per_eps) < 3:
         error = ValueError("need at least 3 eps values for a rate fit")
         return {c: error for c in comparisons}
-    # one entry per profile pair: its error list, or the ValueError it raised
-    pairs = {_SAME_PAIR.get(c, c): [] for c in comparisons}
-    for eps in eps_values:
-        pd = ProblemData(spec, eps, u0, u1)
-        profiles, measured = [pd.solution], []
-        for name, errors in pairs.items():
-            if isinstance(errors, ValueError):
-                continue
-            try:
-                profiles.append(_candidate(pd, name))
-            except ValueError as exc:
-                pairs[name] = exc
-                continue
-            measured.append(name)
-        if "cor2" in measured:
-            profiles.append(pd.solution.deriv())
-        samples = sample_together(profiles, grid.with_layer_points([eps]).times)
-        for k, name in enumerate(measured, start=1):
-            # in place: fresh wide arrays cost page faults
-            samples[k] -= samples[-1] if name == "cor2" else samples[0]
-            pairs[name].append(float(np.max(np.sqrt(squared_norms(samples[k])))))
-        del samples  # free this eps's samples before the next are made
-    for name, errors in pairs.items():
-        if isinstance(errors, ValueError):
+    fits = {}
+    for name in dict.fromkeys(_SAME_PAIR.get(c, c) for c in comparisons):
+        errors = [found[name] for _, found in per_eps]
+        failed = [e for e in errors if isinstance(e, ValueError)]
+        if failed:
+            fits[name] = failed[0]
             continue
         try:
-            curve = ErrorCurve(np.array(eps_values), np.array(errors))
-            pairs[name] = curve, fit_rate(curve)
+            curve = ErrorCurve(np.array([eps for eps, _ in per_eps]), np.array(errors))
+            fits[name] = curve, fit_rate(curve)
         except ValueError as exc:
-            pairs[name] = exc
-    return {c: pairs[_SAME_PAIR.get(c, c)] for c in comparisons}
+            fits[name] = exc
+    return {c: fits[_SAME_PAIR.get(c, c)] for c in comparisons}

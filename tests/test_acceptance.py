@@ -21,6 +21,7 @@ from singlim.verification import (
     identity_checks,
     l2_deviation_bounds,
     max_reg_checks,
+    rate_errors,
     resolvent_bound,
     run_rate_experiment,
 )
@@ -134,7 +135,7 @@ def test_criterion_4_rate_reproduction():
     u1 = decay_vector(3, 2.0)
     u1_compatible = SpecVector(-spec.eigenvalues * u0.coefficients)
     eps_list = [10.0 ** (-1.0 - 0.5 * k) for k in range(7)]  # 1e-1 .. 1e-4
-    grid = standard_grid([])
+    grid = standard_grid(eps_list)
     failures = []
     results = {}
     thresholds = {
@@ -149,7 +150,11 @@ def test_criterion_4_rate_reproduction():
         (u1_compatible, ("cor1", "cor2")),
     )
     for data_u1, comparisons in sweeps:
-        sweep = run_rate_experiment(spec, u0, data_u1, eps_list, comparisons, grid)
+        per_eps = [
+            (eps, rate_errors(ProblemData(spec, eps, u0, data_u1), comparisons, grid.times))
+            for eps in eps_list
+        ]
+        sweep = run_rate_experiment(per_eps, comparisons)
         for comparison in comparisons:
             _, fit = sweep[comparison]
             threshold = thresholds[comparison]

@@ -219,24 +219,33 @@ class TestVerify:
         assert ids == sorted(ids)
 
     def test_each_forced_profile_is_built_once_per_eps(self, tmp_path, monkeypatch):
-        # per mode: the primary and half-power correctors, the two split
-        # correctors and the two remainders, each solved once for every group
-        calls = collections.Counter()
-        solve = profiles.solve_forced
+        # per mode and eps: the primary and half-power correctors, the two
+        # split correctors and the two remainders, each solved once for every
+        # group; and the solution and the two split components, each solved
+        # once for every group, the rate errors included
+        forced, homogeneous = collections.Counter(), collections.Counter()
+        solve_forced, solve_homogeneous = profiles.solve_forced, profiles.solve_homogeneous
         monkeypatch.setattr(
-            profiles, "solve_forced", lambda p, f: calls.update([p.lam]) or solve(p, f)
+            profiles, "solve_forced",
+            lambda p, f: forced.update([p.lam]) or solve_forced(p, f),
+        )
+        monkeypatch.setattr(
+            profiles, "solve_homogeneous",
+            lambda p: homogeneous.update([p.lam]) or solve_homogeneous(p),
         )
         cfg = write_config(
             tmp_path,
             spectrum="three-mode",
             u0={"family": "decay", "p": 2.0},
             u1={"family": "decay", "p": 2.0},
-            epsilons=[0.1],
+            epsilons=[0.1, 0.01, 0.001],
             checks="all",
+            comparisons=["order0_thm11i", "order0_thm11ii", "order1_theta", "order2_mainthm"],
         )
         out = tmp_path / "out"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        assert calls == {0.0: 6, 1.0: 6, 4.0: 6}
+        assert forced == {0.0: 18, 1.0: 18, 4.0: 18}
+        assert homogeneous == {0.0: 9, 1.0: 9, 4.0: 9}
 
     def test_corrupted_tolerance_flips_exit(self, tmp_path):
         cfg = write_config(tmp_path, tolerances={"identity": 1e-20})
@@ -531,6 +540,32 @@ class TestExitCodes:
             "bound.sup_error_explicit[eps=0.1]",
         ]
         assert all(r["note"].startswith("not finite: ") for r in failed.values())
+
+    def test_data_whose_norm_squares_overflow_keeps_finite_tolerances(self, tmp_path):
+        # |u1| = 1e200 is finite though |u1|^2 is not: the identity and data
+        # records once read tolerance inf and failed as not finite, with
+        # residuals at rounding level.  A subprocess, since the data overflow
+        # elsewhere warns.
+        cfg = write_config(
+            tmp_path,
+            spectrum=[1e-300, 1.0],
+            u0=[1.0, 1.0],
+            u1=[1e200, 0.0],
+            epsilons=[0.1],
+            checks=["identities", "data"],
+        )
+        out = tmp_path / "out"
+        result = subprocess.run(
+            [sys.executable, "-m", "singlim.cli", "verify", "--config", str(cfg),
+             "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=cli_env(),
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        report = json.loads((out / "report.json").read_text())
+        assert {r["id"].split(".")[0] for r in report} == {"identity", "data"}
+        assert all(math.isfinite(r["tolerance"]) for r in report)
 
     @pytest.mark.parametrize(
         "u0, checks, failing",

@@ -1,0 +1,40 @@
+"""Static checks of the package source (no linter is a dependency)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "singlim").glob("*.py"))
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports but neither reads nor lists in its __all__."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_the_guard_sees_an_unused_import():
+    tree = ast.parse(
+        "import math\nimport numpy as np\nfrom .a import b, c\n"
+        "__all__ = ['c']\nprint(np.pi)\n"
+    )
+    assert _unused_imports(tree) == ["math (line 1)", "b (line 3)"]

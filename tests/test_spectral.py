@@ -147,6 +147,15 @@ class TestInnerNorm:
         with pytest.raises(ValueError):
             inner(vec(1, 2), vec(1))
 
+    def test_norm_whose_sum_of_squares_overflows_is_finite(self):
+        assert norm(vec(1e200, 0)) == 1e200
+        assert norm(vec(3e200, -4e200)) == pytest.approx(5e200, rel=1e-15)
+        assert norm(vec(1.5e308, 1.5e308)) == math.inf  # the norm itself overflows
+
+    def test_norm_is_the_root_of_the_inner_product_when_that_is_finite(self):
+        f = vec(0.1, 1e150, -3.7, 2e-300)
+        assert norm(f) == math.sqrt(inner(f, f))
+
 
 eigenvalue_lists = st.lists(
     st.floats(min_value=0.0, max_value=50.0, allow_nan=False), min_size=1, max_size=6

@@ -24,6 +24,7 @@ from singlim.verification import (
     l2_time_norm,
     max_reg_checks,
     max_reg_functional,
+    rate_errors,
     remainder_data_checks,
     resolvent_bound,
     run_rate_experiment,
@@ -107,7 +108,7 @@ class TestSupNorm:
                 sup_norm_error(
                     pd.solution,
                     pd.parabolic,
-                    grid.with_layer_points([eps]),
+                    standard_grid([0.1, 0.01, eps]),
                 )
             )
         assert sups[0] / sups[1] == pytest.approx(10.0, rel=0.15)
@@ -241,15 +242,13 @@ class TestResolventMargin:
 class TestIdentitySuite:
     def test_all_pass_three_mode(self, grid):
         pd = make_problem([0.0, 1.0, 4.0], 0.01)
-        reports = identity_checks(pd, grid.with_layer_points([0.01]))
+        reports = identity_checks(pd, grid)
         assert all(r.passed for r in reports)
         assert len(reports) == 8
 
     def test_corrupted_tolerance_fails(self, grid):
         pd = make_problem([0.0, 1.0, 4.0], 0.01)
-        reports = identity_checks(
-            pd, grid.with_layer_points([0.01]), tol=1e-20
-        )
+        reports = identity_checks(pd, grid, tol=1e-20)
         assert any(not r.passed for r in reports)
 
     def test_remainder_data_reports(self):
@@ -417,7 +416,7 @@ class TestExplicitSupBound:
         pd = ProblemData(
             spec, 0.01, SpecVector(np.array([1.0])), SpecVector(np.array([0.0]))
         )
-        report = explicit_sup_bound(pd, grid.with_layer_points([0.01]))
+        report = explicit_sup_bound(pd, grid)
         assert report.passed
         # bound is 0.1, the measured sup is around eps scale
         assert report.margin == pytest.approx(0.09, abs=0.02)
@@ -427,7 +426,7 @@ class TestExplicitSupBound:
         pd = ProblemData(
             spec, 0.05, SpecVector(np.array([0.0])), SpecVector(np.array([1.0]))
         )
-        assert explicit_sup_bound(pd, grid.with_layer_points([0.05])).passed
+        assert explicit_sup_bound(pd, standard_grid([0.1, 0.01, 0.05])).passed
 
     def test_zero_data(self, grid):
         spec = Spectrum(np.array([1.0]))
@@ -443,7 +442,7 @@ class TestL2Bounds:
         pd = ProblemData(
             spec, 0.1, SpecVector(np.array([1.0])), SpecVector(np.array([0.0]))
         )
-        reports = l2_deviation_bounds(pd, grid.with_layer_points([0.1]))
+        reports = l2_deviation_bounds(pd, grid)
         assert len(reports) == 1
         assert reports[0].passed
         # bound = 2 eps^2 = 0.02
@@ -455,7 +454,7 @@ class TestL2Bounds:
             spec, 0.1, SpecVector(np.array([1.0])), SpecVector(np.array([1.0]))
         )
         w1 = SpecVector(np.array([1.0]))
-        reports = l2_deviation_bounds(pd, grid.with_layer_points([0.1]), w1=w1)
+        reports = l2_deviation_bounds(pd, grid, w1=w1)
         by_id = {r.check_id: r for r in reports}
         semi = by_id["bound.l2_semigroup_range_half"]
         assert semi.passed
@@ -699,32 +698,38 @@ def _comparison_pair(pd: ProblemData, comparison: str):
     return u_eps, candidates[comparison]()
 
 
+def _sweep(spec, u0, u1, eps_list, comparisons):
+    """The rate sweep over eps_list, each eps's errors on standard_grid(eps_list)."""
+    ts = standard_grid(eps_list).times
+    per_eps = [
+        (eps, rate_errors(ProblemData(spec, eps, u0, u1), comparisons, ts))
+        for eps in eps_list
+    ]
+    return run_rate_experiment(per_eps, comparisons)
+
+
 class TestRateExperiments:
-    def test_first_order_slope(self, grid):
+    def test_first_order_slope(self):
         spec = Spectrum(np.array([0.0, 1.0, 4.0]))
         u0 = decay_vector(3)
         u1 = decay_vector(3)
         eps_list = [10 ** (-1 - 0.5 * k) for k in range(5)]
-        results = run_rate_experiment(
-            spec, u0, u1, eps_list, ["order0_thm11ii"], grid
-        )
+        results = _sweep(spec, u0, u1, eps_list, ["order0_thm11ii"])
         _, fit = results["order0_thm11ii"]
         assert fit.slope >= 0.95
         assert fit.r_squared >= 0.99
 
-    def test_unknown_comparison(self, grid):
+    def test_unknown_comparison(self):
         spec = Spectrum(np.array([1.0]))
         one = decay_vector(1)
         with pytest.raises(ValueError):
-            run_rate_experiment(spec, one, one, [0.1, 0.01, 0.001], ["nope"], grid)
+            _sweep(spec, one, one, [0.1, 0.01, 0.001], ["nope"])
 
-    def test_cor_requires_compatibility(self, grid):
+    def test_cor_requires_compatibility(self):
         # the precondition fails cor1 and cor2 alone; the sweep goes on
         spec = Spectrum(np.array([1.0]))
         one = decay_vector(1)
-        results = run_rate_experiment(
-            spec, one, one, [0.1, 0.01, 0.001], COMPARISONS, grid
-        )
+        results = _sweep(spec, one, one, [0.1, 0.01, 0.001], COMPARISONS)
         for comparison in ("cor1", "cor2"):
             assert isinstance(results[comparison], ValueError)
             assert "u1 + A u0 = 0" in str(results[comparison])
@@ -733,25 +738,47 @@ class TestRateExperiments:
             assert isinstance(curve, ErrorCurve) and np.isfinite(fit.slope)
 
     @pytest.mark.parametrize("lams", [[0.0, 1.0, 4.0], [(k * math.pi) ** 2 for k in range(33)]])
-    def test_sweep_matches_per_comparison_errors(self, grid, lams):
+    def test_sweep_matches_per_comparison_errors(self, lams):
         spec = Spectrum(np.array(lams))
         u0 = decay_vector(len(lams))
         u1 = SpecVector(-spec.eigenvalues * u0.coefficients)
         eps_list = [0.1, 0.02, 0.004, 0.0008]
-        results = run_rate_experiment(spec, u0, u1, eps_list, COMPARISONS, grid)
+        results = _sweep(spec, u0, u1, eps_list, COMPARISONS)
         for comparison in COMPARISONS:
             curve, _ = results[comparison]
             want = [
                 sup_norm_error(
                     *_comparison_pair(ProblemData(spec, eps, u0, u1), comparison),
-                    grid.with_layer_points([eps]),
+                    standard_grid(eps_list),
                 )
                 for eps in eps_list
             ]
             assert curve.errors.tolist() == want, comparison
             assert curve.epsilons.tolist() == eps_list
 
-    def test_one_fit_per_distinct_curve(self, grid, monkeypatch):
+    def test_fits_keep_their_bits_in_any_eps_order(self):
+        pd = make_problem([0.0, 1.0, 4.0], 0.1, il0=True)
+        eps_list = [0.1, 0.02, 0.004, 0.0008]
+        ts = standard_grid(eps_list).times
+        per_eps = [
+            (eps, rate_errors(ProblemData(pd.spec, eps, pd.u0, pd.u1), COMPARISONS, ts))
+            for eps in eps_list
+        ]
+        want = run_rate_experiment(per_eps, COMPARISONS)
+        got = run_rate_experiment([per_eps[k] for k in (2, 0, 3, 1)], COMPARISONS)
+        for comparison in COMPARISONS:
+            (curve, fit), (want_curve, want_fit) = got[comparison], want[comparison]
+            assert curve.epsilons.tobytes() == want_curve.epsilons.tobytes()
+            assert curve.errors.tobytes() == want_curve.errors.tobytes()
+            assert fit == want_fit
+
+    def test_too_few_eps_fail_every_comparison(self):
+        pd = make_problem([0.0, 1.0, 4.0], 0.1)
+        errors = rate_errors(pd, ["order1_theta"], standard_grid([0.1]).times)
+        results = run_rate_experiment([(0.1, errors), (0.01, errors)], ["order1_theta"])
+        assert "at least 3 eps" in str(results["order1_theta"])
+
+    def test_one_fit_per_distinct_curve(self, monkeypatch):
         calls = []
 
         def counted(curve):
@@ -760,9 +787,7 @@ class TestRateExperiments:
 
         monkeypatch.setattr(verification, "fit_rate", counted)
         pd = make_problem([0.0, 1.0, 4.0], 0.1, il0=True)
-        results = run_rate_experiment(
-            pd.spec, pd.u0, pd.u1, [0.1, 0.01, 0.001], COMPARISONS, grid
-        )
+        results = _sweep(pd.spec, pd.u0, pd.u1, [0.1, 0.01, 0.001], COMPARISONS)
         assert len(calls) == len(COMPARISONS) - 1
         assert results["order0_thm11i"] is results["order0_thm11ii"]
 

@@ -1,9 +1,11 @@
 """Closed-form trajectory profiles for the damped problem and its limit.
 
 Every profile is stored per eigenmode as an exponential polynomial, so
-values, derivatives, and time integrals are all analytic.  Besides the
-exact solution and the first-order limit this module builds the initial
-layer, the second-order expansion profiles, the two-way splitting of the
+values, derivatives, and time integrals are all analytic.  Above exppoly
+and modes only this module sees that form: callers sample through
+sample_together and integrate squares through squared_integrals.  Besides
+the exact solution and the first-order limit it builds the initial layer,
+the second-order expansion profiles, the two-way splitting of the
 solution, and the ladder of corrector functions whose decomposition
 identities and energy bounds the verification layer checks.  The
 correctors and their remainders are solved as forced mode equations from
@@ -19,11 +21,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .exppoly import ExpPoly, SampleTimes, accumulate
+from .exppoly import ExpPoly, SampleTimes, accumulate, divided_difference_exp, integrate
 from .modes import ForcingTerm, ModeParams, solve_forced, solve_homogeneous
 from .spectral import SpecVector, Spectrum, apply_power, norm, resolvent
 
-__all__ = ["ProblemData", "ProfileFunction", "sample_together", "kernel_profile"]
+__all__ = ["ProblemData", "ProfileFunction", "sample_together", "squared_integrals",
+           "kernel_profile"]
 
 # Tolerance deciding whether the data satisfies the compatibility condition
 # v1 = A u0 + u1 = 0 (which switches off the initial layer).
@@ -97,6 +100,18 @@ class ProblemData:
     def parabolic(self) -> ProfileFunction:
         """First-order limit flow e^{-tA} u0."""
         return kernel_profile(self.spec, self.u0.coefficients, 0, 0.0)
+
+    @cached_property
+    def v1_flow(self) -> ProfileFunction:
+        """Semigroup flow e^{-tA} v1 of the layer slope."""
+        return kernel_profile(self.spec, self.v1.coefficients, 0, 0.0)
+
+    def weighted_convolution(self, ts) -> np.ndarray:
+        """eps int_0^t e^{(s-t)/eps} A e^{-sA} v1 ds at ts, (len(ts), n_modes):
+        eps lam v1 exp[-lam, -1/eps](t) per mode, exact."""
+        eps, lam = self.eps, self.spec.eigenvalues
+        kernels = [divided_difference_exp((-l, -1.0 / eps), ts).real for l in lam]
+        return eps * lam * self.v1.coefficients * np.stack(kernels, axis=1)
 
     @cached_property
     def theta(self) -> ProfileFunction:
@@ -266,16 +281,14 @@ class ProfileFunction:
         if len(self.modes) != len(self.spectrum):
             raise ValueError("one mode polynomial per eigenvalue required")
 
-    def value(self, t: float) -> SpecVector:
-        return SpecVector(np.array([m.value(t) for m in self.modes]))
-
-    def derivative(self, t: float) -> SpecVector:
-        return SpecVector(np.array([m.derivative().value(t) for m in self.modes]))
-
     def sample(self, ts) -> np.ndarray:
         """Values on an array of times, shape (len(ts), n_modes), mode-major
         (see sample_together)."""
         return sample_together((self,), ts)[0]
+
+    def coefficient_scales(self) -> np.ndarray:
+        """Largest term magnitude of each mode, a conditioning measure."""
+        return np.array([m.coefficient_scale() for m in self.modes])
 
     def deriv(self) -> "ProfileFunction":
         return ProfileFunction(self.spectrum, tuple(m.derivative() for m in self.modes))
@@ -330,6 +343,19 @@ def sample_together(profiles, ts) -> list[np.ndarray]:
     for i, modes in enumerate(zip(*(p.modes for p in profiles))):
         accumulate(modes, times, [buffer[i] for buffer in buffers])
     return [buffer.T for buffer in buffers]
+
+
+def squared_integrals(profiles, ts, weight_power: int = 0) -> list[np.ndarray]:
+    """[int_0^t s**weight_power |p(s)|^2 ds at ts for p in profiles], exact: one
+    integrate call over the squared modes, mode-major, adds into each profile's
+    sum in mode order, which has the bits it has for the profile alone."""
+    weight = ExpPoly.build([(weight_power, 0.0, 1.0)])
+    squares = [m.squared() for ms in zip(*(p.modes for p in profiles)) for m in ms]
+    squares = [sq.multiply(weight) for sq in squares] if weight_power else squares
+    totals = [np.zeros(np.shape(ts)) for _ in profiles]
+    for j, integral in enumerate(integrate(squares, ts)):
+        totals[j % len(profiles)] += integral
+    return totals
 
 
 def kernel_profile(

@@ -1,8 +1,8 @@
 """Verification layer: norms over time, inequality checks, rate regression.
 
-All time integrals of closed-form profiles are evaluated analytically per
-mode (the integrands are exponential polynomials); composite Simpson
-quadrature on the grid is kept as an independent cross-check.  Each
+All time integrals of closed-form profiles are exact (through
+profiles.squared_integrals); composite Simpson quadrature on the grid is
+kept as an independent cross-check.  Each
 decomposition identity compares two independent constructions (a split
 corrector against its profile part plus eps times the directly solved
 remainder, for instance), so the identities keep holding as eps -> 0
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exppoly import ExpPoly, divided_difference_exp, integrate
-from .profiles import ProblemData, ProfileFunction, kernel_profile, sample_together
+from .profiles import (ProblemData, ProfileFunction, kernel_profile, sample_together,
+                       squared_integrals)
 from .spectral import SpecVector, Spectrum, apply_power, norm, resolvent
 from .timegrid import TimeGrid
 
@@ -232,16 +232,6 @@ def sup_norm_error(a: ProfileFunction, b: ProfileFunction, grid: TimeGrid) -> fl
     return _max_gap(a, b, grid.times)
 
 
-def _squared_mode_integrals(
-    profile: ProfileFunction, weight_power: int, ts: np.ndarray
-) -> np.ndarray:
-    """Cumulative integral of t**w * |profile|^2 at ts, from one integrate call."""
-    weight = ExpPoly.build([(weight_power, 0.0, 1.0)])
-    squares = [m.squared() for m in profile.modes]
-    squares = [sq.multiply(weight) for sq in squares] if weight_power else squares
-    return sum(integrate(squares, ts), np.zeros(ts.shape))
-
-
 def l2_time_norm(
     profile: ProfileFunction, grid: TimeGrid, minus: ProfileFunction | None = None
 ) -> float:
@@ -259,7 +249,7 @@ def l2_time_norm(
     samp = diff.sample(grid.quad_points)
     integrand = squared_norms(samp)
     peak = float(np.max(integrand))
-    scales = sum(np.array([m.coefficient_scale() for m in p.modes]) for p in operands)
+    scales = sum(p.coefficient_scales() for p in operands)
     rounding = _ROUNDING_ULPS * np.finfo(float).eps * scales
     envelope = float(np.sum(rounding**2))
     if peak > 0 and integrand[-1] > max(1e-14 * peak, envelope):
@@ -268,8 +258,7 @@ def l2_time_norm(
             f"more than 1e-14 of its peak {peak:.3e} and than its rounding "
             f"envelope {envelope:.3e}; extend the grid"
         )
-    total = _squared_mode_integrals(diff, 0, np.array([grid.t_max]))
-    return float(total[0])
+    return float(squared_integrals((diff,), [grid.t_max])[0][0])
 
 
 def max_reg_functional(
@@ -293,7 +282,7 @@ def max_reg_functional(
     weighted = kernel_profile(
         spec, f.coefficients, 0, (n + 1) / 2, math.sqrt(2.0**n / math.factorial(n))
     )
-    dissipated = _squared_mode_integrals(weighted, n, ts)
+    (dissipated,) = squared_integrals((weighted,), ts, n)
     semigroup = kernel_profile(spec, f.coefficients, 0, 0.0).sample(ts)
     curve = squared_norms(semigroup) / 2.0 + dissipated
 
@@ -432,9 +421,7 @@ def identity_checks(
 
     # relaxation equation of the second split component
     lhs = u_two.deriv().scale(eps) + u_two
-    rhs = kernel_profile(spec, pd.v1.coefficients, 0, 0.0).scale(
-        eps
-    ) + pd.layer_source.scale(eps**1.5)
+    rhs = pd.v1_flow.scale(eps) + pd.layer_source.scale(eps**1.5)
     gap = _max_gap(lhs, rhs, ts)
     add(
         "identity.layer_relaxation",
@@ -469,9 +456,9 @@ def remainder_data_checks(pd: ProblemData) -> list[CheckReport]:
     ]
     reports = []
     for check_id, w, value, slope, note in expected:
-        gap_val = float(np.max(np.abs(w.value(0.0).coefficients - value)))
-        gap_slope = float(np.max(np.abs(w.derivative(0.0).coefficients - slope)))
-        reports.append(_at_most(check_id, max(gap_val, gap_slope), 0.0, tolerance, note))
+        w0, w1 = sample_together((w, w.deriv()), np.zeros(1))
+        gap = float(np.max(np.abs(np.concatenate([w0 - value, w1 - slope]))))
+        reports.append(_at_most(check_id, gap, 0.0, tolerance, note))
     return reports
 
 
@@ -485,18 +472,13 @@ def _energy_lhs_curves(
     """eps|p'(t)|^2 + |A^{1/2} p(t)|^2 + int_0^t |p'|^2 for each profile p,
     analytic in t.
 
-    The dissipated integrals of all of them stream from one integrate
-    call, mode-major, into each profile's sum in mode order; each
-    profile's two samples are taken together, one profile at a time,
-    which keeps two sample arrays alive instead of two per profile.
+    The dissipated integrals come from one squared_integrals call; each
+    profile's two samples are taken together, one profile at a time, which
+    keeps two sample arrays alive instead of two per profile.
     """
     derivs = [p.deriv() for p in profiles]
-    dissipated = [np.zeros(ts.shape) for _ in profiles]
-    squares = [m.squared() for ms in zip(*(dp.modes for dp in derivs)) for m in ms]
-    for j, integral in enumerate(integrate(squares, ts)):
-        dissipated[j % len(profiles)] += integral
     curves = []
-    for p, dp, integral in zip(profiles, derivs, dissipated):
+    for p, dp, integral in zip(profiles, derivs, squared_integrals(derivs, ts)):
         slope, half = sample_together((dp, p.operator_power(0.5)), ts)
         kinetic = pd.eps * squared_norms(slope)
         curves.append(kinetic + squared_norms(half) + integral)
@@ -652,18 +634,10 @@ def byparts_convolution_bound(
     """Integrated-by-parts bound for the operator-weighted convolution:
     sup_t |eps int_0^t e^{(s-t)/eps} A e^{-sA} v1 ds| <= eps^{3/2}/2 * |A^{1/2}v1|.
 
-    The inner integral int_0^t e^{(s-t)/eps} e^{-lam s} ds is the divided
-    difference exp[-lam, -1/eps](t), evaluated analytically per mode.
+    The convolution is exact per mode (ProblemData.weighted_convolution).
     """
-    eps = pd.eps
-    lam = pd.spec.eigenvalues
-    kernels = np.stack(  # (n_t, n_modes)
-        [divided_difference_exp((-l, -1.0 / eps), grid.times).real for l in lam],
-        axis=1,
-    )
-    weighted = eps * lam[np.newaxis, :] * pd.v1.coefficients[np.newaxis, :] * kernels
-    sup = float(np.max(np.sqrt(squared_norms(weighted))))
-    bound = eps**1.5 / 2.0 * norm(apply_power(pd.spec, 0.5, pd.v1))
+    sup = float(np.max(np.sqrt(squared_norms(pd.weighted_convolution(grid.times)))))
+    bound = pd.eps**1.5 / 2.0 * norm(apply_power(pd.spec, 0.5, pd.v1))
     return _at_most(
         "bound.byparts_convolution", sup, bound, slack * max(1.0, bound),
         "operator-weighted convolution of the semigroup of v1 "
@@ -739,7 +713,7 @@ def _duhamel_convolution(
     ).astype(int)
     with_nodes = np.flatnonzero(n_sub)
     first_node = (np.cumsum(n_sub[with_nodes]) - n_sub[with_nodes]) * _GAUSS_NODES
-    n_modes = len(integrand.modes)
+    n_modes = len(integrand.spectrum)
     size = max(min(_DUHAMEL_BLOCK_VALUES // n_modes, _DUHAMEL_BLOCK_NODES), 1)
     window = first_node // size
     blocks = np.split(with_nodes, np.flatnonzero(np.diff(window)) + 1)
@@ -787,8 +761,7 @@ def duhamel_residual(
     eps = pd.eps
     ts = grid.times
     _, u_two = pd.splits
-    sm_v1 = kernel_profile(pd.spec, pd.v1.coefficients, 0, 0.0)
-    integrand = sm_v1 + pd.layer_source.scale(math.sqrt(eps))
+    integrand = pd.v1_flow + pd.layer_source.scale(math.sqrt(eps))
     convo = _duhamel_convolution(integrand, ts, eps)
 
     residual = float(np.max(np.sqrt(squared_norms(u_two.sample(ts) - convo))))

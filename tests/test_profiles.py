@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from singlim.profiles import ProblemData, kernel_profile, sample_together
+from singlim.profiles import ProblemData, kernel_profile, sample_together, squared_integrals
 import singlim.exppoly as exppoly
 from singlim.spectral import SpecVector, Spectrum, norm, resolvent
 from singlim.timegrid import standard_grid
 
 from conftest import make_problem
+
+
+def at(profile, t):
+    """The profile's mode values at the one time t."""
+    return profile.sample([t])[0]
 
 
 def max_gap(a, b, ts):
@@ -45,22 +50,22 @@ class TestBasicProfiles:
         )
         u = pd.solution
         for t in (0.0, 0.5, 7.0):
-            assert u.value(t).coefficients[0] == pytest.approx(1.0, abs=1e-15)
+            assert at(u, t)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_critical_mode_value(self):
         spec = Spectrum(np.array([1.0]))
         pd = ProblemData(
             spec, 0.25, SpecVector(np.array([1.0])), SpecVector(np.array([0.0]))
         )
-        assert pd.solution.value(1.0).coefficients[0] == pytest.approx(
+        assert at(pd.solution, 1.0)[0] == pytest.approx(
             3.0 * math.exp(-2.0), rel=1e-14
         )
 
     def test_limit_profile_values(self):
         pd = make_problem([1.0], 0.1, p=0.0)  # u0 = (1,)
         v = pd.parabolic
-        assert v.value(0.0).coefficients[0] == 1.0
-        assert v.value(math.log(2.0)).coefficients[0] == pytest.approx(0.5, rel=1e-15)
+        assert at(v, 0.0)[0] == 1.0
+        assert at(v, math.log(2.0))[0] == pytest.approx(0.5, rel=1e-15)
 
     def test_layer_values(self):
         spec = Spectrum(np.array([0.0]))
@@ -68,8 +73,8 @@ class TestBasicProfiles:
             spec, 0.1, SpecVector(np.array([0.0])), SpecVector(np.array([1.0]))
         )  # v1 = (1,)
         theta = pd.theta
-        assert norm(theta.value(0.0)) == 0.0
-        assert theta.value(0.2).coefficients[0] == pytest.approx(
+        assert norm(SpecVector(at(theta, 0.0))) == 0.0
+        assert at(theta, 0.2)[0] == pytest.approx(
             0.1 * (1.0 - math.exp(-2.0)), rel=1e-14
         )
 
@@ -83,7 +88,7 @@ class TestBasicProfiles:
         pd = make_problem([0.0, 1.0, 4.0], 0.05)
         theta = pd.theta
         np.testing.assert_allclose(
-            theta.derivative(0.0).coefficients, pd.v1.coefficients, rtol=1e-13
+            at(theta.deriv(), 0.0), pd.v1.coefficients, rtol=1e-13
         )
 
     def test_layer_solves_relaxation_equation(self):
@@ -100,7 +105,7 @@ class TestExpansionProfiles:
         pd = make_problem([0.0, 1.0, 4.0], 0.01)
         p = pd.main_expansion
         np.testing.assert_allclose(
-            p.value(0.0).coefficients, pd.u0.coefficients, atol=1e-15
+            at(p, 0.0), pd.u0.coefficients, atol=1e-15
         )
 
     def test_single_mode_value(self):
@@ -111,7 +116,7 @@ class TestExpansionProfiles:
         expected = math.exp(-1.0) + 0.01 * (
             math.exp(-1.0) - math.exp(-1.0) - math.exp(-100.0)
         )
-        assert pd.main_expansion.value(1.0).coefficients[0] == pytest.approx(
+        assert at(pd.main_expansion, 1.0)[0] == pytest.approx(
             expected, rel=1e-14
         )
 
@@ -128,7 +133,7 @@ class TestExpansionProfiles:
         pd = make_problem([1.0, 4.0], 0.01, il0=True)
         d = pd.derivative_expansion
         np.testing.assert_allclose(
-            d.value(0.0).coefficients, pd.u1.coefficients, atol=1e-14
+            at(d, 0.0), pd.u1.coefficients, atol=1e-14
         )
 
     def test_derivative_profile_kernel_only(self):
@@ -251,11 +256,11 @@ class TestCorrectors:
         jv1 = resolvent(pd.spec, pd.eps, pd.v1).coefficients
         v1p = pd.corrector_profiles[0]
         np.testing.assert_allclose(
-            v1p.value(0.0).coefficients, 2.0 * pd.eps * lam * ju0, rtol=1e-14
+            at(v1p, 0.0), 2.0 * pd.eps * lam * ju0, rtol=1e-14
         )
         v2p = pd.corrector_profiles[1]
         np.testing.assert_allclose(
-            v2p.value(0.0).coefficients, -2.0 * pd.eps * jv1, rtol=1e-14
+            at(v2p, 0.0), -2.0 * pd.eps * jv1, rtol=1e-14
         )
 
     def test_profile_part_second_derivative_formula(self):
@@ -302,9 +307,9 @@ class TestRemainders:
         rem = pd.remainders[1]
         lam = pd.spec.eigenvalues
         jv1 = resolvent(pd.spec, pd.eps, pd.v1).coefficients
-        np.testing.assert_allclose(rem.value(0.0).coefficients, jv1, atol=1e-12)
+        np.testing.assert_allclose(at(rem, 0.0), jv1, atol=1e-12)
         np.testing.assert_allclose(
-            rem.derivative(0.0).coefficients, -2.0 * lam * jv1, atol=1e-12
+            at(rem.deriv(), 0.0), -2.0 * lam * jv1, atol=1e-12
         )
 
     def test_first_remainder_slope_sign(self):
@@ -314,10 +319,10 @@ class TestRemainders:
         lam = pd.spec.eigenvalues
         ju0 = resolvent(pd.spec, pd.eps, pd.u0).coefficients
         np.testing.assert_allclose(
-            rem.derivative(0.0).coefficients, +2.0 * lam**2 * ju0, rtol=1e-10
+            at(rem.deriv(), 0.0), +2.0 * lam**2 * ju0, rtol=1e-10
         )
         np.testing.assert_allclose(
-            rem.value(0.0).coefficients, -lam * ju0, atol=1e-12
+            at(rem, 0.0), -lam * ju0, atol=1e-12
         )
 
     def test_remainder_ode_residual_recorded(self):
@@ -498,7 +503,7 @@ class TestDerivativeConsistency:
                     prof.sample(np.array([t + h]))[0]
                     - prof.sample(np.array([t - h]))[0]
                 ) / (2 * h)
-                an = prof.derivative(t).coefficients
+                an = at(prof.deriv(), t)
                 scale = max(1.0, float(np.max(np.abs(an))))
                 assert np.max(np.abs(fd - an)) <= 1e-6 * scale
 
@@ -562,10 +567,32 @@ class TestSampleTogether:
         u = pd.solution
         (got,) = sample_together([u], 0.5)
         assert got.shape == (1, 3)
-        np.testing.assert_array_equal(got[0], u.value(0.5).coefficients)
+        np.testing.assert_array_equal(got[0], [m.value(0.5) for m in u.modes])
 
     def test_rejects_mixed_spectra(self):
         a = make_problem([1.0, 4.0], 0.1).solution
         b = make_problem([1.0], 0.1).solution
         with pytest.raises(ValueError):
             sample_together([a, b], np.linspace(0.0, 1.0, 3))
+
+
+class TestSquaredIntegrals:
+    @pytest.mark.parametrize("weight_power", [0, 1, 2])
+    def test_together_bitwise_equal_to_one_by_one(self, weight_power):
+        # one integrate call over all modes of all profiles; near-critical
+        # modes bring grouped differences into the squares
+        pd = make_problem(np.append(2.49, (np.pi * np.arange(1, 9)) ** 2), 0.01)
+        profiles = [pd.corrector_primary.deriv(), *pd.remainders, pd.layer_source]
+        ts = standard_grid([pd.eps]).times
+        together = squared_integrals(profiles, ts, weight_power)
+        for prof, got in zip(profiles, together, strict=True):
+            (alone,) = squared_integrals((prof,), ts, weight_power)
+            assert got.tobytes() == alone.tobytes()
+
+    def test_against_closed_form(self):
+        # int_0^t s (2 e^{-s})^2 ds = 1 - (1 + 2t) e^{-2t}
+        prof = kernel_profile(Spectrum(np.array([1.0])), np.array([2.0]), 0, 0.0)
+        ts = np.array([0.0, 0.5, 3.0])
+        (got,) = squared_integrals((prof,), ts, 1)
+        want = 1.0 - (1.0 + 2.0 * ts) * np.exp(-2.0 * ts)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-300)

@@ -5,7 +5,13 @@ import pytest
 from mpmath import mp
 
 from singlim.exppoly import ExpPoly, integrate
-from singlim.profiles import ProblemData, ProfileFunction, kernel_profile, sample_together
+from singlim.profiles import (
+    ProblemData,
+    ProfileFunction,
+    kernel_profile,
+    sample_together,
+    squared_integrals,
+)
 from singlim.spectral import SpecVector, Spectrum
 from singlim.timegrid import TimeGrid, standard_grid
 from singlim.verification import (
@@ -32,13 +38,10 @@ from singlim.verification import (
     sup_norm_error,
 )
 import singlim.exppoly as exppoly
+import singlim.profiles as profiles_module
 import singlim.timegrid as timegrid
 import singlim.verification as verification
-from singlim.verification import (
-    _duhamel_convolution,
-    _energy_lhs_curves,
-    _squared_mode_integrals,
-)
+from singlim.verification import _duhamel_convolution, _energy_lhs_curves
 
 from conftest import (
     decay_vector,
@@ -129,7 +132,7 @@ class TestL2Norm:
         # int_0^25 t^2 e^{-2t}, the weight max_reg_functional's n = 2 uses
         spec = Spectrum(np.array([1.0]))
         prof = kernel_profile(spec, np.array([1.0]), 0, 0.0)
-        (got,) = _squared_mode_integrals(prof, 2, np.array([25.0]))
+        ((got,),) = squared_integrals((prof,), np.array([25.0]), 2)
         assert got == pytest.approx(0.25, abs=1e-8)
 
     def test_weighted_divided_difference(self):
@@ -137,7 +140,7 @@ class TestL2Norm:
         # integrates to 4!/2^5
         mode = ExpPoly.build([], [((-1.0, -1.0 - 1e-9), 1.0)])
         prof = ProfileFunction(Spectrum(np.array([1.0])), (mode,))
-        (got,) = _squared_mode_integrals(prof, 2, np.array([25.0]))
+        ((got,),) = squared_integrals((prof,), np.array([25.0]), 2)
         assert got == pytest.approx(0.75, rel=1e-8)
 
     def test_quadrature_cross_check(self, grid):
@@ -369,7 +372,7 @@ class TestBatchedIntegralCallSites:
         want = np.zeros(1)
         for mode in pd.corrector_primary.modes:
             want += reference_integral(mode.squared().multiply(weight), end)
-        got = _squared_mode_integrals(pd.corrector_primary, 1, end)
+        (got,) = squared_integrals((pd.corrector_primary,), end, 1)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("eps", [0.1, 0.01, 0.001])
@@ -398,9 +401,10 @@ class TestBatchedIntegralCallSites:
     def test_one_integrate_call_and_series_pass_per_eps(self, grid, monkeypatch):
         pd = make_problem(_DIRICHLET_32[:8], 0.01)
         calls, passes = [], []
-        integrate, series = verification.integrate, exppoly._batched_series
+        integrate, series = profiles_module.integrate, exppoly._batched_series
         monkeypatch.setattr(
-            verification, "integrate", lambda polys, t: calls.append(1) or integrate(polys, t)
+            profiles_module, "integrate",
+            lambda polys, t: calls.append(1) or integrate(polys, t),
         )
         monkeypatch.setattr(
             exppoly, "_batched_series", lambda pairs: passes.append(1) or series(pairs)
@@ -570,6 +574,21 @@ def _per_mode_convolution(integrand, ts, eps):
 
 
 class TestDuhamel:
+    def test_v1_flow_is_built_once_per_eps(self, grid, monkeypatch):
+        # the identity and Duhamel groups share the problem's e^{-tA} v1
+        pd = make_problem([0.0, 1.0, 4.0], 0.01)
+        built, kernel = [], profiles_module.kernel_profile
+
+        def counted(spec, coeffs, *args):
+            built.extend([args] if coeffs is pd.v1.coefficients else [])
+            return kernel(spec, coeffs, *args)
+
+        monkeypatch.setattr(profiles_module, "kernel_profile", counted)
+        monkeypatch.setattr(verification, "kernel_profile", counted)
+        identity_checks(pd, grid)
+        duhamel_residual(pd, grid)
+        assert built == [(0, 0.0)]
+
     def test_gauss_legendre_rule_is_leggauss_bit_for_bit(self):
         x, w = np.polynomial.legendre.leggauss(verification._GAUSS_NODES)
         assert verification._GL_NODES.tobytes() == x.tobytes()

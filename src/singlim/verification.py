@@ -155,8 +155,6 @@ class RateFit:
     slope: float
     intercept: float
     r_squared: float
-    residuals: tuple[float, ...]
-    points_used: int
 
 
 @dataclass
@@ -874,16 +872,13 @@ def fit_rate(curve: ErrorCurve) -> RateFit:
     y = np.log10(curve.errors[mask])
     slope, intercept = np.polyfit(x, y, 1)
     predicted = slope * x + intercept
-    residuals = y - predicted
-    ss_res = float(np.sum(residuals**2))
+    ss_res = float(np.sum((y - predicted) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return RateFit(
         slope=float(slope),
         intercept=float(intercept),
         r_squared=float(r_squared),
-        residuals=tuple(float(r) for r in residuals),
-        points_used=int(np.sum(mask)),
     )
 
 

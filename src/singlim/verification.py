@@ -225,6 +225,27 @@ def squared_norms(samples: np.ndarray) -> np.ndarray:
     return total
 
 
+def _sup_norm(samples: np.ndarray) -> float:
+    """max over times of |x(t)| for samples (n_times, n_modes), which are
+    squared in place (squared_norms).  A time whose sum of squares
+    overflows is taken again of its samples over their largest entry and
+    scaled back, as spectral.norm does, so a finite norm reads finite; the
+    other times keep their bits.  Only when some sample is large enough to
+    overflow a sum are its rows found and copied."""
+    limit = math.sqrt(np.finfo(float).max / (2 * max(samples.shape[1], 1)))
+    if max(samples.max(initial=0.0), -samples.min(initial=0.0)) <= limit:
+        return float(np.max(np.sqrt(squared_norms(samples))))
+    big = np.maximum(samples.max(axis=1), -samples.min(axis=1))
+    risky = np.flatnonzero((big > limit) & np.isfinite(big))
+    kept = samples[risky]
+    with np.errstate(over="ignore"):  # an overflowed sum is redone below
+        norms = np.sqrt(squared_norms(samples))
+    over = np.isinf(norms[risky])
+    scale = big[risky[over]]
+    norms[risky[over]] = scale * np.sqrt(squared_norms(kept[over] / scale[:, None]))
+    return float(np.max(norms))
+
+
 def sup_norm_error(a: ProfileFunction, b: ProfileFunction, grid: TimeGrid) -> float:
     """Max over grid times of the coefficient-space norm of a - b."""
     return _max_gap(a, b, grid.times)
@@ -320,7 +341,7 @@ def resolvent_bound(spec: Spectrum, eps: float, f: SpecVector) -> CheckReport:
 def _max_gap(a: ProfileFunction, b: ProfileFunction, ts: np.ndarray) -> float:
     sa, sb = sample_together((a, b), ts)
     sa -= sb  # in place: a third wide array costs page faults in a fresh process
-    return float(np.max(np.sqrt(squared_norms(sa))))
+    return _sup_norm(sa)
 
 
 def identity_checks(
@@ -634,7 +655,7 @@ def byparts_convolution_bound(
 
     The convolution is exact per mode (ProblemData.weighted_convolution).
     """
-    sup = float(np.max(np.sqrt(squared_norms(pd.weighted_convolution(grid.times)))))
+    sup = _sup_norm(pd.weighted_convolution(grid.times))
     bound = pd.eps**1.5 / 2.0 * norm(apply_power(pd.spec, 0.5, pd.v1))
     return _at_most(
         "bound.byparts_convolution", sup, bound, slack * max(1.0, bound),
@@ -762,7 +783,7 @@ def duhamel_residual(
     integrand = pd.v1_flow + pd.layer_source.scale(math.sqrt(eps))
     convo = _duhamel_convolution(integrand, ts, eps)
 
-    residual = float(np.max(np.sqrt(squared_norms(u_two.sample(ts) - convo))))
+    residual = _sup_norm(u_two.sample(ts) - convo)
     return [
         _at_most(
             "duhamel.representation", residual, 0.0, tol * max(norm(pd.v1), 1e-30),
@@ -919,7 +940,7 @@ def rate_errors(pd: ProblemData, comparisons, ts) -> dict[str, float | ValueErro
     for k, name in enumerate(measured, start=1):
         # in place: fresh wide arrays cost page faults
         samples[k] -= samples[-1] if name == "cor2" else samples[0]
-        errors[name] = float(np.max(np.sqrt(squared_norms(samples[k]))))
+        errors[name] = _sup_norm(samples[k])
     return errors
 
 

@@ -567,6 +567,31 @@ class TestExitCodes:
         assert {r["id"].split(".")[0] for r in report} == {"identity", "data"}
         assert all(math.isfinite(r["tolerance"]) for r in report)
 
+    def test_duhamel_residual_of_data_whose_samples_square_overflow(self, tmp_path):
+        # the samples of about 1e200 are finite, and so is the residual's
+        # norm; it once read inf, its square having overflowed
+        cfg = write_config(
+            tmp_path,
+            spectrum=[1e-300, 1.0],
+            u0=[1.0, 1.0],
+            u1=[1e200, 0.0],
+            epsilons=[0.1],
+            checks=["duhamel"],
+        )
+        out = tmp_path / "out"
+        result = subprocess.run(
+            [sys.executable, "-m", "singlim.cli", "verify", "--config", str(cfg),
+             "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=cli_env(),
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        (record,) = json.loads((out / "report.json").read_text())
+        assert record["id"] == "duhamel.representation[eps=0.1]"
+        assert record["pass"] and math.isfinite(record["margin"])
+
     @pytest.mark.parametrize(
         "u0, checks, failing",
         [

@@ -332,6 +332,30 @@ class TestSquaredNorms:
         assert squared_norms(np.zeros((4, 0))).tobytes() == np.zeros(4).tobytes()
 
 
+class TestSupNormOfSamples:
+    def test_plain_sums_keep_their_bits(self):
+        x = np.random.default_rng(2).standard_normal((40, 33)) * 1e150
+        want = float(np.max(np.sqrt(squared_norms(x.copy()))))
+        assert verification._sup_norm(x) == want
+
+    def test_overflowing_sum_of_finite_samples_is_finite(self):
+        # the squares of 1e200 overflow; the norm of each row does not
+        x = np.array([[1e200, 1e200], [3e200, 4e200], [1.0, 2.0]])
+        assert verification._sup_norm(x) == pytest.approx(5e200, rel=1e-15)
+
+    def test_only_overflowing_rows_are_rescaled(self):
+        # a row large enough to be inspected whose sum stays finite keeps
+        # its plain bits
+        x = np.array([[1.1e154, 3e153]])
+        assert verification._sup_norm(x) == math.sqrt(1.1e154 * 1.1e154 + 3e153 * 3e153)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_samples_stay_nonfinite(self, bad):
+        x = np.array([[1e200, bad], [1.0, 0.0]])
+        got = verification._sup_norm(x)
+        assert math.isinf(got) if bad == np.inf else math.isnan(got)
+
+
 class TestBatchedIntegralCallSites:
     """Each call site takes its exact time integrals of all modes from one
     batched call; the references are the per-mode loops with per-rate

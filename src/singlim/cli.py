@@ -144,9 +144,12 @@ CHECK_GROUPS = (*(name for name, _, _ in _GROUPS), "rates")
 def _run_checks(config: ExperimentConfig) -> list[CheckReport]:
     """The records of the configured check groups, sorted by id; a per-eps
     record's id is tagged with its eps here.  Each eps's problem also gives
-    its rate errors on the run-wide grid, which the rates group fits."""
+    its rate errors on the run-wide grid, which the rates group fits; with
+    no comparison, or fewer than the 3 eps a fit needs (run_rate_experiment
+    reports that), none are sampled."""
     spec, u0, u1 = config.data()
     comparisons = config["comparisons"] if "rates" in config["checks"] else ()
+    sampled = bool(comparisons) and len(config["epsilons"]) >= 3
     run = _Context(config, spec, u0, u1)
     reports: list[CheckReport] = []
     per_eps = []  # (eps, its rate errors)
@@ -157,7 +160,7 @@ def _run_checks(config: ExperimentConfig) -> list[CheckReport]:
                 for report in checks(c):
                     report.check_id += c.suffix
                     reports.append(report)
-        if eps is not None:
+        if eps is not None and sampled:
             per_eps.append((eps, rate_errors(c.pd, comparisons, run.grid.times)))
     reports += _rate_reports(comparisons, per_eps)
     reports.sort(key=lambda r: r.check_id)
@@ -408,16 +411,19 @@ def _load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.parse(raw)
 
 
-def _write_outputs(out_dir: Path, files: dict[str, str], config: ExperimentConfig):
-    """Write data files plus a manifest listing them."""
+def _write_outputs(out_dir: Path, files, config: ExperimentConfig):
+    """Write the data files, (name, text) pairs, each one as it comes, then a
+    manifest listing them."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, content in files.items():
+    names = []
+    for name, content in files:
         (out_dir / name).write_text(content)
+        names.append(name)
     manifest = {
         "tool_version": __version__,
         "config_hash": config.config_hash(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "files": sorted(files) + ["manifest.json"],
+        "files": sorted(names) + ["manifest.json"],
         "environment": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
@@ -431,31 +437,34 @@ def _write_outputs(out_dir: Path, files: dict[str, str], config: ExperimentConfi
 
 
 def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
-    """Trajectory norms and profile errors, one CSV per eps.
+    """Trajectory norms and profile errors, one CSV per eps, each written as
+    soon as it is made.
 
     Per eps the solution, the parabolic profile, the layer and the
     second-order expansion are sampled together in one sample_together call.
     """
     spec, u0, u1 = config.data()
-    files: dict[str, str] = {}
-    for eps in config["epsilons"]:
-        pd = ProblemData(spec, eps, u0, u1)
-        ts = config.time_grid([eps]).times
-        su, sv, sth, sexp = sample_together(
-            (pd.solution, pd.parabolic, pd.theta, pd.main_expansion), ts
-        )
-        # every sample and difference is squared in place, after its last use
-        errors = [
-            squared_norms(su - sv),
-            squared_norms(su - (sv + sth)),
-            squared_norms(su - sexp),
-        ]
-        sizes = [squared_norms(x) for x in (su, sv, sth)]
-        columns = [ts] + [np.sqrt(x) for x in sizes + errors]
-        del su, sv, sth, sexp  # free this eps's samples before the next are made
-        header = "t,norm_u,norm_v,norm_theta,err_order0,err_theta,err_order2"
-        files[f"trajectory_eps{eps:g}.csv"] = _csv(header, columns)
-    _write_outputs(out_dir, files, config)
+
+    def trajectories():
+        for eps in config["epsilons"]:
+            pd = ProblemData(spec, eps, u0, u1)
+            ts = config.time_grid([eps]).times
+            su, sv, sth, sexp = sample_together(
+                (pd.solution, pd.parabolic, pd.theta, pd.main_expansion), ts
+            )
+            # every sample and difference is squared in place, after its last use
+            errors = [
+                squared_norms(su - sv),
+                squared_norms(su - (sv + sth)),
+                squared_norms(su - sexp),
+            ]
+            sizes = [squared_norms(x) for x in (su, sv, sth)]
+            columns = [ts] + [np.sqrt(x) for x in sizes + errors]
+            del su, sv, sth, sexp  # free this eps's samples before the next are made
+            header = "t,norm_u,norm_v,norm_theta,err_order0,err_theta,err_order2"
+            yield f"trajectory_eps{eps:g}.csv", _csv(header, columns)
+
+    _write_outputs(out_dir, trajectories(), config)
     return EXIT_OK
 
 
@@ -464,7 +473,7 @@ def cmd_verify(config: ExperimentConfig, out_dir: Path | None) -> int:
     reports = _run_checks(config)
     payload = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
     if out_dir is not None:
-        _write_outputs(out_dir, {"report.json": payload}, config)
+        _write_outputs(out_dir, [("report.json", payload)], config)
     else:
         sys.stdout.write(payload)
     failed = [r.check_id for r in reports if not r.passed]
@@ -507,7 +516,7 @@ def cmd_rates(config: ExperimentConfig, out_dir: Path) -> int:
             }
         )
     files["report.json"] = json.dumps(fits, indent=2) + "\n"
-    _write_outputs(out_dir, files, config)
+    _write_outputs(out_dir, files.items(), config)  # all made: a ConfigError writes nothing
     return EXIT_OK
 
 

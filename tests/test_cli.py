@@ -23,6 +23,7 @@ from singlim.cli import (
     fmt,
     main,
 )
+import singlim.cli as cli
 import singlim.profiles as profiles
 from singlim.profiles import ProblemData
 
@@ -272,6 +273,24 @@ class TestVerify:
         assert code == EXIT_CHECK_FAILURE
         report = json.loads((out / "report.json").read_text())
         assert any("precondition" in r["note"] for r in report)
+
+    def test_fewer_than_three_eps_sample_no_rate_errors(self, tmp_path, monkeypatch):
+        # the fit needs 3 eps; with 2 every comparison FAILs with the reason,
+        # and no eps's errors are sampled for it
+        calls = []
+        monkeypatch.setattr(cli, "rate_errors", lambda *args: calls.append(args))
+        cfg = write_config(
+            tmp_path, checks=["rates"], comparisons=["order0_thm11i", "order1_theta"]
+        )
+        out = tmp_path / "out"
+        code = main(["verify", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CHECK_FAILURE
+        assert calls == []
+        report = json.loads((out / "report.json").read_text())
+        assert [r["id"] for r in report] == ["rate.slope_order0_thm11i", "rate.slope_order1_theta"]
+        for r in report:
+            assert not r["pass"] and r["margin"] == -math.inf
+            assert r["note"] == "precondition violated: need at least 3 eps values for a rate fit"
 
     def test_small_eps_initial_data_checks_pass(self, tmp_path):
         # the remainders' initial slopes at eps down to 1e-11: the fast-root

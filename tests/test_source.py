@@ -38,3 +38,44 @@ def test_the_guard_sees_an_unused_import():
         "__all__ = ['c']\nprint(np.pi)\n"
     )
     assert _unused_imports(tree) == ["math (line 1)", "b (line 3)"]
+
+
+# The modules that know a profile is a tuple of per-mode ExpPolys; every
+# other module samples and integrates through profiles.
+REPRESENTATION = {"exppoly.py", "modes.py", "profiles.py"}
+
+
+def _representation_uses(tree: ast.Module) -> list[str]:
+    """Imports of exppoly, in any form, and reads of a .modes attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            if isinstance(node, ast.Attribute) and node.attr == "modes":
+                found.append(f".modes (line {node.lineno})")
+            continue
+        if any(name.rpartition(".")[2] == "exppoly" for name in names):
+            found.append(f"exppoly import (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name not in REPRESENTATION], ids=lambda p: p.name
+)
+def test_only_profiles_and_below_see_the_mode_representation(path):
+    assert _representation_uses(ast.parse(path.read_text())) == []
+
+
+def test_the_guard_sees_the_mode_representation():
+    tree = ast.parse(
+        "from .exppoly import ExpPoly\nimport singlim.exppoly as e\n"
+        "from . import exppoly\nfrom .profiles import sample_together\n"
+        "n = len(p.modes)\nm = p.modes_count\nmodes = 3\n"
+    )
+    assert _representation_uses(tree) == [
+        "exppoly import (line 1)", "exppoly import (line 2)",
+        "exppoly import (line 3)", ".modes (line 5)",
+    ]

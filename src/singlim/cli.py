@@ -516,7 +516,8 @@ def cmd_rates(config: ExperimentConfig, out_dir: Path) -> int:
             }
         )
     files["report.json"] = json.dumps(fits, indent=2) + "\n"
-    _write_outputs(out_dir, files.items(), config)  # all made: a ConfigError writes nothing
+    # written once all are made, so that a failed fit above writes nothing
+    _write_outputs(out_dir, files.items(), config)
     return EXIT_OK
 
 

@@ -2,12 +2,12 @@
 
 All time integrals of closed-form profiles are exact (through
 profiles.squared_integrals); composite Simpson quadrature on the grid is
-kept as an independent cross-check.  Each
-decomposition identity compares two independent constructions (a split
-corrector against its profile part plus eps times the directly solved
-remainder, for instance), so the identities keep holding as eps -> 0
-rather than measure rounding.  Checks return serializable reports with
-the measured margin, the tolerance used, and a provenance note.
+kept as an independent cross-check.  Each decomposition identity compares
+two independent constructions (a split corrector against its profile part
+plus eps times the directly solved remainder, for instance), so the
+identities keep holding as eps -> 0 rather than measure rounding.  Checks
+return serializable reports with the measured margin, the tolerance used,
+and a provenance note.
 """
 
 from __future__ import annotations

@@ -374,6 +374,15 @@ class TestRates:
         fits = json.loads((out / "report.json").read_text())
         assert fits[0]["slope"] >= 0.95
 
+    def test_failed_fit_writes_nothing(self, tmp_path):
+        # order0_thm11i fits, then cor1 fails its precondition (no il0 data)
+        cfg = write_config(
+            tmp_path, epsilons=[0.1, 0.05, 0.01], comparisons=["order0_thm11i", "cor1"]
+        )
+        out = tmp_path / "out"
+        assert main(["rates", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
+        assert not out.exists()
+
     def test_too_few_eps(self, tmp_path):
         cfg = write_config(tmp_path, epsilons=[0.1, 0.01])
         out = tmp_path / "out"

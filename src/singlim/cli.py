@@ -36,7 +36,7 @@ from .verification import (
     rate_errors,
     remainder_data_checks,
     run_rate_experiment,
-    squared_norms,
+    sample_norms,
 )
 
 __all__ = [
@@ -454,12 +454,12 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
             )
             # every sample and difference is squared in place, after its last use
             errors = [
-                squared_norms(su - sv),
-                squared_norms(su - (sv + sth)),
-                squared_norms(su - sexp),
+                sample_norms(su - sv),
+                sample_norms(su - (sv + sth)),
+                sample_norms(su - sexp),
             ]
-            sizes = [squared_norms(x) for x in (su, sv, sth)]
-            columns = [ts] + [np.sqrt(x) for x in sizes + errors]
+            sizes = [sample_norms(x) for x in (su, sv, sth)]
+            columns = [ts] + sizes + errors
             del su, sv, sth, sexp  # free this eps's samples before the next are made
             header = "t,norm_u,norm_v,norm_theta,err_order0,err_theta,err_order2"
             yield f"trajectory_eps{eps:g}.csv", _csv(header, columns)

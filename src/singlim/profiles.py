@@ -11,7 +11,9 @@ identities and energy bounds the verification layer checks.  The
 correctors and their remainders are solved as forced mode equations from
 closed-form data rather than formed as differences of other profiles, so
 they stay accurate as eps -> 0.  ProblemData holds one eps and its data,
-and builds each of these profiles once, when it is first read.
+and builds each of these profiles once, when it is first read, through one
+of two constructors: ProblemData._solved for the solved mode equations and
+_explicit for the profiles written out term by term.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .exppoly import ExpPoly, SampleTimes, accumulate, divided_difference_exp, integrate
-from .modes import ForcingTerm, ModeParams, solve_forced, solve_homogeneous
+from .modes import ForcingTerm, ModeParams, solve_forced
 from .spectral import SpecVector, Spectrum, apply_power, norm, resolvent
 
 __all__ = ["ProblemData", "ProfileFunction", "sample_together", "squared_integrals",
@@ -88,13 +90,7 @@ class ProblemData:
     @cached_property
     def solution(self) -> ProfileFunction:
         """Solution of eps*u'' + A u + u' = 0 with data (u0, u1), mode by mode."""
-        lam = self.spec.eigenvalues
-        u0, u1 = self.u0.coefficients, self.u1.coefficients
-        modes = tuple(
-            solve_homogeneous(ModeParams(self.eps, lam[i], u0[i], u1[i])).poly
-            for i in range(len(self.spec))
-        )
-        return ProfileFunction(self.spec, modes)
+        return self._solved(self.u0.coefficients, self.u1.coefficients)
 
     @cached_property
     def parabolic(self) -> ProfileFunction:
@@ -116,30 +112,21 @@ class ProblemData:
     @cached_property
     def theta(self) -> ProfileFunction:
         """Initial layer eps*(1 - e^{-t/eps}) * v1: zero at t=0, slope v1."""
-        eps = self.eps
-        modes = tuple(
-            ExpPoly.build([(0, 0.0, eps * c), (0, -1.0 / eps, -eps * c)])
-            for c in self.v1.coefficients
+        eps, v1 = self.eps, self.v1.coefficients
+        return _explicit(
+            self.spec, lambda i: [(0, 0.0, eps * v1[i]), (0, -1.0 / eps, -eps * v1[i])]
         )
-        return ProfileFunction(self.spec, modes)
 
     @cached_property
     def main_expansion(self) -> ProfileFunction:
         """Second-order profile: e^{-tA}u0 + eps*(e^{-tA}v1 - t A^2 e^{-tA}u0 - e^{-t/eps}v1)."""
-        eps = self.eps
-        lam = self.spec.eigenvalues
+        eps, lam = self.eps, self.spec.eigenvalues
         u0, v1 = self.u0.coefficients, self.v1.coefficients
-        modes = tuple(
-            ExpPoly.build(
-                [
-                    (0, -lam[i], u0[i] + eps * v1[i]),
-                    (1, -lam[i], -eps * lam[i] ** 2 * u0[i]),
-                    (0, -1.0 / eps, -eps * v1[i]),
-                ]
-            )
-            for i in range(len(self.spec))
-        )
-        return ProfileFunction(self.spec, modes)
+        return _explicit(self.spec, lambda i: [
+            (0, -lam[i], u0[i] + eps * v1[i]),
+            (1, -lam[i], -eps * lam[i] ** 2 * u0[i]),
+            (0, -1.0 / eps, -eps * v1[i]),
+        ])
 
     @cached_property
     def derivative_expansion(self) -> ProfileFunction:
@@ -148,48 +135,31 @@ class ProblemData:
             raise ValueError(
                 "derivative expansion requires compatible data u1 + A u0 = 0"
             )
-        eps = self.eps
-        lam = self.spec.eigenvalues
-        u0 = self.u0.coefficients
-        modes = tuple(
-            ExpPoly.build(
-                [
-                    (0, -lam[i], -lam[i] * u0[i] - eps * lam[i] ** 2 * u0[i]),
-                    (1, -lam[i], eps * lam[i] ** 3 * u0[i]),
-                    (0, -1.0 / eps, eps * lam[i] ** 2 * u0[i]),
-                ]
-            )
-            for i in range(len(self.spec))
-        )
-        return ProfileFunction(self.spec, modes)
+        eps, lam, u0 = self.eps, self.spec.eigenvalues, self.u0.coefficients
+        return _explicit(self.spec, lambda i: [
+            (0, -lam[i], -lam[i] * u0[i] - eps * lam[i] ** 2 * u0[i]),
+            (1, -lam[i], eps * lam[i] ** 3 * u0[i]),
+            (0, -1.0 / eps, eps * lam[i] ** 2 * u0[i]),
+        ])
 
     @cached_property
     def splits(self) -> tuple[ProfileFunction, ProfileFunction]:
         """Split of the solution into the (u0, -A u0) part and the (0, v1) part."""
-        lam = self.spec.eigenvalues
-        u0, v1 = self.u0.coefficients, self.v1.coefficients
-        first = tuple(
-            solve_homogeneous(ModeParams(self.eps, lam[i], u0[i], -lam[i] * u0[i])).poly
-            for i in range(len(self.spec))
-        )
-        second = tuple(
-            solve_homogeneous(ModeParams(self.eps, lam[i], 0.0, v1[i])).poly
-            for i in range(len(self.spec))
-        )
-        return ProfileFunction(self.spec, first), ProfileFunction(self.spec, second)
+        lam, u0 = self.spec.eigenvalues, self.u0.coefficients
+        zeros = np.zeros(len(self.spec))
+        return self._solved(u0, -lam * u0), self._solved(zeros, self.v1.coefficients)
 
-    def _forced(self, a, b, data0, data1) -> ProfileFunction:
-        """Per-mode forced solve with forcing (a_i + b_i t) e^{-lam_i t} and
-        initial data (data0_i, data1_i)."""
+    def _solved(self, data0, data1, a=0.0, b=0.0) -> ProfileFunction:
+        """Per-mode solve from initial data (data0_i, data1_i) with forcing
+        (a_i + b_i t) e^{-lam_i t}, none by default (solve_forced then takes
+        the homogeneous solution).  Every solved profile is built here."""
         lam = self.spec.eigenvalues
-        modes = tuple(
-            solve_forced(
-                ModeParams(self.eps, lam[i], data0[i], data1[i]),
-                ForcingTerm(a[i], b[i], lam[i]),
-            ).poly
-            for i in range(len(self.spec))
-        )
-        return ProfileFunction(self.spec, modes)
+        a, b = np.broadcast_to(a, lam.shape), np.broadcast_to(b, lam.shape)
+        return ProfileFunction(self.spec, tuple(
+            solve_forced(ModeParams(self.eps, lam[i], data0[i], data1[i]),
+                         ForcingTerm(a[i], b[i], lam[i])).poly
+            for i in range(len(lam))
+        ))
 
     @cached_property
     def corrector_primary(self) -> ProfileFunction:
@@ -197,25 +167,23 @@ class ProblemData:
         and the resolvent-smoothed semigroup flow e^{-tA}(u0 + eps*J u1)."""
         ju1 = self.ju1
         g = self.u0.coefficients + self.eps * ju1
-        lam = self.spec.eigenvalues
-        return self._forced(lam * g, np.zeros(len(self.spec)), -self.eps * ju1, -ju1)
+        return self._solved(-self.eps * ju1, -ju1, self.spec.eigenvalues * g)
 
     @cached_property
     def corrector_halfpower(self) -> ProfileFunction:
         """Corrector entering through a half power of the operator: the first
         split component equals e^{-tA}u0 + eps * A^{1/2} * (this profile)."""
-        lam = self.spec.eigenvalues
         zeros = np.zeros(len(self.spec))
-        return self._forced(-(lam**1.5) * self.u0.coefficients, zeros, zeros, zeros)
+        a = -(self.spec.eigenvalues**1.5) * self.u0.coefficients
+        return self._solved(zeros, zeros, a)
 
     @cached_property
     def split_correctors(self) -> tuple[ProfileFunction, ProfileFunction]:
         """Correctors for the two split components against smoothed semigroups."""
         eps, lam, ju0, jv1 = self.eps, self.spec.eigenvalues, self.ju0, self.jv1
-        zeros = np.zeros(len(self.spec))
         return (
-            self._forced(lam * ju0, zeros, eps * lam * ju0, lam * ju0),
-            self._forced(eps * lam * jv1, zeros, -eps * jv1, -jv1),
+            self._solved(eps * lam * ju0, lam * ju0, lam * ju0),
+            self._solved(-eps * jv1, -jv1, eps * lam * jv1),
         )
 
     @cached_property
@@ -234,10 +202,7 @@ class ProblemData:
         correctors."""
         lam = self.spec.eigenvalues
         return tuple(
-            ProfileFunction(self.spec, tuple(
-                ExpPoly.build([(0, -lam[i], c0[i]), (1, -lam[i], c1[i])])
-                for i in range(len(self.spec))
-            ))
+            _explicit(self.spec, lambda i: [(0, -lam[i], c0[i]), (1, -lam[i], c1[i])])
             for (c0, c1), _ in self._split_parts
         )
 
@@ -255,7 +220,7 @@ class ProblemData:
         """
         lam = self.spec.eigenvalues
         return tuple(
-            self._forced(2.0 * lam * c1 - lam**2 * c0, -(lam**2) * c1, w0, w1)
+            self._solved(w0, w1, 2.0 * lam * c1 - lam**2 * c0, -(lam**2) * c1)
             for (c0, c1), (w0, w1) in self._split_parts
         )
 
@@ -363,8 +328,12 @@ def kernel_profile(
 ) -> ProfileFunction:
     """Profile scale * t**n * A**m * e^{-tA} applied to the coefficients."""
     lam = spec.eigenvalues
-    modes = tuple(
-        ExpPoly.build([(n, -lam[i], scale * lam[i] ** m * coeffs[i])])
-        for i in range(len(spec))
-    )
-    return ProfileFunction(spec, modes)
+    return _explicit(spec, lambda i: [(n, -lam[i], scale * lam[i] ** m * coeffs[i])])
+
+
+def _explicit(spec: Spectrum, terms) -> ProfileFunction:
+    """The profile whose mode i is the sum of the plain terms c t**k e^{mu t}
+    of terms(i) = [(k, mu, c), ...].  Every profile written out in closed
+    form is built here; each coefficient keeps its per-mode scalar form,
+    since a vectorized lam**m can differ from lam[i]**m in the last bit."""
+    return ProfileFunction(spec, tuple(ExpPoly.build(terms(i)) for i in range(len(spec))))

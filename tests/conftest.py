@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,17 @@ def cli_env() -> dict:
     """Environment for a CLI subprocess, with src/ on its import path."""
     path = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``singlim`` as a subprocess under the suite's warning policy: a
+    RuntimeWarning is an error, so a run that warns ends in a traceback."""
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "singlim.cli", *args],
+        capture_output=True,
+        text=True,
+        env=cli_env(),
+    )
 
 
 def decay_vector(n: int, p: float = 2.0) -> SpecVector:

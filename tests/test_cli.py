@@ -27,7 +27,7 @@ import singlim.cli as cli
 import singlim.profiles as profiles
 from singlim.profiles import ProblemData
 
-from conftest import cli_env
+from conftest import cli_env, run_cli
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -220,19 +220,15 @@ class TestVerify:
         assert ids == sorted(ids)
 
     def test_each_forced_profile_is_built_once_per_eps(self, tmp_path, monkeypatch):
-        # per mode and eps: the primary and half-power correctors, the two
-        # split correctors and the two remainders, each solved once for every
-        # group; and the solution and the two split components, each solved
-        # once for every group, the rate errors included
-        forced, homogeneous = collections.Counter(), collections.Counter()
-        solve_forced, solve_homogeneous = profiles.solve_forced, profiles.solve_homogeneous
+        # per mode and eps, 9 profiles: the solution, the two split
+        # components, the primary and half-power correctors, the two split
+        # correctors and the two remainders, each solved once for every
+        # group, the rate errors included
+        forced = collections.Counter()
+        solve_forced = profiles.solve_forced
         monkeypatch.setattr(
             profiles, "solve_forced",
             lambda p, f: forced.update([p.lam]) or solve_forced(p, f),
-        )
-        monkeypatch.setattr(
-            profiles, "solve_homogeneous",
-            lambda p: homogeneous.update([p.lam]) or solve_homogeneous(p),
         )
         cfg = write_config(
             tmp_path,
@@ -245,8 +241,7 @@ class TestVerify:
         )
         out = tmp_path / "out"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        assert forced == {0.0: 18, 1.0: 18, 4.0: 18}
-        assert homogeneous == {0.0: 9, 1.0: 9, 4.0: 9}
+        assert forced == {0.0: 27, 1.0: 27, 4.0: 27}
 
     def test_corrupted_tolerance_flips_exit(self, tmp_path):
         cfg = write_config(tmp_path, tolerances={"identity": 1e-20})
@@ -382,6 +377,24 @@ class TestRates:
         out = tmp_path / "out"
         assert main(["rates", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
         assert not out.exists()
+
+    def test_cor1_is_the_main_expansion_curve(self, tmp_path):
+        # under compatible data v1 = 0, and cor1's profile is the main
+        # expansion term for term: one curve and one fit
+        cfg = write_config(
+            tmp_path,
+            spectrum="three-mode",
+            u0={"family": "decay", "p": 2.0},
+            u1="il0",
+            epsilons=[0.1, 0.01, 0.001],
+            comparisons=["order2_mainthm", "cor1"],
+        )
+        out = tmp_path / "out"
+        assert main(["rates", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        main_curve = (out / "rates_order2_mainthm.csv").read_text()
+        assert (out / "rates_cor1.csv").read_text() == main_curve
+        fits = {f.pop("comparison"): f for f in json.loads((out / "report.json").read_text())}
+        assert fits["cor1"] == fits["order2_mainthm"]
 
     def test_too_few_eps(self, tmp_path):
         cfg = write_config(tmp_path, epsilons=[0.1, 0.01])
@@ -537,10 +550,11 @@ class TestExitCodes:
         assert "extend the grid" in record["note"]
 
     def test_overflowing_bound_is_a_fail_record(self, tmp_path):
-        # |u1|^2 overflows, so both bounds are inf; they once passed with
-        # margin NaN, and the resolvent bound of u1 with a finite margin,
-        # the least of those of u0, u1 and v1.  A subprocess, since the
-        # overflow warns.
+        # |u1|^2 overflows, so the L2 and resolvent bounds are inf; they
+        # once passed with margin NaN, and the resolvent bound of u1 with a
+        # finite margin, the least of those of u0, u1 and v1.  The explicit
+        # sup bound is finite, about 2.7e199, though its squares overflow,
+        # and it once failed as not finite too.
         cfg = write_config(
             tmp_path,
             spectrum=[1e-300, 1.0],
@@ -550,30 +564,25 @@ class TestExitCodes:
             checks=["inequalities"],
         )
         out = tmp_path / "out"
-        result = subprocess.run(
-            [sys.executable, "-m", "singlim.cli", "verify", "--config", str(cfg),
-             "--out", str(out)],
-            capture_output=True,
-            text=True,
-            env=cli_env(),
-        )
+        result = run_cli("verify", "--config", str(cfg), "--out", str(out))
         assert result.returncode == EXIT_CHECK_FAILURE
         assert "Traceback" not in result.stderr
         text = (out / "report.json").read_text()
         assert "NaN" not in text
-        failed = {r["id"]: r for r in json.loads(text) if not r["pass"]}
+        records = {r["id"]: r for r in json.loads(text)}
+        failed = {k: r for k, r in records.items() if not r["pass"]}
         assert sorted(failed) == [
             "bound.l2_deviation_constants_2_7[eps=0.1]",
             "bound.resolvent_halfpower[eps=0.1]",
-            "bound.sup_error_explicit[eps=0.1]",
         ]
         assert all(r["note"].startswith("not finite: ") for r in failed.values())
+        sup = records["bound.sup_error_explicit[eps=0.1]"]
+        assert sup["pass"] and 0.0 < sup["margin"] < math.inf
 
     def test_data_whose_norm_squares_overflow_keeps_finite_tolerances(self, tmp_path):
         # |u1| = 1e200 is finite though |u1|^2 is not: the identity and data
         # records once read tolerance inf and failed as not finite, with
-        # residuals at rounding level.  A subprocess, since the data overflow
-        # elsewhere warns.
+        # residuals at rounding level
         cfg = write_config(
             tmp_path,
             spectrum=[1e-300, 1.0],
@@ -583,13 +592,7 @@ class TestExitCodes:
             checks=["identities", "data"],
         )
         out = tmp_path / "out"
-        result = subprocess.run(
-            [sys.executable, "-m", "singlim.cli", "verify", "--config", str(cfg),
-             "--out", str(out)],
-            capture_output=True,
-            text=True,
-            env=cli_env(),
-        )
+        result = run_cli("verify", "--config", str(cfg), "--out", str(out))
         assert result.returncode == EXIT_OK, result.stderr
         report = json.loads((out / "report.json").read_text())
         assert {r["id"].split(".")[0] for r in report} == {"identity", "data"}
@@ -607,18 +610,48 @@ class TestExitCodes:
             checks=["duhamel"],
         )
         out = tmp_path / "out"
-        result = subprocess.run(
-            [sys.executable, "-m", "singlim.cli", "verify", "--config", str(cfg),
-             "--out", str(out)],
-            capture_output=True,
-            text=True,
-            env=cli_env(),
-        )
+        result = run_cli("verify", "--config", str(cfg), "--out", str(out))
         assert result.returncode == EXIT_OK, result.stderr
         assert "RuntimeWarning" not in result.stderr
         (record,) = json.loads((out / "report.json").read_text())
         assert record["id"] == "duhamel.representation[eps=0.1]"
         assert record["pass"] and math.isfinite(record["margin"])
+
+    def test_data_whose_squares_overflow_run_without_warnings(self, tmp_path):
+        # |u1| = 1e200: the norms are finite though their squares are not.
+        # Under -W error a RuntimeWarning would end either run in a
+        # traceback; simulate's norms once read inf, and only the records
+        # whose own values overflow may FAIL
+        cfg = write_config(
+            tmp_path,
+            spectrum=[1e-300, 1.0],
+            u0=[1.0, 1.0],
+            u1=[1e200, 0.0],
+            epsilons=[0.1, 0.01, 0.001],
+            checks="all",
+        )
+        result = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"))
+        assert result.returncode == EXIT_OK, result.stderr
+        tables = sorted((tmp_path / "sim").glob("trajectory_eps*.csv"))
+        assert len(tables) == 3
+        for table in tables:
+            rows = table.read_text().splitlines()[1:]
+            assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+        out = tmp_path / "out"
+        result = run_cli("verify", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == EXIT_CHECK_FAILURE
+        assert "Traceback" not in result.stderr
+        failed = [r for r in json.loads((out / "report.json").read_text()) if not r["pass"]]
+        assert sorted(r["id"] for r in failed) == sorted(
+            f"{check_id}[eps={eps}]"
+            for check_id in (
+                "bound.l2_deviation_constants_2_7",
+                "bound.resolvent_halfpower",
+                "energy.primary_constant3",
+            )
+            for eps in ("0.1", "0.01", "0.001")
+        )
+        assert all(r["note"].startswith("not finite: ") for r in failed)
 
     @pytest.mark.parametrize(
         "u0, checks, failing",

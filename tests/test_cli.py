@@ -396,6 +396,31 @@ class TestRates:
         fits = {f.pop("comparison"): f for f in json.loads((out / "report.json").read_text())}
         assert fits["cor1"] == fits["order2_mainthm"]
 
+    def test_cor1_of_nearly_compatible_data_keeps_the_layer_terms(self, tmp_path):
+        # il0_satisfied holds v1 to a tolerance: for a typed-in u1 that is
+        # -A u0 only to within it, cor1 still reads the main expansion, so its
+        # curve carries eps v1 (e^{-tA} - e^{-t/eps}) with v1 != 0
+        cfg = write_config(
+            tmp_path,
+            spectrum="three-mode",
+            u0=[1.0, 1.0, 1.0],
+            u1=[0.0, -1.0, -4.0 + 1e-13],
+            epsilons=[0.1, 0.01, 0.001],
+            comparisons=["order2_mainthm", "cor1"],
+        )
+        spec, u0, u1 = cli._load_config(str(cfg)).data()
+        pd = ProblemData(spec, 0.1, u0, u1)
+        assert pd.il0_satisfied and np.any(pd.v1.coefficients != 0.0)
+        ts = np.linspace(0.0, 2.0, 41)
+        layer_free = pd.parabolic - profiles.kernel_profile(spec, u0.coefficients, 1, 2.0, 0.1)
+        assert not np.array_equal(pd.main_expansion.sample(ts), layer_free.sample(ts))
+        out = tmp_path / "out"
+        assert main(["rates", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        main_curve = (out / "rates_order2_mainthm.csv").read_text()
+        assert (out / "rates_cor1.csv").read_text() == main_curve
+        fits = {f.pop("comparison"): f for f in json.loads((out / "report.json").read_text())}
+        assert fits["cor1"] == fits["order2_mainthm"]
+
     def test_too_few_eps(self, tmp_path):
         cfg = write_config(tmp_path, epsilons=[0.1, 0.01])
         out = tmp_path / "out"

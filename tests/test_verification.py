@@ -834,6 +834,23 @@ class TestRateExperiments:
         assert len(calls) == len(COMPARISONS) - 1
         assert results["order0_thm11i"] is results["order0_thm11ii"]
 
+    def test_shared_candidate_is_sampled_once(self, monkeypatch):
+        # cor1 and order2_mainthm both read main_expansion
+        sampled = []
+
+        def recorded(profiles, ts):
+            sampled.append(list(profiles))
+            return sample_together(profiles, ts)
+
+        monkeypatch.setattr(verification, "sample_together", recorded)
+        pd = make_problem([0.0, 1.0, 4.0], 0.1, il0=True)
+        grid = standard_grid([0.1])
+        errors = rate_errors(pd, COMPARISONS, grid.times)
+        (profiles,) = sampled
+        assert len({id(p) for p in profiles}) == len(profiles)
+        want = sup_norm_error(pd.solution, pd.main_expansion, grid)
+        assert errors["cor1"] == errors["order2_mainthm"] == want
+
     def test_comparisons_list_complete(self):
         assert set(COMPARISONS) == {
             "order0_thm11i",

@@ -21,10 +21,9 @@ import numpy as np
 
 from . import __version__
 from .profiles import ProblemData, sample_together
-from .spectral import SpecVector, Spectrum, norm
+from .spectral import SpecVector, Spectrum, norm, sample_norms
 from .timegrid import TimeGrid, standard_grid
 from .verification import (
-    COMPARISON_EXPONENTS,
     COMPARISONS,
     TOLERANCES,
     CheckReport,
@@ -33,10 +32,10 @@ from .verification import (
     identity_checks,
     inequality_checks,
     max_reg_checks,
+    rate_checks,
     rate_errors,
     remainder_data_checks,
     run_rate_experiment,
-    sample_norms,
 )
 
 __all__ = [
@@ -81,88 +80,52 @@ def _csv(header: str, columns) -> str:
 # check groups
 
 
-class _Context:
-    """What the check groups share.  Per eps: the problem pd, which builds
-    each of its profiles once for all the groups, its grid, the tolerances
-    and the tag of its check ids.  With eps None, the whole run: one grid
-    with the layer points of every eps, and no tag."""
+# The per-eps check groups in run order: name -> the group's records of one
+# eps's problem pd, on the grid of that eps, with the config's tolerances.
+_PER_EPS_GROUPS = {
+    "identities": lambda pd, grid, tol: identity_checks(
+        pd, grid, tol=tol["identity"], superposition_tol=tol["superposition"]
+    ),
+    "data": lambda pd, grid, tol: remainder_data_checks(pd),
+    "inequalities": lambda pd, grid, tol: inequality_checks(
+        pd, grid, slack=tol["inequality_slack"], sup_slack=tol["sup_bound_slack"]
+    ),
+    "energy": lambda pd, grid, tol: energy_inequality_checks(
+        pd, grid, slack=tol["inequality_slack"]
+    ),
+    "duhamel": lambda pd, grid, tol: duhamel_residual(pd, grid, tol=tol["duhamel"]),
+}
 
-    def __init__(self, config: ExperimentConfig, spec, u0, u1, eps=None):
-        self.config, self.spec, self.u0, self.u1 = config, spec, u0, u1
-        self.tol = config.to_dict()["tolerances"]
-        self.grid = config.time_grid(config["epsilons"] if eps is None else [eps])
-        self.suffix = "" if eps is None else f"[eps={eps:g}]"
-        self.pd = None if eps is None else ProblemData(spec, eps, u0, u1)
-
-
-def _rate_reports(comparisons, per_eps) -> list[CheckReport]:
-    """Slope checks for the requested comparisons (one-sided thresholds),
-    fitted over each eps's (eps, rate_errors) pair."""
-    reports = []
-    for comp, result in run_rate_experiment(per_eps, comparisons).items():
-        threshold = COMPARISON_EXPONENTS[comp] - 0.05
-        if isinstance(result, ValueError):
-            passed, margin = False, float("-inf")
-            note = f"precondition violated: {result}"
-        else:
-            _, fit = result
-            passed = fit.slope >= threshold and fit.r_squared >= 0.99
-            margin = min(fit.slope - threshold, fit.r_squared - 0.99)
-            note = (
-                f"fitted slope {fit.slope:.4f} (threshold {threshold:g}), "
-                f"r^2 {fit.r_squared:.6f}"
-            )
-        reports.append(CheckReport(f"rate.slope_{comp}", passed, margin, threshold, note))
-    return reports
-
-
-# The check groups in config order but rates (last, see _run_checks): (name,
-# once per eps?, its records from the shared context).  Each eps runs the
-# per-eps groups in this order, and maxreg runs once, after every eps.
-_GROUPS = (
-    ("identities", True, lambda c: identity_checks(
-        c.pd, c.grid, tol=c.tol["identity"],
-        superposition_tol=c.tol["superposition"],
-    )),
-    ("data", True, lambda c: remainder_data_checks(c.pd)),
-    ("inequalities", True, lambda c: inequality_checks(
-        c.pd, c.grid, slack=c.tol["inequality_slack"],
-        sup_slack=c.tol["sup_bound_slack"],
-    )),
-    ("energy", True, lambda c: energy_inequality_checks(
-        c.pd, c.grid, slack=c.tol["inequality_slack"]
-    )),
-    ("maxreg", False, lambda c: max_reg_checks(
-        c.spec, c.u0 if norm(c.u0) > 0 else c.u1, c.grid
-    )),
-    ("duhamel", True, lambda c: duhamel_residual(c.pd, c.grid, tol=c.tol["duhamel"])),
-)
-
-CHECK_GROUPS = (*(name for name, _, _ in _GROUPS), "rates")
+# Every check group, in config order; maxreg and rates run once, after every eps.
+CHECK_GROUPS = ("identities", "data", "inequalities", "energy", "maxreg", "duhamel", "rates")
 
 
 def _run_checks(config: ExperimentConfig) -> list[CheckReport]:
-    """The records of the configured check groups, sorted by id; a per-eps
-    record's id is tagged with its eps here.  Each eps's problem also gives
-    its rate errors on the run-wide grid, which the rates group fits; with
-    no comparison, or fewer than the 3 eps a fit needs (run_rate_experiment
-    reports that), none are sampled."""
+    """The records of the configured check groups, sorted by id.  Per eps,
+    one problem runs the per-eps groups, whose ids are tagged with the eps,
+    and gives its rate errors on the run-wide grid; with no comparison, or
+    fewer than the 3 eps a fit needs (rate_checks reports that), none are
+    sampled.  Then maxreg runs on the run-wide grid, and rates fits the
+    errors."""
     spec, u0, u1 = config.data()
-    comparisons = config["comparisons"] if "rates" in config["checks"] else ()
+    checks, tol = config["checks"], config.to_dict()["tolerances"]
+    comparisons = config["comparisons"] if "rates" in checks else ()
     sampled = bool(comparisons) and len(config["epsilons"]) >= 3
-    run = _Context(config, spec, u0, u1)
+    run_grid = config.time_grid(config["epsilons"])
     reports: list[CheckReport] = []
     per_eps = []  # (eps, its rate errors)
-    for eps in [*config["epsilons"], None]:  # None: the run-wide groups
-        c = run if eps is None else _Context(config, spec, u0, u1, eps)
-        for name, once_per_eps, checks in _GROUPS:
-            if name in config["checks"] and once_per_eps == (eps is not None):
-                for report in checks(c):
-                    report.check_id += c.suffix
+    for eps in config["epsilons"]:
+        pd, grid = ProblemData(spec, eps, u0, u1), config.time_grid([eps])
+        for name, group in _PER_EPS_GROUPS.items():
+            if name in checks:
+                for report in group(pd, grid, tol):
+                    report.check_id += f"[eps={eps:g}]"
                     reports.append(report)
-        if eps is not None and sampled:
-            per_eps.append((eps, rate_errors(c.pd, comparisons, run.grid.times)))
-    reports += _rate_reports(comparisons, per_eps)
+        if sampled:
+            per_eps.append((eps, rate_errors(pd, comparisons, run_grid.times)))
+    if "maxreg" in checks:
+        reports += max_reg_checks(spec, u0 if norm(u0) > 0 else u1, run_grid)
+    reports += rate_checks(per_eps, comparisons)
     reports.sort(key=lambda r: r.check_id)
     return reports
 

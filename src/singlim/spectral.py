@@ -20,6 +20,8 @@ __all__ = [
     "resolvent",
     "inner",
     "norm",
+    "sample_norms",
+    "squared_norms",
 ]
 
 
@@ -132,10 +134,40 @@ def inner(f: SpecVector, g: SpecVector) -> float:
 
 
 def norm(f: SpecVector) -> float:
-    """sqrt(inner(f, f)); where that sum overflows, max|c| * norm(f / max|c|)."""
+    """sqrt(inner(f, f)): the sample_norms of f's one row, so a finite norm
+    reads finite where the sum of squares overflows."""
+    return float(sample_norms(np.array(f.coefficients, ndmin=2))[0])
+
+
+def squared_norms(samples: np.ndarray) -> np.ndarray:
+    """|x(t)|^2 for each time of samples (n_times, n_modes): the squares
+    added over the modes one mode at a time, in mode order, whatever the
+    memory layout.  The samples are squared in place, so no second wide
+    array is made: callers pass a buffer they own and no longer need."""
+    samples *= samples
+    total = np.zeros(samples.shape[0])
+    for column in samples.T:
+        total += column
+    return total
+
+
+def sample_norms(samples: np.ndarray) -> np.ndarray:
+    """|x(t)| at each time of samples (n_times, n_modes), which are squared
+    in place (squared_norms).  A time whose sum of squares overflows is
+    taken again of its samples over their largest entry max|x_i| and scaled
+    back, max|x_i| * |x / max|x_i||, so a finite norm reads finite and one
+    above the float range reads inf; the other times keep their bits.  Only
+    when some sample is large enough to overflow a sum are its rows found
+    and copied."""
+    limit = math.sqrt(np.finfo(float).max / (2 * max(samples.shape[1], 1)))
+    if max(samples.max(initial=0.0), -samples.min(initial=0.0)) <= limit:
+        return np.sqrt(squared_norms(samples))
+    big = np.maximum(samples.max(axis=1), -samples.min(axis=1))
+    risky = np.flatnonzero((big > limit) & np.isfinite(big))
+    kept = samples[risky]
     with np.errstate(over="ignore"):  # an overflowed sum is redone below
-        total = inner(f, f)
-    if math.isfinite(total):
-        return math.sqrt(total)
-    big = float(np.max(np.abs(f.coefficients)))
-    return big * norm(f.scale(1.0 / big))
+        norms = np.sqrt(squared_norms(samples))
+        over = np.isinf(norms[risky])
+        scale = big[risky[over]]
+        norms[risky[over]] = scale * np.sqrt(squared_norms(kept[over] / scale[:, None]))
+    return norms

@@ -19,7 +19,8 @@ import numpy as np
 
 from .profiles import (ProblemData, ProfileFunction, kernel_profile, sample_together,
                        squared_integrals)
-from .spectral import SpecVector, Spectrum, apply_power, norm, resolvent
+from .spectral import (SpecVector, Spectrum, apply_power, norm, resolvent, sample_norms,
+                       squared_norms)
 from .timegrid import TimeGrid
 
 __all__ = [
@@ -45,8 +46,7 @@ __all__ = [
     "fit_rate",
     "rate_errors",
     "run_rate_experiment",
-    "sample_norms",
-    "squared_norms",
+    "rate_checks",
 ]
 
 # Error values below this are treated as rounding noise by the rate fit.
@@ -56,30 +56,30 @@ NOISE_FLOOR = 1e-14
 TOLERANCES = {"identity": 1e-8, "superposition": 1e-10, "inequality_slack": 1e-8,
               "sup_bound_slack": 1e-10, "duhamel": 1e-6}
 
-COMPARISONS = (
-    "order0_thm11i",
-    "order0_thm11ii",
-    "order1_theta",
-    "order2_mainthm",
-    "cor1",
-    "cor2",
-)
 
-# The two order-0 statements compare the same (reference, candidate)
-# profile pair and differ only in their exponent: comparison -> the
-# comparison whose error curve it shares.
-_SAME_PAIR = {"order0_thm11ii": "order0_thm11i"}
+def _cor1_pair(pd: ProblemData) -> tuple[ProfileFunction, ProfileFunction]:
+    if not pd.il0_satisfied:
+        raise ValueError("cor1 requires compatible data u1 + A u0 = 0")
+    # il0_satisfied holds |v1| to a tolerance, not to 0: for data that are
+    # only nearly compatible, cor1's curve keeps the layer terms
+    # eps v1 (e^{-tA} - e^{-t/eps}), which are below that tolerance
+    return pd.solution, pd.main_expansion
 
-# One-sided slope thresholds: an upper-bound statement with exponent p is
-# confirmed by any fitted slope >= p - 0.05 (smooth data may decay faster).
-COMPARISON_EXPONENTS = {
-    "order0_thm11i": 0.5,
-    "order0_thm11ii": 1.0,
-    "order1_theta": 1.0,
-    "order2_mainthm": 1.5,
-    "cor1": 1.5,
-    "cor2": 1.5,
+
+# The rate statements error <= C eps^p: comparison -> (p, the (reference,
+# candidate) profile pair it measures in a problem, or the ValueError of a
+# precondition).  A candidate belongs to one pair and is no reference, so
+# rate_errors may overwrite its samples.
+_STATEMENTS = {
+    "order0_thm11i": (0.5, lambda pd: (pd.solution, pd.parabolic)),
+    "order0_thm11ii": (1.0, lambda pd: (pd.solution, pd.parabolic)),
+    "order1_theta": (1.0, lambda pd: (pd.solution, pd.parabolic + pd.theta)),
+    "order2_mainthm": (1.5, lambda pd: (pd.solution, pd.main_expansion)),
+    "cor1": (1.5, _cor1_pair),
+    "cor2": (1.5, lambda pd: (pd.solution.deriv(), pd.derivative_expansion)),
 }
+
+COMPARISONS = tuple(_STATEMENTS)
 
 
 # Gauss-Legendre nodes per subpanel of the Duhamel quadrature, and the
@@ -212,39 +212,6 @@ def _measured(check_id: str, value: float, note: str) -> CheckReport:
 def _norm_sq(f: SpecVector) -> float:
     """|f|^2, inf where that overflows (norm(f) ** 2 would raise)."""
     return norm(f) * norm(f)
-
-
-def squared_norms(samples: np.ndarray) -> np.ndarray:
-    """|x(t)|^2 for each time of samples (n_times, n_modes): the squares
-    added over the modes one mode at a time, in mode order, whatever the
-    memory layout.  The samples are squared in place, so no second wide
-    array is made: callers pass a buffer they own and no longer need."""
-    samples *= samples
-    total = np.zeros(samples.shape[0])
-    for column in samples.T:
-        total += column
-    return total
-
-
-def sample_norms(samples: np.ndarray) -> np.ndarray:
-    """|x(t)| at each time of samples (n_times, n_modes), which are squared
-    in place (squared_norms).  A time whose sum of squares overflows is
-    taken again of its samples over their largest entry and scaled back, as
-    spectral.norm does, so a finite norm reads finite; the other times keep
-    their bits.  Only when some sample is large enough to overflow a sum
-    are its rows found and copied."""
-    limit = math.sqrt(np.finfo(float).max / (2 * max(samples.shape[1], 1)))
-    if max(samples.max(initial=0.0), -samples.min(initial=0.0)) <= limit:
-        return np.sqrt(squared_norms(samples))
-    big = np.maximum(samples.max(axis=1), -samples.min(axis=1))
-    risky = np.flatnonzero((big > limit) & np.isfinite(big))
-    kept = samples[risky]
-    with np.errstate(over="ignore"):  # an overflowed sum is redone below
-        norms = np.sqrt(squared_norms(samples))
-    over = np.isinf(norms[risky])
-    scale = big[risky[over]]
-    norms[risky[over]] = scale * np.sqrt(squared_norms(kept[over] / scale[:, None]))
-    return norms
 
 
 def _sup_norm(samples: np.ndarray) -> float:
@@ -828,7 +795,10 @@ def max_reg_checks(
     t_limit = grid.t_max if min_pos is None else min(grid.t_max, 20.0 / min_pos)
     for n in (0, 1, 2):
         try:
-            mn, dissipated = max_reg_functional(spec, f, n, grid)
+            # data whose squares overflow give curves that are not finite,
+            # and the cross-check turns those into FAIL records
+            with np.errstate(over="ignore", invalid="ignore"):
+                mn, dissipated = max_reg_functional(spec, f, n, grid)
         except ArithmeticError as exc:
             # the closed form failed its quadrature cross-check: every record
             # of this order is a FAIL whose note gives the gap
@@ -915,57 +885,29 @@ def fit_rate(curve: ErrorCurve) -> RateFit:
     )
 
 
-def _candidate(pd: ProblemData, comparison: str) -> ProfileFunction:
-    """The profile a comparison measures against the exact solution (against
-    its derivative for cor2)."""
-    if comparison == "order0_thm11i":
-        return pd.parabolic
-    if comparison == "order1_theta":
-        return pd.parabolic + pd.theta
-    if comparison == "order2_mainthm":
-        return pd.main_expansion
-    if comparison == "cor1":
-        if not pd.il0_satisfied:
-            raise ValueError("cor1 requires compatible data u1 + A u0 = 0")
-        # il0_satisfied holds |v1| to a tolerance, not to 0: for data that
-        # are only nearly compatible, cor1's curve keeps the layer terms
-        # eps v1 (e^{-tA} - e^{-t/eps}), which are below that tolerance
-        return pd.main_expansion
-    return pd.derivative_expansion
-
-
 def rate_errors(pd: ProblemData, comparisons, ts) -> dict[str, float | ValueError]:
-    """{pair: its sup-norm error at pd's eps over the times ts, or the
-    ValueError its candidate raised} for the pairs the comparisons measure.
-    The solution u and the candidates are sampled together (with u' for
-    cor2), a candidate two pairs share once; each error equals
+    """{comparison: its sup-norm error at pd's eps over the times ts, or the
+    ValueError its pair raised}.  Every distinct profile of the pairs is
+    sampled once, in one sample_together call, and comparisons that name
+    the same two profiles share one error; each error equals
     ``sup_norm_error`` of its pair bit for bit."""
     unknown = [c for c in comparisons if c not in COMPARISONS]
     if unknown:
         raise ValueError(f"unknown comparison {unknown[0]!r}")
-    errors, profiles, measured, twins = {}, [pd.solution], [], {}
-    for name in dict.fromkeys(_SAME_PAIR.get(c, c) for c in comparisons):
+    errors, pairs = {}, {}  # (reference id, candidate id) -> (pair, its comparisons)
+    for name in comparisons:
         try:
-            candidate = _candidate(pd, name)
+            pair = _STATEMENTS[name][1](pd)
         except ValueError as exc:
             errors[name] = exc
             continue
-        # cor1 and order2_mainthm both read main_expansion: sample it once
-        twin = next((m for m, p in zip(measured, profiles[1:]) if p is candidate), None)
-        if twin is None:
-            profiles.append(candidate)
-            measured.append(name)
-        else:
-            twins[name] = twin
-    if "cor2" in measured:
-        profiles.append(pd.solution.deriv())
-    samples = sample_together(profiles, ts) if measured else []
-    for k, name in enumerate(measured, start=1):
-        # in place: fresh wide arrays cost page faults
-        samples[k] -= samples[-1] if name == "cor2" else samples[0]
-        errors[name] = _sup_norm(samples[k])
-    for name, twin in twins.items():
-        errors[name] = errors[twin]
+        pairs.setdefault(tuple(map(id, pair)), (pair, []))[1].append(name)
+    profiles = {id(p): p for pair, _ in pairs.values() for p in pair}
+    samples = dict(zip(profiles, sample_together(list(profiles.values()), ts)))
+    for (reference, candidate), names in pairs.values():
+        diff = samples[id(candidate)]
+        diff -= samples[id(reference)]  # in place: fresh wide arrays cost page faults
+        errors.update(dict.fromkeys(names, _sup_norm(diff)))
     return errors
 
 
@@ -977,22 +919,48 @@ def run_rate_experiment(
     the curves and fits keep their bits in any eps order.  Each eps's errors
     must come from times that hold its layer points eps, 2 eps, 5 eps, 10 eps
     up to t_max, as standard_grid(eps_values) does for every eps, so that
-    each transient peak is sampled.  A pair whose candidate raised takes the
-    ValueError of its largest eps; the order-0 statements share one fit."""
+    each transient peak is sampled.  A comparison whose pair raised takes
+    the ValueError of its largest eps; comparisons with the same error
+    values share one curve and one fit."""
     per_eps = sorted(per_eps, key=lambda item: item[0], reverse=True)
     if len(per_eps) < 3:
         error = ValueError("need at least 3 eps values for a rate fit")
         return {c: error for c in comparisons}
-    fits = {}
-    for name in dict.fromkeys(_SAME_PAIR.get(c, c) for c in comparisons):
-        errors = [found[name] for _, found in per_eps]
+    epsilons = np.array([eps for eps, _ in per_eps])
+    results, fits = {}, {}  # fits: error values -> (curve, fit) or ValueError
+    for name in comparisons:
+        errors = tuple(found[name] for _, found in per_eps)
         failed = [e for e in errors if isinstance(e, ValueError)]
         if failed:
-            fits[name] = failed[0]
+            results[name] = failed[0]
             continue
-        try:
-            curve = ErrorCurve(np.array([eps for eps, _ in per_eps]), np.array(errors))
-            fits[name] = curve, fit_rate(curve)
-        except ValueError as exc:
-            fits[name] = exc
-    return {c: fits[_SAME_PAIR.get(c, c)] for c in comparisons}
+        if errors not in fits:
+            try:
+                curve = ErrorCurve(epsilons, np.array(errors))
+                fits[errors] = curve, fit_rate(curve)
+            except ValueError as exc:
+                fits[errors] = exc
+        results[name] = fits[errors]
+    return results
+
+
+def rate_checks(per_eps, comparisons) -> list[CheckReport]:
+    """The rate.slope_<comparison> records of a sweep (run_rate_experiment).
+    An upper bound with exponent p is confirmed by any fitted slope >=
+    p - 0.05 (smooth data may decay faster) with r^2 >= 0.99."""
+    reports = []
+    for comp, result in run_rate_experiment(per_eps, comparisons).items():
+        threshold = _STATEMENTS[comp][0] - 0.05
+        if isinstance(result, ValueError):
+            passed, margin = False, float("-inf")
+            note = f"precondition violated: {result}"
+        else:
+            _, fit = result
+            passed = fit.slope >= threshold and fit.r_squared >= 0.99
+            margin = min(fit.slope - threshold, fit.r_squared - 0.99)
+            note = (
+                f"fitted slope {fit.slope:.4f} (threshold {threshold:g}), "
+                f"r^2 {fit.r_squared:.6f}"
+            )
+        reports.append(CheckReport(f"rate.slope_{comp}", passed, margin, threshold, note))
+    return reports

@@ -330,6 +330,36 @@ class TestVerify:
         (record,) = byparts_records(["inequalities", "duhamel"])
         assert record["tolerance"] == 0.0
 
+    def test_default_config_writes_every_record_id(self, tmp_path):
+        # the per-eps groups' 20 ids at each eps, tagged with it, then
+        # maxreg's 7 and the 4 rate slopes once for the run
+        per_eps = [
+            "bound.byparts_convolution", "bound.l2_deviation_constants_2_7",
+            "bound.l2_semigroup_range_half", "bound.resolvent_halfpower",
+            "bound.sup_error_explicit", "data.remainder1_initial",
+            "data.remainder2_initial", "duhamel.representation",
+            "energy.halfpower_constant_half", "energy.primary_constant3",
+            "energy.remainder1_measured", "energy.remainder2_measured",
+            "identity.halfpower_decomposition", "identity.layer_relaxation",
+            "identity.primary_decomposition", "identity.remainder_reconstruction_1",
+            "identity.remainder_reconstruction_2", "identity.split_corrector_1",
+            "identity.split_corrector_2", "identity.superposition",
+        ]
+        run_wide = [
+            "maxreg.constant_n0", "maxreg.finite_time_gap_n1",
+            "maxreg.finite_time_gap_n2", "maxreg.limit_n1", "maxreg.limit_n2",
+            "maxreg.monotone_bounded_n1", "maxreg.monotone_bounded_n2",
+            "rate.slope_order0_thm11i", "rate.slope_order0_thm11ii",
+            "rate.slope_order1_theta", "rate.slope_order2_mainthm",
+        ]
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        ids = [r["id"] for r in json.loads((out / "report.json").read_text())]
+        tagged = [f"{i}[eps={eps}]" for i in per_eps for eps in ("0.1", "0.01", "0.001")]
+        assert len(ids) == 71
+        assert ids == sorted(tagged + run_wide)
+
     def test_byte_identical_reports(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -678,6 +708,19 @@ class TestExitCodes:
         )
         assert all(r["note"].startswith("not finite: ") for r in failed)
 
+    def test_norm_above_the_float_range_reads_inf(self, tmp_path):
+        # |u0| = 2.1e308: its scale-back once overflowed with a warning
+        cfg = write_config(
+            tmp_path, spectrum=[0.0, 1.0], u0=[1.5e308, 1.5e308], u1=[0.0, 0.0],
+            epsilons=[0.1],
+        )
+        result = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"))
+        assert result.returncode == EXIT_OK, result.stderr
+        rows = (tmp_path / "sim" / "trajectory_eps0.1.csv").read_text().splitlines()
+        assert rows[0].split(",")[:2] == ["t", "norm_u"]
+        t, norm_u = rows[1].split(",")[:2]
+        assert float(t) == 0.0 and float(norm_u) == math.inf
+
     @pytest.mark.parametrize(
         "u0, checks, failing",
         [
@@ -705,13 +748,7 @@ class TestExitCodes:
             checks=checks,
         )
         out = tmp_path / "out"
-        result = subprocess.run(
-            [sys.executable, "-m", "singlim.cli", "verify", "--config", str(cfg),
-             "--out", str(out)],
-            capture_output=True,
-            text=True,
-            env=cli_env(),
-        )
+        result = run_cli("verify", "--config", str(cfg), "--out", str(out))
         assert result.returncode == EXIT_CHECK_FAILURE
         assert "Traceback" not in result.stderr
         text = (out / "report.json").read_text()

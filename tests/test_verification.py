@@ -12,7 +12,7 @@ from singlim.profiles import (
     sample_together,
     squared_integrals,
 )
-from singlim.spectral import SpecVector, Spectrum
+from singlim.spectral import SpecVector, Spectrum, squared_norms
 from singlim.timegrid import TimeGrid, standard_grid
 from singlim.verification import (
     COMPARISONS,
@@ -34,7 +34,6 @@ from singlim.verification import (
     remainder_data_checks,
     resolvent_bound,
     run_rate_experiment,
-    squared_norms,
     sup_norm_error,
 )
 import singlim.exppoly as exppoly
@@ -831,8 +830,11 @@ class TestRateExperiments:
         monkeypatch.setattr(verification, "fit_rate", counted)
         pd = make_problem([0.0, 1.0, 4.0], 0.1, il0=True)
         results = _sweep(pd.spec, pd.u0, pd.u1, [0.1, 0.01, 0.001], COMPARISONS)
-        assert len(calls) == len(COMPARISONS) - 1
+        # under il0 data theta is 0, so order1_theta's curve is order0's
+        curves = {results[c][0].errors.tobytes() for c in COMPARISONS}
+        assert len(calls) == len(curves) == 3
         assert results["order0_thm11i"] is results["order0_thm11ii"]
+        assert results["cor1"] is results["order2_mainthm"]
 
     def test_shared_candidate_is_sampled_once(self, monkeypatch):
         # cor1 and order2_mainthm both read main_expansion

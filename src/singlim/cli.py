@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,16 +83,18 @@ def _csv(header: str, columns) -> str:
 
 # The per-eps check groups in run order: name -> the group's records of one
 # eps's problem pd, on the grid of that eps, with the config's tolerances.
+# energy runs first: its exact integrals take the most memory of any group,
+# and before it samples, the problem holds no evaluation table to add to them.
 _PER_EPS_GROUPS = {
+    "energy": lambda pd, grid, tol: energy_inequality_checks(
+        pd, grid, slack=tol["inequality_slack"]
+    ),
     "identities": lambda pd, grid, tol: identity_checks(
         pd, grid, tol=tol["identity"], superposition_tol=tol["superposition"]
     ),
     "data": lambda pd, grid, tol: remainder_data_checks(pd),
     "inequalities": lambda pd, grid, tol: inequality_checks(
         pd, grid, slack=tol["inequality_slack"], sup_slack=tol["sup_bound_slack"]
-    ),
-    "energy": lambda pd, grid, tol: energy_inequality_checks(
-        pd, grid, slack=tol["inequality_slack"]
     ),
     "duhamel": lambda pd, grid, tol: duhamel_residual(pd, grid, tol=tol["duhamel"]),
 }
@@ -100,34 +103,47 @@ _PER_EPS_GROUPS = {
 CHECK_GROUPS = ("identities", "data", "inequalities", "energy", "maxreg", "duhamel", "rates")
 
 
-def _run_checks(config: ExperimentConfig) -> list[CheckReport]:
-    """The records of the configured check groups, sorted by id.  Per eps,
-    one problem runs the per-eps groups, whose ids are tagged with the eps,
-    and gives its rate errors on the run-wide grid; with no comparison, or
-    fewer than the 3 eps a fit needs (rate_checks reports that), none are
-    sampled.  Then maxreg runs on the run-wide grid, and rates fits the
-    errors."""
+def _run_checks(config: ExperimentConfig) -> tuple[list[CheckReport], dict[str, float]]:
+    """The records of the configured check groups, sorted by id, and the
+    wall time in seconds of each group that ran.  Per eps, one problem runs
+    the per-eps groups, whose ids and timings are tagged with the eps, and
+    gives its rate errors on the run-wide grid (timed as rates[eps=...]);
+    with no comparison, or fewer than the 3 eps a fit needs (rate_checks
+    reports that), none are sampled.  Then maxreg runs on the run-wide
+    grid, and rates fits the errors."""
     spec, u0, u1 = config.data()
     checks, tol = config["checks"], config.to_dict()["tolerances"]
     comparisons = config["comparisons"] if "rates" in checks else ()
     sampled = bool(comparisons) and len(config["epsilons"]) >= 3
     run_grid = config.time_grid(config["epsilons"])
     reports: list[CheckReport] = []
+    timings: dict[str, float] = {}
+
+    def timed(name: str, run):
+        start = time.perf_counter()
+        result = run()
+        timings[name] = time.perf_counter() - start
+        return result
+
     per_eps = []  # (eps, its rate errors)
     for eps in config["epsilons"]:
         pd, grid = ProblemData(spec, eps, u0, u1), config.time_grid([eps])
+        tag = f"[eps={eps:g}]"
         for name, group in _PER_EPS_GROUPS.items():
             if name in checks:
-                for report in group(pd, grid, tol):
-                    report.check_id += f"[eps={eps:g}]"
+                for report in timed(name + tag, lambda: group(pd, grid, tol)):
+                    report.check_id += tag
                     reports.append(report)
         if sampled:
-            per_eps.append((eps, rate_errors(pd, comparisons, run_grid.times)))
+            errors = timed("rates" + tag, lambda: rate_errors(pd, comparisons, run_grid.times))
+            per_eps.append((eps, errors))
     if "maxreg" in checks:
-        reports += max_reg_checks(spec, u0 if norm(u0) > 0 else u1, run_grid)
-    reports += rate_checks(per_eps, comparisons)
+        f = u0 if norm(u0) > 0 else u1
+        reports += timed("maxreg", lambda: max_reg_checks(spec, f, run_grid))
+    if "rates" in checks:
+        reports += timed("rates", lambda: rate_checks(per_eps, comparisons))
     reports.sort(key=lambda r: r.check_id)
-    return reports
+    return reports, timings
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +390,9 @@ def _load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.parse(raw)
 
 
-def _write_outputs(out_dir: Path, files, config: ExperimentConfig):
+def _write_outputs(out_dir: Path, files, config: ExperimentConfig, timings=None):
     """Write the data files, (name, text) pairs, each one as it comes, then a
-    manifest listing them."""
+    manifest listing them, with the stage timings {stage: seconds} if given."""
     out_dir.mkdir(parents=True, exist_ok=True)
     names = []
     for name, content in files:
@@ -392,6 +408,8 @@ def _write_outputs(out_dir: Path, files, config: ExperimentConfig):
             "numpy": np.__version__,
         },
     }
+    if timings is not None:
+        manifest["timings"] = timings
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
@@ -433,10 +451,10 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_verify(config: ExperimentConfig, out_dir: Path | None) -> int:
     """Run the configured checks; exit 0 iff every check passes."""
-    reports = _run_checks(config)
+    reports, timings = _run_checks(config)
     payload = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
     if out_dir is not None:
-        _write_outputs(out_dir, [("report.json", payload)], config)
+        _write_outputs(out_dir, [("report.json", payload)], config, timings)
     else:
         sys.stdout.write(payload)
     failed = [r.check_id for r in reports if not r.passed]

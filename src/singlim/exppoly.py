@@ -25,6 +25,7 @@ pairwise node sums.
 
 from __future__ import annotations
 
+import cmath
 import collections
 import functools
 import itertools
@@ -479,31 +480,47 @@ class ExpPoly:
 
 
 class SampleTimes(dict):
-    """Times t, and {decay: (index, times)}: the live times of e^{decay t},
-    the points where it does not underflow, found at a rate's first use
-    and shared by every evaluation on t.  The key None holds every time.
+    """The evaluation table of one array of times t: what accumulate
+    evaluates on t, kept for every later evaluation handed the same table.
 
-    A rate live at the latest time takes every time (a decaying rate
-    underflows there first); NaN times are not counted, and only when
-    every time is NaN does t_max read NaN and keep every rate live.
-    Whether t is 1-D and ascending is decided once, here.
+    The dict maps a decay rate to (index, times), the live times of
+    e^{decay t}, the points where it does not underflow, found at the
+    rate's first use; the key None holds every time.  A rate live at the
+    latest time takes every time (a decaying rate underflows there first);
+    NaN times are not counted, and only when every time is NaN does t_max
+    read NaN and keep every rate live.  Whether t is 1-D and ascending is
+    decided once, here.
+
+    exps, powers and diffs hold the exponentials by (Re mu, |Im mu|), the
+    powers of t by (order, decay) and the divided differences by their
+    nodes, each evaluated at its first use on the live times it needs.
+    Each value depends only on t and its key, so a table serves any
+    polynomials on t, and reusing one leaves every sum's bits as they are.
+    t is held as a read-only view, and every array the table holds is
+    read-only.
     """
 
-    __slots__ = ("t", "t_max", "ascending")
+    __slots__ = ("t", "t_max", "ascending", "exps", "powers", "diffs")
 
     def __init__(self, t: np.ndarray):
-        self.t = t
+        self.t = _read_only(t.view())
         self.t_max = float(np.fmax.reduce(t, axis=None)) if t.size else 0.0
         self.ascending = t.ndim == 1 and bool((t[1:] >= t[:-1]).all())
+        self.exps, self.powers, self.diffs = {}, {}, {}
 
     def __missing__(self, decay: float | None):
-        live = (..., self.t) if decay is None else _live_times(decay, self)
-        self[decay] = live
+        at, tl = (..., self.t) if decay is None else _live_times(decay, self)
+        self[decay] = live = at, _read_only(tl)
         return live
 
     def live(self, rate: float):
         """(index, times) of the live times of e^{rate t}."""
         return self[rate if rate * self.t_max <= _UNDERFLOW_EXPONENT else None]
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.setflags(write=False)
+    return x
 
 
 def evaluate(polys, t) -> list:
@@ -524,10 +541,12 @@ def accumulate(polys, times: SampleTimes, rows) -> None:
     constant reads itself at t = inf.  A complex rate's exponential is
     made once per (Re mu, |Im mu|), as e^{Re(mu) t} times the cosine and
     sine of |Im mu| t, and its conjugate reuses it with the sign of Im e
-    flipped.  The polynomials share those exponentials, one power of t per
-    order and decay rate and one value per divided difference, but each
-    adds its own terms in its own order: a row that starts at zero gets the
-    real termwise sum above, bit for bit.
+    flipped.  Those exponentials, one power of t per order and decay rate
+    and one value per divided difference are taken from the table times,
+    and evaluated into it at their first use there: the polynomials of
+    this call, and of every later call handed the same table, share them.
+    Each polynomial adds its own terms in its own order, so a row that
+    starts at zero gets the real termwise sum above, bit for bit.
 
     A term is evaluated only at the live times of its decay rate (times),
     and a divided difference only at those of its largest rate: elsewhere
@@ -536,7 +555,7 @@ def accumulate(polys, times: SampleTimes, rows) -> None:
     times the live times are a leading slice.
     """
     t_max = times.t_max
-    powers, exps, diffs = {}, {}, {}
+    powers, exps, diffs = times.powers, times.exps, times.diffs
     for poly, acc in zip(polys, rows):
         for k, mu, c in poly.terms:
             x, y = mu.real, mu.imag
@@ -548,8 +567,10 @@ def accumulate(polys, times: SampleTimes, rows) -> None:
                 r = np.exp(x * tl) if x else np.where(np.isnan(tl), tl, 1.0)
                 if y != 0:
                     phase = key[1] * tl
-                    r = (r * np.cos(phase), r * np.sin(phase))
-                exps[key] = r
+                    exps[key] = (_read_only(r * np.cos(phase)),
+                                 _read_only(r * np.sin(phase)))
+                else:
+                    exps[key] = _read_only(r)
             if y == 0:
                 term = c.real * exps[key]
             else:
@@ -557,14 +578,14 @@ def accumulate(polys, times: SampleTimes, rows) -> None:
                 term = c.real * re - (c.imag if y > 0 else -c.imag) * im
             if k:
                 if (k, decay) not in powers:
-                    powers[k, decay] = tl**k
+                    powers[k, decay] = _read_only(tl**k)
                 term *= powers[k, decay]
             acc[at] += term
         for nodes, c in poly.differences:
             if nodes not in diffs:
                 # sorted nodes: the last has the largest real part
                 at, tl = times.live(nodes[-1].real)
-                diffs[nodes] = at, _difference_value(nodes, tl)
+                diffs[nodes] = at, _read_only(_difference_value(nodes, tl))
             at, d = diffs[nodes]
             if np.iscomplexobj(d):
                 acc[at] += c.real * d.real - c.imag * d.imag
@@ -595,9 +616,13 @@ def integrate(polys, t):
 
     One batched series serves all rates and orders (moment_tables); a
     rate's moments are made at its first use and dropped after its last,
-    and each polynomial adds its own terms in its own order.
+    and each polynomial adds its own terms in its own order.  A plain term
+    adds nothing at t = 0, where its moment is exactly 0: a finite
+    coefficient adds +-0 there, and one that overflowed is not multiplied
+    by that 0, which would read NaN.
     """
     t = np.asarray(t, dtype=float)
+    later = t != 0
     orders: dict[complex, set[int]] = {}
     for poly in polys:
         for k, mu, _ in poly.terms:
@@ -617,7 +642,11 @@ def integrate(polys, t):
         for k, mu, c in poly.terms:
             moments[mu] = moments[mu] if mu in moments else next(tables)
             uses[mu] -= 1
-            acc += c * (moments[mu] if uses[mu] else moments.pop(mu))[k]
+            moment = (moments[mu] if uses[mu] else moments.pop(mu))[k]
+            if cmath.isfinite(c):
+                acc += c * moment
+            else:
+                acc[later] += c * np.asarray(moment)[later]
         out = acc.real
         if poly.differences:
             out = out + next(antiderivatives)

@@ -42,7 +42,9 @@ class ProblemData:
     Each profile is a cached property, built on first use and shared by
     every check of this eps (cached_property writes the instance's
     __dict__, which the frozen dataclass allows).  The pairs are indexed
-    by the split component j = 1, 2.
+    by the split component j = 1, 2.  The evaluation tables of
+    sample_times, one per time array, are kept likewise and dropped with
+    the problem.
     """
 
     spec: Spectrum
@@ -55,6 +57,25 @@ class ProblemData:
             raise ValueError("eps must lie in (0, 1]")
         if len(self.u0) != len(self.spec) or len(self.u1) != len(self.spec):
             raise ValueError("initial data length must match the spectrum")
+
+    @cached_property
+    def _tables(self) -> dict:
+        """id(ts) -> (ts, its evaluation table); holding ts keeps its id."""
+        return {}
+
+    def sample_times(self, ts: np.ndarray) -> SampleTimes:
+        """The evaluation table of this problem for the read-only 1-D time
+        array ts (a TimeGrid's times), made at the first request for that
+        array object and returned for every later one: the sample_together
+        calls handed it evaluate each exponential, power and divided
+        difference of their profiles on ts once for all of them.  Only the
+        array object is looked up, never its values, and a writeable array,
+        whose values could change under the table, is refused."""
+        if ts.ndim != 1 or ts.flags.writeable:
+            raise ValueError("an evaluation table needs a read-only 1-D time array")
+        if id(ts) not in self._tables:
+            self._tables[id(ts)] = ts, SampleTimes(ts)
+        return self._tables[id(ts)][1]
 
     @cached_property
     def v1(self) -> SpecVector:
@@ -289,24 +310,33 @@ class ProfileFunction:
 
 
 def sample_together(profiles, ts) -> list[np.ndarray]:
-    """[p.sample(ts) for p in profiles], for profiles on one spectrum.
+    """[p.sample(ts) for p in profiles], for profiles on one spectrum; ts is
+    an array of times, or the evaluation table of one array
+    (ProblemData.sample_times).
 
     Each profile is sampled into a zeroed mode-major (n_modes, n_times)
     buffer, returned as its transposed (n_times, n_modes) view.  Mode by
     mode, exppoly.accumulate adds the modes' terms into their rows in
-    place, sharing one table of exponentials and powers, so a rate the
-    profiles have in common, or its conjugate, is evaluated once; the live
-    times of each decay rate are found once for all modes.  Each value is
+    place, taking the exponentials, powers and divided differences from
+    one table, so a rate the profiles have in common, or its conjugate, is
+    evaluated once; the live times of each decay rate are found once for
+    all modes.  A table handed in keeps every value for the next call it
+    is handed to.  An array gets a table of this call's own, which keeps
+    one mode's values at a time: the modes share few rates, and holding
+    all of them would only add to the call's peak memory.  Each value is
     the real termwise sum of its mode's terms, the same bit for bit as
-    sampling the profiles one by one.
+    sampling the profiles one by one, with a fresh table or a shared one.
     """
-    ts = np.asarray(ts, dtype=float).reshape(-1)
     for p in profiles[1:]:
         profiles[0]._check(p)
-    times = SampleTimes(ts)
-    buffers = [np.zeros((len(p.modes), ts.size)) for p in profiles]
+    own = not isinstance(ts, SampleTimes)
+    times = SampleTimes(np.asarray(ts, dtype=float).reshape(-1)) if own else ts
+    buffers = [np.zeros((len(p.modes), times.t.size)) for p in profiles]
     for i, modes in enumerate(zip(*(p.modes for p in profiles))):
         accumulate(modes, times, [buffer[i] for buffer in buffers])
+        if own:
+            for values in (times.exps, times.powers, times.diffs):
+                values.clear()
     return [buffer.T for buffer in buffers]
 
 

@@ -10,6 +10,7 @@ integrates cubics exactly on every panel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,20 +45,22 @@ class TimeGrid:
     def t_max(self) -> float:
         return float(self.times[-1])
 
-    @property
+    @cached_property
     def quad_points(self) -> np.ndarray:
-        """Grid times interleaved with panel midpoints (Simpson nodes)."""
+        """Grid times interleaved with panel midpoints (Simpson nodes), made
+        once per grid as a read-only array (cached_property writes the
+        instance's __dict__, which the frozen dataclass allows)."""
         t = self.times
-        mids = 0.5 * (t[:-1] + t[1:])
-        out = np.empty(t.size + mids.size)
+        out = np.empty(2 * t.size - 1)
         out[0::2] = t
-        out[1::2] = mids
+        out[1::2] = 0.5 * (t[:-1] + t[1:])
+        out.setflags(write=False)
         return out
 
     def cumulative_integral(self, values: np.ndarray) -> np.ndarray:
         """Running integral from 0 to each grid time, samples at quad_points."""
         values = np.asarray(values, dtype=float)
-        if values.shape[0] != self.quad_points.size:
+        if values.shape[0] != 2 * self.times.size - 1:
             raise ValueError("values must be sampled at quad_points")
         h = np.diff(self.times)
         left = values[0:-1:2]

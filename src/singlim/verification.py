@@ -219,9 +219,14 @@ def _sup_norm(samples: np.ndarray) -> float:
     return float(np.max(sample_norms(samples)))
 
 
-def sup_norm_error(a: ProfileFunction, b: ProfileFunction, grid: TimeGrid) -> float:
-    """Max over grid times of the coefficient-space norm of a - b."""
-    return _max_gap(a, b, grid.times)
+def sup_norm_error(
+    a: ProfileFunction, b: ProfileFunction, grid: TimeGrid, times=None
+) -> float:
+    """Max over grid times of the coefficient-space norm of a - b.  times is
+    the evaluation table of grid.times that a problem's checks share
+    (ProblemData.sample_times), or None for one of this call's own; the
+    value is the same bit for bit."""
+    return _max_gap(a, b, grid.times if times is None else times)
 
 
 def l2_time_norm(
@@ -311,8 +316,9 @@ def resolvent_bound(spec: Spectrum, eps: float, f: SpecVector) -> CheckReport:
 # decomposition identity checks
 
 
-def _max_gap(a: ProfileFunction, b: ProfileFunction, ts: np.ndarray) -> float:
-    sa, sb = sample_together((a, b), ts)
+def _max_gap(a: ProfileFunction, b: ProfileFunction, times) -> float:
+    """Max over times of |a(t) - b(t)|; times as sample_together takes them."""
+    sa, sb = sample_together((a, b), times)
     sa -= sb  # in place: a third wide array costs page faults in a fresh process
     return _sup_norm(sa)
 
@@ -328,9 +334,10 @@ def identity_checks(
     Each identity compares two independently constructed closed forms;
     residuals are measured in the vector norm and compared against
     tol * (|u0| + |u1|), the superposition of the split against
-    superposition_tol * (|u0| + |u1|).
+    superposition_tol * (|u0| + |u1|).  Every profile is sampled on the
+    problem's evaluation table of grid.times.
     """
-    ts = grid.times
+    times = pd.sample_times(grid.times)
     scale = max(pd.data_scale, 1e-30)
     tolerance = tol * scale
     eps = pd.eps
@@ -345,7 +352,7 @@ def identity_checks(
 
     # solution = smoothed semigroup + eps * primary corrector slope
     smoothed = kernel_profile(spec, pd.u0.coefficients + eps * pd.ju1, 0, 0.0)
-    gap = _max_gap(u_eps, smoothed + pd.corrector_primary.deriv().scale(eps), ts)
+    gap = _max_gap(u_eps, smoothed + pd.corrector_primary.deriv().scale(eps), times)
     add(
         "identity.primary_decomposition",
         gap,
@@ -355,7 +362,7 @@ def identity_checks(
 
     # first split component = semigroup + eps * A^{1/2} * halfpower corrector
     z = pd.corrector_halfpower
-    gap = _max_gap(u_one, pd.parabolic + z.operator_power(0.5).scale(eps), ts)
+    gap = _max_gap(u_one, pd.parabolic + z.operator_power(0.5).scale(eps), times)
     add(
         "identity.halfpower_decomposition",
         gap,
@@ -368,7 +375,7 @@ def identity_checks(
     gap = _max_gap(
         u_one,
         kernel_profile(spec, pd.ju0, 0, 0.0) + splits[0].deriv().scale(eps),
-        ts,
+        times,
     )
     add(
         "identity.split_corrector_1",
@@ -380,7 +387,7 @@ def identity_checks(
         u_two,
         kernel_profile(spec, pd.jv1, 0, 0.0).scale(eps)
         + splits[1].deriv().scale(eps),
-        ts,
+        times,
     )
     add(
         "identity.split_corrector_2",
@@ -397,7 +404,7 @@ def identity_checks(
             recon = recon - u_two
         add(
             f"identity.remainder_reconstruction_{j}",
-            _max_gap(split, recon, ts),
+            _max_gap(split, recon, times),
             "split corrector equals its explicit profile part plus eps "
             "times the directly solved remainder"
             + (" minus the second split component" if j == 2 else ""),
@@ -406,7 +413,7 @@ def identity_checks(
     # superposition of the split
     add(
         "identity.superposition",
-        _max_gap(u_one + u_two, u_eps, ts),
+        _max_gap(u_one + u_two, u_eps, times),
         "the two split components add up to the solution",
         tolerance=superposition_tol * scale,
     )
@@ -414,7 +421,7 @@ def identity_checks(
     # relaxation equation of the second split component
     lhs = u_two.deriv().scale(eps) + u_two
     rhs = pd.v1_flow.scale(eps) + pd.layer_source.scale(eps**1.5)
-    gap = _max_gap(lhs, rhs, ts)
+    gap = _max_gap(lhs, rhs, times)
     add(
         "identity.layer_relaxation",
         gap,
@@ -462,16 +469,18 @@ def _energy_lhs_curves(
     pd: ProblemData, profiles: list[ProfileFunction], ts: np.ndarray
 ) -> list[np.ndarray]:
     """eps|p'(t)|^2 + |A^{1/2} p(t)|^2 + int_0^t |p'|^2 for each profile p,
-    analytic in t.
+    analytic in t, at the read-only times ts.
 
     The dissipated integrals come from one squared_integrals call; each
     profile's two samples are taken together, one profile at a time, which
-    keeps two sample arrays alive instead of two per profile.
+    keeps two sample arrays alive instead of two per profile, on the
+    problem's evaluation table of ts.
     """
     derivs = [p.deriv() for p in profiles]
+    times = pd.sample_times(ts)
     curves = []
     for p, dp, integral in zip(profiles, derivs, squared_integrals(derivs, ts)):
-        slope, half = sample_together((dp, p.operator_power(0.5)), ts)
+        slope, half = sample_together((dp, p.operator_power(0.5)), times)
         kinetic = pd.eps * squared_norms(slope)
         curves.append(kinetic + squared_norms(half) + integral)
     return curves
@@ -538,7 +547,7 @@ def explicit_sup_bound(
     """Explicit first-order bound: sup_t |u_eps - e^{-tA}u0| <=
     eps|u1| + sqrt(eps) * (|A^{1/2}u0|^2 + 3 eps |u1|^2)^{1/2}.  The root is
     taken as a hypot, which stays finite where the squares would overflow."""
-    sup = sup_norm_error(pd.solution, pd.parabolic, grid)
+    sup = sup_norm_error(pd.solution, pd.parabolic, grid, pd.sample_times(grid.times))
     half, size = norm(apply_power(pd.spec, 0.5, pd.u0)), norm(pd.u1)
     root = math.hypot(half, math.sqrt(3.0 * pd.eps) * size)
     bound = pd.eps * size + math.sqrt(pd.eps) * root
@@ -754,7 +763,9 @@ def duhamel_residual(
     Reconstructs the component as the exponentially weighted time
     convolution of the semigroup of v1 plus sqrt(eps) times the layer
     source, using panel-wise Gauss quadrature refined on the eps scale,
-    and compares with the closed form.
+    and compares with the closed form, sampled on the problem's evaluation
+    table of grid.times.  The quadrature nodes are sampled once each, on
+    tables of their own.
     """
     eps = pd.eps
     ts = grid.times
@@ -762,7 +773,8 @@ def duhamel_residual(
     integrand = pd.v1_flow + pd.layer_source.scale(math.sqrt(eps))
     convo = _duhamel_convolution(integrand, ts, eps)
 
-    residual = _sup_norm(u_two.sample(ts) - convo)
+    (closed,) = sample_together((u_two,), pd.sample_times(ts))
+    residual = _sup_norm(closed - convo)
     return [
         _at_most(
             "duhamel.representation", residual, 0.0, tol * max(norm(pd.v1), 1e-30),

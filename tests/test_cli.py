@@ -253,6 +253,28 @@ class TestVerify:
         report = json.loads((out / "report.json").read_text())
         assert any(not r["pass"] for r in report)
 
+    @pytest.mark.parametrize(
+        "checks, groups",
+        [
+            (["identities"], ["identities[eps={}]"]),
+            (["data", "energy", "maxreg", "rates"],
+             ["data[eps={}]", "energy[eps={}]", "rates[eps={}]", "maxreg", "rates"]),
+        ],
+    )
+    def test_manifest_times_every_group_that_ran(self, tmp_path, checks, groups):
+        epsilons = [0.1, 0.05, 0.01]
+        cfg = write_config(
+            tmp_path, checks=checks, comparisons=["order0_thm11i"], epsilons=epsilons
+        )
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest)[-2:] == ["environment", "timings"]
+        timings = manifest["timings"]
+        want = {g.format(f"{e:g}") for g in groups for e in epsilons}
+        assert set(timings) == want
+        assert all(isinstance(s, float) and s >= 0.0 for s in timings.values())
+
     def test_stdout_when_no_out_dir(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["verify", "--config", str(cfg)]) == EXIT_OK
@@ -761,6 +783,19 @@ class TestExitCodes:
             assert record["note"].startswith(
                 ("not finite: ", "analytic and quadrature dissipation curves disagree")
             )
+
+    def test_overflowed_energy_reads_inf_not_nan(self, tmp_path):
+        # the squared coefficient of the primary corrector's slope overflows;
+        # its dissipated integral read NaN at t = 0 (inf times a zero moment)
+        cfg = write_config(
+            tmp_path, spectrum=[1e-300, 1.0], u0=[1.0, 1.0], u1=[1e200, 0.0],
+            epsilons=[0.1], checks=["energy"],
+        )
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_CHECK_FAILURE
+        records = {r["id"]: r for r in json.loads((out / "report.json").read_text())}
+        note = records["energy.primary_constant3[eps=0.1]"]["note"]
+        assert note.startswith("not finite: value inf, bound inf,")
 
     def test_cli_and_modes_imports_load_no_scipy(self):
         # start-up time: no module of singlim needs scipy, the oracle's

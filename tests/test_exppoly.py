@@ -619,6 +619,20 @@ def test_integrate_bitwise(t):
         assert isinstance(got, float) == (np.ndim(t) == 0)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_integral_of_an_overflowed_coefficient_is_zero_at_zero():
+    # inf times the exact zero moment at t = 0 read NaN there; the finite
+    # term keeps its bits
+    poly = ExpPoly.build([(0, -10.0, math.inf), (1, -2.0, 3.0)])
+    t = np.array([0.0, 1.0])
+    got = next(integrate((poly,), t))
+    assert got[0] == 0.0 and got[1] == math.inf
+    finite = ExpPoly.build([(1, -2.0, 3.0)])
+    want = next(integrate((finite,), t))
+    assert want.tobytes() == _termwise_integral(finite, t).tobytes()
+    assert next(integrate((poly,), 0.0)) == 0.0
+
+
 def test_evaluate_and_integrate_take_empty_batches():
     assert evaluate([], np.linspace(0.0, 1.0, 5)) == []
     assert list(integrate([], 1.0)) == []

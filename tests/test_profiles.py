@@ -576,6 +576,100 @@ class TestSampleTogether:
             sample_together([a, b], np.linspace(0.0, 1.0, 3))
 
 
+def _table_arrays(table):
+    """Every array an evaluation table holds: its times, the live times of
+    each decay, the exponentials, the powers and the divided differences."""
+    yield table.t
+    yield from (times for _, times in table.values())
+    for value in table.exps.values():
+        yield from value if isinstance(value, tuple) else (value,)
+    yield from table.powers.values()
+    yield from (values for _, values in table.diffs.values())
+
+
+class TestSharedEvaluationTable:
+    """A problem's evaluation table of one time array, shared by every
+    sample_together call handed it (ProblemData.sample_times)."""
+
+    @staticmethod
+    def _profiles(pd):
+        rem = pd.remainders[1]
+        return [
+            pd.solution,  # complex roots above lam = 1/(4 eps), real below
+            pd.parabolic,
+            pd.theta,  # rates 0 and -1/eps, shared by every mode
+            pd.main_expansion,
+            pd.corrector_primary.deriv(),
+            rem,
+            rem.deriv(),
+            pd.layer_source,  # grouped differences in low modes below eps 0.1
+        ]
+
+    @pytest.mark.parametrize("eps", [0.1, 0.01, 0.001])
+    def test_shared_table_samples_are_the_fresh_samples(self, eps):
+        pd = make_problem((np.pi * np.arange(1, 33)) ** 2, eps)
+        profiles = self._profiles(pd)
+        modes = [m for p in profiles for m in p.modes]
+        assert any(mu.imag != 0 for m in modes for _, mu, _ in m.terms)
+        assert any(mu.imag == 0 for m in modes for _, mu, _ in m.terms)
+        assert any(m.differences for m in modes) == (eps < 0.1)
+        grid = standard_grid([eps])
+        table = pd.sample_times(grid.times)
+        fresh = [p.sample(grid.times) for p in profiles]
+        # one by one, forwards and backwards: each later call finds most of
+        # its values made by the calls before it
+        for order in (profiles, profiles[::-1]):
+            for prof in order:
+                (got,) = sample_together((prof,), table)
+                want = fresh[profiles.index(prof)]
+                assert got.tobytes() == want.tobytes()
+        together = sample_together(profiles, table)
+        for got, want in zip(together, fresh, strict=True):
+            assert got.tobytes() == want.tobytes()
+        assert table.exps and table.powers
+        assert bool(table.diffs) == (eps < 0.1)
+
+    def test_one_table_per_problem_and_time_array(self):
+        pd = make_problem([0.0, 1.0, 4.0], 0.1)
+        grid = standard_grid([0.1])
+        table = pd.sample_times(grid.times)
+        assert pd.sample_times(grid.times) is table
+        assert table.t.base is grid.times
+        # the same values in another array, or another problem of the same
+        # or another eps, get tables of their own
+        same_values = standard_grid([0.1]).times
+        assert same_values.tobytes() == grid.times.tobytes()
+        assert pd.sample_times(same_values) is not table
+        assert pd.sample_times(grid.quad_points) is not table
+        for eps in (0.1, 0.01):
+            other = make_problem([0.0, 1.0, 4.0], eps)
+            assert other.sample_times(grid.times) is not table
+
+    @pytest.mark.parametrize(
+        "ts", [np.linspace(0.0, 1.0, 5), np.zeros((2, 2)), np.float64(1.0)],
+        ids=["writeable", "2-d", "scalar"],
+    )
+    def test_rejects_arrays_that_cannot_key_a_table(self, ts):
+        if isinstance(ts, np.ndarray) and ts.ndim == 2:
+            ts.setflags(write=False)
+        with pytest.raises(ValueError):
+            make_problem([1.0], 0.1).sample_times(ts)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.001])
+    def test_table_arrays_are_read_only(self, eps):
+        pd = make_problem((np.pi * np.arange(1, 33)) ** 2, eps)
+        grid = standard_grid([eps])
+        table = pd.sample_times(grid.times)
+        sample_together(self._profiles(pd), table)
+        arrays = list(_table_arrays(table))
+        assert len(arrays) > 64
+        assert not any(a.flags.writeable for a in arrays)
+        # a fresh table of a writeable array leaves the array writeable
+        ts = np.linspace(0.0, 1.0, 5)
+        fresh = exppoly.SampleTimes(ts)
+        assert ts.flags.writeable and not fresh.t.flags.writeable
+
+
 class TestSquaredIntegrals:
     @pytest.mark.parametrize("weight_power", [0, 1, 2])
     def test_together_bitwise_equal_to_one_by_one(self, weight_power):

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -72,6 +73,15 @@ class TestTimeGrid:
         g = TimeGrid(np.linspace(0.0, 2.0, 21))
         cum = g.cumulative_integral(np.exp(-g.quad_points))
         np.testing.assert_allclose(cum[1:], 1.0 - np.exp(-g.times[1:]), rtol=1e-7)
+
+    def test_quad_points_are_made_once_and_read_only(self):
+        g = TimeGrid(np.array([0.0, 0.3, 1.0, 2.5]))
+        qp = g.quad_points
+        assert qp is g.quad_points
+        assert not qp.flags.writeable
+        assert qp.tolist() == [0.0, 0.15, 0.3, 0.65, 1.0, 1.75, 2.5]
+        with pytest.raises(ValueError):
+            g.cumulative_integral(np.zeros(qp.size + 1))
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):
@@ -316,6 +326,49 @@ class TestEnergyChecks:
 
 
 _DIRICHLET_32 = (np.pi * np.arange(1, 33)) ** 2
+
+
+class _Once(dict):
+    """A table dict that fails on a second evaluation of a key."""
+
+    def __setitem__(self, key, value):
+        assert key not in self, f"{key} evaluated twice"
+        super().__setitem__(key, value)
+
+
+class TestSharedEvaluationTable:
+    """The checks of one problem sample its grid through one evaluation
+    table (ProblemData.sample_times); the Duhamel nodes are not kept."""
+
+    @pytest.mark.parametrize("eps", [0.1, 0.001])
+    def test_each_grid_value_is_evaluated_once_per_problem(self, eps, monkeypatch):
+        pd = make_problem(_DIRICHLET_32, eps)
+        grid = standard_grid([eps])
+        table = pd.sample_times(grid.times)
+        table.exps, table.powers, table.diffs = _Once(), _Once(), _Once()
+        tables = []  # the table of every accumulate call of sample_together
+        accumulate = profiles_module.accumulate
+
+        def recorded(polys, times, rows):
+            tables.append(times)
+            return accumulate(polys, times, rows)
+
+        monkeypatch.setattr(profiles_module, "accumulate", recorded)
+        identity_checks(pd, grid)
+        energy_inequality_checks(pd, grid)
+        explicit_sup_bound(pd, grid)
+        duhamel_residual(pd, grid)
+        shared = [t for t in tables if t is table]
+        # 8 identities, 4 energy samples, the sup bound and the closed form
+        # of the Duhamel check, each over 32 modes
+        assert len(shared) == 14 * 32
+        assert table.exps and table.powers and (table.diffs or eps == 0.1)
+        # every other table is a Duhamel node block's, used by its one call
+        others = [t for t in tables if t is not table]
+        assert others
+        assert all(t.t.base is not grid.times for t in others)
+        counts = collections.Counter(map(id, others))
+        assert set(counts.values()) == {32}
 
 
 class TestSquaredNorms:

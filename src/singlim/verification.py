@@ -5,9 +5,12 @@ profiles.squared_integrals); composite Simpson quadrature on the grid is
 kept as an independent cross-check.  Each decomposition identity compares
 two independent constructions (a split corrector against its profile part
 plus eps times the directly solved remainder, for instance), so the
-identities keep holding as eps -> 0 rather than measure rounding.  Checks
-return serializable reports with the measured margin, the tolerance used,
-and a provenance note.
+identities keep holding as eps -> 0 rather than measure rounding.  They
+are one table of rows (id, a, b, note), each measured by sup_norm_error,
+the one sup-over-times gap of the module.  The L2 bounds derive
+w1 = A^{-1/2} u1 from the data themselves.  Checks return serializable
+reports with the measured margin, the tolerance used, and a provenance
+note.
 """
 
 from __future__ import annotations
@@ -219,14 +222,14 @@ def _sup_norm(samples: np.ndarray) -> float:
     return float(np.max(sample_norms(samples)))
 
 
-def sup_norm_error(
-    a: ProfileFunction, b: ProfileFunction, grid: TimeGrid, times=None
-) -> float:
-    """Max over grid times of the coefficient-space norm of a - b.  times is
-    the evaluation table of grid.times that a problem's checks share
-    (ProblemData.sample_times), or None for one of this call's own; the
-    value is the same bit for bit."""
-    return _max_gap(a, b, grid.times if times is None else times)
+def sup_norm_error(a: ProfileFunction, b: ProfileFunction, times) -> float:
+    """Max over times of the coefficient-space norm of a - b.  times is an
+    array of times or a problem's evaluation table of one
+    (ProblemData.sample_times), as sample_together takes them; the value is
+    the same bit for bit."""
+    sa, sb = sample_together((a, b), times)
+    sa -= sb  # in place: a third wide array costs page faults in a fresh process
+    return _sup_norm(sa)
 
 
 def l2_time_norm(
@@ -316,13 +319,6 @@ def resolvent_bound(spec: Spectrum, eps: float, f: SpecVector) -> CheckReport:
 # decomposition identity checks
 
 
-def _max_gap(a: ProfileFunction, b: ProfileFunction, times) -> float:
-    """Max over times of |a(t) - b(t)|; times as sample_together takes them."""
-    sa, sb = sample_together((a, b), times)
-    sa -= sb  # in place: a third wide array costs page faults in a fresh process
-    return _sup_norm(sa)
-
-
 def identity_checks(
     pd: ProblemData,
     grid: TimeGrid,
@@ -339,96 +335,52 @@ def identity_checks(
     """
     times = pd.sample_times(grid.times)
     scale = max(pd.data_scale, 1e-30)
-    tolerance = tol * scale
-    eps = pd.eps
-    spec = pd.spec
-    reports: list[CheckReport] = []
-
+    tolerances = {"identity.superposition": superposition_tol}
+    eps, spec = pd.eps, pd.spec
     u_eps = pd.solution
     u_one, u_two = pd.splits
+    split_1, split_2 = pd.split_correctors
+    part_1, part_2 = pd.corrector_profiles
+    remainder_1, remainder_2 = pd.remainders
 
-    def add(check_id: str, residual: float, note: str, tolerance=tolerance) -> None:
-        reports.append(_at_most(check_id, residual, 0.0, tolerance, note))
-
-    # solution = smoothed semigroup + eps * primary corrector slope
-    smoothed = kernel_profile(spec, pd.u0.coefficients + eps * pd.ju1, 0, 0.0)
-    gap = _max_gap(u_eps, smoothed + pd.corrector_primary.deriv().scale(eps), times)
-    add(
-        "identity.primary_decomposition",
-        gap,
-        "solution equals smoothed semigroup flow plus eps times the "
-        "primary corrector slope",
-    )
-
-    # first split component = semigroup + eps * A^{1/2} * halfpower corrector
-    z = pd.corrector_halfpower
-    gap = _max_gap(u_one, pd.parabolic + z.operator_power(0.5).scale(eps), times)
-    add(
-        "identity.halfpower_decomposition",
-        gap,
-        "first split component equals the semigroup flow plus eps times "
-        "the half-power corrector (forcing sign chosen to make this hold)",
-    )
-
-    # split components against their smoothed semigroups
-    splits = pd.split_correctors
-    gap = _max_gap(
-        u_one,
-        kernel_profile(spec, pd.ju0, 0, 0.0) + splits[0].deriv().scale(eps),
-        times,
-    )
-    add(
-        "identity.split_corrector_1",
-        gap,
-        "first split component equals smoothed semigroup plus eps times "
-        "the first split corrector slope",
-    )
-    gap = _max_gap(
-        u_two,
-        kernel_profile(spec, pd.jv1, 0, 0.0).scale(eps)
-        + splits[1].deriv().scale(eps),
-        times,
-    )
-    add(
-        "identity.split_corrector_2",
-        gap,
-        "second split component equals eps times smoothed semigroup plus "
-        "eps times the second split corrector slope",
-    )
-
-    # remainder reconstruction: split corrector = profile part + eps * remainder
-    parts = zip(splits, pd.corrector_profiles, pd.remainders)
-    for j, (split, part, w) in enumerate(parts, start=1):
-        recon = part + w.scale(eps)
-        if j == 2:
-            recon = recon - u_two
-        add(
-            f"identity.remainder_reconstruction_{j}",
-            _max_gap(split, recon, times),
-            "split corrector equals its explicit profile part plus eps "
-            "times the directly solved remainder"
-            + (" minus the second split component" if j == 2 else ""),
-        )
-
-    # superposition of the split
-    add(
-        "identity.superposition",
-        _max_gap(u_one + u_two, u_eps, times),
-        "the two split components add up to the solution",
-        tolerance=superposition_tol * scale,
-    )
-
-    # relaxation equation of the second split component
-    lhs = u_two.deriv().scale(eps) + u_two
-    rhs = pd.v1_flow.scale(eps) + pd.layer_source.scale(eps**1.5)
-    gap = _max_gap(lhs, rhs, times)
-    add(
-        "identity.layer_relaxation",
-        gap,
-        "eps * (second split)' + (second split) equals eps times the "
-        "semigroup of v1 plus eps^(3/2) times the layer source",
-    )
-    return reports
+    rows = [  # (check id, a, b, note) of the identity a = b
+        ("identity.primary_decomposition", u_eps,
+         kernel_profile(spec, pd.u0.coefficients + eps * pd.ju1, 0, 0.0)
+         + pd.corrector_primary.deriv().scale(eps),
+         "solution equals smoothed semigroup flow plus eps times the "
+         "primary corrector slope"),
+        ("identity.halfpower_decomposition", u_one,
+         pd.parabolic + pd.corrector_halfpower.operator_power(0.5).scale(eps),
+         "first split component equals the semigroup flow plus eps times "
+         "the half-power corrector (forcing sign chosen to make this hold)"),
+        ("identity.split_corrector_1", u_one,
+         kernel_profile(spec, pd.ju0, 0, 0.0) + split_1.deriv().scale(eps),
+         "first split component equals smoothed semigroup plus eps times "
+         "the first split corrector slope"),
+        ("identity.split_corrector_2", u_two,
+         kernel_profile(spec, pd.jv1, 0, 0.0).scale(eps) + split_2.deriv().scale(eps),
+         "second split component equals eps times smoothed semigroup plus "
+         "eps times the second split corrector slope"),
+        ("identity.remainder_reconstruction_1", split_1,
+         part_1 + remainder_1.scale(eps),
+         "split corrector equals its explicit profile part plus eps "
+         "times the directly solved remainder"),
+        ("identity.remainder_reconstruction_2", split_2,
+         part_2 + remainder_2.scale(eps) - u_two,
+         "split corrector equals its explicit profile part plus eps "
+         "times the directly solved remainder minus the second split component"),
+        ("identity.superposition", u_one + u_two, u_eps,
+         "the two split components add up to the solution"),
+        ("identity.layer_relaxation", u_two.deriv().scale(eps) + u_two,
+         pd.v1_flow.scale(eps) + pd.layer_source.scale(eps**1.5),
+         "eps * (second split)' + (second split) equals eps times the "
+         "semigroup of v1 plus eps^(3/2) times the layer source"),
+    ]
+    return [
+        _at_most(check_id, sup_norm_error(a, b, times), 0.0,
+                 tolerances.get(check_id, tol) * scale, note)
+        for check_id, a, b, note in rows
+    ]
 
 
 def remainder_data_checks(pd: ProblemData) -> list[CheckReport]:
@@ -547,7 +499,7 @@ def explicit_sup_bound(
     """Explicit first-order bound: sup_t |u_eps - e^{-tA}u0| <=
     eps|u1| + sqrt(eps) * (|A^{1/2}u0|^2 + 3 eps |u1|^2)^{1/2}.  The root is
     taken as a hypot, which stays finite where the squares would overflow."""
-    sup = sup_norm_error(pd.solution, pd.parabolic, grid, pd.sample_times(grid.times))
+    sup = sup_norm_error(pd.solution, pd.parabolic, pd.sample_times(grid.times))
     half, size = norm(apply_power(pd.spec, 0.5, pd.u0)), norm(pd.u1)
     root = math.hypot(half, math.sqrt(3.0 * pd.eps) * size)
     bound = pd.eps * size + math.sqrt(pd.eps) * root
@@ -575,55 +527,47 @@ def _l2_bound_report(
 
 
 def l2_deviation_bounds(
-    pd: ProblemData,
-    grid: TimeGrid,
-    w1: SpecVector | None = None,
-    slack: float = TOLERANCES["inequality_slack"],
+    pd: ProblemData, grid: TimeGrid, slack: float = TOLERANCES["inequality_slack"]
 ) -> list[CheckReport]:
     """Squared-in-time bounds for the deviation from the smoothed flow.
 
     Checks int_0^inf |u_eps - e^{-tA}(u0 + eps u1)|^2 dt against
-    2 eps^2 |A^{1/2}u0|^2 + 7 eps^3 |u1|^2, and, when u1 = A^{1/2} w1 is
-    certified by a supplied w1, the semigroup integral
-    int_0^inf |e^{-tA}u1|^2 dt against |w1|^2 / 2.
+    2 eps^2 |A^{1/2}u0|^2 + 7 eps^3 |u1|^2, and the semigroup integral
+    int_0^inf |e^{-tA}u1|^2 dt against |w1|^2 / 2 for w1 = A^{-1/2} u1.
+    u1 is in the half-power range when it has no kernel component;
+    otherwise the range record says it is skipped.  A w1 that overflows
+    certifies nothing and gives no record.
     """
-    eps = pd.eps
-    spec = pd.spec
-
-    target = kernel_profile(
-        spec, pd.u0.coefficients + eps * pd.u1.coefficients, 0, 0.0
-    )
+    eps, spec = pd.eps, pd.spec
+    lam, u1 = spec.eigenvalues, pd.u1.coefficients
     bound = (
         2.0 * eps**2 * _norm_sq(apply_power(spec, 0.5, pd.u0))
         + 7.0 * eps**3 * _norm_sq(pd.u1)
     )
     reports = [
         _l2_bound_report(
-            "bound.l2_deviation_constants_2_7",
-            pd.solution,
-            grid,
-            bound,
-            slack,
+            "bound.l2_deviation_constants_2_7", pd.solution, grid, bound, slack,
             "time-integrated squared deviation from the smoothed flow "
             "stays below 2 eps^2 |A^(1/2)u0|^2 + 7 eps^3 |u1|^2",
-            minus=target,
+            minus=kernel_profile(spec, pd.u0.coefficients + eps * u1, 0, 0.0),
         )
     ]
-
-    if w1 is not None:
-        recovered = apply_power(spec, 0.5, w1)
-        gap = norm(recovered - pd.u1)
-        if gap > 1e-12 * max(1.0, norm(pd.u1)):
-            raise ValueError(
-                "w1 does not certify u1: |A^(1/2) w1 - u1| = " f"{gap:.3e}"
+    with np.errstate(over="ignore"):
+        w1 = np.where(lam > 0, u1 / np.sqrt(np.where(lam > 0, lam, 1.0)), 0.0)
+    if np.any((lam == 0) & (u1 != 0)):
+        reports.append(
+            CheckReport(
+                "bound.l2_semigroup_range_half", True, 0.0, 0.0,
+                "skipped: u1 has a stationary kernel component, so it is not "
+                "in the half-power range and its semigroup flow is not square "
+                "integrable in time",
             )
+        )
+    elif np.all(np.isfinite(w1)):
         reports.append(
             _l2_bound_report(
-                "bound.l2_semigroup_range_half",
-                kernel_profile(spec, pd.u1.coefficients, 0, 0.0),
-                grid,
-                _norm_sq(w1) / 2.0,
-                slack,
+                "bound.l2_semigroup_range_half", kernel_profile(spec, u1, 0, 0.0), grid,
+                _norm_sq(SpecVector(w1)) / 2.0, slack,
                 "semigroup integral of u1 in the half-power range "
                 "stays below |w1|^2 / 2",
             )
@@ -658,38 +602,17 @@ def inequality_checks(
 ) -> list[CheckReport]:
     """The explicit-constant inequalities of one eps: the resolvent bound for
     the initial data and the layer slope, the sup bound (with sup_slack),
-    and the L2 deviation and by-parts convolution bounds (with slack).
-
-    u1 is in the half-power range when it has no kernel component; then
-    w1 = A^{-1/2} u1 bounds its semigroup integral, and otherwise that
-    record says it is skipped.  A w1 that overflows certifies nothing and
-    gives no record.
-    """
-    lam, u1 = pd.spec.eigenvalues, pd.u1.coefficients
-    reports = [
+    and the L2 deviation and by-parts convolution bounds (with slack)."""
+    return [
         # the f with the least margin; one that is not finite has margin -inf
         min(
             (resolvent_bound(pd.spec, pd.eps, f) for f in (pd.u0, pd.u1, pd.v1)),
             key=lambda r: r.margin,
         ),
         explicit_sup_bound(pd, grid, slack=sup_slack),
+        *l2_deviation_bounds(pd, grid, slack=slack),
+        byparts_convolution_bound(pd, grid, slack=slack),
     ]
-    kernel = bool(np.any((lam == 0) & (u1 != 0)))
-    with np.errstate(over="ignore"):
-        w = np.where(lam > 0, u1 / np.sqrt(np.where(lam > 0, lam, 1.0)), 0.0)
-    w1 = SpecVector(w) if not kernel and np.all(np.isfinite(w)) else None
-    reports += l2_deviation_bounds(pd, grid, w1=w1, slack=slack)
-    if kernel:
-        reports.append(
-            CheckReport(
-                "bound.l2_semigroup_range_half", True, 0.0, 0.0,
-                "skipped: u1 has a stationary kernel component, so it is not "
-                "in the half-power range and its semigroup flow is not square "
-                "integrable in time",
-            )
-        )
-    reports.append(byparts_convolution_bound(pd, grid, slack=slack))
-    return reports
 
 
 def _duhamel_convolution(
@@ -911,7 +834,8 @@ def rate_errors(pd: ProblemData, comparisons, ts) -> dict[str, float | ValueErro
         try:
             pair = _STATEMENTS[name][1](pd)
         except ValueError as exc:
-            errors[name] = exc
+            # a fresh error without the traceback, whose frames hold pd
+            errors[name] = ValueError(*exc.args)
             continue
         pairs.setdefault(tuple(map(id, pair)), (pair, []))[1].append(name)
     profiles = {id(p): p for pair, _ in pairs.values() for p in pair}

@@ -87,12 +87,7 @@ def test_criterion_2_explicit_inequality_suite():
                 energy_inequality_checks(pd, grid)
             )
             reports.append(explicit_sup_bound(pd, grid))
-            w1 = None
-            if name == "single-mode":
-                w1 = SpecVector(
-                    pd.u1.coefficients / np.sqrt(pd.spec.eigenvalues)
-                )
-            reports.extend(l2_deviation_bounds(pd, grid, w1=w1))
+            reports.extend(l2_deviation_bounds(pd, grid))
             reports.append(byparts_convolution_bound(pd, grid))
             for report in reports:
                 if not report.passed:

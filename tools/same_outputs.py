@@ -5,13 +5,16 @@
 REF is any revision git names (HEAD, a branch, a commit).  It is exported
 with ``git archive`` into a temporary directory; the working tree is used
 as it is.  Both run ``singlim verify``, ``simulate`` and ``rates`` over a
-fixed matrix of 33 invocations:
+fixed matrix of 39 invocations:
 
 - the spectra three-mode, dirichlet-32 and neumann-33, each with the data
   of configs/default.json, with ``"u1": "il0"`` and all six comparisons,
   and with eps {1e-6, 1e-7, 1e-8, 1e-9};
 - three-mode with all six comparisons on incompatible data;
-- dirichlet-32 il0 with eps in shuffled order [0.01, 0.1, 0.001, 0.05].
+- dirichlet-32 il0 with eps in shuffled order [0.01, 0.1, 0.001, 0.05];
+- the overflow data: spectrum [1e-300, 1] with u1 [1e200, 0] and u0
+  [1, 1] or [0, 0], where w1 = A^{-1/2} u1 overflows (no half-power range
+  record) and the squared norms give ``not finite:`` FAILs.
 
 Every invocation's exit code, stdout, stderr (with the tree and output
 paths replaced by placeholders) and data files (manifest.json excluded, as
@@ -37,7 +40,7 @@ COMPARISONS = ["order0_thm11i", "order0_thm11ii", "order1_theta",
 
 
 def matrix() -> dict[str, dict]:
-    """{name: config} of the 11 configs the three commands run on."""
+    """{name: config} of the 13 configs the three commands run on."""
     default = json.loads((ROOT / "configs" / "default.json").read_text())
     configs = {}
     for spectrum in ("three-mode", "dirichlet-32", "neumann-33"):
@@ -51,6 +54,10 @@ def matrix() -> dict[str, dict]:
     configs["dirichlet-32-il0-shuffled"] = dict(
         configs["dirichlet-32-il0"], epsilons=[0.01, 0.1, 0.001, 0.05]
     )
+    for name, u0 in (("ones", [1.0, 1.0]), ("zero", [0.0, 0.0])):
+        configs[f"overflow-u0-{name}"] = dict(
+            default, spectrum=[1e-300, 1.0], u0=u0, u1=[1e200, 0.0]
+        )
     return configs
 
 

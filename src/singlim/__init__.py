@@ -9,48 +9,3 @@ bounds with explicit constants, and convergence rates numerically.
 """
 
 __version__ = "0.1.0"
-
-from .spectral import (
-    SpecVector,
-    Spectrum,
-    apply_power,
-    inner,
-    norm,
-    resolvent,
-)
-from .modes import (
-    ForcingTerm,
-    ModeParams,
-    ModeTrajectory,
-    RootPair,
-    characteristic_roots,
-    solve_forced,
-    solve_homogeneous,
-)
-from .profiles import ProblemData, ProfileFunction
-from .timegrid import TimeGrid, standard_grid
-from .verification import CheckReport, ErrorCurve, RateFit
-
-__all__ = [
-    "__version__",
-    "Spectrum",
-    "SpecVector",
-    "apply_power",
-    "resolvent",
-    "inner",
-    "norm",
-    "ModeParams",
-    "RootPair",
-    "ForcingTerm",
-    "ModeTrajectory",
-    "characteristic_roots",
-    "solve_homogeneous",
-    "solve_forced",
-    "ProblemData",
-    "ProfileFunction",
-    "TimeGrid",
-    "standard_grid",
-    "CheckReport",
-    "ErrorCurve",
-    "RateFit",
-]

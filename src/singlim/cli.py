@@ -266,9 +266,6 @@ FIELDS = (
     ("tolerances.duhamel", TOLERANCES["duhamel"],
      "a finite number >= 0: duhamel.representation's tolerance, relative to "
      "|v1|", _nonnegative),
-    ("synthetic_exponent", None,
-     "null, or a finite number p: rates then fits the curve eps^p too, as a "
-     "self-test", lambda v, p: None if v is None else _finite(v)),
 )
 
 # The fields of the decay family object of u0 and u1.
@@ -377,9 +374,16 @@ class ExperimentConfig:
             return SpecVector(np.array(node))
 
         u0 = realize(self["u0"])
-        if self["u1"] == "il0":
-            return spec, u0, SpecVector(-spec.eigenvalues * u0.coefficients)
-        return spec, u0, realize(self["u1"])
+        with np.errstate(over="ignore"):  # an overflow is a ConfigError below
+            if self["u1"] == "il0":
+                minus_au0 = -spec.eigenvalues * u0.coefficients
+                if not np.all(np.isfinite(minus_au0)):
+                    raise ConfigError('u1 "il0" is -A u0, which is not finite')
+                return spec, u0, SpecVector(minus_au0)
+            u1 = realize(self["u1"])
+            if not np.all(np.isfinite(spec.eigenvalues * u0.coefficients + u1.coefficients)):
+                raise ConfigError("the layer slope A u0 + u1 is not finite")
+        return spec, u0, u1
 
 
 def _load_config(path: str) -> ExperimentConfig:
@@ -475,10 +479,6 @@ def cmd_rates(config: ExperimentConfig, out_dir: Path) -> int:
     problems = (ProblemData(spec, eps, u0, u1) for eps in epsilons)  # one at a time
     per_eps = [(pd.eps, rate_errors(pd, comparisons, ts)) for pd in problems]
     results = run_rate_experiment(per_eps, comparisons)
-    if config["synthetic_exponent"] is not None:  # the fit of eps^p itself
-        eps = np.array(sorted(epsilons, reverse=True))
-        errors = ({"synthetic": x} for x in eps ** config["synthetic_exponent"])
-        results |= run_rate_experiment(zip(eps, errors), ["synthetic"])
     files: dict[str, str] = {}
     fits = []
     for comp, result in results.items():

@@ -436,9 +436,6 @@ class ExpPoly:
             self.terms + other.terms, self.differences + other.differences
         )
 
-    def __sub__(self, other: "ExpPoly") -> "ExpPoly":
-        return self + other.scale(-1.0)
-
     def scale(self, alpha: complex) -> "ExpPoly":
         return ExpPoly.build(
             [(k, mu, alpha * c) for k, mu, c in self.terms],

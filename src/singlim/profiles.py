@@ -286,10 +286,7 @@ class ProfileFunction:
         )
 
     def __sub__(self, other: "ProfileFunction") -> "ProfileFunction":
-        self._check(other)
-        return ProfileFunction(
-            self.spectrum, tuple(a - b for a, b in zip(self.modes, other.modes))
-        )
+        return self + other.scale(-1.0)
 
     def scale(self, alpha: float) -> "ProfileFunction":
         return ProfileFunction(self.spectrum, tuple(m.scale(alpha) for m in self.modes))

@@ -78,16 +78,9 @@ class SpecVector:
     def __len__(self) -> int:
         return self.coefficients.size
 
-    def __add__(self, other: "SpecVector") -> "SpecVector":
-        _check_lengths(self, other)
-        return SpecVector(self.coefficients + other.coefficients)
-
     def __sub__(self, other: "SpecVector") -> "SpecVector":
         _check_lengths(self, other)
         return SpecVector(self.coefficients - other.coefficients)
-
-    def scale(self, alpha: float) -> "SpecVector":
-        return SpecVector(alpha * self.coefficients)
 
 
 def _check_lengths(f: SpecVector, g: SpecVector) -> None:

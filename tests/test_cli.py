@@ -391,21 +391,6 @@ class TestVerify:
 
 
 class TestRates:
-    def test_synthetic_self_test(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            epsilons=[0.1, 0.05, 0.01, 0.005],
-            comparisons=[],
-            synthetic_exponent=2.0,
-        )
-        out = tmp_path / "out"
-        assert main(["rates", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        fits = json.loads((out / "report.json").read_text())
-        syn = next(f for f in fits if f["comparison"] == "synthetic")
-        assert syn["slope"] == pytest.approx(2.0, abs=1e-10)
-        csv = (out / "rates_synthetic.csv").read_text().splitlines()
-        assert csv[0] == "epsilon,error"
-
     def test_comparison_files(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -564,6 +549,22 @@ class TestExitCodes:
     def test_config_error_names_the_field(self, field, overrides):
         with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
             ExperimentConfig.parse({**BASE_CONFIG, **overrides})
+
+    # data whose derived vectors overflow: -A u0 under "il0", and the layer
+    # slope A u0 + u1; each once ended in a ValueError traceback
+    @pytest.mark.parametrize(
+        "u1, named", [("il0", 'u1 "il0"'), ([0.0], "layer slope")], ids=["il0", "slope"]
+    )
+    @pytest.mark.parametrize("command", ["verify", "simulate", "rates"])
+    def test_overflowing_derived_data_exit_2(self, tmp_path, capsys, command, u1, named):
+        cfg = write_config(
+            tmp_path, spectrum=[1e308], u0=[2.0], u1=u1, epsilons=[0.5, 0.25, 0.125],
+            checks="all", comparisons=["order0_thm11i"],
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: ") and named in line
 
     def test_config_file_that_is_not_text_is_a_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,9 +1,13 @@
-"""Static checks of the package source (no linter is a dependency)."""
+"""Checks of the package source and its import graph (no linter is a dependency)."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import cli_env
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "singlim").glob("*.py"))
 
@@ -79,3 +83,18 @@ def test_the_guard_sees_the_mode_representation():
         "exppoly import (line 1)", "exppoly import (line 2)",
         "exppoly import (line 3)", ".modes (line 5)",
     ]
+
+
+def test_the_mode_solver_loads_without_the_verifier():
+    # the package root imports nothing, so the solver and its oracle load
+    # only the exponential polynomials beneath them
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, singlim.modes; "
+         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'singlim'))"],
+        capture_output=True,
+        text=True,
+        env=cli_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == str(["singlim", "singlim.exppoly", "singlim.modes"])

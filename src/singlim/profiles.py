@@ -25,7 +25,7 @@ import numpy as np
 
 from .exppoly import ExpPoly, SampleTimes, accumulate, divided_difference_exp, integrate
 from .modes import ForcingTerm, ModeParams, solve_forced
-from .spectral import SpecVector, Spectrum, apply_power, norm, resolvent
+from .spectral import Spectrum, norm
 
 __all__ = ["ProblemData", "ProfileFunction", "sample_together", "squared_integrals",
            "kernel_profile"]
@@ -34,10 +34,19 @@ __all__ = ["ProblemData", "ProfileFunction", "sample_together", "squared_integra
 # v1 = A u0 + u1 = 0 (which switches off the initial layer).
 _IL0_TOL = 1e-12
 
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class ProblemData:
     """Problem instance: eps in (0, 1], initial data, and the profiles of
     this eps.
+
+    u0 and u1, one finite value per eigenvalue, are kept as read-only float
+    copies; the vectors derived from them (v1, ju0, ju1, jv1) are read-only.
 
     Each profile is a cached property, built on first use and shared by
     every check of this eps (cached_property writes the instance's
@@ -49,14 +58,17 @@ class ProblemData:
 
     spec: Spectrum
     eps: float
-    u0: SpecVector
-    u1: SpecVector
+    u0: np.ndarray
+    u1: np.ndarray
 
     def __post_init__(self):
         if not 0.0 < self.eps <= 1.0:
             raise ValueError("eps must lie in (0, 1]")
-        if len(self.u0) != len(self.spec) or len(self.u1) != len(self.spec):
-            raise ValueError("initial data length must match the spectrum")
+        for name in ("u0", "u1"):
+            data = np.array(getattr(self, name), dtype=float)
+            if data.shape != self.spec.eigenvalues.shape or not np.all(np.isfinite(data)):
+                raise ValueError(f"{name} must hold one finite value per eigenvalue")
+            object.__setattr__(self, name, _readonly(data))
 
     @cached_property
     def _tables(self) -> dict:
@@ -78,15 +90,13 @@ class ProblemData:
         return self._tables[id(ts)][1]
 
     @cached_property
-    def v1(self) -> SpecVector:
+    def v1(self) -> np.ndarray:
         """Combined slope A u0 + u1 that drives the initial layer."""
-        return SpecVector(
-            self.spec.eigenvalues * self.u0.coefficients + self.u1.coefficients
-        )
+        return _readonly(self.spec.eigenvalues * self.u0 + self.u1)
 
     @property
     def il0_satisfied(self) -> bool:
-        au0 = apply_power(self.spec, 1.0, self.u0)
+        au0 = self.spec.eigenvalues * self.u0
         return norm(self.v1) <= _IL0_TOL * (norm(au0) + norm(self.u1) + 1.0)
 
     @property
@@ -95,45 +105,45 @@ class ProblemData:
 
     @cached_property
     def ju0(self) -> np.ndarray:
-        """Coefficients of J u0, J = (I + eps A)^{-1} the smoothing resolvent."""
-        return resolvent(self.spec, self.eps, self.u0).coefficients
+        """J u0, J = (I + eps A)^{-1} the smoothing resolvent."""
+        return _readonly(self.u0 / (1.0 + self.eps * self.spec.eigenvalues))
 
     @cached_property
     def ju1(self) -> np.ndarray:
-        """Coefficients of J u1."""
-        return resolvent(self.spec, self.eps, self.u1).coefficients
+        """J u1."""
+        return _readonly(self.u1 / (1.0 + self.eps * self.spec.eigenvalues))
 
     @cached_property
     def jv1(self) -> np.ndarray:
-        """Coefficients of J v1."""
-        return resolvent(self.spec, self.eps, self.v1).coefficients
+        """J v1."""
+        return _readonly(self.v1 / (1.0 + self.eps * self.spec.eigenvalues))
 
     @cached_property
     def solution(self) -> ProfileFunction:
         """Solution of eps*u'' + A u + u' = 0 with data (u0, u1), mode by mode."""
-        return self._solved(self.u0.coefficients, self.u1.coefficients)
+        return self._solved(self.u0, self.u1)
 
     @cached_property
     def parabolic(self) -> ProfileFunction:
         """First-order limit flow e^{-tA} u0."""
-        return kernel_profile(self.spec, self.u0.coefficients, 0, 0.0)
+        return kernel_profile(self.spec, self.u0, 0, 0.0)
 
     @cached_property
     def v1_flow(self) -> ProfileFunction:
         """Semigroup flow e^{-tA} v1 of the layer slope."""
-        return kernel_profile(self.spec, self.v1.coefficients, 0, 0.0)
+        return kernel_profile(self.spec, self.v1, 0, 0.0)
 
     def weighted_convolution(self, ts) -> np.ndarray:
         """eps int_0^t e^{(s-t)/eps} A e^{-sA} v1 ds at ts, (len(ts), n_modes):
         eps lam v1 exp[-lam, -1/eps](t) per mode, exact."""
         eps, lam = self.eps, self.spec.eigenvalues
         kernels = [divided_difference_exp((-l, -1.0 / eps), ts).real for l in lam]
-        return eps * lam * self.v1.coefficients * np.stack(kernels, axis=1)
+        return eps * lam * self.v1 * np.stack(kernels, axis=1)
 
     @cached_property
     def theta(self) -> ProfileFunction:
         """Initial layer eps*(1 - e^{-t/eps}) * v1: zero at t=0, slope v1."""
-        eps, v1 = self.eps, self.v1.coefficients
+        eps, v1 = self.eps, self.v1
         return _explicit(
             self.spec, lambda i: [(0, 0.0, eps * v1[i]), (0, -1.0 / eps, -eps * v1[i])]
         )
@@ -142,7 +152,7 @@ class ProblemData:
     def main_expansion(self) -> ProfileFunction:
         """Second-order profile: e^{-tA}u0 + eps*(e^{-tA}v1 - t A^2 e^{-tA}u0 - e^{-t/eps}v1)."""
         eps, lam = self.eps, self.spec.eigenvalues
-        u0, v1 = self.u0.coefficients, self.v1.coefficients
+        u0, v1 = self.u0, self.v1
         return _explicit(self.spec, lambda i: [
             (0, -lam[i], u0[i] + eps * v1[i]),
             (1, -lam[i], -eps * lam[i] ** 2 * u0[i]),
@@ -156,7 +166,7 @@ class ProblemData:
             raise ValueError(
                 "derivative expansion requires compatible data u1 + A u0 = 0"
             )
-        eps, lam, u0 = self.eps, self.spec.eigenvalues, self.u0.coefficients
+        eps, lam, u0 = self.eps, self.spec.eigenvalues, self.u0
         return _explicit(self.spec, lambda i: [
             (0, -lam[i], -lam[i] * u0[i] - eps * lam[i] ** 2 * u0[i]),
             (1, -lam[i], eps * lam[i] ** 3 * u0[i]),
@@ -166,9 +176,9 @@ class ProblemData:
     @cached_property
     def splits(self) -> tuple[ProfileFunction, ProfileFunction]:
         """Split of the solution into the (u0, -A u0) part and the (0, v1) part."""
-        lam, u0 = self.spec.eigenvalues, self.u0.coefficients
+        lam, u0 = self.spec.eigenvalues, self.u0
         zeros = np.zeros(len(self.spec))
-        return self._solved(u0, -lam * u0), self._solved(zeros, self.v1.coefficients)
+        return self._solved(u0, -lam * u0), self._solved(zeros, self.v1)
 
     def _solved(self, data0, data1, a=0.0, b=0.0) -> ProfileFunction:
         """Per-mode solve from initial data (data0_i, data1_i) with forcing
@@ -187,7 +197,7 @@ class ProblemData:
         """Corrector whose eps-scaled slope closes the gap between the solution
         and the resolvent-smoothed semigroup flow e^{-tA}(u0 + eps*J u1)."""
         ju1 = self.ju1
-        g = self.u0.coefficients + self.eps * ju1
+        g = self.u0 + self.eps * ju1
         return self._solved(-self.eps * ju1, -ju1, self.spec.eigenvalues * g)
 
     @cached_property
@@ -195,7 +205,7 @@ class ProblemData:
         """Corrector entering through a half power of the operator: the first
         split component equals e^{-tA}u0 + eps * A^{1/2} * (this profile)."""
         zeros = np.zeros(len(self.spec))
-        a = -(self.spec.eigenvalues**1.5) * self.u0.coefficients
+        a = -(self.spec.eigenvalues**1.5) * self.u0
         return self._solved(zeros, zeros, a)
 
     @cached_property

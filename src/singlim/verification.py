@@ -8,9 +8,10 @@ plus eps times the directly solved remainder, for instance), so the
 identities keep holding as eps -> 0 rather than measure rounding.  They
 are one table of rows (id, a, b, note), each measured by sup_norm_error,
 the one sup-over-times gap of the module.  The L2 bounds derive
-w1 = A^{-1/2} u1 from the data themselves.  Checks return serializable
-reports with the measured margin, the tolerance used, and a provenance
-note.
+w1 = A^{-1/2} u1 from the data themselves.  Each per-eps check group takes
+(pd, grid, tol), where tol maps the names of TOLERANCES to their values,
+and reads its own keys.  Checks return serializable reports with the
+measured margin, the tolerance used, and a provenance note.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import numpy as np
 
 from .profiles import (ProblemData, ProfileFunction, kernel_profile, sample_together,
                        squared_integrals)
-from .spectral import (SpecVector, Spectrum, apply_power, norm, resolvent, sample_norms,
-                       squared_norms)
+from .spectral import Spectrum, norm, sample_norms, squared_norms
 from .timegrid import TimeGrid
 
 __all__ = [
@@ -212,7 +212,7 @@ def _measured(check_id: str, value: float, note: str) -> CheckReport:
     return CheckReport(check_id, True, value, float("inf"), note)
 
 
-def _norm_sq(f: SpecVector) -> float:
+def _norm_sq(f: np.ndarray) -> float:
     """|f|^2, inf where that overflows (norm(f) ** 2 would raise)."""
     return norm(f) * norm(f)
 
@@ -262,7 +262,7 @@ def l2_time_norm(
 
 
 def max_reg_functional(
-    spec: Spectrum, f: SpecVector, n: int, grid: TimeGrid
+    spec: Spectrum, f: np.ndarray, n: int, grid: TimeGrid
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dissipation functional |e^{-tA}f|^2/2 + (2^n/n!) int_0^t s^n |A^{(n+1)/2}e^{-sA}f|^2 ds
     at every grid time, and its cumulative dissipation (the integral) alone.
@@ -277,13 +277,13 @@ def max_reg_functional(
     if len(f) != len(spec):
         raise ValueError("vector length must match the spectrum")
     lam = spec.eigenvalues
-    c2 = f.coefficients**2
+    c2 = f**2
     ts = grid.times
     weighted = kernel_profile(
-        spec, f.coefficients, 0, (n + 1) / 2, math.sqrt(2.0**n / math.factorial(n))
+        spec, f, 0, (n + 1) / 2, math.sqrt(2.0**n / math.factorial(n))
     )
     (dissipated,) = squared_integrals((weighted,), ts, n)
-    semigroup = kernel_profile(spec, f.coefficients, 0, 0.0).sample(ts)
+    semigroup = kernel_profile(spec, f, 0, 0.0).sample(ts)
     curve = squared_norms(semigroup) / 2.0 + dissipated
 
     # quadrature cross-check of the integral part
@@ -304,10 +304,10 @@ def max_reg_functional(
     return curve, dissipated
 
 
-def resolvent_bound(spec: Spectrum, eps: float, f: SpecVector) -> CheckReport:
+def resolvent_bound(spec: Spectrum, eps: float, f: np.ndarray) -> CheckReport:
     """The record of |A^{1/2} J_eps f|^2 <= (1/eps) |f|^2, with tolerance 0:
     its margin is nonnegative when the bound holds."""
-    half = apply_power(spec, 0.5, resolvent(spec, eps, f))
+    half = spec.eigenvalues**0.5 * (f / (1.0 + eps * spec.eigenvalues))
     return _at_most(
         "bound.resolvent_halfpower", _norm_sq(half), (1.0 / eps) * _norm_sq(f), 0.0,
         "smoothed half-power norm stays below |f|^2/eps for the initial "
@@ -320,22 +320,19 @@ def resolvent_bound(spec: Spectrum, eps: float, f: SpecVector) -> CheckReport:
 
 
 def identity_checks(
-    pd: ProblemData,
-    grid: TimeGrid,
-    tol: float = TOLERANCES["identity"],
-    superposition_tol: float = TOLERANCES["superposition"],
+    pd: ProblemData, grid: TimeGrid, tol: dict = TOLERANCES
 ) -> list[CheckReport]:
     """All closed-form decomposition identities on the grid.
 
     Each identity compares two independently constructed closed forms;
     residuals are measured in the vector norm and compared against
-    tol * (|u0| + |u1|), the superposition of the split against
-    superposition_tol * (|u0| + |u1|).  Every profile is sampled on the
+    tol["identity"] * (|u0| + |u1|), the superposition of the split against
+    tol["superposition"] * (|u0| + |u1|).  Every profile is sampled on the
     problem's evaluation table of grid.times.
     """
     times = pd.sample_times(grid.times)
     scale = max(pd.data_scale, 1e-30)
-    tolerances = {"identity.superposition": superposition_tol}
+    tolerances = {"identity.superposition": tol["superposition"]}
     eps, spec = pd.eps, pd.spec
     u_eps = pd.solution
     u_one, u_two = pd.splits
@@ -345,7 +342,7 @@ def identity_checks(
 
     rows = [  # (check id, a, b, note) of the identity a = b
         ("identity.primary_decomposition", u_eps,
-         kernel_profile(spec, pd.u0.coefficients + eps * pd.ju1, 0, 0.0)
+         kernel_profile(spec, pd.u0 + eps * pd.ju1, 0, 0.0)
          + pd.corrector_primary.deriv().scale(eps),
          "solution equals smoothed semigroup flow plus eps times the "
          "primary corrector slope"),
@@ -378,12 +375,14 @@ def identity_checks(
     ]
     return [
         _at_most(check_id, sup_norm_error(a, b, times), 0.0,
-                 tolerances.get(check_id, tol) * scale, note)
+                 tolerances.get(check_id, tol["identity"]) * scale, note)
         for check_id, a, b, note in rows
     ]
 
 
-def remainder_data_checks(pd: ProblemData) -> list[CheckReport]:
+def remainder_data_checks(
+    pd: ProblemData, grid: TimeGrid, tol: dict = TOLERANCES
+) -> list[CheckReport]:
     """Realized initial data w(0), w'(0) of the remainder correctors.
 
     The remainders are solved from (-A J u0, +2 A^2 J u0) for j = 1 and
@@ -391,10 +390,14 @@ def remainder_data_checks(pd: ProblemData) -> list[CheckReport]:
     profiles reproduce their initial data, a check of the solver and the
     representation.  Whether that data is right, such as the positive sign
     of the first slope, is decided by identity.remainder_reconstruction_j.
+    The records are taken at t = 0, to 1e-8 (|u0| + |u1|) max(1, max lam)^2
+    (grid and tol are unused); a tolerance that overflows is inf, and
+    _at_most FAILs the record.
     """
     lam = pd.spec.eigenvalues
     scale = max(pd.data_scale, 1e-30)
-    tolerance = 1e-8 * scale * max(1.0, float(np.max(lam)) ** 2)
+    with np.errstate(over="ignore"):
+        tolerance = 1e-8 * scale * max(1.0, float(np.max(lam) ** 2))
     rem1, rem2 = pd.remainders
     ju0, jv1 = pd.ju0, pd.jv1
     expected = [  # (check id, remainder, initial value, initial slope, note)
@@ -439,7 +442,7 @@ def _energy_lhs_curves(
 
 
 def energy_inequality_checks(
-    pd: ProblemData, grid: TimeGrid, slack: float = TOLERANCES["inequality_slack"]
+    pd: ProblemData, grid: TimeGrid, tol: dict = TOLERANCES
 ) -> list[CheckReport]:
     """Energy bounds for the corrector ladder.
 
@@ -447,8 +450,9 @@ def energy_inequality_checks(
     the half-power corrector by |A u0|^2 / 2, both with explicit
     constants.  The remainder correctors have no explicit constants, so
     the smallest constant making each bound hold is measured and reported
-    instead of asserted.
+    instead of asserted.  The explicit bounds take tol["inequality_slack"].
     """
+    lam = pd.spec.eigenvalues
     profiles = [pd.corrector_primary, pd.corrector_halfpower, *pd.remainders]
     # data whose squares overflow give curves that are not finite, and
     # _at_most turns those into FAIL records
@@ -458,21 +462,22 @@ def energy_inequality_checks(
         )
     explicit = [
         ("energy.primary_constant3", primary,
-         _norm_sq(apply_power(pd.spec, 0.5, pd.u0)) + 3.0 * pd.eps * _norm_sq(pd.u1),
+         _norm_sq(lam**0.5 * pd.u0) + 3.0 * pd.eps * _norm_sq(pd.u1),
          "energy of the primary corrector stays below |A^(1/2)u0|^2 + 3 eps |u1|^2"),
         ("energy.halfpower_constant_half", halfpower,
-         _norm_sq(apply_power(pd.spec, 1.0, pd.u0)) / 2.0,
+         _norm_sq(lam * pd.u0) / 2.0,
          "energy of the half-power corrector stays below |A u0|^2 / 2"),
     ]
     reports = [
-        _at_most(check_id, float(np.max(curve)), bound, slack * max(1.0, bound), note)
+        _at_most(check_id, float(np.max(curve)), bound,
+                 tol["inequality_slack"] * max(1.0, bound), note)
         for check_id, curve, bound, note in explicit
     ]
 
     # measured constants for the remainder correctors
     seminorms = {
-        1: _norm_sq(apply_power(pd.spec, 1.5, pd.u0)),
-        2: _norm_sq(apply_power(pd.spec, 0.5, pd.v1)),
+        1: _norm_sq(lam**1.5 * pd.u0),
+        2: _norm_sq(lam**0.5 * pd.v1),
     }
     for j, curve in enumerate(remainder_curves, start=1):
         rhs = seminorms[j]
@@ -494,17 +499,18 @@ def energy_inequality_checks(
 
 
 def explicit_sup_bound(
-    pd: ProblemData, grid: TimeGrid, slack: float = TOLERANCES["sup_bound_slack"]
+    pd: ProblemData, grid: TimeGrid, tol: dict = TOLERANCES
 ) -> CheckReport:
     """Explicit first-order bound: sup_t |u_eps - e^{-tA}u0| <=
-    eps|u1| + sqrt(eps) * (|A^{1/2}u0|^2 + 3 eps |u1|^2)^{1/2}.  The root is
-    taken as a hypot, which stays finite where the squares would overflow."""
+    eps|u1| + sqrt(eps) * (|A^{1/2}u0|^2 + 3 eps |u1|^2)^{1/2}, with the
+    absolute slack tol["sup_bound_slack"].  The root is taken as a hypot,
+    which stays finite where the squares would overflow."""
     sup = sup_norm_error(pd.solution, pd.parabolic, pd.sample_times(grid.times))
-    half, size = norm(apply_power(pd.spec, 0.5, pd.u0)), norm(pd.u1)
+    half, size = norm(pd.spec.eigenvalues**0.5 * pd.u0), norm(pd.u1)
     root = math.hypot(half, math.sqrt(3.0 * pd.eps) * size)
     bound = pd.eps * size + math.sqrt(pd.eps) * root
     return _at_most(
-        "bound.sup_error_explicit", sup, bound, slack,
+        "bound.sup_error_explicit", sup, bound, tol["sup_bound_slack"],
         "sup error of the first-order limit stays below the explicit "
         "eps |u1| + sqrt(eps) energy bound",
     )
@@ -512,11 +518,12 @@ def explicit_sup_bound(
 
 def _l2_bound_report(
     check_id: str, profile: ProfileFunction, grid: TimeGrid, bound: float,
-    slack: float, note: str, minus: ProfileFunction | None = None,
+    tol: dict, note: str, minus: ProfileFunction | None = None,
 ) -> CheckReport:
-    """int_0^inf |profile - minus|^2 dt <= bound; a grid too short to stand
-    in for infinity gives a FAIL whose note is the reason."""
-    tolerance = slack * max(1.0, bound)
+    """int_0^inf |profile - minus|^2 dt <= bound, with the slack
+    tol["inequality_slack"]; a grid too short to stand in for infinity gives
+    a FAIL whose note is the reason."""
+    tolerance = tol["inequality_slack"] * max(1.0, bound)
     try:
         # an integral that overflows is not finite, and _at_most FAILs it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -527,7 +534,7 @@ def _l2_bound_report(
 
 
 def l2_deviation_bounds(
-    pd: ProblemData, grid: TimeGrid, slack: float = TOLERANCES["inequality_slack"]
+    pd: ProblemData, grid: TimeGrid, tol: dict = TOLERANCES
 ) -> list[CheckReport]:
     """Squared-in-time bounds for the deviation from the smoothed flow.
 
@@ -539,17 +546,14 @@ def l2_deviation_bounds(
     certifies nothing and gives no record.
     """
     eps, spec = pd.eps, pd.spec
-    lam, u1 = spec.eigenvalues, pd.u1.coefficients
-    bound = (
-        2.0 * eps**2 * _norm_sq(apply_power(spec, 0.5, pd.u0))
-        + 7.0 * eps**3 * _norm_sq(pd.u1)
-    )
+    lam, u1 = spec.eigenvalues, pd.u1
+    bound = 2.0 * eps**2 * _norm_sq(lam**0.5 * pd.u0) + 7.0 * eps**3 * _norm_sq(u1)
     reports = [
         _l2_bound_report(
-            "bound.l2_deviation_constants_2_7", pd.solution, grid, bound, slack,
+            "bound.l2_deviation_constants_2_7", pd.solution, grid, bound, tol,
             "time-integrated squared deviation from the smoothed flow "
             "stays below 2 eps^2 |A^(1/2)u0|^2 + 7 eps^3 |u1|^2",
-            minus=kernel_profile(spec, pd.u0.coefficients + eps * u1, 0, 0.0),
+            minus=kernel_profile(spec, pd.u0 + eps * u1, 0, 0.0),
         )
     ]
     with np.errstate(over="ignore"):
@@ -567,7 +571,7 @@ def l2_deviation_bounds(
         reports.append(
             _l2_bound_report(
                 "bound.l2_semigroup_range_half", kernel_profile(spec, u1, 0, 0.0), grid,
-                _norm_sq(SpecVector(w1)) / 2.0, slack,
+                _norm_sq(w1) / 2.0, tol,
                 "semigroup integral of u1 in the half-power range "
                 "stays below |w1|^2 / 2",
             )
@@ -580,38 +584,39 @@ def l2_deviation_bounds(
 
 
 def byparts_convolution_bound(
-    pd: ProblemData, grid: TimeGrid, slack: float = TOLERANCES["inequality_slack"]
+    pd: ProblemData, grid: TimeGrid, tol: dict = TOLERANCES
 ) -> CheckReport:
     """Integrated-by-parts bound for the operator-weighted convolution:
-    sup_t |eps int_0^t e^{(s-t)/eps} A e^{-sA} v1 ds| <= eps^{3/2}/2 * |A^{1/2}v1|.
+    sup_t |eps int_0^t e^{(s-t)/eps} A e^{-sA} v1 ds| <= eps^{3/2}/2 * |A^{1/2}v1|,
+    with the slack tol["inequality_slack"].
 
     The convolution is exact per mode (ProblemData.weighted_convolution).
     """
     sup = _sup_norm(pd.weighted_convolution(grid.times))
-    bound = pd.eps**1.5 / 2.0 * norm(apply_power(pd.spec, 0.5, pd.v1))
+    bound = pd.eps**1.5 / 2.0 * norm(pd.spec.eigenvalues**0.5 * pd.v1)
     return _at_most(
-        "bound.byparts_convolution", sup, bound, slack * max(1.0, bound),
+        "bound.byparts_convolution", sup, bound,
+        tol["inequality_slack"] * max(1.0, bound),
         "operator-weighted convolution of the semigroup of v1 "
         "stays below eps^(3/2)/2 * |A^(1/2) v1|",
     )
 
 
 def inequality_checks(
-    pd: ProblemData, grid: TimeGrid, slack: float = TOLERANCES["inequality_slack"],
-    sup_slack: float = TOLERANCES["sup_bound_slack"],
+    pd: ProblemData, grid: TimeGrid, tol: dict = TOLERANCES
 ) -> list[CheckReport]:
     """The explicit-constant inequalities of one eps: the resolvent bound for
-    the initial data and the layer slope, the sup bound (with sup_slack),
-    and the L2 deviation and by-parts convolution bounds (with slack)."""
+    the initial data and the layer slope, the sup bound, and the L2
+    deviation and by-parts convolution bounds, each with its slack in tol."""
     return [
         # the f with the least margin; one that is not finite has margin -inf
         min(
             (resolvent_bound(pd.spec, pd.eps, f) for f in (pd.u0, pd.u1, pd.v1)),
             key=lambda r: r.margin,
         ),
-        explicit_sup_bound(pd, grid, slack=sup_slack),
-        *l2_deviation_bounds(pd, grid, slack=slack),
-        byparts_convolution_bound(pd, grid, slack=slack),
+        explicit_sup_bound(pd, grid, tol),
+        *l2_deviation_bounds(pd, grid, tol),
+        byparts_convolution_bound(pd, grid, tol),
     ]
 
 
@@ -679,7 +684,7 @@ def _duhamel_convolution(
 
 
 def duhamel_residual(
-    pd: ProblemData, grid: TimeGrid, tol: float = TOLERANCES["duhamel"]
+    pd: ProblemData, grid: TimeGrid, tol: dict = TOLERANCES
 ) -> list[CheckReport]:
     """Variation-of-constants representation of the second split component.
 
@@ -687,8 +692,8 @@ def duhamel_residual(
     convolution of the semigroup of v1 plus sqrt(eps) times the layer
     source, using panel-wise Gauss quadrature refined on the eps scale,
     and compares with the closed form, sampled on the problem's evaluation
-    table of grid.times.  The quadrature nodes are sampled once each, on
-    tables of their own.
+    table of grid.times, to tol["duhamel"] |v1|.  The quadrature nodes are
+    sampled once each, on tables of their own.
     """
     eps = pd.eps
     ts = grid.times
@@ -700,7 +705,8 @@ def duhamel_residual(
     residual = _sup_norm(closed - convo)
     return [
         _at_most(
-            "duhamel.representation", residual, 0.0, tol * max(norm(pd.v1), 1e-30),
+            "duhamel.representation", residual, 0.0,
+            tol["duhamel"] * max(norm(pd.v1), 1e-30),
             "second split component matches its exponentially weighted "
             "convolution representation (quadrature-limited tolerance)",
         )
@@ -712,7 +718,7 @@ def duhamel_residual(
 
 
 def max_reg_checks(
-    spec: Spectrum, f: SpecVector, grid: TimeGrid
+    spec: Spectrum, f: np.ndarray, grid: TimeGrid
 ) -> list[CheckReport]:
     """Behaviour of the dissipation functionals M_n on the grid.
 

@@ -9,7 +9,7 @@ import pytest
 
 from singlim.exppoly import ExpPoly
 from singlim.modes import ForcingTerm, ModeParams, rk_reference_path
-from singlim.spectral import SpecVector, Spectrum
+from singlim.spectral import Spectrum
 from singlim.profiles import ProblemData, ProfileFunction
 from singlim.timegrid import TimeGrid
 
@@ -34,15 +34,15 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def decay_vector(n: int, p: float = 2.0) -> SpecVector:
-    return SpecVector(np.array([(1.0 + i) ** (-p) for i in range(n)]))
+def decay_vector(n: int, p: float = 2.0) -> np.ndarray:
+    return np.array([(1.0 + i) ** (-p) for i in range(n)])
 
 
 def make_problem(lams, eps, p=2.0, il0=False) -> ProblemData:
     spec = Spectrum(np.array(lams, dtype=float))
     u0 = decay_vector(len(lams), p)
     if il0:
-        u1 = SpecVector(-spec.eigenvalues * u0.coefficients)
+        u1 = -spec.eigenvalues * u0
     else:
         u1 = decay_vector(len(lams), p)
     return ProblemData(spec, eps, u0, u1)
@@ -80,15 +80,15 @@ def oracle_at(p: ModeParams, f: ForcingTerm, t: float, tol: float):
 
 
 def weighted_kernel(
-    spec: Spectrum, t: float, n: int, m: float, f: SpecVector
-) -> SpecVector:
+    spec: Spectrum, t: float, n: int, m: float, f: np.ndarray
+) -> np.ndarray:
     """Reference weighted heat kernel t**n * A**m * e^{-tA} f, coefficientwise."""
     if t < 0:
         raise ValueError("kernel time must be nonnegative")
     if m < 0:
         raise ValueError("negative operator powers are not defined")
     lam = spec.eigenvalues
-    return SpecVector(t**n * lam**m * np.exp(-lam * t) * f.coefficients)
+    return t**n * lam**m * np.exp(-lam * t) * f
 
 
 def integral_to_infinity(poly: ExpPoly) -> float:

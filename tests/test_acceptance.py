@@ -12,9 +12,10 @@ import pytest
 
 from singlim.modes import rk_reference_path, solve_forced
 from singlim.profiles import ProblemData
-from singlim.spectral import SpecVector, Spectrum, norm
+from singlim.spectral import Spectrum, norm
 from singlim.timegrid import standard_grid
 from singlim.verification import (
+    TOLERANCES,
     byparts_convolution_bound,
     energy_inequality_checks,
     explicit_sup_bound,
@@ -47,7 +48,7 @@ def _problem(lams, eps, il0=False) -> ProblemData:
     spec = Spectrum(np.array(lams, dtype=float))
     u0 = decay_vector(len(lams), 2.0)
     if il0:
-        u1 = SpecVector(-spec.eigenvalues * u0.coefficients)
+        u1 = -spec.eigenvalues * u0
     else:
         u1 = decay_vector(len(lams), 2.0)
     return ProblemData(spec, eps, u0, u1)
@@ -65,7 +66,7 @@ def test_criterion_1_identity_suite():
         for eps in (1e-1, 1e-2, 1e-3):
             pd = _problem(lams, eps)
             grid = standard_grid([eps])
-            for report in identity_checks(pd, grid, tol=1e-8):
+            for report in identity_checks(pd, grid, dict(TOLERANCES, identity=1e-8)):
                 if not report.passed:
                     failures.append(f"{name}/eps={eps:g}/{report.check_id}")
     elapsed = time.time() - start
@@ -128,7 +129,7 @@ def test_criterion_4_rate_reproduction():
     spec = Spectrum(np.array(ACCEPTANCE_PRESETS["three-mode"]))
     u0 = decay_vector(3, 2.0)
     u1 = decay_vector(3, 2.0)
-    u1_compatible = SpecVector(-spec.eigenvalues * u0.coefficients)
+    u1_compatible = -spec.eigenvalues * u0
     eps_list = [10.0 ** (-1.0 - 0.5 * k) for k in range(7)]  # 1e-1 .. 1e-4
     grid = standard_grid(eps_list)
     failures = []

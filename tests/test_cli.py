@@ -131,7 +131,7 @@ class TestConfig:
             }
         )
         _, u0, _ = cfg.data()
-        np.testing.assert_allclose(u0.coefficients, [1.0, 0.25, 1.0 / 9.0], rtol=1e-15)
+        np.testing.assert_allclose(u0, [1.0, 0.25, 1.0 / 9.0], rtol=1e-15)
 
 
 class TestSimulate:
@@ -447,9 +447,9 @@ class TestRates:
         )
         spec, u0, u1 = cli._load_config(str(cfg)).data()
         pd = ProblemData(spec, 0.1, u0, u1)
-        assert pd.il0_satisfied and np.any(pd.v1.coefficients != 0.0)
+        assert pd.il0_satisfied and np.any(pd.v1 != 0.0)
         ts = np.linspace(0.0, 2.0, 41)
-        layer_free = pd.parabolic - profiles.kernel_profile(spec, u0.coefficients, 1, 2.0, 0.1)
+        layer_free = pd.parabolic - profiles.kernel_profile(spec, u0, 1, 2.0, 0.1)
         assert not np.array_equal(pd.main_expansion.sample(ts), layer_free.sample(ts))
         out = tmp_path / "out"
         assert main(["rates", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
@@ -516,6 +516,9 @@ class TestExitCodes:
             {"checks": ["identities", "identities"]},
             {"comparisons": ["order0_thm11i", "order0_thm11i"]},
             {"checks": []},
+            # (1+i)^2000 overflows a float; this once ended in an OverflowError
+            {"spectrum": "three-mode", "u0": {"family": "decay", "p": -2000},
+             "u1": [0.0, 0.0, 0.0]},
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, overrides):
@@ -565,6 +568,39 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("config error: ") and named in line
+
+    @pytest.mark.parametrize("name", ["u0", "u1"])
+    def test_decay_overflow_names_the_field(self, name):
+        config = ExperimentConfig.parse({
+            **BASE_CONFIG, "spectrum": "three-mode", "u0": [1.0, 1.0, 1.0],
+            "u1": [0.0, 0.0, 0.0], name: {"family": "decay", "p": -2000},
+        })
+        with pytest.raises(ConfigError, match=rf"{name}\.p = -2000"):
+            config.data()
+
+    # eigenvalues whose powers overflow: with checks "all" a derived vector
+    # once raised a ValueError, with ["data"] the data records' tolerance an
+    # OverflowError; the data records now FAIL with a reason.  numpy warns of
+    # the overflows, so the run is not under run_cli's -W error::RuntimeWarning.
+    @pytest.mark.parametrize("checks", ["all", ["data"]], ids=["all", "data"])
+    def test_overflowing_eigenvalue_powers_give_fail_records(self, tmp_path, checks):
+        cfg = write_config(
+            tmp_path, spectrum=[1e250, 1.0], u0=[1.0, 1.0], u1=[0.0, 0.0],
+            epsilons=[0.5], checks=checks,
+        )
+        out = tmp_path / "out"
+        result = subprocess.run(
+            [sys.executable, "-m", "singlim.cli", "verify", "--config", str(cfg),
+             "--out", str(out)],
+            capture_output=True, text=True, env=cli_env(),
+        )
+        assert result.returncode == EXIT_CHECK_FAILURE
+        assert "Traceback" not in result.stderr
+        records = {r["id"]: r for r in json.loads((out / "report.json").read_text())}
+        for j in (1, 2):
+            record = records[f"data.remainder{j}_initial[eps=0.5]"]
+            assert not record["pass"] and record["margin"] == -math.inf
+            assert record["note"].startswith("not finite: ")
 
     def test_config_file_that_is_not_text_is_a_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"

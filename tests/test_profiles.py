@@ -6,7 +6,7 @@ from mpmath import mp
 
 from singlim.profiles import ProblemData, kernel_profile, sample_together, squared_integrals
 import singlim.exppoly as exppoly
-from singlim.spectral import SpecVector, Spectrum, norm, resolvent
+from singlim.spectral import Spectrum, norm
 from singlim.timegrid import standard_grid
 
 from conftest import make_problem
@@ -26,8 +26,8 @@ class TestProblemData:
     def test_v1_derivation(self):
         pd = make_problem([0.0, 1.0, 4.0], 0.1)
         lam = pd.spec.eigenvalues
-        expected = lam * pd.u0.coefficients + pd.u1.coefficients
-        np.testing.assert_allclose(pd.v1.coefficients, expected, rtol=1e-15)
+        expected = lam * pd.u0 + pd.u1
+        np.testing.assert_allclose(pd.v1, expected, rtol=1e-15)
 
     def test_il0_flag(self):
         assert make_problem([0.0, 1.0, 4.0], 0.1, il0=True).il0_satisfied
@@ -35,18 +35,36 @@ class TestProblemData:
 
     def test_eps_range(self):
         spec = Spectrum(np.array([1.0]))
-        one = SpecVector(np.array([1.0]))
+        one = np.array([1.0])
         with pytest.raises(ValueError):
             ProblemData(spec, 0.0, one, one)
         with pytest.raises(ValueError):
             ProblemData(spec, 1.5, one, one)
+
+    @pytest.mark.parametrize("bad", [
+        [1.0, np.inf], [np.nan, 0.0], [1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], 1.0,
+    ], ids=["inf", "nan", "short", "long", "2-d", "scalar"])
+    @pytest.mark.parametrize("name", ["u0", "u1"])
+    def test_data_are_checked_and_read_only(self, name, bad):
+        spec = Spectrum(np.array([0.0, 4.0]))
+        data = {"u0": [1.0, 2.0], "u1": [3.0, -1.0]}
+        with pytest.raises(ValueError, match=f"{name} must hold one finite value"):
+            ProblemData(spec, 0.1, **{**data, name: bad})
+        given = np.array(data[name])
+        pd = ProblemData(spec, 0.1, **{**data, name: given})
+        given[0] = 7.0  # the problem keeps a copy
+        assert getattr(pd, name)[0] == data[name][0]
+        for vector in (pd.u0, pd.u1, pd.v1, pd.ju0, pd.ju1, pd.jv1):
+            assert vector.dtype == float and vector.shape == (2,)
+            with pytest.raises(ValueError):
+                vector[0] = 0.0
 
 
 class TestBasicProfiles:
     def test_kernel_mode_is_stationary(self):
         spec = Spectrum(np.array([0.0]))
         pd = ProblemData(
-            spec, 0.3, SpecVector(np.array([1.0])), SpecVector(np.array([0.0]))
+            spec, 0.3, np.array([1.0]), np.array([0.0])
         )
         u = pd.solution
         for t in (0.0, 0.5, 7.0):
@@ -55,7 +73,7 @@ class TestBasicProfiles:
     def test_critical_mode_value(self):
         spec = Spectrum(np.array([1.0]))
         pd = ProblemData(
-            spec, 0.25, SpecVector(np.array([1.0])), SpecVector(np.array([0.0]))
+            spec, 0.25, np.array([1.0]), np.array([0.0])
         )
         assert at(pd.solution, 1.0)[0] == pytest.approx(
             3.0 * math.exp(-2.0), rel=1e-14
@@ -70,10 +88,10 @@ class TestBasicProfiles:
     def test_layer_values(self):
         spec = Spectrum(np.array([0.0]))
         pd = ProblemData(
-            spec, 0.1, SpecVector(np.array([0.0])), SpecVector(np.array([1.0]))
+            spec, 0.1, np.array([0.0]), np.array([1.0])
         )  # v1 = (1,)
         theta = pd.theta
-        assert norm(SpecVector(at(theta, 0.0))) == 0.0
+        assert norm(at(theta, 0.0)) == 0.0
         assert at(theta, 0.2)[0] == pytest.approx(
             0.1 * (1.0 - math.exp(-2.0)), rel=1e-14
         )
@@ -88,7 +106,7 @@ class TestBasicProfiles:
         pd = make_problem([0.0, 1.0, 4.0], 0.05)
         theta = pd.theta
         np.testing.assert_allclose(
-            at(theta.deriv(), 0.0), pd.v1.coefficients, rtol=1e-13
+            at(theta.deriv(), 0.0), pd.v1, rtol=1e-13
         )
 
     def test_layer_solves_relaxation_equation(self):
@@ -105,13 +123,13 @@ class TestExpansionProfiles:
         pd = make_problem([0.0, 1.0, 4.0], 0.01)
         p = pd.main_expansion
         np.testing.assert_allclose(
-            at(p, 0.0), pd.u0.coefficients, atol=1e-15
+            at(p, 0.0), pd.u0, atol=1e-15
         )
 
     def test_single_mode_value(self):
         spec = Spectrum(np.array([1.0]))
         pd = ProblemData(
-            spec, 0.01, SpecVector(np.array([1.0])), SpecVector(np.array([0.0]))
+            spec, 0.01, np.array([1.0]), np.array([0.0])
         )
         expected = math.exp(-1.0) + 0.01 * (
             math.exp(-1.0) - math.exp(-1.0) - math.exp(-100.0)
@@ -124,7 +142,7 @@ class TestExpansionProfiles:
         pd = make_problem([1.0, 4.0], 0.01, il0=True)
         p = pd.main_expansion
         expected = pd.parabolic - kernel_profile(
-            pd.spec, pd.u0.coefficients, 1, 2.0, pd.eps
+            pd.spec, pd.u0, 1, 2.0, pd.eps
         )
         ts = np.linspace(0.0, 5.0, 21)
         assert max_gap(p, expected, ts) <= 1e-15
@@ -133,13 +151,13 @@ class TestExpansionProfiles:
         pd = make_problem([1.0, 4.0], 0.01, il0=True)
         d = pd.derivative_expansion
         np.testing.assert_allclose(
-            at(d, 0.0), pd.u1.coefficients, atol=1e-14
+            at(d, 0.0), pd.u1, atol=1e-14
         )
 
     def test_derivative_profile_kernel_only(self):
         spec = Spectrum(np.array([0.0, 0.0]))
         pd = ProblemData(
-            spec, 0.1, SpecVector(np.array([1.0, 2.0])), SpecVector(np.zeros(2))
+            spec, 0.1, np.array([1.0, 2.0]), np.zeros(2)
         )
         d = pd.derivative_expansion
         ts = np.linspace(0.0, 3.0, 7)
@@ -168,7 +186,7 @@ class TestSplit:
     def test_zero_u0_kills_first(self):
         spec = Spectrum(np.array([1.0, 2.0]))
         pd = ProblemData(
-            spec, 0.1, SpecVector(np.zeros(2)), SpecVector(np.array([1.0, -1.0]))
+            spec, 0.1, np.zeros(2), np.array([1.0, -1.0])
         )
         a, _ = pd.splits
         ts = np.linspace(0.0, 5.0, 11)
@@ -178,7 +196,7 @@ class TestSplit:
 class TestCorrectors:
     def test_zero_data_gives_zero_correctors(self):
         spec = Spectrum(np.array([1.0, 4.0]))
-        zero = SpecVector(np.zeros(2))
+        zero = np.zeros(2)
         pd = ProblemData(spec, 0.1, zero, zero)
         ts = np.linspace(0.0, 4.0, 9)
         assert np.max(np.abs(pd.corrector_primary.sample(ts))) == 0.0
@@ -189,9 +207,9 @@ class TestCorrectors:
     def test_primary_identity(self):
         pd = make_problem([1.0], 0.1, p=0.0)
         ts = standard_grid([pd.eps]).times
-        ju1 = resolvent(pd.spec, pd.eps, pd.u1)
+        ju1 = pd.ju1
         smoothed = kernel_profile(
-            pd.spec, pd.u0.coefficients + pd.eps * ju1.coefficients, 0, 0.0
+            pd.spec, pd.u0 + pd.eps * ju1, 0, 0.0
         )
         gap = max_gap(
             pd.solution,
@@ -203,12 +221,12 @@ class TestCorrectors:
     def test_primary_identity_kernel_mode(self):
         spec = Spectrum(np.array([0.0]))
         pd = ProblemData(
-            spec, 0.2, SpecVector(np.array([0.5])), SpecVector(np.array([2.0]))
+            spec, 0.2, np.array([0.5]), np.array([2.0])
         )
         ts = standard_grid([pd.eps]).times
         smoothed = kernel_profile(
             spec,
-            pd.u0.coefficients + pd.eps * pd.u1.coefficients,
+            pd.u0 + pd.eps * pd.u1,
             0,
             0.0,
         )
@@ -233,17 +251,17 @@ class TestCorrectors:
         pd = make_problem([1.0], 0.1)
         ts = standard_grid([pd.eps]).times
         u_one, u_two = pd.splits
-        ju0 = resolvent(pd.spec, pd.eps, pd.u0)
+        ju0 = pd.ju0
         gap1 = max_gap(
             u_one,
-            kernel_profile(pd.spec, ju0.coefficients, 0, 0.0)
+            kernel_profile(pd.spec, ju0, 0, 0.0)
             + pd.split_correctors[0].deriv().scale(pd.eps),
             ts,
         )
-        jv1 = resolvent(pd.spec, pd.eps, pd.v1)
+        jv1 = pd.jv1
         gap2 = max_gap(
             u_two,
-            kernel_profile(pd.spec, jv1.coefficients, 0, 0.0).scale(pd.eps)
+            kernel_profile(pd.spec, jv1, 0, 0.0).scale(pd.eps)
             + pd.split_correctors[1].deriv().scale(pd.eps),
             ts,
         )
@@ -252,8 +270,8 @@ class TestCorrectors:
     def test_profile_part_initial_values(self):
         pd = make_problem([0.0, 1.0, 4.0], 0.1)
         lam = pd.spec.eigenvalues
-        ju0 = resolvent(pd.spec, pd.eps, pd.u0).coefficients
-        jv1 = resolvent(pd.spec, pd.eps, pd.v1).coefficients
+        ju0 = pd.ju0
+        jv1 = pd.jv1
         v1p = pd.corrector_profiles[0]
         np.testing.assert_allclose(
             at(v1p, 0.0), 2.0 * pd.eps * lam * ju0, rtol=1e-14
@@ -267,7 +285,7 @@ class TestCorrectors:
         # analytic second derivative must equal the displayed kernel form
         pd = make_problem([1.0], 0.1, p=0.0)
         lam = pd.spec.eigenvalues
-        ju0 = resolvent(pd.spec, pd.eps, pd.u0).coefficients
+        ju0 = pd.ju0
         d2 = pd.corrector_profiles[0].deriv().deriv()
         expected = kernel_profile(
             pd.spec, (pd.eps * lam - 1.0) * ju0, 0, 2.0, 2.0
@@ -278,7 +296,7 @@ class TestCorrectors:
     def test_profile_part_kernel_mode_vanishes_j1(self):
         spec = Spectrum(np.array([0.0]))
         pd = ProblemData(
-            spec, 0.1, SpecVector(np.array([1.0])), SpecVector(np.array([0.0]))
+            spec, 0.1, np.array([1.0]), np.array([0.0])
         )
         ts = np.linspace(0.0, 3.0, 7)
         assert np.max(np.abs(pd.corrector_profiles[0].sample(ts))) == 0.0
@@ -296,7 +314,7 @@ class TestRemainders:
     def test_zero_u0_gives_zero_first_remainder(self):
         spec = Spectrum(np.array([1.0, 4.0]))
         pd = ProblemData(
-            spec, 0.1, SpecVector(np.zeros(2)), SpecVector(np.array([1.0, 0.5]))
+            spec, 0.1, np.zeros(2), np.array([1.0, 0.5])
         )
         rem = pd.remainders[0]
         ts = np.linspace(0.0, 4.0, 9)
@@ -306,7 +324,7 @@ class TestRemainders:
         pd = make_problem([0.0, 1.0, 4.0], 0.1)
         rem = pd.remainders[1]
         lam = pd.spec.eigenvalues
-        jv1 = resolvent(pd.spec, pd.eps, pd.v1).coefficients
+        jv1 = pd.jv1
         np.testing.assert_allclose(at(rem, 0.0), jv1, atol=1e-12)
         np.testing.assert_allclose(
             at(rem.deriv(), 0.0), -2.0 * lam * jv1, atol=1e-12
@@ -317,7 +335,7 @@ class TestRemainders:
         pd = make_problem([1.0, 4.0], 0.1)
         rem = pd.remainders[0]
         lam = pd.spec.eigenvalues
-        ju0 = resolvent(pd.spec, pd.eps, pd.u0).coefficients
+        ju0 = pd.ju0
         np.testing.assert_allclose(
             at(rem.deriv(), 0.0), +2.0 * lam**2 * ju0, rtol=1e-10
         )
@@ -413,7 +431,7 @@ class TestSmallEpsReference:
     def test_remainder_matches_50_digit_reference(self, eps, j):
         pd = make_problem([0.0, 1.0, 4.0], eps)
         lam = pd.spec.eigenvalues
-        u0, u1 = pd.u0.coefficients, pd.u1.coefficients
+        u0, u1 = pd.u0, pd.u1
         ts = _layer_times(eps)
         got = pd.remainders[j - 1].sample(ts)
         want = _mp_table(ts, lambda i, t: _remainder_mp(eps, lam[i], u0[i], u1[i], j, t))
@@ -429,7 +447,7 @@ class TestSmallEpsReference:
     def test_exact_solution_slope_matches_50_digits(self, eps):
         pd = make_problem([0.0, 1.0, 4.0], eps)
         lam = pd.spec.eigenvalues
-        u0, u1 = pd.u0.coefficients, pd.u1.coefficients
+        u0, u1 = pd.u0, pd.u1
         ts = _layer_times(eps)
         got = pd.solution.deriv().sample(ts)
         want = _mp_table(
@@ -447,7 +465,7 @@ class TestSmallEpsReference:
     def test_remainder_slope_matches_50_digit_reference(self, eps, j):
         pd = make_problem([0.0, 1.0, 4.0], eps)
         lam = pd.spec.eigenvalues
-        u0, u1 = pd.u0.coefficients, pd.u1.coefficients
+        u0, u1 = pd.u0, pd.u1
         ts = _layer_times(eps)
         got = pd.remainders[j - 1].deriv().sample(ts)
         want = _mp_table(
@@ -470,7 +488,7 @@ class TestLayerSource:
         _, u_two = pd.splits
         lhs = u_two.deriv().scale(pd.eps) + u_two
         source = pd.layer_source
-        rhs = kernel_profile(pd.spec, pd.v1.coefficients, 0, 0.0).scale(
+        rhs = kernel_profile(pd.spec, pd.v1, 0, 0.0).scale(
             pd.eps
         ) + source.scale(pd.eps**1.5)
         assert max_gap(lhs, rhs, ts) <= 1e-9 * pd.data_scale

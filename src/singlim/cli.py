@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .profiles import ProblemData, sample_together
-from .spectral import Spectrum, norm, sample_norms
+from .profiles import ProblemData, norms_together
+from .spectral import Spectrum, norm
 from .timegrid import TimeGrid, standard_grid
 from .verification import (
     COMPARISONS,
@@ -81,6 +81,15 @@ def _csv(header: str, columns) -> str:
 # check groups
 
 
+def _timed(timings: dict[str, float], name: str, run):
+    """run(), with its wall time in seconds stored as timings[name]: the
+    stage timings of manifest.json."""
+    start = time.perf_counter()
+    result = run()
+    timings[name] = time.perf_counter() - start
+    return result
+
+
 # Every check group, in config order; maxreg and rates run once, after every eps.
 CHECK_GROUPS = ("identities", "data", "inequalities", "energy", "maxreg", "duhamel", "rates")
 
@@ -109,29 +118,24 @@ def _run_checks(config: ExperimentConfig) -> tuple[list[CheckReport], dict[str, 
                       "data": remainder_data_checks, "inequalities": inequality_checks,
                       "duhamel": duhamel_residual}
 
-    def timed(name: str, run):
-        start = time.perf_counter()
-        result = run()
-        timings[name] = time.perf_counter() - start
-        return result
-
     per_eps = []  # (eps, its rate errors)
     for eps in config["epsilons"]:
         pd, grid = ProblemData(spec, eps, u0, u1), config.time_grid([eps])
         tag = f"[eps={eps:g}]"
         for name, group in per_eps_groups.items():
             if name in checks:
-                for report in timed(name + tag, lambda: group(pd, grid, tol)):
+                for report in _timed(timings, name + tag, lambda: group(pd, grid, tol)):
                     report.check_id += tag
                     reports.append(report)
         if sampled:
-            errors = timed("rates" + tag, lambda: rate_errors(pd, comparisons, run_grid.times))
+            errors = _timed(timings, "rates" + tag,
+                            lambda: rate_errors(pd, comparisons, run_grid.times))
             per_eps.append((eps, errors))
     if "maxreg" in checks:
         f = u0 if norm(u0) > 0 else u1
-        reports += timed("maxreg", lambda: max_reg_checks(spec, f, run_grid))
+        reports += _timed(timings, "maxreg", lambda: max_reg_checks(spec, f, run_grid))
     if "rates" in checks:
-        reports += timed("rates", lambda: rate_checks(per_eps, comparisons))
+        reports += _timed(timings, "rates", lambda: rate_checks(per_eps, comparisons))
     reports.sort(key=lambda r: r.check_id)
     return reports, timings
 
@@ -418,35 +422,38 @@ def _write_outputs(out_dir: Path, files, config: ExperimentConfig, timings=None)
 # subcommands
 
 
+def _trajectory_norms(pd: ProblemData, ts: np.ndarray) -> list[np.ndarray]:
+    """The norms of simulate's columns at the times ts: the solution u, the
+    parabolic profile v and the layer theta, then the errors u - v,
+    u - (v + theta) and u - (the second-order expansion), all from one
+    norms_together call."""
+    return norms_together(
+        (pd.solution, pd.parabolic, pd.theta, pd.main_expansion), ts,
+        lambda i, s: [s[0], s[1], s[2], s[0] - s[1], s[0] - (s[1] + s[2]), s[0] - s[3]],
+    )
+
+
 def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
     """Trajectory norms and profile errors, one CSV per eps, each written as
-    soon as it is made.
-
-    Per eps the solution, the parabolic profile, the layer and the
-    second-order expansion are sampled together in one sample_together call.
-    """
+    soon as it is made.  The manifest's timings give, per eps, the time of
+    the norms (norms[eps=...]) and of formatting and writing the CSV
+    (csv[eps=...])."""
     spec, u0, u1 = config.data()
+    timings: dict[str, float] = {}
 
     def trajectories():
         for eps in config["epsilons"]:
+            tag = f"[eps={eps:g}]"
             pd = ProblemData(spec, eps, u0, u1)
             ts = config.time_grid([eps]).times
-            su, sv, sth, sexp = sample_together(
-                (pd.solution, pd.parabolic, pd.theta, pd.main_expansion), ts
-            )
-            # every sample and difference is squared in place, after its last use
-            errors = [
-                sample_norms(su - sv),
-                sample_norms(su - (sv + sth)),
-                sample_norms(su - sexp),
-            ]
-            sizes = [sample_norms(x) for x in (su, sv, sth)]
-            columns = [ts] + sizes + errors
-            del su, sv, sth, sexp  # free this eps's samples before the next are made
+            norms = _timed(timings, "norms" + tag, lambda: _trajectory_norms(pd, ts))
+            start = time.perf_counter()
             header = "t,norm_u,norm_v,norm_theta,err_order0,err_theta,err_order2"
-            yield f"trajectory_eps{eps:g}.csv", _csv(header, columns)
+            yield f"trajectory_eps{eps:g}.csv", _csv(header, [ts, *norms])
+            # resumed once the file is written
+            timings["csv" + tag] = time.perf_counter() - start
 
-    _write_outputs(out_dir, trajectories(), config)
+    _write_outputs(out_dir, trajectories(), config, timings)
     return EXIT_OK
 
 
@@ -467,15 +474,21 @@ def cmd_verify(config: ExperimentConfig, out_dir: Path | None) -> int:
 def cmd_rates(config: ExperimentConfig, out_dir: Path) -> int:
     """One eps sweep for every comparison: two-column CSVs plus fitted rates.
     Each eps's problem is built in turn, and its exact solution is sampled
-    once for all the comparisons (rate_errors)."""
+    once for all the comparisons (rate_errors).  The manifest's timings
+    name the stages as verify does: each eps's rate errors as
+    rates[eps=...], then the fits as rates."""
     epsilons, comparisons = config["epsilons"], config["comparisons"]
     if len(epsilons) < 3:
         raise ConfigError("rates need at least 3 eps values")
     spec, u0, u1 = config.data()
     ts = config.time_grid(epsilons).times
-    problems = (ProblemData(spec, eps, u0, u1) for eps in epsilons)  # one at a time
-    per_eps = [(pd.eps, rate_errors(pd, comparisons, ts)) for pd in problems]
-    results = run_rate_experiment(per_eps, comparisons)
+    timings: dict[str, float] = {}
+    per_eps = []
+    for eps in epsilons:
+        pd = ProblemData(spec, eps, u0, u1)  # one problem at a time
+        errors = _timed(timings, f"rates[eps={eps:g}]", lambda: rate_errors(pd, comparisons, ts))
+        per_eps.append((eps, errors))
+    results = _timed(timings, "rates", lambda: run_rate_experiment(per_eps, comparisons))
     files: dict[str, str] = {}
     fits = []
     for comp, result in results.items():
@@ -495,7 +508,7 @@ def cmd_rates(config: ExperimentConfig, out_dir: Path) -> int:
         )
     files["report.json"] = json.dumps(fits, indent=2) + "\n"
     # written once all are made, so that a failed fit above writes nothing
-    _write_outputs(out_dir, files.items(), config)
+    _write_outputs(out_dir, files.items(), config, timings)
     return EXIT_OK
 
 

@@ -3,7 +3,9 @@
 Every profile is stored per eigenmode as an exponential polynomial, so
 values, derivatives, and time integrals are all analytic.  Above exppoly
 and modes only this module sees that form: callers sample through
-sample_together and integrate squares through squared_integrals.  Besides
+sample_together, take norms at each time through norms_together and
+squared_norms_together, which reduce the values mode by mode, and
+integrate squares through squared_integrals.  Besides
 the exact solution and the first-order limit it builds the initial layer,
 the second-order expansion profiles, the two-way splitting of the
 solution, and the ladder of corrector functions whose decomposition
@@ -25,14 +27,20 @@ import numpy as np
 
 from .exppoly import ExpPoly, SampleTimes, accumulate, divided_difference_exp, integrate
 from .modes import ForcingTerm, ModeParams, solve_forced
-from .spectral import Spectrum, norm
+from .spectral import Spectrum, norm, sample_norms
 
-__all__ = ["ProblemData", "ProfileFunction", "sample_together", "squared_integrals",
-           "kernel_profile"]
+__all__ = ["ProblemData", "ProfileFunction", "sample_together", "squared_norms_together",
+           "norms_together", "squared_integrals", "kernel_profile"]
 
 # Tolerance deciding whether the data satisfies the compatibility condition
 # v1 = A u0 + u1 = 0 (which switches off the initial layer).
 _IL0_TOL = 1e-12
+
+# _OVERFLOW: a coefficient made of a power of a large eigenvalue (lam**2 at
+# lam = 1e250) overflows to inf, and an inf coefficient times 0 reads NaN.
+# Where such coefficients are made and combined, numpy's overflow and
+# invalid-value warnings are off: the records their values enter are not
+# finite, and FAIL with that reason.
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -138,7 +146,8 @@ class ProblemData:
         eps lam v1 exp[-lam, -1/eps](t) per mode, exact."""
         eps, lam = self.eps, self.spec.eigenvalues
         kernels = [divided_difference_exp((-l, -1.0 / eps), ts).real for l in lam]
-        return eps * lam * self.v1 * np.stack(kernels, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # see _OVERFLOW
+            return eps * lam * self.v1 * np.stack(kernels, axis=1)
 
     @cached_property
     def theta(self) -> ProfileFunction:
@@ -186,11 +195,12 @@ class ProblemData:
         the homogeneous solution).  Every solved profile is built here."""
         lam = self.spec.eigenvalues
         a, b = np.broadcast_to(a, lam.shape), np.broadcast_to(b, lam.shape)
-        return ProfileFunction(self.spec, tuple(
-            solve_forced(ModeParams(self.eps, lam[i], data0[i], data1[i]),
-                         ForcingTerm(a[i], b[i], lam[i])).poly
-            for i in range(len(lam))
-        ))
+        with np.errstate(over="ignore", invalid="ignore"):  # see _OVERFLOW
+            return ProfileFunction(self.spec, tuple(
+                solve_forced(ModeParams(self.eps, lam[i], data0[i], data1[i]),
+                             ForcingTerm(a[i], b[i], lam[i])).poly
+                for i in range(len(lam))
+            ))
 
     @cached_property
     def corrector_primary(self) -> ProfileFunction:
@@ -205,7 +215,8 @@ class ProblemData:
         """Corrector entering through a half power of the operator: the first
         split component equals e^{-tA}u0 + eps * A^{1/2} * (this profile)."""
         zeros = np.zeros(len(self.spec))
-        a = -(self.spec.eigenvalues**1.5) * self.u0
+        with np.errstate(over="ignore"):  # see _OVERFLOW
+            a = -(self.spec.eigenvalues**1.5) * self.u0
         return self._solved(zeros, zeros, a)
 
     @cached_property
@@ -222,10 +233,11 @@ class ProblemData:
         """Split corrector j's explicit part (c0 + c1 t) e^{-tA} and the initial
         data (w(0), w'(0)) of its remainder, as ((c0, c1), (w0, w1)) per mode."""
         eps, lam, ju0, jv1 = self.eps, self.spec.eigenvalues, self.ju0, self.jv1
-        return (
-            ((2 * eps * lam * ju0, lam * ju0), (-lam * ju0, 2.0 * lam**2 * ju0)),
-            ((-2 * eps * jv1, eps * lam * jv1), (jv1, -2.0 * lam * jv1)),
-        )
+        with np.errstate(over="ignore"):  # see _OVERFLOW
+            return (
+                ((2 * eps * lam * ju0, lam * ju0), (-lam * ju0, 2.0 * lam**2 * ju0)),
+                ((-2 * eps * jv1, eps * lam * jv1), (jv1, -2.0 * lam * jv1)),
+            )
 
     @cached_property
     def corrector_profiles(self) -> tuple[ProfileFunction, ProfileFunction]:
@@ -250,10 +262,11 @@ class ProblemData:
         leave unit roundoff / eps in it; identity_checks compares the two.
         """
         lam = self.spec.eigenvalues
-        return tuple(
-            self._solved(w0, w1, 2.0 * lam * c1 - lam**2 * c0, -(lam**2) * c1)
-            for (c0, c1), (w0, w1) in self._split_parts
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # see _OVERFLOW
+            return tuple(
+                self._solved(w0, w1, 2.0 * lam * c1 - lam**2 * c0, -(lam**2) * c1)
+                for (c0, c1), (w0, w1) in self._split_parts
+            )
 
     @cached_property
     def layer_source(self) -> ProfileFunction:
@@ -287,64 +300,136 @@ class ProfileFunction:
         return np.array([m.coefficient_scale() for m in self.modes])
 
     def deriv(self) -> "ProfileFunction":
-        return ProfileFunction(self.spectrum, tuple(m.derivative() for m in self.modes))
+        return self._new(m.derivative() for m in self.modes)
 
     def __add__(self, other: "ProfileFunction") -> "ProfileFunction":
         self._check(other)
-        return ProfileFunction(
-            self.spectrum, tuple(a + b for a, b in zip(self.modes, other.modes))
-        )
+        return self._new(a + b for a, b in zip(self.modes, other.modes))
 
     def __sub__(self, other: "ProfileFunction") -> "ProfileFunction":
         return self + other.scale(-1.0)
 
     def scale(self, alpha: float) -> "ProfileFunction":
-        return ProfileFunction(self.spectrum, tuple(m.scale(alpha) for m in self.modes))
+        return self._new(m.scale(alpha) for m in self.modes)
 
     def operator_power(self, s: float) -> "ProfileFunction":
         """Apply a fractional operator power mode by mode."""
         if s < 0:
             raise ValueError("negative operator powers are not defined")
         lam = self.spectrum.eigenvalues
-        return ProfileFunction(
-            self.spectrum,
-            tuple(m.scale(lam[i] ** s) for i, m in enumerate(self.modes)),
-        )
+        return self._new(m.scale(lam[i] ** s) for i, m in enumerate(self.modes))
+
+    def _new(self, modes) -> "ProfileFunction":
+        """The profile of these modes on this spectrum (see _OVERFLOW)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ProfileFunction(self.spectrum, tuple(modes))
 
     def _check(self, other: "ProfileFunction") -> None:
         if len(self.modes) != len(other.modes):
             raise ValueError("profiles live on different spectra")
 
 
-def sample_together(profiles, ts) -> list[np.ndarray]:
-    """[p.sample(ts) for p in profiles], for profiles on one spectrum; ts is
-    an array of times, or the evaluation table of one array
-    (ProblemData.sample_times).
+def _each_mode(profiles, ts, rows, take=None) -> None:
+    """For each mode i in order, add mode i of every profile at ts into
+    rows(i), one zeroed row per profile, then call take(i, rows(i)) if
+    given.
 
-    Each profile is sampled into a zeroed mode-major (n_modes, n_times)
-    buffer, returned as its transposed (n_times, n_modes) view.  Mode by
-    mode, exppoly.accumulate adds the modes' terms into their rows in
-    place, taking the exponentials, powers and divided differences from
-    one table, so a rate the profiles have in common, or its conjugate, is
-    evaluated once; the live times of each decay rate are found once for
-    all modes.  A table handed in keeps every value for the next call it
-    is handed to.  An array gets a table of this call's own, which keeps
-    one mode's values at a time: the modes share few rates, and holding
-    all of them would only add to the call's peak memory.  Each value is
-    the real termwise sum of its mode's terms, the same bit for bit as
-    sampling the profiles one by one, with a fresh table or a shared one.
+    ts is an array of times, or the evaluation table of one array
+    (ProblemData.sample_times).  Mode by mode, exppoly.accumulate adds the
+    modes' terms into the rows in place, taking the exponentials, powers
+    and divided differences from one table, so a rate the profiles have in
+    common, or its conjugate, is evaluated once; the live times of each
+    decay rate are found once for all modes.  A table handed in keeps every
+    value for the next call it is handed to.  An array gets a table of this
+    call's own, which keeps one mode's values at a time: the modes share
+    few rates, and holding all of them would only add to the call's peak
+    memory.  Each value is the real termwise sum of its mode's terms, the
+    same bit for bit as evaluating the profiles one by one, with a fresh
+    table or a shared one.  A coefficient that overflowed to inf reads
+    inf * 0 = NaN where its power of t or its divided difference is 0, so
+    the loop, take included, runs with numpy's invalid-value warning off:
+    the records such values enter FAIL as not finite.
     """
     for p in profiles[1:]:
         profiles[0]._check(p)
     own = not isinstance(ts, SampleTimes)
     times = SampleTimes(np.asarray(ts, dtype=float).reshape(-1)) if own else ts
-    buffers = [np.zeros((len(p.modes), times.t.size)) for p in profiles]
-    for i, modes in enumerate(zip(*(p.modes for p in profiles))):
-        accumulate(modes, times, [buffer[i] for buffer in buffers])
-        if own:
-            for values in (times.exps, times.powers, times.diffs):
-                values.clear()
-    return [buffer.T for buffer in buffers]
+    with np.errstate(invalid="ignore"):
+        for i, modes in enumerate(zip(*(p.modes for p in profiles))):
+            values = rows(i)
+            accumulate(modes, times, values)
+            if own:
+                for kept in (times.exps, times.powers, times.diffs):
+                    kept.clear()
+            if take is not None:
+                take(i, values)
+
+
+def _size(ts) -> int:
+    """The number of times in ts, an array of times or its table."""
+    return (ts.t if isinstance(ts, SampleTimes) else np.asarray(ts)).size
+
+
+def sample_together(profiles, ts) -> list[np.ndarray]:
+    """[p.sample(ts) for p in profiles], for profiles on one spectrum, ts as
+    _each_mode takes it: each profile is evaluated into a zeroed mode-major
+    (n_modes, n_times) array, mode by mode, and returned as its transposed
+    (n_times, n_modes) view.  Callers that need a norm of the values at
+    each time take norms_together or squared_norms_together instead, which
+    hold no such array."""
+    samples = [np.zeros((len(p.modes), _size(ts))) for p in profiles]
+    _each_mode(profiles, ts, lambda i: [sample[i] for sample in samples])
+    return [sample.T for sample in samples]
+
+
+def _rows(i, values):
+    return values
+
+
+def squared_norms_together(profiles, ts, combine=_rows) -> list[np.ndarray]:
+    """|x(t)|^2 at each time of ts for each vector x that combine makes of
+    the profiles, with ts as _each_mode takes it.
+
+    Each mode is evaluated into one reused (n_profiles, n_times) buffer.
+    combine(i, values) gets values[j], profile j's samples of the modes i,
+    and returns the samples of each x at those modes: by default the
+    profiles themselves, or differences such as values[0] - values[1].  An
+    array of per-mode columns enters as column i, array[:, i].  The squares
+    are added mode by mode, into one total per x, so no (n_times, n_modes)
+    array is made, and each total has the bits of spectral.squared_norms
+    of the samples of x."""
+    buffer = np.empty((len(profiles), _size(ts)))
+    totals = []
+
+    def zeroed(i):
+        buffer.fill(0.0)
+        return buffer
+
+    def add(i, values):
+        xs = combine(i, values)
+        if i == 0:
+            totals.extend(np.zeros(x.shape) for x in xs)
+        for total, x in zip(totals, xs):
+            total += x * x
+
+    _each_mode(profiles, ts, zeroed, add)
+    return totals
+
+
+def norms_together(profiles, ts, combine=_rows) -> list[np.ndarray]:
+    """|x(t)| at each time of ts for each x that combine makes of the
+    profiles (see squared_norms_together), with the bits of
+    spectral.sample_norms of the samples of x: the square roots of the
+    mode by mode sums, which is what sample_norms keeps at every time whose
+    sum is finite.  Only if some sum reads inf (squares of samples above
+    about 1e154 overflow) are the profiles sampled whole, by
+    sample_together, and combine(slice(None), samples) gets every mode of
+    every profile at once, for sample_norms to rescale those times."""
+    with np.errstate(over="ignore"):  # a sum that overflows is taken again below
+        totals = squared_norms_together(profiles, ts, combine)
+    if not any(np.isinf(total).any() for total in totals):
+        return [np.sqrt(total) for total in totals]
+    return [sample_norms(x) for x in combine(slice(None), sample_together(profiles, ts))]
 
 
 def squared_integrals(profiles, ts, weight_power: int = 0) -> list[np.ndarray]:
@@ -373,4 +458,5 @@ def _explicit(spec: Spectrum, terms) -> ProfileFunction:
     of terms(i) = [(k, mu, c), ...].  Every profile written out in closed
     form is built here; each coefficient keeps its per-mode scalar form,
     since a vectorized lam**m can differ from lam[i]**m in the last bit."""
-    return ProfileFunction(spec, tuple(ExpPoly.build(terms(i)) for i in range(len(spec))))
+    with np.errstate(over="ignore", invalid="ignore"):  # see _OVERFLOW
+        return ProfileFunction(spec, tuple(ExpPoly.build(terms(i)) for i in range(len(spec))))

@@ -64,34 +64,34 @@ def norm(f: np.ndarray) -> float:
 
 
 def squared_norms(samples: np.ndarray) -> np.ndarray:
-    """|x(t)|^2 for each time of samples (n_times, n_modes): the squares
-    added over the modes one mode at a time, in mode order, whatever the
-    memory layout.  The samples are squared in place, so no second wide
-    array is made: callers pass a buffer they own and no longer need."""
-    samples *= samples
+    """|x(t)|^2 for each time of samples (n_times, n_modes), which are left
+    as they are: the squares added over the modes one mode at a time, in
+    mode order, whatever the memory layout.  profiles.squared_norms_together
+    adds the same squares as each mode is evaluated, with the same bits."""
     total = np.zeros(samples.shape[0])
     for column in samples.T:
-        total += column
+        total += column * column
     return total
 
 
 def sample_norms(samples: np.ndarray) -> np.ndarray:
-    """|x(t)| at each time of samples (n_times, n_modes), which are squared
-    in place (squared_norms).  A time whose sum of squares overflows is
-    taken again of its samples over their largest entry max|x_i| and scaled
-    back, max|x_i| * |x / max|x_i||, so a finite norm reads finite and one
-    above the float range reads inf; the other times keep their bits.  Only
-    when some sample is large enough to overflow a sum are its rows found
-    and copied."""
+    """|x(t)| at each time of samples (n_times, n_modes), which are left as
+    they are: the square roots of squared_norms, except at a time whose sum
+    of squares overflows.  That time is taken again of its samples over
+    their largest entry max|x_i| and scaled back, max|x_i| * |x / max|x_i||,
+    so a finite norm reads finite and one above the float range reads inf;
+    the other times keep their bits.  Only when some sample is large enough
+    to overflow a sum are the rows at risk looked for.
+    profiles.norms_together gives the same norms of samples it reduces
+    mode by mode."""
     limit = math.sqrt(np.finfo(float).max / (2 * max(samples.shape[1], 1)))
     if max(samples.max(initial=0.0), -samples.min(initial=0.0)) <= limit:
         return np.sqrt(squared_norms(samples))
     big = np.maximum(samples.max(axis=1), -samples.min(axis=1))
     risky = np.flatnonzero((big > limit) & np.isfinite(big))
-    kept = samples[risky]
     with np.errstate(over="ignore"):  # an overflowed sum is redone below
         norms = np.sqrt(squared_norms(samples))
-        over = np.isinf(norms[risky])
-        scale = big[risky[over]]
-        norms[risky[over]] = scale * np.sqrt(squared_norms(kept[over] / scale[:, None]))
+        over = risky[np.isinf(norms[risky])]
+        scale = big[over]
+        norms[over] = scale * np.sqrt(squared_norms(samples[over] / scale[:, None]))
     return norms

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import (ProblemData, ProfileFunction, kernel_profile, sample_together,
-                       squared_integrals)
-from .spectral import Spectrum, norm, sample_norms, squared_norms
+from .profiles import (ProblemData, ProfileFunction, kernel_profile, norms_together,
+                       sample_together, squared_integrals, squared_norms_together)
+from .spectral import Spectrum, norm, sample_norms
 from .timegrid import TimeGrid
 
 __all__ = [
@@ -71,8 +71,7 @@ def _cor1_pair(pd: ProblemData) -> tuple[ProfileFunction, ProfileFunction]:
 
 # The rate statements error <= C eps^p: comparison -> (p, the (reference,
 # candidate) profile pair it measures in a problem, or the ValueError of a
-# precondition).  A candidate belongs to one pair and is no reference, so
-# rate_errors may overwrite its samples.
+# precondition).
 _STATEMENTS = {
     "order0_thm11i": (0.5, lambda pd: (pd.solution, pd.parabolic)),
     "order0_thm11ii": (1.0, lambda pd: (pd.solution, pd.parabolic)),
@@ -218,18 +217,21 @@ def _norm_sq(f: np.ndarray) -> float:
 
 
 def _sup_norm(samples: np.ndarray) -> float:
-    """max over times of |x(t)| (sample_norms, which squares in place)."""
+    """max over times of |x(t)| (sample_norms)."""
     return float(np.max(sample_norms(samples)))
 
 
+def _difference(i, values):
+    return [values[0] - values[1]]
+
+
 def sup_norm_error(a: ProfileFunction, b: ProfileFunction, times) -> float:
-    """Max over times of the coefficient-space norm of a - b.  times is an
-    array of times or a problem's evaluation table of one
-    (ProblemData.sample_times), as sample_together takes them; the value is
-    the same bit for bit."""
-    sa, sb = sample_together((a, b), times)
-    sa -= sb  # in place: a third wide array costs page faults in a fresh process
-    return _sup_norm(sa)
+    """Max over times of the coefficient-space norm of a - b, reduced mode by
+    mode (norms_together).  times is an array of times or a problem's
+    evaluation table of one (ProblemData.sample_times); the value is the
+    same bit for bit."""
+    (gaps,) = norms_together((a, b), times, _difference)
+    return float(np.max(gaps))
 
 
 def l2_time_norm(
@@ -246,8 +248,7 @@ def l2_time_norm(
     """
     operands = (profile,) if minus is None else (profile, minus)
     diff = profile if minus is None else profile - minus
-    samp = diff.sample(grid.quad_points)
-    integrand = squared_norms(samp)
+    (integrand,) = squared_norms_together((diff,), grid.quad_points)
     peak = float(np.max(integrand))
     scales = sum(p.coefficient_scales() for p in operands)
     rounding = _ROUNDING_ULPS * np.finfo(float).eps * scales
@@ -283,8 +284,8 @@ def max_reg_functional(
         spec, f, 0, (n + 1) / 2, math.sqrt(2.0**n / math.factorial(n))
     )
     (dissipated,) = squared_integrals((weighted,), ts, n)
-    semigroup = kernel_profile(spec, f, 0, 0.0).sample(ts)
-    curve = squared_norms(semigroup) / 2.0 + dissipated
+    (semigroup,) = squared_norms_together((kernel_profile(spec, f, 0, 0.0),), ts)
+    curve = semigroup / 2.0 + dissipated
 
     # quadrature cross-check of the integral part
     qp = grid.quad_points
@@ -396,18 +397,18 @@ def remainder_data_checks(
     """
     lam = pd.spec.eigenvalues
     scale = max(pd.data_scale, 1e-30)
-    with np.errstate(over="ignore"):
-        tolerance = 1e-8 * scale * max(1.0, float(np.max(lam) ** 2))
     rem1, rem2 = pd.remainders
     ju0, jv1 = pd.ju0, pd.jv1
-    expected = [  # (check id, remainder, initial value, initial slope, note)
-        ("data.remainder2_initial", rem2, jv1, -2.0 * lam * jv1,
-         "solved second remainder reproduces its initial data (J v1, -2 A J v1)"),
-        ("data.remainder1_initial", rem1, -lam * ju0, 2.0 * lam**2 * ju0,
-         "solved first remainder reproduces its initial data "
-         "(-A J u0, +2 A^2 J u0); identity.remainder_reconstruction_1 "
-         "decides the slope sign"),
-    ]
+    with np.errstate(over="ignore"):
+        tolerance = 1e-8 * scale * max(1.0, float(np.max(lam) ** 2))
+        expected = [  # (check id, remainder, initial value, initial slope, note)
+            ("data.remainder2_initial", rem2, jv1, -2.0 * lam * jv1,
+             "solved second remainder reproduces its initial data (J v1, -2 A J v1)"),
+            ("data.remainder1_initial", rem1, -lam * ju0, 2.0 * lam**2 * ju0,
+             "solved first remainder reproduces its initial data "
+             "(-A J u0, +2 A^2 J u0); identity.remainder_reconstruction_1 "
+             "decides the slope sign"),
+        ]
     reports = []
     for check_id, w, value, slope, note in expected:
         w0, w1 = sample_together((w, w.deriv()), np.zeros(1))
@@ -427,17 +428,15 @@ def _energy_lhs_curves(
     analytic in t, at the read-only times ts.
 
     The dissipated integrals come from one squared_integrals call; each
-    profile's two samples are taken together, one profile at a time, which
-    keeps two sample arrays alive instead of two per profile, on the
-    problem's evaluation table of ts.
+    profile's two squared norms are reduced together, one profile at a
+    time, on the problem's evaluation table of ts.
     """
     derivs = [p.deriv() for p in profiles]
     times = pd.sample_times(ts)
     curves = []
     for p, dp, integral in zip(profiles, derivs, squared_integrals(derivs, ts)):
-        slope, half = sample_together((dp, p.operator_power(0.5)), times)
-        kinetic = pd.eps * squared_norms(slope)
-        curves.append(kinetic + squared_norms(half) + integral)
+        slope, half = squared_norms_together((dp, p.operator_power(0.5)), times)
+        curves.append(pd.eps * slope + half + integral)
     return curves
 
 
@@ -475,10 +474,11 @@ def energy_inequality_checks(
     ]
 
     # measured constants for the remainder correctors
-    seminorms = {
-        1: _norm_sq(lam**1.5 * pd.u0),
-        2: _norm_sq(lam**0.5 * pd.v1),
-    }
+    with np.errstate(over="ignore"):  # an overflow makes a not-finite record
+        seminorms = {
+            1: _norm_sq(lam**1.5 * pd.u0),
+            2: _norm_sq(lam**0.5 * pd.v1),
+        }
     for j, curve in enumerate(remainder_curves, start=1):
         rhs = seminorms[j]
         lhs = float(np.max(curve))
@@ -593,7 +593,8 @@ def byparts_convolution_bound(
     The convolution is exact per mode (ProblemData.weighted_convolution).
     """
     sup = _sup_norm(pd.weighted_convolution(grid.times))
-    bound = pd.eps**1.5 / 2.0 * norm(pd.spec.eigenvalues**0.5 * pd.v1)
+    with np.errstate(over="ignore"):  # an overflow makes a not-finite record
+        bound = pd.eps**1.5 / 2.0 * norm(pd.spec.eigenvalues**0.5 * pd.v1)
     return _at_most(
         "bound.byparts_convolution", sup, bound,
         tol["inequality_slack"] * max(1.0, bound),
@@ -692,8 +693,9 @@ def duhamel_residual(
     convolution of the semigroup of v1 plus sqrt(eps) times the layer
     source, using panel-wise Gauss quadrature refined on the eps scale,
     and compares with the closed form, sampled on the problem's evaluation
-    table of grid.times, to tol["duhamel"] |v1|.  The quadrature nodes are
-    sampled once each, on tables of their own.
+    table of grid.times, to tol["duhamel"] |v1|; the gap is reduced to its
+    norm mode by mode.  The quadrature nodes are sampled once each, on
+    tables of their own.
     """
     eps = pd.eps
     ts = grid.times
@@ -701,8 +703,10 @@ def duhamel_residual(
     integrand = pd.v1_flow + pd.layer_source.scale(math.sqrt(eps))
     convo = _duhamel_convolution(integrand, ts, eps)
 
-    (closed,) = sample_together((u_two,), pd.sample_times(ts))
-    residual = _sup_norm(closed - convo)
+    (gaps,) = norms_together(
+        (u_two,), pd.sample_times(ts), lambda i, closed: [closed[0] - convo[:, i]]
+    )
+    residual = float(np.max(gaps))
     return [
         _at_most(
             "duhamel.representation", residual, 0.0,
@@ -829,8 +833,9 @@ def fit_rate(curve: ErrorCurve) -> RateFit:
 def rate_errors(pd: ProblemData, comparisons, ts) -> dict[str, float | ValueError]:
     """{comparison: its sup-norm error at pd's eps over the times ts, or the
     ValueError its pair raised}.  Every distinct profile of the pairs is
-    sampled once, in one sample_together call, and comparisons that name
-    the same two profiles share one error; each error equals
+    evaluated once, in one norms_together call that reduces each pair's
+    difference to its norm mode by mode, and comparisons that name the
+    same two profiles share one error; each error equals
     ``sup_norm_error`` of its pair bit for bit."""
     unknown = [c for c in comparisons if c not in COMPARISONS]
     if unknown:
@@ -845,11 +850,14 @@ def rate_errors(pd: ProblemData, comparisons, ts) -> dict[str, float | ValueErro
             continue
         pairs.setdefault(tuple(map(id, pair)), (pair, []))[1].append(name)
     profiles = {id(p): p for pair, _ in pairs.values() for p in pair}
-    samples = dict(zip(profiles, sample_together(list(profiles.values()), ts)))
-    for (reference, candidate), names in pairs.values():
-        diff = samples[id(candidate)]
-        diff -= samples[id(reference)]  # in place: fresh wide arrays cost page faults
-        errors.update(dict.fromkeys(names, _sup_norm(diff)))
+    index = {key: j for j, key in enumerate(profiles)}
+    differences = [(index[candidate], index[reference]) for reference, candidate in pairs]
+    gaps = norms_together(
+        list(profiles.values()), ts,
+        lambda i, values: [values[c] - values[r] for c, r in differences],
+    )
+    for (_, names), gap in zip(pairs.values(), gaps):
+        errors.update(dict.fromkeys(names, float(np.max(gap))))
     return errors
 
 

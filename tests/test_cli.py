@@ -4,6 +4,7 @@ import math
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,9 @@ from singlim.cli import (
 import singlim.cli as cli
 import singlim.profiles as profiles
 from singlim.profiles import ProblemData
+from singlim.timegrid import standard_grid
 
-from conftest import cli_env, run_cli
+from conftest import cli_env, make_problem, run_cli
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -179,6 +181,20 @@ class TestSimulate:
         for name in ("trajectory_eps0.1.csv", "trajectory_eps0.01.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_norms_peak_below_one_wide_sample(self):
+        # one eps of neumann-33: the six norms are reduced mode by mode, so
+        # no (n_times, n_modes) array is made
+        pd = make_problem(SPECTRUM_PRESETS["neumann-33"], 0.1, il0=True)
+        ts = standard_grid([0.1]).times
+        tracemalloc.start()
+        try:
+            norms = cli._trajectory_norms(pd, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(norms) == 6
+        assert peak < ts.size * len(pd.spec) * 8
+
     def test_seventeen_digit_floats(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -205,6 +221,22 @@ def test_csv_rows_match_fmt():
         for cell, x in zip(line.split(","), row):
             if math.isfinite(x):
                 assert np.float64(float(cell)).tobytes() == np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("command, stages", [
+    ("simulate", ["norms[eps={}]", "csv[eps={}]"]),
+    ("rates", ["rates[eps={}]", "rates"]),
+])
+def test_manifest_times_each_stage(tmp_path, command, stages):
+    epsilons = [0.1, 0.05, 0.01]
+    cfg = write_config(tmp_path, epsilons=epsilons, comparisons=["order0_thm11i"])
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest)[-2:] == ["environment", "timings"]
+    want = {stage.format(f"{e:g}") for stage in stages for e in epsilons}
+    assert set(manifest["timings"]) == want
+    assert all(isinstance(s, float) and s >= 0.0 for s in manifest["timings"].values())
 
 
 class TestVerify:
@@ -580,8 +612,8 @@ class TestExitCodes:
 
     # eigenvalues whose powers overflow: with checks "all" a derived vector
     # once raised a ValueError, with ["data"] the data records' tolerance an
-    # OverflowError; the data records now FAIL with a reason.  numpy warns of
-    # the overflows, so the run is not under run_cli's -W error::RuntimeWarning.
+    # OverflowError; the data records now FAIL with a reason, and the
+    # overflows raise no numpy warning (run_cli makes one an error)
     @pytest.mark.parametrize("checks", ["all", ["data"]], ids=["all", "data"])
     def test_overflowing_eigenvalue_powers_give_fail_records(self, tmp_path, checks):
         cfg = write_config(
@@ -589,13 +621,10 @@ class TestExitCodes:
             epsilons=[0.5], checks=checks,
         )
         out = tmp_path / "out"
-        result = subprocess.run(
-            [sys.executable, "-m", "singlim.cli", "verify", "--config", str(cfg),
-             "--out", str(out)],
-            capture_output=True, text=True, env=cli_env(),
-        )
+        result = run_cli("verify", "--config", str(cfg), "--out", str(out))
         assert result.returncode == EXIT_CHECK_FAILURE
         assert "Traceback" not in result.stderr
+        assert "Warning" not in result.stderr
         records = {r["id"]: r for r in json.loads((out / "report.json").read_text())}
         for j in (1, 2):
             record = records[f"data.remainder{j}_initial[eps=0.5]"]

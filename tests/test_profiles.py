@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from singlim.profiles import ProblemData, kernel_profile, sample_together, squared_integrals
+from singlim.profiles import (ProblemData, kernel_profile, norms_together, sample_together,
+                              squared_integrals, squared_norms_together)
 import singlim.exppoly as exppoly
-from singlim.spectral import Spectrum, norm
+import singlim.profiles as profiles_module
+from singlim.spectral import Spectrum, norm, sample_norms, squared_norms
 from singlim.timegrid import standard_grid
 
 from conftest import make_problem
@@ -592,6 +594,73 @@ class TestSampleTogether:
         b = make_problem([1.0], 0.1).solution
         with pytest.raises(ValueError):
             sample_together([a, b], np.linspace(0.0, 1.0, 3))
+
+
+_PRESETS = {
+    "three-mode": [0.0, 1.0, 4.0],
+    "dirichlet-32": (np.pi * np.arange(1, 33)) ** 2,
+    "neumann-33": (np.pi * np.arange(0, 33)) ** 2,
+}
+
+
+def _simulate_columns(i, s):
+    # cmd_simulate's vectors: u, v, theta, u - v, u - (v + theta), u - expansion
+    return [s[0], s[1], s[2], s[0] - s[1], s[0] - (s[1] + s[2]), s[0] - s[3]]
+
+
+class TestNormsTogether:
+    """The mode-by-mode reductions have the bits of sample_norms and
+    squared_norms of the whole samples."""
+
+    @staticmethod
+    def _profiles(pd):
+        return [pd.solution, pd.parabolic, pd.theta, pd.main_expansion]
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
+    @pytest.mark.parametrize("preset", sorted(_PRESETS))
+    def test_bitwise_equal_to_whole_samples(self, preset, shared):
+        eps = 0.01
+        pd = make_problem(_PRESETS[preset], eps)
+        ts = standard_grid([eps]).times
+        times = pd.sample_times(ts) if shared else ts
+        samples = sample_together(self._profiles(pd), ts)
+        vectors = _simulate_columns(slice(None), samples)
+        got = norms_together(self._profiles(pd), times, _simulate_columns)
+        got_squares = squared_norms_together(self._profiles(pd), times, _simulate_columns)
+        assert len(got) == len(got_squares) == len(vectors) == 6
+        for x, norms, squares in zip(vectors, got, got_squares):
+            assert norms.tobytes() == sample_norms(x).tobytes()
+            assert squares.tobytes() == squared_norms(x).tobytes()
+        # by default, the profiles themselves
+        for x, norms in zip(samples, norms_together(self._profiles(pd), times)):
+            assert norms.tobytes() == sample_norms(x).tobytes()
+
+    @pytest.mark.parametrize("size, whole", [(1e200, 1), (1e155, 0)])
+    def test_overflowing_sums_take_the_whole_samples(self, monkeypatch, size, whole):
+        # |u1| = 1e200 makes sums of squares overflow, and the profiles are
+        # sampled whole for sample_norms to rescale them; at 1e155 samples
+        # exceed sample_norms' limit but every sum is finite, which it keeps
+        pd = ProblemData(Spectrum(np.array([1e-300, 1.0])), 0.1,
+                         np.array([1.0, 1.0]), np.array([size, 0.0]))
+        ts = standard_grid([0.1]).times
+        calls = []
+        sampled = profiles_module.sample_together
+
+        def counted(profiles, times):
+            calls.append(times)
+            return sampled(profiles, times)
+
+        monkeypatch.setattr(profiles_module, "sample_together", counted)
+        got = norms_together(self._profiles(pd), ts, _simulate_columns)
+        assert len(calls) == whole
+        vectors = _simulate_columns(slice(None), sampled(self._profiles(pd), ts))
+        assert np.max(np.abs(vectors[0])) > math.sqrt(np.finfo(float).max / 4)
+        for x, norms in zip(vectors, got):
+            assert norms.tobytes() == sample_norms(x).tobytes()
+        assert np.all(np.isfinite(got[0])) and np.max(got[0]) > size / 100
+
+    def test_no_profiles(self):
+        assert norms_together([], np.linspace(0.0, 1.0, 3)) == []
 
 
 def _table_arrays(table):

@@ -1,6 +1,7 @@
 import collections
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,6 +13,7 @@ from singlim.profiles import (
     ProblemData,
     ProfileFunction,
     kernel_profile,
+    norms_together,
     sample_together,
     squared_integrals,
 )
@@ -328,6 +330,7 @@ class TestEnergyChecks:
 
 
 _DIRICHLET_32 = (np.pi * np.arange(1, 33)) ** 2
+_NEUMANN_33 = (np.pi * np.arange(0, 33)) ** 2
 
 
 class _Once(dict):
@@ -380,9 +383,9 @@ class TestSquaredNorms:
         want = np.zeros(50)
         for i in range(33):
             want = want + x[:, i] * x[:, i]
-        squares = x * x
+        before = x.tobytes()
         assert squared_norms(x).tobytes() == want.tobytes()
-        assert x.tobytes() == squares.tobytes()  # squared in place
+        assert x.tobytes() == before  # the samples are left as they are
         assert squared_norms(np.zeros((4, 0))).tobytes() == np.zeros(4).tobytes()
 
 
@@ -900,11 +903,11 @@ class TestRateExperiments:
         # cor1 and order2_mainthm both read main_expansion
         sampled = []
 
-        def recorded(profiles, ts):
+        def recorded(profiles, ts, combine):
             sampled.append(list(profiles))
-            return sample_together(profiles, ts)
+            return norms_together(profiles, ts, combine)
 
-        monkeypatch.setattr(verification, "sample_together", recorded)
+        monkeypatch.setattr(verification, "norms_together", recorded)
         pd = make_problem([0.0, 1.0, 4.0], 0.1, il0=True)
         grid = standard_grid([0.1])
         errors = rate_errors(pd, COMPARISONS, grid.times)
@@ -912,6 +915,20 @@ class TestRateExperiments:
         assert len({id(p) for p in profiles}) == len(profiles)
         want = sup_norm_error(pd.solution, pd.main_expansion, grid.times)
         assert errors["cor1"] == errors["order2_mainthm"] == want
+
+    def test_peak_memory_is_below_one_wide_sample(self):
+        # neumann-33 on the 25-eps run grid of the sweep: the pairs' norms are
+        # reduced mode by mode, so no (n_times, n_modes) array is made
+        pd = make_problem(_NEUMANN_33, 0.1, il0=True)
+        ts = standard_grid([10.0 ** (-1 - 0.125 * k) for k in range(25)]).times
+        wide = ts.size * len(pd.spec) * 8
+        tracemalloc.start()
+        try:
+            rate_errors(pd, COMPARISONS, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < wide
 
     def test_comparisons_list_complete(self):
         assert set(COMPARISONS) == {

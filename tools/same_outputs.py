@@ -19,9 +19,11 @@ fixed matrix of 42 invocations:
   powers of the eigenvalues and the data records' tolerance overflow.
 
 Every invocation's exit code, stdout, stderr (with the tree and output
-paths replaced by placeholders) and data files (manifest.json excluded, as
-it holds a timestamp) must be byte-identical.  Each difference is printed,
-and the exit code is 1 if there is any, else 0.  The runs are serial and
+paths replaced by placeholders) and data files must be byte-identical, and
+so must manifest.json once its ``timestamp`` and ``timings``, which differ
+from run to run, are removed: its file list, config hash, tool version and
+environment are compared.  Each difference is printed, and the exit code
+is 1 if there is any, else 0.  The runs are serial and
 take about half a minute on a 2-core machine.
 """
 
@@ -87,8 +89,12 @@ def run(tree: Path, command: str, config: Path, out: Path) -> dict[str, bytes]:
     }
     if out.is_dir():
         for path in sorted(out.iterdir()):
-            if path.name != "manifest.json":
-                found[path.name] = path.read_bytes()
+            found[path.name] = path.read_bytes()
+    if "manifest.json" in found:
+        manifest = json.loads(found["manifest.json"])
+        for key in ("timestamp", "timings"):
+            manifest.pop(key, None)
+        found["manifest.json"] = json.dumps(manifest, indent=2).encode()
     return found
 
 

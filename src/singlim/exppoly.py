@@ -104,10 +104,15 @@ def _batched_series(pairs) -> list[np.ndarray]:
     for m in range(1, 60):
         if not at.size:
             break
-        term = term * z * (order + m) / (m * (order + m + 1))
+        # in place, in the order of term * z * (order + m) / (m * (order + m + 1))
+        term *= z
+        term *= order + m
+        term /= m * (order + m + 1)
         acc += term
         starts = np.cumsum(live) - live
         stop = np.logical_and.reduceat(np.abs(term) <= 1e-18 * np.abs(acc), starts)
+        if not stop.any():
+            continue
         done, live = np.repeat(stop, live), live[~stop]
         out[at[done]] = acc[done]
         keep = ~done  # one array at a time: few old and new copies alive together

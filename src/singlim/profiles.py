@@ -4,8 +4,9 @@ Every profile is stored per eigenmode as an exponential polynomial, so
 values, derivatives, and time integrals are all analytic.  Above exppoly
 and modes only this module sees that form: callers sample through
 sample_together, take norms at each time through norms_together and
-squared_norms_together, which reduce the values mode by mode, and
-integrate squares through squared_integrals.  Besides
+squared_norms_together and weighted sums over segments of times through
+segment_sums, which reduce the values mode by mode, and integrate
+squares through squared_integrals.  Besides
 the exact solution and the first-order limit it builds the initial layer,
 the second-order expansion profiles, the two-way splitting of the
 solution, and the ladder of corrector functions whose decomposition
@@ -30,7 +31,7 @@ from .modes import ForcingTerm, ModeParams, solve_forced
 from .spectral import Spectrum, norm, sample_norms
 
 __all__ = ["ProblemData", "ProfileFunction", "sample_together", "squared_norms_together",
-           "norms_together", "squared_integrals", "kernel_profile"]
+           "norms_together", "segment_sums", "squared_integrals", "kernel_profile"]
 
 # Tolerance deciding whether the data satisfies the compatibility condition
 # v1 = A u0 + u1 = 0 (which switches off the initial layer).
@@ -141,13 +142,28 @@ class ProblemData:
         """Semigroup flow e^{-tA} v1 of the layer slope."""
         return kernel_profile(self.spec, self.v1, 0, 0.0)
 
-    def weighted_convolution(self, ts) -> np.ndarray:
-        """eps int_0^t e^{(s-t)/eps} A e^{-sA} v1 ds at ts, (len(ts), n_modes):
-        eps lam v1 exp[-lam, -1/eps](t) per mode, exact."""
+    def weighted_convolution_norms(self, ts) -> np.ndarray:
+        """|eps int_0^t e^{(s-t)/eps} A e^{-sA} v1 ds| at ts, from the exact
+        eps lam v1 exp[-lam, -1/eps](t) of each mode, one divided difference
+        per mode.  The squares are added mode by mode, so no (len(ts),
+        n_modes) array is made, and the norms have the bits of
+        spectral.sample_norms of those samples: only if some sum reads inf
+        are the modes stacked for sample_norms to rescale those times, as
+        norms_together does."""
         eps, lam = self.eps, self.spec.eigenvalues
-        kernels = [divided_difference_exp((-l, -1.0 / eps), ts).real for l in lam]
         with np.errstate(over="ignore", invalid="ignore"):  # see _OVERFLOW
-            return eps * lam * self.v1 * np.stack(kernels, axis=1)
+            scale = eps * lam * self.v1
+
+            def column(i):
+                return scale[i] * divided_difference_exp((-lam[i], -1.0 / eps), ts).real
+
+            total = np.zeros(np.shape(ts))
+            for i in range(lam.size):
+                values = column(i)
+                total += values * values
+            if not np.isinf(total).any():
+                return np.sqrt(total)
+            return sample_norms(np.stack([column(i) for i in range(lam.size)], axis=1))
 
     @cached_property
     def theta(self) -> ProfileFunction:
@@ -414,6 +430,29 @@ def squared_norms_together(profiles, ts, combine=_rows) -> list[np.ndarray]:
 
     _each_mode(profiles, ts, zeroed, add)
     return totals
+
+
+def segment_sums(profile, ts, weights, starts, out, at) -> None:
+    """out[at, i] = np.add.reduceat(weights * p_i(ts), starts) for each mode
+    p_i of profile, with ts as _each_mode takes it: the weighted values of
+    each mode summed over the segments of ts that begin at starts.
+
+    Each mode is evaluated into one reused row, multiplied by the weights
+    in place and reduced straight into its column of out, so no
+    (n_modes, n_times) array is made, and each sum has the bits of the
+    reduceat of that mode's samples alone."""
+    row = np.empty(_size(ts))
+
+    def zeroed(i):
+        row.fill(0.0)
+        return (row,)
+
+    def reduce(i, values):
+        (weighted,) = values
+        weighted *= weights
+        out[at, i] = np.add.reduceat(weighted, starts)
+
+    _each_mode((profile,), ts, zeroed, reduce)
 
 
 def norms_together(profiles, ts, combine=_rows) -> list[np.ndarray]:

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profiles import (ProblemData, ProfileFunction, kernel_profile, norms_together,
-                       sample_together, squared_integrals, squared_norms_together)
-from .spectral import Spectrum, norm, sample_norms
+                       sample_together, segment_sums, squared_integrals,
+                       squared_norms_together)
+from .spectral import Spectrum, norm
 from .timegrid import TimeGrid
 
 __all__ = [
@@ -108,14 +109,15 @@ _GL_HALF_WEIGHTS = np.array([
 _GL_NODES = np.concatenate([-_GL_HALF_NODES[::-1], _GL_HALF_NODES])
 _GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
 
-# The Duhamel quadrature samples the nodes of consecutive grid intervals
-# together, one sample_together call per block of nodes.  A block's
-# mode-major buffer holds at most _DUHAMEL_BLOCK_VALUES values (512 KB, no
-# more than a grid sample of 32 modes, so it adds nothing to the peak
-# memory), and each mode's row at most _DUHAMEL_BLOCK_NODES, which keeps
-# the per-mode working arrays at about 100 KB whatever the grid (the
-# scaling and squaring of a 3-node difference holds a dozen of them).
-_DUHAMEL_BLOCK_VALUES = 2**16
+# The Duhamel quadrature evaluates the nodes of consecutive grid intervals
+# together, in blocks of at most _DUHAMEL_BLOCK_NODES nodes (plus one
+# interval's), and reduces each block one mode at a time
+# (profiles.segment_sums): a mode's row of a block is 64 KB, and the
+# per-mode working arrays of its evaluation stay near 100 KB whatever the
+# grid and the number of modes (the scaling and squaring of a 3-node
+# difference holds a dozen of them).  Longer rows take fewer numpy calls
+# per term; on dirichlet-32 the quadrature's time levels off from 8192
+# nodes on, while its peak memory keeps growing.
 _DUHAMEL_BLOCK_NODES = 8192
 
 
@@ -214,11 +216,6 @@ def _measured(check_id: str, value: float, note: str) -> CheckReport:
 def _norm_sq(f: np.ndarray) -> float:
     """|f|^2, inf where that overflows (norm(f) ** 2 would raise)."""
     return norm(f) * norm(f)
-
-
-def _sup_norm(samples: np.ndarray) -> float:
-    """max over times of |x(t)| (sample_norms)."""
-    return float(np.max(sample_norms(samples)))
 
 
 def _difference(i, values):
@@ -590,9 +587,10 @@ def byparts_convolution_bound(
     sup_t |eps int_0^t e^{(s-t)/eps} A e^{-sA} v1 ds| <= eps^{3/2}/2 * |A^{1/2}v1|,
     with the slack tol["inequality_slack"].
 
-    The convolution is exact per mode (ProblemData.weighted_convolution).
+    The convolution is exact per mode, and reduced to its norm at each time
+    mode by mode (ProblemData.weighted_convolution_norms).
     """
-    sup = _sup_norm(pd.weighted_convolution(grid.times))
+    sup = float(np.max(pd.weighted_convolution_norms(grid.times)))
     with np.errstate(over="ignore"):  # an overflow makes a not-finite record
         bound = pd.eps**1.5 / 2.0 * norm(pd.spec.eigenvalues**0.5 * pd.v1)
     return _at_most(
@@ -629,12 +627,13 @@ def _duhamel_convolution(
     Gauss-Legendre subpanels of width at most _PANEL_EPS * eps cover the
     kernel's reach (45 eps) before each right endpoint; earlier history
     enters through the exact interval-to-interval decay factor, so the
-    kernel never overflows.  The nodes of consecutive intervals are sampled
-    together, in one sample_together call per block: a block holds the
-    intervals whose first node falls in one window of the block size (see
-    _DUHAMEL_BLOCK_VALUES), so it has at most that many plus one
-    interval's 80 (8 panels).  Each interval's weighted values are summed
-    per mode by one reduceat over the block's mode-major rows.
+    kernel never overflows.  The nodes of consecutive intervals are
+    evaluated together: a block holds the intervals whose first node falls
+    in one window of _DUHAMEL_BLOCK_NODES nodes, so it has at most that
+    many plus one interval's 80 (8 panels).  profiles.segment_sums
+    evaluates a block one mode at a time and sums each interval's weighted
+    values straight into that mode's column of the result, so the values
+    are the same whatever the block size.
 
     The panels are laid out as offsets from the right endpoint, and the
     kernel is e^{offset/eps}, so it keeps its digits at small eps: an
@@ -649,14 +648,12 @@ def _duhamel_convolution(
     ).astype(int)
     with_nodes = np.flatnonzero(n_sub)
     first_node = (np.cumsum(n_sub[with_nodes]) - n_sub[with_nodes]) * _GAUSS_NODES
-    n_modes = len(integrand.spectrum)
-    size = max(min(_DUHAMEL_BLOCK_VALUES // n_modes, _DUHAMEL_BLOCK_NODES), 1)
-    window = first_node // size
+    window = first_node // _DUHAMEL_BLOCK_NODES
     blocks = np.split(with_nodes, np.flatnonzero(np.diff(window)) + 1)
 
     # interval k's own integral goes to convo[k + 1]; the decay recursion
     # then adds the history in place
-    convo = np.zeros((ts.size, n_modes))
+    convo = np.zeros((ts.size, len(integrand.spectrum)))
     local = convo[1:]
     for ks in blocks:
         # subpanel edges as offsets from t_right, np.linspace(-width, 0,
@@ -675,12 +672,12 @@ def _duhamel_convolution(
         weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
         weights *= np.exp(offsets / eps)
         nodes = np.repeat(t_right[k_sub], _GAUSS_NODES) + offsets
-        rows = integrand.sample(nodes).T  # mode-major, one row per mode
-        rows *= weights
-        local[ks] = np.add.reduceat(rows, first_sub * _GAUSS_NODES, axis=1).T
+        segment_sums(integrand, nodes, weights, first_sub * _GAUSS_NODES, local, ks)
 
-    for k in range(ts.size - 1):
-        convo[k + 1] += math.exp(-(ts[k + 1] - ts[k]) / eps) * convo[k]
+    rows = list(convo)
+    times = ts.tolist()
+    for a, b, prev, row in zip(times, times[1:], rows, rows[1:]):
+        row += math.exp(-(b - a) / eps) * prev
     return convo
 
 
@@ -694,8 +691,8 @@ def duhamel_residual(
     source, using panel-wise Gauss quadrature refined on the eps scale,
     and compares with the closed form, sampled on the problem's evaluation
     table of grid.times, to tol["duhamel"] |v1|; the gap is reduced to its
-    norm mode by mode.  The quadrature nodes are sampled once each, on
-    tables of their own.
+    norm mode by mode.  The quadrature nodes are evaluated once each, on
+    tables of their own, and reduced mode by mode too.
     """
     eps = pd.eps
     ts = grid.times

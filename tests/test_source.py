@@ -44,6 +44,53 @@ def test_the_guard_sees_an_unused_import():
     assert _unused_imports(tree) == ["math (line 1)", "b (line 3)"]
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    """Underscore names a module takes from another singlim module: imported
+    by name, or read as an attribute of an imported singlim module.  Dunder
+    names such as __version__ are public."""
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").partition(".")[0] == "singlim"
+        ):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"{alias.name} (line {node.lineno})")
+                elif node.module in (None, "singlim"):
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names
+                           if alias.asname and alias.name.partition(".")[0] == "singlim")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_another_modules_private_names(path):
+    assert _private_imports(ast.parse(path.read_text())) == []
+
+
+def test_the_guard_sees_a_private_import():
+    tree = ast.parse(
+        "from .profiles import _each_mode, norms_together\nfrom . import __version__\n"
+        "from singlim.exppoly import _horner\nfrom numpy import _globals\n"
+        "from . import exppoly\nimport singlim.modes as m\n"
+        "x = exppoly._difference_table(()) + m._roots + exppoly.accumulate + np._x\n"
+        "def _own(): pass\n"
+    )
+    assert sorted(_private_imports(tree)) == [
+        "_each_mode (line 1)", "_horner (line 3)",
+        "exppoly._difference_table (line 7)", "m._roots (line 7)",
+    ]
+
+
 # The modules that know a profile is a tuple of per-mode ExpPolys; every
 # other module samples and integrates through profiles.
 REPRESENTATION = {"exppoly.py", "modes.py", "profiles.py"}

@@ -17,7 +17,7 @@ from singlim.profiles import (
     sample_together,
     squared_integrals,
 )
-from singlim.spectral import Spectrum, squared_norms
+from singlim.spectral import Spectrum, sample_norms, squared_norms
 from singlim.timegrid import TimeGrid, standard_grid
 from singlim.verification import (
     COMPARISONS,
@@ -389,27 +389,34 @@ class TestSquaredNorms:
         assert squared_norms(np.zeros((4, 0))).tobytes() == np.zeros(4).tobytes()
 
 
+def _sup_norm(samples):
+    """max over times of |x(t)| of (n_times, n_modes) samples: the sup norm
+    that norms_together and ProblemData.weighted_convolution_norms reduce
+    mode by mode, with the same bits."""
+    return float(np.max(sample_norms(samples)))
+
+
 class TestSupNormOfSamples:
     def test_plain_sums_keep_their_bits(self):
         x = np.random.default_rng(2).standard_normal((40, 33)) * 1e150
         want = float(np.max(np.sqrt(squared_norms(x.copy()))))
-        assert verification._sup_norm(x) == want
+        assert _sup_norm(x) == want
 
     def test_overflowing_sum_of_finite_samples_is_finite(self):
         # the squares of 1e200 overflow; the norm of each row does not
         x = np.array([[1e200, 1e200], [3e200, 4e200], [1.0, 2.0]])
-        assert verification._sup_norm(x) == pytest.approx(5e200, rel=1e-15)
+        assert _sup_norm(x) == pytest.approx(5e200, rel=1e-15)
 
     def test_only_overflowing_rows_are_rescaled(self):
         # a row large enough to be inspected whose sum stays finite keeps
         # its plain bits
         x = np.array([[1.1e154, 3e153]])
-        assert verification._sup_norm(x) == math.sqrt(1.1e154 * 1.1e154 + 3e153 * 3e153)
+        assert _sup_norm(x) == math.sqrt(1.1e154 * 1.1e154 + 3e153 * 3e153)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_nonfinite_samples_stay_nonfinite(self, bad):
         x = np.array([[1e200, bad], [1.0, 0.0]])
-        got = verification._sup_norm(x)
+        got = _sup_norm(x)
         assert math.isinf(got) if bad == np.inf else math.isnan(got)
 
 
@@ -493,6 +500,25 @@ class TestBatchedIntegralCallSites:
         energy_inequality_checks(pd, grid)
         assert calls == [1]
         assert passes == [1]
+
+    def test_series_pass_works_in_place(self, monkeypatch):
+        # dirichlet-32 at eps 0.1: the series of the energy integrals peaks
+        # at 6.58 times the bytes it returns under tracemalloc, and at 7.15
+        # when each step made new arrays and compacted them
+        pd = make_problem(_DIRICHLET_32, 0.1)
+        batches, series = [], exppoly._batched_series
+        monkeypatch.setattr(
+            exppoly, "_batched_series", lambda pairs: batches.append(pairs) or series(pairs)
+        )
+        energy_inequality_checks(pd, standard_grid([0.1]))
+        (pairs,) = batches
+        tracemalloc.start()
+        try:
+            out = series(pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.7 * sum(values.nbytes for values in out)
 
 
 class TestExplicitSupBound:
@@ -694,8 +720,8 @@ class TestDuhamel:
 
     @pytest.mark.parametrize("eps", [0.1, 0.01, 0.001])
     def test_block_sampling_is_the_per_mode_loop(self, eps):
-        # dirichlet-32: one sample_together call per block of 2048 nodes,
-        # against per-mode value calls on blocks of 8192, bit for bit
+        # dirichlet-32: blocks of 8192 nodes reduced one mode at a time by
+        # segment_sums, against per-mode value calls, bit for bit
         pd = make_problem(_DIRICHLET_32, eps)
         source = pd.layer_source
         integrand = kernel_profile(pd.spec, pd.v1, 0, 0.0) + source.scale(
@@ -704,6 +730,34 @@ class TestDuhamel:
         ts = standard_grid([eps]).times
         got = _duhamel_convolution(integrand, ts, eps)
         assert got.tobytes() == _per_mode_convolution(integrand, ts, eps).tobytes()
+
+    def test_block_size_leaves_the_bits(self, monkeypatch):
+        eps = 0.001
+        pd = make_problem(_DIRICHLET_32, eps)
+        integrand = pd.v1_flow + pd.layer_source.scale(math.sqrt(eps))
+        ts = standard_grid([eps]).times
+        got = []
+        for nodes in (1024, 8192, 16384):
+            monkeypatch.setattr(verification, "_DUHAMEL_BLOCK_NODES", nodes)
+            got.append(_duhamel_convolution(integrand, ts, eps).tobytes())
+        assert got[0] == got[1] == got[2]
+
+    def test_peak_memory_of_one_quadrature(self):
+        # dirichlet-32 at eps 0.001: each block is reduced one mode at a
+        # time, so the peak is the result and one row's working arrays
+        # (2.44 MB under tracemalloc; rows of all of an eps's nodes peak
+        # at 9.1 MB)
+        eps = 0.001
+        pd = make_problem(_DIRICHLET_32, eps)
+        integrand = pd.v1_flow + pd.layer_source.scale(math.sqrt(eps))
+        ts = standard_grid([eps]).times
+        tracemalloc.start()
+        try:
+            _duhamel_convolution(integrand, ts, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_panel_width_keeps_the_rule_at_rounding_level(self):
         # the widest subpanel, scaled to [-a, a]: the rule integrates e^x to
@@ -750,6 +804,21 @@ class TestDuhamel:
         report = byparts_convolution_bound(pd, standard_grid([0.01]))
         assert report.passed
         assert report.margin > 0
+
+    def test_byparts_peak_is_below_one_wide_array(self):
+        # dirichlet-32: the convolution is reduced to its norms mode by mode,
+        # so no (n_times, n_modes) array is made (stacking them peaked at 4.1)
+        pd = make_problem(_DIRICHLET_32, 0.01)
+        grid = standard_grid([0.01])
+        wide = grid.times.size * len(pd.spec) * 8
+        tracemalloc.start()
+        try:
+            report = byparts_convolution_bound(pd, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < wide
 
 
 class TestRateFit:

@@ -70,13 +70,6 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _csv(header: str, columns) -> str:
-    """CSV text: the header, then row i of the columns formatted like fmt."""
-    row = ",".join(["%.17g"] * len(columns))
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    return "\n".join([header, *(row % r for r in rows)]) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # check groups
 
@@ -396,12 +389,12 @@ def _load_config(path: str) -> ExperimentConfig:
 
 
 def _write_outputs(out_dir: Path, files, config: ExperimentConfig, timings=None):
-    """Write the data files, (name, text) pairs, each one as it comes, then a
+    """Write the data files, (name, bytes) pairs, each one as it comes, then a
     manifest listing them, with the stage timings {stage: seconds} if given."""
     out_dir.mkdir(parents=True, exist_ok=True)
     names = []
     for name, content in files:
-        (out_dir / name).write_text(content)
+        (out_dir / name).write_bytes(content)
         names.append(name)
     manifest = {
         "tool_version": __version__,
@@ -438,6 +431,8 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
     soon as it is made.  The manifest's timings give, per eps, the time of
     the norms (norms[eps=...]) and of formatting and writing the CSV
     (csv[eps=...])."""
+    from .csvformat import csv_bytes  # not compiled for verify: see csvformat
+
     spec, u0, u1 = config.data()
     timings: dict[str, float] = {}
 
@@ -449,7 +444,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
             norms = _timed(timings, "norms" + tag, lambda: _trajectory_norms(pd, ts))
             start = time.perf_counter()
             header = "t,norm_u,norm_v,norm_theta,err_order0,err_theta,err_order2"
-            yield f"trajectory_eps{eps:g}.csv", _csv(header, [ts, *norms])
+            yield f"trajectory_eps{eps:g}.csv", csv_bytes(header, [ts, *norms])
             # resumed once the file is written
             timings["csv" + tag] = time.perf_counter() - start
 
@@ -462,7 +457,7 @@ def cmd_verify(config: ExperimentConfig, out_dir: Path | None) -> int:
     reports, timings = _run_checks(config)
     payload = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
     if out_dir is not None:
-        _write_outputs(out_dir, [("report.json", payload)], config, timings)
+        _write_outputs(out_dir, [("report.json", payload.encode())], config, timings)
     else:
         sys.stdout.write(payload)
     failed = [r.check_id for r in reports if not r.passed]
@@ -477,6 +472,8 @@ def cmd_rates(config: ExperimentConfig, out_dir: Path) -> int:
     once for all the comparisons (rate_errors).  The manifest's timings
     name the stages as verify does: each eps's rate errors as
     rates[eps=...], then the fits as rates."""
+    from .csvformat import csv_bytes  # not compiled for verify: see csvformat
+
     epsilons, comparisons = config["epsilons"], config["comparisons"]
     if len(epsilons) < 3:
         raise ConfigError("rates need at least 3 eps values")
@@ -489,13 +486,13 @@ def cmd_rates(config: ExperimentConfig, out_dir: Path) -> int:
         errors = _timed(timings, f"rates[eps={eps:g}]", lambda: rate_errors(pd, comparisons, ts))
         per_eps.append((eps, errors))
     results = _timed(timings, "rates", lambda: run_rate_experiment(per_eps, comparisons))
-    files: dict[str, str] = {}
+    files: dict[str, bytes] = {}
     fits = []
     for comp, result in results.items():
         if isinstance(result, ValueError):
             raise ConfigError(f"comparison {comp!r}: {result}") from result
         curve, fit = result
-        files[f"rates_{comp}.csv"] = _csv(
+        files[f"rates_{comp}.csv"] = csv_bytes(
             "epsilon,error", [curve.epsilons, curve.errors]
         )
         fits.append(
@@ -506,7 +503,7 @@ def cmd_rates(config: ExperimentConfig, out_dir: Path) -> int:
                 "r2": fit.r_squared,
             }
         )
-    files["report.json"] = json.dumps(fits, indent=2) + "\n"
+    files["report.json"] = (json.dumps(fits, indent=2) + "\n").encode()
     # written once all are made, so that a failed fit above writes nothing
     _write_outputs(out_dir, files.items(), config, timings)
     return EXIT_OK

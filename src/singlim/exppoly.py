@@ -65,14 +65,31 @@ def moment_tables(orders, t):
 
     The series on the small points of all (mu, k) runs as one batch first;
     each rate's upward recurrence runs once, to its largest order, when its
-    table is taken.  A real mu stays real.
+    table is taken.  A real mu stays real.  A complex mu whose conjugate
+    came earlier with the same orders takes that table conjugated: the same
+    values, up to the sign of a zero or NaN part.  That table is kept only
+    until then.
     """
     t = np.asarray(t, dtype=float)
-    orders = [(mu, sorted(ks), np.abs(mu * t) < _SERIES_THRESHOLD) for mu, ks in orders]
-    series = iter(_batched_series(
-        [(k, mu, t[small]) for mu, ks, small in orders if mu != 0 for k in ks]
-    ))
-    for mu, ks, small in orders:
+    orders = [(mu, tuple(sorted(ks)), np.abs(mu * t) < _SERIES_THRESHOLD) for mu, ks in orders]
+    mirrors, unmatched = {}, set()  # index -> the (mu, ks) it conjugates
+    for i, (mu, ks, _) in enumerate(orders):
+        if mu.imag and (mu.conjugate(), ks) in unmatched:
+            unmatched.remove((mu.conjugate(), ks))
+            mirrors[i] = (mu.conjugate(), ks)
+        else:
+            unmatched.add((mu, ks))
+    series = iter(_batched_series([
+        (k, mu, t[small])
+        for i, (mu, ks, small) in enumerate(orders) if mu != 0 and i not in mirrors
+        for k in ks
+    ]))
+    kept = dict.fromkeys(mirrors.values())  # (mu, ks) -> its table, until mirrored
+    for i, (mu, ks, small) in enumerate(orders):
+        if i in mirrors:
+            yield {k: np.conjugate(v, out=np.empty_like(v))
+                   for k, v in kept.pop(mirrors[i]).items()}
+            continue
         if mu == 0:
             yield {k: t ** (k + 1) / (k + 1) + 0j for k in ks}
             continue
@@ -84,6 +101,8 @@ def moment_tables(orders, t):
         for k in ks:  # the first dead time comes last; with none, [-1:] fills nothing
             out[k][small] = next(series)
             out[k][rest], out[k][dead] = accs[k][: np.count_nonzero(rest)], accs[k][-1:]
+        if (mu, ks) in kept:
+            kept[mu, ks] = out
         yield out
 
 

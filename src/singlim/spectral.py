@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Spectrum", "inner", "norm", "sample_norms", "squared_norms"]
+__all__ = ["Spectrum", "norm", "sample_norms", "squared_norms"]
 
 
 @dataclass(frozen=True)
@@ -49,17 +49,9 @@ class Spectrum:
         return float(pos.min()) if pos.size else None
 
 
-def inner(f: np.ndarray, g: np.ndarray) -> float:
-    """Inner product, accumulated strictly left to right for reproducibility."""
-    total = 0.0
-    for a, b in zip(f, g, strict=True):
-        total += a * b
-    return total
-
-
 def norm(f: np.ndarray) -> float:
-    """sqrt(inner(f, f)): the sample_norms of f's one row, so a finite norm
-    reads finite where the sum of squares overflows."""
+    """The Euclidean norm of f: the sample_norms of f's one row, so a finite
+    norm reads finite where the sum of squares overflows."""
     return float(sample_norms(np.array(f, dtype=float, ndmin=2))[0])
 
 

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singlim.cli import (
     EXIT_CHECK_FAILURE,
@@ -19,13 +21,14 @@ from singlim.cli import (
     ExperimentConfig,
     FIELDS,
     SPECTRUM_PRESETS,
-    _csv,
     _field_reference,
     fmt,
     main,
 )
 import singlim.cli as cli
+import singlim.csvformat as csvformat
 import singlim.profiles as profiles
+from singlim.csvformat import csv_bytes
 from singlim.profiles import ProblemData
 from singlim.timegrid import standard_grid
 
@@ -214,13 +217,103 @@ def test_csv_rows_match_fmt():
         -rng.lognormal(0.0, 40.0, 206),
         rng.lognormal(0.0, 1.0, 206),
     ]
-    text = _csv("a,b,c", columns)
+    text = csv_bytes("a,b,c", columns).decode()
     rows = [",".join(fmt(x) for x in row) for row in zip(*columns)]
     assert text == "\n".join(["a,b,c", *rows]) + "\n"
     for line, row in zip(text.splitlines()[1:], zip(*columns)):
         for cell, x in zip(line.split(","), row):
             if math.isfinite(x):
                 assert np.float64(float(cell)).tobytes() == np.float64(x).tobytes()
+
+
+def _printf_rows(columns) -> bytes:
+    """The CSV rows of columns with each cell from '%.17g' itself."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return "".join(",".join("%.17g" % x for x in row) + "\n" for row in rows).encode()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=60))
+def test_csv_bytes_is_printf_on_raw_bit_patterns(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    columns = [values, values[::-1].copy()]
+    assert csv_bytes("x,y", columns) == b"x,y\n" + _printf_rows(columns)
+
+
+def _near_ties() -> list[float]:
+    """Doubles a = m 2^-(s+k) with a 10^k = m 5^k 2^-s at 2^-s from a
+    half-integer (m 5^k = 2^(s-1) +- 1 mod 2^s): nearer to a tie than the
+    error of the writer's scaled value, so only '%.17g' itself rounds them
+    right; 4.9741483709103481e-09 is one."""
+    found = []
+    for k in range(17, 80):
+        for s in range(50, 64):
+            for target in (2 ** (s - 1) + 1, 2 ** (s - 1) - 1):
+                m = target * pow(5**k, -1, 2**s) % 2**s
+                if 2**52 <= m < 2**53:
+                    found.append(math.ldexp(m, -s - k))
+    return found
+
+
+def test_csv_bytes_edge_classes():
+    powers = [10.0**k for k in range(-323, 309)]  # 1e-243, for one, rounds up to it
+    edges = (
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, sys.float_info.max]
+        + powers
+        + [float(np.nextafter(p, to)) for p in powers for to in (0.0, math.inf)]
+        # where %g switches between %f and %e, and numbers with 17 digits there
+        + [1e-4, 1e-5, 1e16, 1e17, 0.00012345678901234567, 1.2345678901234567e-5,
+           12345678901234567.0, 1.2345678901234568e17, 2.5, 0.5, 100.0]
+        # the exact tie 2.98023223876953125e-08, printed by round-half-even
+        + [2.0**-25, -(2.0**-25), 2.0**-26 * 3]
+        + _near_ties()
+        # past the scaled range of 1e-290 to 1e290, on both sides
+        + [1e-290, 9.999999999999999e-291, 1.5e-300, 1e290, 9.999999999999999e289, 3e300]
+    )
+    values = np.array(edges)
+    columns = [values, -values]
+    text = csv_bytes("a,b", columns)
+    assert text == b"a,b\n" + _printf_rows(columns)
+    rows = text.decode().splitlines()
+    assert rows[1:4] == ["0,-0", "-0,0", "inf,-inf"]
+    assert rows[1 + edges.index(2.0**-25)] == "2.9802322387695312e-08,-2.9802322387695312e-08"
+    assert len(_near_ties()) > 100
+
+
+@pytest.mark.parametrize("ncols", [1, 3])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("chunks", [0, 1, 2])
+def test_csv_bytes_rows_at_chunk_boundaries(chunks, extra, ncols):
+    rows = max(chunks * csvformat._CHUNK_ROWS + extra, 0)
+    rng = np.random.default_rng(rows + ncols)
+    columns = [rng.lognormal(0.0, 30.0, rows) * rng.choice([-1.0, 1.0], rows)
+               for _ in range(ncols)]
+    header = ",".join("c" * (i + 1) for i in range(ncols))
+    text = csv_bytes(header, columns)
+    assert text == header.encode() + b"\n" + _printf_rows(columns)
+    assert text.count(b"\n") == rows + 1
+
+
+def test_csv_bytes_peak_is_one_chunk_beyond_the_text():
+    # one sweep-n33 trajectory CSV: the writer holds the text twice (its
+    # chunks, then their join) and one chunk of 512 rows at a time, at
+    # most 200 bytes a cell
+    config = ExperimentConfig.parse({
+        "schema_version": 1, "spectrum": "neumann-33", "u0": {"family": "decay", "p": 2.0},
+        "u1": "il0", "epsilons": [0.01],
+    })
+    spec, u0, u1 = config.data()
+    ts = config.time_grid([0.01]).times
+    columns = [ts, *cli._trajectory_norms(ProblemData(spec, 0.01, u0, u1), ts)]
+    csv_bytes("t", columns[:1])  # the writer makes its tables once
+    tracemalloc.start()
+    try:
+        text = csv_bytes("t,norm_u,norm_v,norm_theta,err_order0,err_theta,err_order2", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ts.size > 4 * csvformat._CHUNK_ROWS  # several chunks
+    assert peak < 2 * len(text) + 200 * csvformat._CHUNK_ROWS * len(columns)
 
 
 @pytest.mark.parametrize("command, stages", [

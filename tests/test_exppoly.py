@@ -717,6 +717,47 @@ def test_integrate_is_the_per_rate_loops(t):
         assert np.asarray(got).tobytes() == want
 
 
+_CONJUGATE_RATES = [
+    z for mu in _MOMENT_RATES if isinstance(mu, complex) and mu.imag
+    for z in (mu, mu.conjugate())
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", _MOMENT_TIMES)
+def test_a_conjugate_rate_takes_the_earlier_table_conjugated(t, monkeypatch):
+    recurrences = []
+    recurrence = exppoly._moment_recurrence
+    monkeypatch.setattr(
+        exppoly,
+        "_moment_recurrence",
+        lambda k, mu, t: recurrences.append(mu) or recurrence(k, mu, t),
+    )
+    orders = [(mu, [0, 2, 3]) for mu in _CONJUGATE_RATES] + [(_CONJUGATE_RATES[0], [1])]
+    tables = list(moment_tables(orders, t))
+    # the same values as the per-rate loops; a zero or NaN may differ in sign
+    for (mu, ks), table in zip(orders, tables, strict=True):
+        assert list(table) == ks
+        for k in ks:
+            assert isinstance(table[k], np.ndarray)
+            np.testing.assert_array_equal(table[k], reference_moment(k, mu, t), strict=True)
+    # one recurrence per conjugate pair; other orders are a table of their own
+    assert recurrences == _CONJUGATE_RATES[::2] + [_CONJUGATE_RATES[0]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", _MOMENT_TIMES)
+def test_integrate_with_conjugate_rates_is_the_per_rate_loops(t):
+    # real polynomials: each term comes with its conjugate
+    pairs = [[(k, mu, c), (k, mu.conjugate(), c.conjugate())]
+             for j, mu in enumerate(_CONJUGATE_RATES[::2]) for k in range(3)
+             for c in [complex(1 + k, j % 3 - 1)]]
+    polys = [ExpPoly.build([term for pair in pairs[i::6] for term in pair]) for i in range(6)]
+    for poly, got in zip(polys, integrate(polys, t), strict=True):
+        want = np.asarray(reference_integral(poly, t)).tobytes()
+        assert np.asarray(got).tobytes() == want
+
+
 def test_integrate_streams_from_one_series_pass(monkeypatch):
     passes, recurrences = [], []
     series, recurrence = exppoly._batched_series, exppoly._moment_recurrence

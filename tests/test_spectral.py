@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlim.spectral import Spectrum, inner, norm
+from singlim.spectral import Spectrum, norm
 from singlim.profiles import ProblemData, kernel_profile
 
 from conftest import weighted_kernel
@@ -13,6 +13,14 @@ from conftest import weighted_kernel
 
 def vec(*xs):
     return np.array(xs, dtype=float)
+
+
+def inner(f: np.ndarray, g: np.ndarray) -> float:
+    """Inner product, accumulated strictly left to right: the reference for norm."""
+    total = 0.0
+    for a, b in zip(f, g, strict=True):
+        total += a * b
+    return total
 
 
 def semigroup(spec, t, f):

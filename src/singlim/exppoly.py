@@ -71,7 +71,7 @@ def moment_tables(orders, t):
     until then.
     """
     t = np.asarray(t, dtype=float)
-    orders = [(mu, tuple(sorted(ks)), np.abs(mu * t) < _SERIES_THRESHOLD) for mu, ks in orders]
+    orders = [(mu, tuple(sorted(ks)), _series_points(mu, t)) for mu, ks in orders]
     mirrors, unmatched = {}, set()  # index -> the (mu, ks) it conjugates
     for i, (mu, ks, _) in enumerate(orders):
         if mu.imag and (mu.conjugate(), ks) in unmatched:
@@ -104,6 +104,15 @@ def moment_tables(orders, t):
         if (mu, ks) in kept:
             kept[mu, ks] = out
         yield out
+
+
+def _series_points(mu: complex, t: np.ndarray) -> np.ndarray:
+    """|mu t| < _SERIES_THRESHOLD.  A real mu (zero imaginary part) takes
+    |Re(mu) t|, the same mask, since |x + 0i| = hypot(x, +-0) = |x|, NaN and
+    infinite products included."""
+    if mu.imag == 0:
+        return np.abs(mu.real * t) < _SERIES_THRESHOLD
+    return np.abs(mu * t) < _SERIES_THRESHOLD
 
 
 def _batched_series(pairs) -> list[np.ndarray]:
@@ -461,11 +470,24 @@ class ExpPoly:
         )
 
     def scale(self, alpha: complex) -> "ExpPoly":
-        return ExpPoly.build(
-            [(k, mu, alpha * c) for k, mu, c in self.terms],
-            [(nodes, alpha * c) for nodes, c in self.differences]
-            if self.differences
-            else (),
+        """alpha times this polynomial: build of the scaled terms, without
+        the rebuild.  Each coefficient takes build's arithmetic and scalar
+        type, 0j + complex(alpha c) for a term and 0j + alpha c (1 + 0j) for
+        a difference (the weight _expansion gives a group of its own), zero
+        coefficients are dropped, and the order of this normal form is kept.
+        A difference whose nodes build would split into several groups
+        (a prefix that only a later node joined) takes build itself."""
+        if not all(_expansion(nodes) == ((), ((nodes, 1 + 0j),))
+                   for nodes, _ in self.differences):
+            return ExpPoly.build(
+                [(k, mu, alpha * c) for k, mu, c in self.terms],
+                [(nodes, alpha * c) for nodes, c in self.differences],
+            )
+        return ExpPoly(
+            tuple((k, mu, 0j + complex(s)) for k, mu, c in self.terms
+                  if (s := alpha * c) != 0),
+            tuple((nodes, 0j + s * (1 + 0j)) for nodes, c in self.differences
+                  if (s := alpha * c) != 0),
         )
 
     def _as_differences(self):

@@ -103,7 +103,7 @@ class ProblemData:
         """Combined slope A u0 + u1 that drives the initial layer."""
         return _readonly(self.spec.eigenvalues * self.u0 + self.u1)
 
-    @property
+    @cached_property
     def il0_satisfied(self) -> bool:
         au0 = self.spec.eigenvalues * self.u0
         return norm(self.v1) <= _IL0_TOL * (norm(au0) + norm(self.u1) + 1.0)

@@ -51,8 +51,16 @@ class Spectrum:
 
 def norm(f: np.ndarray) -> float:
     """The Euclidean norm of f: the sample_norms of f's one row, so a finite
-    norm reads finite where the sum of squares overflows."""
-    return float(sample_norms(np.array(f, dtype=float, ndmin=2))[0])
+    norm reads finite where the sum of squares overflows.  The squares are
+    added in mode order in Python floats, the IEEE operations of
+    squared_norms, and only a sum that is not finite takes sample_norms."""
+    row = np.array(f, dtype=float, ndmin=2)
+    total = 0.0
+    for x in row[0].tolist():
+        total += x * x
+    if math.isfinite(total):
+        return math.sqrt(total)
+    return float(sample_norms(row)[0])
 
 
 def squared_norms(samples: np.ndarray) -> np.ndarray:

@@ -6,9 +6,10 @@ kept as an independent cross-check.  Each decomposition identity compares
 two independent constructions (a split corrector against its profile part
 plus eps times the directly solved remainder, for instance), so the
 identities keep holding as eps -> 0 rather than measure rounding.  They
-are one table of rows (id, a, b, note), each measured by sup_norm_error,
-the one sup-over-times gap of the module.  The L2 bounds derive
-w1 = A^{-1/2} u1 from the data themselves.  Each per-eps check group takes
+are one table of rows (id, a, b, note), measured in one pass by
+_sup_norm_errors, the one sup-over-times gap of the module, which the
+rate errors take too.  The L2 bounds derive w1 = A^{-1/2} u1 from the
+data themselves.  Each per-eps check group takes
 (pd, grid, tol), where tol maps the names of TOLERANCES to their values,
 and reads its own keys.  Checks return serializable reports with the
 measured margin, the tolerance used, and a provenance note.
@@ -218,8 +219,20 @@ def _norm_sq(f: np.ndarray) -> float:
     return norm(f) * norm(f)
 
 
-def _difference(i, values):
-    return [values[0] - values[1]]
+def _sup_norm_errors(pairs, times) -> list[float]:
+    """[sup_norm_error(a, b, times) for a, b in pairs], bit for bit: every
+    distinct profile of the pairs is evaluated once, in one norms_together
+    call that reduces each pair's a - b mode by mode.  Its sum of squares
+    at each time has the bits of that pair alone, and so does the
+    sample_norms fallback, which keeps every finite sum."""
+    profiles = {id(p): p for pair in pairs for p in pair}
+    index = {key: j for j, key in enumerate(profiles)}
+    at = [(index[id(a)], index[id(b)]) for a, b in pairs]
+    gaps = norms_together(
+        list(profiles.values()), times,
+        lambda i, values: [values[a] - values[b] for a, b in at],
+    )
+    return [float(np.max(gap)) for gap in gaps]
 
 
 def sup_norm_error(a: ProfileFunction, b: ProfileFunction, times) -> float:
@@ -227,25 +240,30 @@ def sup_norm_error(a: ProfileFunction, b: ProfileFunction, times) -> float:
     mode (norms_together).  times is an array of times or a problem's
     evaluation table of one (ProblemData.sample_times); the value is the
     same bit for bit."""
-    (gaps,) = norms_together((a, b), times, _difference)
-    return float(np.max(gaps))
+    return _sup_norm_errors([(a, b)], times)[0]
 
 
 def l2_time_norm(
-    profile: ProfileFunction, grid: TimeGrid, minus: ProfileFunction | None = None
+    profile: ProfileFunction, grid: TimeGrid, minus: ProfileFunction | None = None,
+    times=None,
 ) -> float:
     """Integral of |profile(t) - minus(t)|^2 over [0, t_max], analytic per
     mode (minus defaults to 0).
 
     The grid end stands in for infinity, so the integrand must have decayed
-    by then: below 1e-14 of its peak, or below the rounding envelope of
-    the difference, _ROUNDING_ULPS ulps of the coefficients that cancel in
-    it (mode by mode, the coefficient scales of profile and minus).  Otherwise
-    the truncation is reported as invalid rather than silently wrong.
+    by then: below 1e-14 of its peak over grid.times, or below the rounding
+    envelope of the difference, _ROUNDING_ULPS ulps of the coefficients
+    that cancel in it (mode by mode, the coefficient scales of profile and
+    minus).  Otherwise the truncation is reported as invalid rather than
+    silently wrong.  The integrand is sampled on times, a problem's
+    evaluation table of grid.times (ProblemData.sample_times), or on
+    grid.times itself by default; the value is the same.
     """
     operands = (profile,) if minus is None else (profile, minus)
     diff = profile if minus is None else profile - minus
-    (integrand,) = squared_norms_together((diff,), grid.quad_points)
+    (integrand,) = squared_norms_together(
+        (diff,), grid.times if times is None else times
+    )
     peak = float(np.max(integrand))
     scales = sum(p.coefficient_scales() for p in operands)
     rounding = _ROUNDING_ULPS * np.finfo(float).eps * scales
@@ -317,28 +335,16 @@ def resolvent_bound(spec: Spectrum, eps: float, f: np.ndarray) -> CheckReport:
 # decomposition identity checks
 
 
-def identity_checks(
-    pd: ProblemData, grid: TimeGrid, tol: dict = TOLERANCES
-) -> list[CheckReport]:
-    """All closed-form decomposition identities on the grid.
-
-    Each identity compares two independently constructed closed forms;
-    residuals are measured in the vector norm and compared against
-    tol["identity"] * (|u0| + |u1|), the superposition of the split against
-    tol["superposition"] * (|u0| + |u1|).  Every profile is sampled on the
-    problem's evaluation table of grid.times.
-    """
-    times = pd.sample_times(grid.times)
-    scale = max(pd.data_scale, 1e-30)
-    tolerances = {"identity.superposition": tol["superposition"]}
+def _identity_rows(pd: ProblemData) -> list[tuple]:
+    """The decomposition identities of pd, as rows (check id, a, b, note) of
+    the identity a = b."""
     eps, spec = pd.eps, pd.spec
     u_eps = pd.solution
     u_one, u_two = pd.splits
     split_1, split_2 = pd.split_correctors
     part_1, part_2 = pd.corrector_profiles
     remainder_1, remainder_2 = pd.remainders
-
-    rows = [  # (check id, a, b, note) of the identity a = b
+    return [
         ("identity.primary_decomposition", u_eps,
          kernel_profile(spec, pd.u0 + eps * pd.ju1, 0, 0.0)
          + pd.corrector_primary.deriv().scale(eps),
@@ -371,10 +377,28 @@ def identity_checks(
          "eps * (second split)' + (second split) equals eps times the "
          "semigroup of v1 plus eps^(3/2) times the layer source"),
     ]
+
+
+def identity_checks(
+    pd: ProblemData, grid: TimeGrid, tol: dict = TOLERANCES
+) -> list[CheckReport]:
+    """All closed-form decomposition identities on the grid.
+
+    Each identity compares two independently constructed closed forms;
+    residuals are measured in the vector norm and compared against
+    tol["identity"] * (|u0| + |u1|), the superposition of the split against
+    tol["superposition"] * (|u0| + |u1|).  The gaps of all rows are taken
+    in one pass (_sup_norm_errors) on the problem's evaluation table of
+    grid.times, each with the bits sup_norm_error gives its row.
+    """
+    scale = max(pd.data_scale, 1e-30)
+    tolerances = {"identity.superposition": tol["superposition"]}
+    rows = _identity_rows(pd)
+    gaps = _sup_norm_errors([(a, b) for _, a, b, _ in rows], pd.sample_times(grid.times))
     return [
-        _at_most(check_id, sup_norm_error(a, b, times), 0.0,
+        _at_most(check_id, gap, 0.0,
                  tolerances.get(check_id, tol["identity"]) * scale, note)
-        for check_id, a, b, note in rows
+        for (check_id, _, _, note), gap in zip(rows, gaps)
     ]
 
 
@@ -514,17 +538,18 @@ def explicit_sup_bound(
 
 
 def _l2_bound_report(
-    check_id: str, profile: ProfileFunction, grid: TimeGrid, bound: float,
-    tol: dict, note: str, minus: ProfileFunction | None = None,
+    check_id: str, pd: ProblemData, profile: ProfileFunction, grid: TimeGrid,
+    bound: float, tol: dict, note: str, minus: ProfileFunction | None = None,
 ) -> CheckReport:
     """int_0^inf |profile - minus|^2 dt <= bound, with the slack
-    tol["inequality_slack"]; a grid too short to stand in for infinity gives
-    a FAIL whose note is the reason."""
+    tol["inequality_slack"], its tail tested on pd's evaluation table of
+    grid.times; a grid too short to stand in for infinity gives a FAIL
+    whose note is the reason."""
     tolerance = tol["inequality_slack"] * max(1.0, bound)
     try:
         # an integral that overflows is not finite, and _at_most FAILs it
         with np.errstate(over="ignore", invalid="ignore"):
-            value = l2_time_norm(profile, grid, minus=minus)
+            value = l2_time_norm(profile, grid, minus, pd.sample_times(grid.times))
     except NonDecayingIntegrandError as exc:
         return CheckReport(check_id, False, float("-inf"), tolerance, str(exc))
     return _at_most(check_id, value, bound, tolerance, note)
@@ -547,7 +572,7 @@ def l2_deviation_bounds(
     bound = 2.0 * eps**2 * _norm_sq(lam**0.5 * pd.u0) + 7.0 * eps**3 * _norm_sq(u1)
     reports = [
         _l2_bound_report(
-            "bound.l2_deviation_constants_2_7", pd.solution, grid, bound, tol,
+            "bound.l2_deviation_constants_2_7", pd, pd.solution, grid, bound, tol,
             "time-integrated squared deviation from the smoothed flow "
             "stays below 2 eps^2 |A^(1/2)u0|^2 + 7 eps^3 |u1|^2",
             minus=kernel_profile(spec, pd.u0 + eps * u1, 0, 0.0),
@@ -567,8 +592,8 @@ def l2_deviation_bounds(
     elif np.all(np.isfinite(w1)):
         reports.append(
             _l2_bound_report(
-                "bound.l2_semigroup_range_half", kernel_profile(spec, u1, 0, 0.0), grid,
-                _norm_sq(w1) / 2.0, tol,
+                "bound.l2_semigroup_range_half", pd, kernel_profile(spec, u1, 0, 0.0),
+                grid, _norm_sq(w1) / 2.0, tol,
                 "semigroup integral of u1 in the half-power range "
                 "stays below |w1|^2 / 2",
             )
@@ -830,9 +855,8 @@ def fit_rate(curve: ErrorCurve) -> RateFit:
 def rate_errors(pd: ProblemData, comparisons, ts) -> dict[str, float | ValueError]:
     """{comparison: its sup-norm error at pd's eps over the times ts, or the
     ValueError its pair raised}.  Every distinct profile of the pairs is
-    evaluated once, in one norms_together call that reduces each pair's
-    difference to its norm mode by mode, and comparisons that name the
-    same two profiles share one error; each error equals
+    evaluated once, in one pass (_sup_norm_errors), and comparisons that
+    name the same two profiles share one error; each error equals
     ``sup_norm_error`` of its pair bit for bit."""
     unknown = [c for c in comparisons if c not in COMPARISONS]
     if unknown:
@@ -846,15 +870,9 @@ def rate_errors(pd: ProblemData, comparisons, ts) -> dict[str, float | ValueErro
             errors[name] = ValueError(*exc.args)
             continue
         pairs.setdefault(tuple(map(id, pair)), (pair, []))[1].append(name)
-    profiles = {id(p): p for pair, _ in pairs.values() for p in pair}
-    index = {key: j for j, key in enumerate(profiles)}
-    differences = [(index[candidate], index[reference]) for reference, candidate in pairs]
-    gaps = norms_together(
-        list(profiles.values()), ts,
-        lambda i, values: [values[c] - values[r] for c, r in differences],
-    )
+    gaps = _sup_norm_errors([pair for pair, _ in pairs.values()], ts)
     for (_, names), gap in zip(pairs.values(), gaps):
-        errors.update(dict.fromkeys(names, float(np.max(gap))))
+        errors.update(dict.fromkeys(names, gap))
     return errors
 
 

@@ -784,3 +784,70 @@ def test_integrate_streams_from_one_series_pass(monkeypatch):
     list(values)
     assert passes == [6]
     assert recurrences == [-2.0, _A, -7.0, -5.0]
+
+
+_EDGE_REAL_RATES = [
+    complex(x, y)
+    for x in (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+              2.2250738585072014e-308, -1.0, 0.5, -1e300)
+    for y in (0.0, -0.0)
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mu", _EDGE_REAL_RATES, ids=repr)
+def test_a_real_rate_takes_the_complex_series_mask(mu):
+    # |x + 0i| = hypot(x, +-0) = |x|, whatever x * t is
+    t = np.array([0.0, 5e-324, 1e-300, 0.3, 0.8, 1.6, 1e300, math.inf, math.nan])
+    for times in (t, -t):
+        want = np.abs(mu * times) < exppoly._SERIES_THRESHOLD
+        got = exppoly._series_points(mu, times)
+        assert got.dtype == bool and got.tolist() == want.tolist()
+    assert exppoly._series_points(mu, np.float64(0.5)) == (abs(mu * 0.5) < 0.8)
+
+
+def _chained_group_poly():
+    # z1 and z2 are each near z3 but not near each other, so their group
+    # {z1, z2, z3} orders them first; with a far pole p its prefix (z2, z1)
+    # gets a weight, and build splits that prefix into two groups
+    z1, z2, z3 = complex(-0.15, 0.12), complex(-0.15, -0.12), 0j
+    return ExpPoly.build([(0, -1.0, 0.5)], [((z1, z2, z3, -5.0), 1.0)])
+
+
+_NORMAL_POLYS = {
+    "plain": ExpPoly.build([(0, -2.0, 0.5), (1, -0.5, complex(1.0, -0.0)),
+                            (0, complex(-3.0, 4.0), complex(-0.0, 2.0)),
+                            (0, complex(-3.0, -4.0), complex(0.0, -2.0)),
+                            (2, 0.0, complex(math.inf, 0.0)), (0, -7.0, math.nan)]),
+    "grouped": _near_resonant_poly(),
+    "derivative": _near_resonant_poly().derivative(),
+    "squared": _near_resonant_poly().squared(),
+    "group with a non-finite coefficient": ExpPoly.build(
+        [(0, -1.0, 1.0)],
+        [((-1.0, -1.0 - 1e-9), math.inf), ((-0.3, -0.3 + 1e-7), complex(math.nan, 1.0))]),
+    "near resonance": solve_forced(
+        ModeParams(1e-3, 50.0, 1.0, 0.5), ForcingTerm(1.0, 2.0, 50.0 * (1 + 1e-6))
+    ).poly,
+    "chained group": _chained_group_poly(),
+}
+
+_ALPHAS = [0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, 1e300, math.inf, math.nan, 1j,
+           np.float64(0.3), np.float64(-0.0), np.float64(math.inf),
+           np.sqrt(np.float64(1e-3)), np.complex128(0.5 - 0.5j)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", list(_NORMAL_POLYS))
+def test_scale_is_build_of_the_scaled_terms(name):
+    poly = _NORMAL_POLYS[name]
+    assert poly.differences or name == "plain"
+    if name == "chained group":  # a normal form that build does not keep
+        assert any(len(nodes) == 2 for nodes, _ in poly.differences)
+        assert repr(ExpPoly.build(poly.terms, poly.differences)) != repr(poly)
+    for alpha in _ALPHAS:
+        want = ExpPoly.build(
+            [(k, mu, alpha * c) for k, mu, c in poly.terms],
+            [(nodes, alpha * c) for nodes, c in poly.differences],
+        )
+        # equal reprs: the same values and scalar types, in the same order
+        assert repr(poly.scale(alpha)) == repr(want), alpha

@@ -35,6 +35,19 @@ class TestProblemData:
         assert make_problem([0.0, 1.0, 4.0], 0.1, il0=True).il0_satisfied
         assert not make_problem([0.0, 1.0, 4.0], 0.1).il0_satisfied
 
+    def test_il0_flag_is_taken_once_per_problem(self, monkeypatch):
+        pd = make_problem([0.0, 1.0, 4.0], 0.1, il0=True)
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return norm(f)
+
+        monkeypatch.setattr(profiles_module, "norm", counted)
+        assert pd.il0_satisfied and pd.il0_satisfied
+        pd.derivative_expansion
+        assert len(calls) == 3  # |v1|, |A u0| and |u1|, at the first read only
+
     def test_eps_range(self):
         spec = Spectrum(np.array([1.0]))
         one = np.array([1.0])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlim.spectral import Spectrum, norm
+from singlim.spectral import Spectrum, norm, sample_norms
 from singlim.profiles import ProblemData, kernel_profile
 
 from conftest import weighted_kernel
@@ -158,6 +158,21 @@ class TestInnerNorm:
     def test_norm_is_the_root_of_the_inner_product_when_that_is_finite(self):
         f = vec(0.1, 1e150, -3.7, 2e-300)
         assert norm(f) == math.sqrt(inner(f, f))
+
+    @pytest.mark.parametrize("f", [
+        *(np.random.default_rng(n).standard_normal(n) * 10.0 ** e
+          for n, e in ((1, 0), (3, -5), (32, 0), (33, 8), (33, -150), (64, 100))),
+        vec(5e-324, -5e-324, 1e-310, 2.2250738585072014e-308),  # subnormals
+        vec(1e-170, 3e-200),  # squares that underflow
+        vec(1e154, 1e154, 1e154),  # squares of 1e308 whose sum overflows
+        vec(9e153, -9e153),  # and stays finite at 1.62e308
+        vec(1e200, 0.0, -3e200),
+        vec(1.5e308, 1.5e308),  # the norm itself overflows
+        vec(math.inf, 1.0), vec(math.nan, 1.0), vec(),
+    ])
+    def test_norm_is_the_sample_norms_of_its_row_bit_for_bit(self, f):
+        want = float(sample_norms(np.array(f, ndmin=2))[0])
+        assert np.float64(norm(f)).tobytes() == np.float64(want).tobytes()
 
 
 eigenvalue_lists = st.lists(

@@ -364,9 +364,9 @@ class TestSharedEvaluationTable:
         explicit_sup_bound(pd, grid)
         duhamel_residual(pd, grid)
         shared = [t for t in tables if t is table]
-        # 8 identities, 4 energy samples, the sup bound and the closed form
-        # of the Duhamel check, each over 32 modes
-        assert len(shared) == 14 * 32
+        # the identity rows in one pass, 4 energy samples, the sup bound and
+        # the closed form of the Duhamel check, each over 32 modes
+        assert len(shared) == 7 * 32
         assert table.exps and table.powers and (table.diffs or eps == 0.1)
         # every other table is a Duhamel node block's, used by its one call
         others = [t for t in tables if t is not table]
@@ -374,6 +374,102 @@ class TestSharedEvaluationTable:
         assert all(t.t.base is not grid.times for t in others)
         counts = collections.Counter(map(id, others))
         assert set(counts.values()) == {32}
+
+
+class TestIdentityGapsInOnePass:
+    """identity_checks takes every row's gap in one norms_together pass,
+    with the bits sup_norm_error gives that row alone."""
+
+    @staticmethod
+    def _gaps(pd, grid, monkeypatch) -> dict:
+        found = {}
+        at_most = verification._at_most
+
+        def recorded(check_id, value, *rest):
+            found[check_id] = value
+            return at_most(check_id, value, *rest)
+
+        monkeypatch.setattr(verification, "_at_most", recorded)
+        identity_checks(pd, grid)
+        return found
+
+    @staticmethod
+    def _assert_per_row(pd, grid, gaps):
+        rows = verification._identity_rows(pd)
+        assert list(gaps) == [check_id for check_id, _, _, _ in rows]
+        for check_id, a, b, _ in rows:
+            alone = sup_norm_error(a, b, grid.times)  # a table of its own
+            assert np.float64(gaps[check_id]).tobytes() == np.float64(alone).tobytes()
+
+    @pytest.mark.parametrize("lams", [[0.0, 1.0, 4.0], _DIRICHLET_32, _NEUMANN_33],
+                             ids=["three-mode", "dirichlet-32", "neumann-33"])
+    @pytest.mark.parametrize("eps", [0.1, 0.001])
+    def test_gaps_are_the_per_row_sup_norm_errors(self, lams, eps, monkeypatch):
+        pd, grid = make_problem(lams, eps), standard_grid([eps])
+        self._assert_per_row(pd, grid, self._gaps(pd, grid, monkeypatch))
+
+    @pytest.mark.parametrize("lams, u0, u1, eps", [
+        # rounding gaps near 1e184 square to inf; the superposition gap is 0
+        ([1.0, 4.0], [1e200, 1e200], [1e200, -1e200], 0.1),
+        # powers of the eigenvalue overflow, and two gaps read NaN
+        ([1e250, 1.0], [1.0, 1.0], [0.0, 0.0], 0.5),
+    ], ids=["1e200-data", "1e250-eigenvalue"])
+    def test_overflowing_sums_take_the_sample_norms_fallback(
+        self, lams, u0, u1, eps, monkeypatch
+    ):
+        # the whole profiles are sampled once, for sample_norms to rescale
+        # the times whose sums overflow; every finite sum keeps its bits
+        pd = ProblemData(Spectrum(np.array(lams)), eps, np.array(u0), np.array(u1))
+        grid = standard_grid([eps])
+        whole = []
+        sample = profiles_module.sample_together
+        monkeypatch.setattr(profiles_module, "sample_together",
+                            lambda profiles, ts: whole.append(ts) or sample(profiles, ts))
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps = self._gaps(pd, grid, monkeypatch)
+            assert len(whole) == 1 and whole[0] is pd.sample_times(grid.times)
+            self._assert_per_row(pd, grid, gaps)
+
+
+class TestL2TailOnTheProblemsTable:
+    """l2_time_norm tests its tail on grid.times, through the problem's
+    evaluation table when l2_deviation_bounds calls it."""
+
+    @pytest.mark.parametrize("eps", [0.1, 0.001])
+    def test_same_value_with_and_without_the_table(self, eps):
+        pd, grid = make_problem(_DIRICHLET_32, eps), standard_grid([eps])
+        table = pd.sample_times(grid.times)
+        target = kernel_profile(pd.spec, pd.u0 + eps * pd.u1, 0, 0.0)
+        for profile, minus in ((pd.solution, target),
+                               (kernel_profile(pd.spec, pd.u1, 0, 0.0), None)):
+            alone = l2_time_norm(profile, grid, minus)
+            shared = l2_time_norm(profile, grid, minus, table)
+            assert np.float64(alone).tobytes() == np.float64(shared).tobytes()
+
+    def test_a_nondecaying_integrand_still_raises(self):
+        pd, grid = make_problem([0.0, 1.0], 0.1), standard_grid([0.1])
+        constant = kernel_profile(pd.spec, pd.u0, 0, 0.0)  # the kernel mode stays
+        for times in (None, pd.sample_times(grid.times)):
+            with pytest.raises(NonDecayingIntegrandError):
+                l2_time_norm(constant, grid, times=times)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.001])
+    def test_the_bounds_sample_only_values_the_identities_made(self, eps, monkeypatch):
+        pd, grid = make_problem(_DIRICHLET_32, eps), standard_grid([eps])
+        identity_checks(pd, grid)
+        table = pd.sample_times(grid.times)
+        kept = [dict(table), dict(table.exps), dict(table.powers), dict(table.diffs)]
+        tables = []
+        accumulate = profiles_module.accumulate
+        monkeypatch.setattr(profiles_module, "accumulate",
+                            lambda polys, times, rows: tables.append(times)
+                            or accumulate(polys, times, rows))
+        reports = l2_deviation_bounds(pd, grid)
+        assert [r.passed for r in reports] == [True, True]
+        # both integrands on the problem's table, which gains no entry
+        assert len(tables) == 2 * 32 and all(t is table for t in tables)
+        assert [dict(table), table.exps, table.powers, table.diffs] == kept
+        assert "quad_points" not in vars(grid)
 
 
 class TestSquaredNorms:

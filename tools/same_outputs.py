@@ -25,6 +25,16 @@ from run to run, are removed: its file list, config hash, tool version and
 environment are compared.  Each difference is printed, and the exit code
 is 1 if there is any, else 0.  The runs are serial and
 take about half a minute on a 2-core machine.
+
+    python tools/same_outputs.py REF --rtol 1e-14
+
+compares numbers instead of bytes, for a change that moves the last
+digits on purpose.  Each output that is not byte-identical is split into
+its numbers (CSV cells, report.json values, numbers in notes and streams)
+and the text between them.  The text must be the same; the line of the
+invocation gives, per output, the largest relative difference of its
+numbers, |a - b| / max(|a|, |b|).  An invocation differs if some text
+differs or some relative difference is above the bound.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -98,9 +109,54 @@ def run(tree: Path, command: str, config: Path, out: Path) -> dict[str, bytes]:
     return found
 
 
+# a decimal number as %.17g, repr or JSON writes it; inf and nan stay text
+NUMBER = re.compile(rb"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def largest_relative_difference(ref: bytes, new: bytes) -> float | None:
+    """The largest |a - b| / max(|a|, |b|) over the numbers of two outputs
+    taken in order (0 where a == b), or None if the text between the
+    numbers differs."""
+    ref_parts, new_parts = NUMBER.split(ref), NUMBER.split(new)
+    if len(ref_parts) != len(new_parts) or ref_parts[::2] != new_parts[::2]:
+        return None
+    largest = 0.0
+    for a, b in zip(map(float, ref_parts[1::2]), map(float, new_parts[1::2])):
+        if a != b:
+            largest = max(largest, abs(a - b) / max(abs(a), abs(b)))
+    return largest
+
+
+def compare(ref: dict[str, bytes], new: dict[str, bytes], rtol: float | None) -> tuple[bool, str]:
+    """(whether the invocation differs, its line): the outputs that are not
+    byte-identical, or with rtol, each one's largest relative difference."""
+    changed = sorted(k for k in ref.keys() | new.keys() if ref.get(k) != new.get(k))
+    if not changed:
+        return False, "same"
+    if rtol is None:
+        return True, "differs in " + ", ".join(changed)
+    differs, notes = False, []
+    for key in changed:
+        found = None
+        if key in ref and key in new:
+            found = largest_relative_difference(ref[key], new[key])
+        if found is None:
+            differs = True
+            notes.append(f"{key} differs in text")
+        else:
+            differs = differs or found > rtol
+            notes.append(f"{key} {found:.3g}" + (f" > {rtol:g}" if found > rtol else ""))
+    return differs, ", ".join(notes)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="the git revision to compare the working tree with")
+    parser.add_argument(
+        "--rtol", type=float, metavar="BOUND",
+        help="compare numbers to this relative difference instead of bytes, "
+             "and report the largest relative difference per output",
+    )
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as scratch:
         scratch = Path(scratch)
@@ -122,11 +178,12 @@ def main(argv=None) -> int:
                 for side, tree in (("ref", ref_tree), ("tree", ROOT)):
                     (work / side).mkdir(parents=True)
                     outputs.append(run(tree, command, path, work / side / "out"))
-                ref, new = outputs
-                changed = sorted(k for k in ref.keys() | new.keys() if ref.get(k) != new.get(k))
-                differences += bool(changed)
-                print(f"{label}: {'differs in ' + ', '.join(changed) if changed else 'same'}")
-    print(f"{differences} of {len(configs) * len(COMMANDS)} invocations differ from {args.ref}")
+                differs, line = compare(*outputs, args.rtol)
+                differences += differs
+                print(f"{label}: {line}")
+    within = "" if args.rtol is None else f" beyond relative {args.rtol:g}"
+    print(f"{differences} of {len(configs) * len(COMMANDS)} invocations differ from "
+          f"{args.ref}{within}")
     return 1 if differences else 0
 
 

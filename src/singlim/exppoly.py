@@ -214,7 +214,8 @@ def _expansion(nodes: tuple[complex, ...]):
     w_g the product of 1/(z - c) over the nodes outside the group, then the
     Leibniz rule (f w)[g_0..g_r] = sum_i f[g_0..g_i] w[g_i..g_r].  Repeated
     nodes go first so that the prefixes f[g_0..g_i] stay plain terms for as
-    long as possible; an all-equal prefix is t**i e^{gt} / i!.
+    long as possible; an all-equal prefix is t**i e^{gt} / i!.  A prefix
+    grouped only by a later node is expanded (build keeps its normal form).
     """
     plain, diffs = [], []
     groups = _groups(list(nodes))
@@ -224,11 +225,15 @@ def _expansion(nodes: tuple[complex, ...]):
         for i, w in enumerate(_pole_weights(poles, group)):
             if w == 0:
                 continue
-            prefix = group[: i + 1]
+            prefix = tuple(sorted(group[: i + 1], key=_node_key))
             if all(z == prefix[0] for z in prefix):
                 plain.append((i, prefix[0], w / math.factorial(i)))
+            elif len(_groups(list(prefix))) > 1:
+                sub_plain, sub_diffs = _expansion(prefix)
+                plain.extend((k, mu, w * c) for k, mu, c in sub_plain)
+                diffs.extend((key, w * c) for key, c in sub_diffs)
             else:
-                diffs.append((tuple(sorted(prefix, key=_node_key)), w))
+                diffs.append((prefix, w))
     return tuple(plain), tuple(diffs)
 
 
@@ -244,21 +249,33 @@ def _series_order(x: float) -> int:
 _MAX_ORDER = _series_order(_SERIES_RADIUS)
 
 
-@functools.lru_cache(maxsize=4096)
 def _difference_table(nodes: tuple[complex, ...]):
-    """Shift, radius and normalized Taylor coefficients of exp[w_i..w_j].
+    """Shift, radius, normalized Taylor coefficients of exp[w_i..w_j] and
+    the size of the table's zero block (see _normalized_table).
 
     With w = z - shift (shift the node of largest real part, so every
     e^{wt} stays bounded) and x = r*tau, r = max|w|:
     exp[w_i..w_j](tau) = tau**(j-i) * sum_k h_k(w_i/r..w_j/r) x**k / (k+j-i)!
     with h_k the complete homogeneous symmetric polynomial.  Real nodes
     give a real table.
+
+    The table depends only on u = w/r and realness, so groups with equal
+    u share it: two distinct real values give an exact u, such as
+    (-1, 0, 0).  The sign of a zero in u, not in the key, reaches only
+    zero entries, and a Horner sum ends by adding the nonzero 1/(j-i)!.
     """
     shift = max(nodes, key=_node_key)
     w = [z - shift for z in nodes]
     r = max(abs(x) for x in w)
-    u = [x / r for x in w]
-    n = len(nodes) - 1
+    real = all(z.imag == 0 for z in nodes)
+    table, zeros = _normalized_table(tuple(x / r for x in w), real)
+    return (shift.real if real else shift), r, table, zeros
+
+
+@functools.lru_cache(maxsize=4096)
+def _normalized_table(u: tuple[complex, ...], real: bool):
+    """The table of the normalized nodes u, and its zero block if real."""
+    n = len(u) - 1
     table = np.zeros((n + 1, n + 1, _MAX_ORDER + 1), dtype=complex)
     for i in range(n + 1):
         h = np.array([u[i] ** k for k in range(_MAX_ORDER + 1)])
@@ -269,10 +286,10 @@ def _difference_table(nodes: tuple[complex, ...]):
             table[i, j] = h / np.array(
                 [math.factorial(k + j - i) for k in range(_MAX_ORDER + 1)]
             )
-    if all(z.imag == 0 for z in nodes):
-        table, shift = table.real.copy(), shift.real
+    if real:
+        table = table.real.copy()
     table.setflags(write=False)
-    return shift, r, table
+    return table, (u.count(0) if real else 0)
 
 
 def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -291,6 +308,10 @@ def _difference_value(nodes: tuple[complex, ...], t: np.ndarray) -> np.ndarray:
     times a bounded factor, so it is exactly +-0 wherever e^{z_n t}
     underflows: its callers pass only the live times of Re z_n.  The
     series order follows the largest small time passed in.
+
+    Each time takes the arithmetic it takes alone: times that do not
+    ascend (or hold NaN) are sorted once, and the series times are a
+    leading slice.
     """
     if len(nodes) == 2:
         # e^{bt} * expm1((a - b) t) / (a - b), Re(a - b) <= 0 after sorting
@@ -300,28 +321,32 @@ def _difference_value(nodes: tuple[complex, ...], t: np.ndarray) -> np.ndarray:
         x = (a - b) * t
         # below the normal range x has lost bits (or all of them, rounding
         # to 0 for a subnormal gap); there expm1(x)/(a - b) = t to the ulp.
-        # Those points divide 1 by 1 instead: complex division by a
-        # subnormal overflows.
+        # Those points keep t and divide nothing: 0/0 is NaN, and complex
+        # division by a subnormal overflows.
         tiny = np.abs(x) < np.finfo(float).tiny
-        quotient = np.expm1(np.where(tiny, 1.0, x)) / np.where(tiny, 1.0, a - b)
-        ratio = np.where(tiny, t, quotient)
+        ratio = np.array(t, dtype=np.result_type(x))
+        np.divide(np.expm1(x), a - b, out=ratio, where=~tiny)
         return np.exp(b * t) * ratio
-    shift, r, table = _difference_table(nodes)
+    shift, r, table, zeros = _difference_table(nodes)
     n = len(nodes) - 1
     flat = t.ravel()
+    order = None if (flat[1:] >= flat[:-1]).all() else np.argsort(flat, kind="stable")
+    flat = flat if order is None else flat[order]
     x = r * flat
+    small = int(np.searchsorted(x, _SERIES_RADIUS, side="right"))
     out = np.empty(flat.shape, dtype=table.dtype)
-    small = x <= _SERIES_RADIUS
-    if np.any(small):
-        xs = x[small]
-        order = max(_series_order(float(np.max(xs))), 1)
-        out[small] = flat[small] ** n * _horner(table[0, n, : order + 1], xs)
-    if not np.all(small):
-        out[~small] = _scaled_squaring(table, r, flat[~small])
-    return out.reshape(t.shape) * np.exp(shift * t)
+    if small:
+        degree = max(_series_order(float(x[small - 1])), 1)
+        out[:small] = flat[:small] ** n * _horner(table[0, n, : degree + 1], x[:small])
+    if small < flat.size:
+        out[small:] = _scaled_squaring(table, zeros, r, flat[small:])
+    out = out * np.exp(shift * flat)
+    if order is not None:
+        out[order] = out.copy()
+    return out.reshape(t.shape)
 
 
-def _scaled_squaring(table: np.ndarray, r: float, t: np.ndarray) -> np.ndarray:
+def _scaled_squaring(table: np.ndarray, zeros: int, r: float, t: np.ndarray) -> np.ndarray:
     """exp[w_0..w_n](t) from the series at t/2**s and s squarings of the
     triangular table exp[w_i..w_j] (exp of the scaled bidiagonal matrix).
 
@@ -330,33 +355,42 @@ def _scaled_squaring(table: np.ndarray, r: float, t: np.ndarray) -> np.ndarray:
     is not finite has no squaring count and gives NaN.  Through accumulate
     and divided_difference_exp that is a NaN time, or t = inf for a group
     whose largest rate does not decay: a decaying group never gets t = inf,
-    which is one of its dead times and reads 0.
+    which is one of its dead times and reads 0.  On ascending t (NaN
+    last) the points still to square are a trailing slice.
+
+    The last zeros nodes of a real table (w = 0) are a block taken with
+    the bits of the full arithmetic: an entry of width w is tau**w/w!
+    (Horner of 1/w! and zeros), a diagonal entry stays 1 and is not held,
+    as 1.0 * x is x, and a width-1 entry, 1.0 * x + x * 1.0, doubles.
     """
     n = table.shape[0] - 1
+    block = n + 1 - zeros  # the first node of the zero block
     out = np.full(t.shape, np.nan, dtype=table.dtype)
-    finite = np.flatnonzero(np.isfinite(t))
-    squarings = np.ceil(np.log2(r * t[finite] / _SERIES_RADIUS)).astype(int)
-    order = np.argsort(-squarings, kind="stable")
-    finite, squarings = finite[order], squarings[order]
-    tau = np.ldexp(t[finite], -squarings)
+    finite = int(np.searchsorted(t, np.inf))
+    squarings = np.ceil(np.log2(r * t[:finite] / _SERIES_RADIUS)).astype(int)
+    squarings = np.maximum.accumulate(squarings)  # a no-op for a monotone log2
+    tau = np.ldexp(t[:finite], -squarings)
     rt = r * tau
     entry = {
-        (i, j): tau ** (j - i) * _horner(table[i, j], rt)
+        (i, j): tau ** (j - i) * (table[i, j, 0] if i >= block else _horner(table[i, j], rt))
         for i in range(n + 1)
-        for j in range(i, n + 1)
+        for j in range(i + (i >= block), n + 1)
     }
-    # sorted by squarings, the points still to square form a leading slice;
     # the widest entries go first, so each is squared in place: (E^2)_ij
     # reads only entries no wider than (i, j), and of its width only itself
     keys = sorted(entry, key=lambda ij: ij[0] - ij[1])
-    for step in range(squarings.max(initial=0)):
-        m = int(np.count_nonzero(squarings > step))
+    for step in range(squarings[-1] if finite else 0):
+        m = int(np.searchsorted(squarings, step, side="right"))
         for i, j in keys:
-            acc = entry[i, i][:m] * entry[i, j][:m]
+            e = entry[i, j][m:]
+            if i >= block and j == i + 1:
+                e *= 2.0
+                continue
+            acc = e.copy() if i >= block else entry[i, i][m:] * e
             for k in range(i + 1, j + 1):
-                acc += entry[i, k][:m] * entry[k, j][:m]
-            entry[i, j][:m] = acc
-    out[finite] = entry[0, n]
+                acc += e if k == j >= block else entry[i, k][m:] * entry[k, j][m:]
+            e[...] = acc
+    out[:finite] = entry[0, n]
     return out
 
 
@@ -474,15 +508,7 @@ class ExpPoly:
         the rebuild.  Each coefficient takes build's arithmetic and scalar
         type, 0j + complex(alpha c) for a term and 0j + alpha c (1 + 0j) for
         a difference (the weight _expansion gives a group of its own), zero
-        coefficients are dropped, and the order of this normal form is kept.
-        A difference whose nodes build would split into several groups
-        (a prefix that only a later node joined) takes build itself."""
-        if not all(_expansion(nodes) == ((), ((nodes, 1 + 0j),))
-                   for nodes, _ in self.differences):
-            return ExpPoly.build(
-                [(k, mu, alpha * c) for k, mu, c in self.terms],
-                [(nodes, alpha * c) for nodes, c in self.differences],
-            )
+        coefficients are dropped, and the order of this normal form is kept."""
         return ExpPoly(
             tuple((k, mu, 0j + complex(s)) for k, mu, c in self.terms
                   if (s := alpha * c) != 0),

@@ -306,11 +306,6 @@ class ProfileFunction:
         if len(self.modes) != len(self.spectrum):
             raise ValueError("one mode polynomial per eigenvalue required")
 
-    def sample(self, ts) -> np.ndarray:
-        """Values on an array of times, shape (len(ts), n_modes), mode-major
-        (see sample_together)."""
-        return sample_together((self,), ts)[0]
-
     def coefficient_scales(self) -> np.ndarray:
         """Largest term magnitude of each mode, a conditioning measure."""
         return np.array([m.coefficient_scale() for m in self.modes])
@@ -387,7 +382,7 @@ def _size(ts) -> int:
 
 
 def sample_together(profiles, ts) -> list[np.ndarray]:
-    """[p.sample(ts) for p in profiles], for profiles on one spectrum, ts as
+    """The values of each of profiles, on one spectrum, at the times ts as
     _each_mode takes it: each profile is evaluated into a zeroed mode-major
     (n_modes, n_times) array, mode by mode, and returned as its transposed
     (n_times, n_modes) view.  Callers that need a norm of the values at

@@ -10,7 +10,7 @@ import pytest
 from singlim.exppoly import ExpPoly
 from singlim.modes import ForcingTerm, ModeParams, rk_reference_path
 from singlim.spectral import Spectrum
-from singlim.profiles import ProblemData, ProfileFunction
+from singlim.profiles import ProblemData, ProfileFunction, sample_together
 from singlim.timegrid import TimeGrid
 
 
@@ -159,9 +159,15 @@ def reference_integral(poly: ExpPoly, t):
     return out if out.ndim else float(out)
 
 
+def sample(profile: ProfileFunction, ts) -> np.ndarray:
+    """The profile's values on an array of times, shape (len(ts), n_modes):
+    sample_together of the profile alone."""
+    return sample_together((profile,), ts)[0]
+
+
 def l2_time_norm_quadrature(profile: ProfileFunction, grid: TimeGrid) -> float:
     """Simpson cross-check of verification.l2_time_norm on the same grid."""
-    samp = profile.sample(grid.quad_points)
+    samp = sample(profile, grid.quad_points)
     return float(grid.cumulative_integral(np.sum(samp**2, axis=1))[-1])
 
 

@@ -32,7 +32,7 @@ from singlim.csvformat import csv_bytes
 from singlim.profiles import ProblemData
 from singlim.timegrid import standard_grid
 
-from conftest import cli_env, make_problem, run_cli
+from conftest import cli_env, make_problem, run_cli, sample
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -575,7 +575,7 @@ class TestRates:
         assert pd.il0_satisfied and np.any(pd.v1 != 0.0)
         ts = np.linspace(0.0, 2.0, 41)
         layer_free = pd.parabolic - profiles.kernel_profile(spec, u0, 1, 2.0, 0.1)
-        assert not np.array_equal(pd.main_expansion.sample(ts), layer_free.sample(ts))
+        assert not np.array_equal(sample(pd.main_expansion, ts), sample(layer_free, ts))
         out = tmp_path / "out"
         assert main(["rates", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         main_curve = (out / "rates_order2_mainthm.csv").read_text()

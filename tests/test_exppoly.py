@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -809,7 +810,7 @@ def test_a_real_rate_takes_the_complex_series_mask(mu):
 def _chained_group_poly():
     # z1 and z2 are each near z3 but not near each other, so their group
     # {z1, z2, z3} orders them first; with a far pole p its prefix (z2, z1)
-    # gets a weight, and build splits that prefix into two groups
+    # gets a weight, and build expands that prefix over its own two groups
     z1, z2, z3 = complex(-0.15, 0.12), complex(-0.15, -0.12), 0j
     return ExpPoly.build([(0, -1.0, 0.5)], [((z1, z2, z3, -5.0), 1.0)])
 
@@ -841,9 +842,9 @@ _ALPHAS = [0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, 1e300, math.inf, math.nan, 1j,
 def test_scale_is_build_of_the_scaled_terms(name):
     poly = _NORMAL_POLYS[name]
     assert poly.differences or name == "plain"
-    if name == "chained group":  # a normal form that build does not keep
-        assert any(len(nodes) == 2 for nodes, _ in poly.differences)
-        assert repr(ExpPoly.build(poly.terms, poly.differences)) != repr(poly)
+    if name == "chained group":  # the prefix (z2, z1) is two plain terms
+        assert all(len(nodes) == 3 for nodes, _ in poly.differences)
+        assert repr(ExpPoly.build(poly.terms, poly.differences)) == repr(poly)
     for alpha in _ALPHAS:
         want = ExpPoly.build(
             [(k, mu, alpha * c) for k, mu, c in poly.terms],
@@ -851,3 +852,176 @@ def test_scale_is_build_of_the_scaled_terms(name):
         )
         # equal reprs: the same values and scalar types, in the same order
         assert repr(poly.scale(alpha)) == repr(want), alpha
+
+
+# The divided-difference kernels as they were before their exact shortcuts
+# (shared tables, the zero block, slices of sorted times): every value of
+# the current kernels must have these bits.
+
+def _reference_table(nodes):
+    shift = max(nodes, key=exppoly._node_key)
+    w = [z - shift for z in nodes]
+    r = max(abs(x) for x in w)
+    u = [x / r for x in w]
+    n = len(nodes) - 1
+    order = exppoly._MAX_ORDER
+    table = np.zeros((n + 1, n + 1, order + 1), dtype=complex)
+    for i in range(n + 1):
+        h = np.array([u[i] ** k for k in range(order + 1)])
+        for j in range(i, n + 1):
+            if j > i:
+                for k in range(1, order + 1):
+                    h[k] = h[k] + u[j] * h[k - 1]
+            table[i, j] = h / np.array([math.factorial(k + j - i) for k in range(order + 1)])
+    if all(z.imag == 0 for z in nodes):
+        table, shift = table.real.copy(), shift.real
+    return shift, r, table
+
+
+def _reference_squaring(table, r, t):
+    n = table.shape[0] - 1
+    out = np.full(t.shape, np.nan, dtype=table.dtype)
+    finite = np.flatnonzero(np.isfinite(t))
+    squarings = np.ceil(np.log2(r * t[finite] / exppoly._SERIES_RADIUS)).astype(int)
+    order = np.argsort(-squarings, kind="stable")
+    finite, squarings = finite[order], squarings[order]
+    tau = np.ldexp(t[finite], -squarings)
+    rt = r * tau
+    entry = {
+        (i, j): tau ** (j - i) * exppoly._horner(table[i, j], rt)
+        for i in range(n + 1)
+        for j in range(i, n + 1)
+    }
+    keys = sorted(entry, key=lambda ij: ij[0] - ij[1])
+    for step in range(squarings.max(initial=0)):
+        m = int(np.count_nonzero(squarings > step))
+        for i, j in keys:
+            acc = entry[i, i][:m] * entry[i, j][:m]
+            for k in range(i + 1, j + 1):
+                acc += entry[i, k][:m] * entry[k, j][:m]
+            entry[i, j][:m] = acc
+    out[finite] = entry[0, n]
+    return out
+
+
+def _reference_difference(nodes, t):
+    if len(nodes) == 2:
+        a, b = nodes
+        if a.imag == 0 and b.imag == 0:
+            a, b = a.real, b.real
+        x = (a - b) * t
+        tiny = np.abs(x) < np.finfo(float).tiny
+        quotient = np.expm1(np.where(tiny, 1.0, x)) / np.where(tiny, 1.0, a - b)
+        ratio = np.where(tiny, t, quotient)
+        return np.exp(b * t) * ratio
+    shift, r, table = _reference_table(nodes)
+    n = len(nodes) - 1
+    flat = t.ravel()
+    x = r * flat
+    out = np.empty(flat.shape, dtype=table.dtype)
+    small = x <= exppoly._SERIES_RADIUS
+    if np.any(small):
+        xs = x[small]
+        order = max(exppoly._series_order(float(np.max(xs))), 1)
+        out[small] = flat[small] ** n * exppoly._horner(table[0, n, : order + 1], xs)
+    if not np.all(small):
+        out[~small] = _reference_squaring(table, r, flat[~small])
+    return out.reshape(t.shape) * np.exp(shift * t)
+
+
+_B = -1.0
+_KERNEL_GROUPS = {
+    **{f"(a, b x{k})": (-3.0,) + (_B,) * k for k in range(1, 5)},
+    "(a x2, b)": (-3.0, -3.0, _B),
+    "(a x2, b x2)": (-3.0, -3.0, _B, _B),
+    "three values": (-3.0, -2.0, _B),
+    "three values, b x2": (-3.0, -2.5, _B, _B),
+    "growing": (-0.5, 0.25, 0.25),
+    "pair around a larger real node": (-2 - 0.3j, -2 + 0.3j, -1.9, -1.9),
+    "pair above a repeated real node": (-2.1, -2.1, -2 - 0.3j, -2 + 0.3j),
+    "common imaginary part": (-3 + 1j, _B + 1j, _B + 1j),
+}
+
+_KERNEL_TIMES = np.concatenate([np.linspace(0.0, 0.3, 7), np.geomspace(0.3, 60.0, 40)])
+_SHUFFLED = np.random.default_rng(3).permutation(_KERNEL_TIMES)
+_TIME_SETS = {
+    "ascending": _KERNEL_TIMES,
+    "shuffled": _SHUFFLED,
+    "repeated": np.repeat(_KERNEL_TIMES[::3], 3),
+    "descending": _KERNEL_TIMES[::-1].copy(),
+    "nan": np.insert(_KERNEL_TIMES, [0, 20, 47], math.nan),
+    "shuffled nan": np.insert(_SHUFFLED, [5, 30], math.nan),
+    "inf": np.append(_KERNEL_TIMES, [math.inf, math.inf]),
+    "inf and nan": np.concatenate([_SHUFFLED, [math.inf, math.nan, math.inf]]),
+    "negative": np.linspace(-2.0, 2.0, 9),
+    "one time": np.array([30.0]),
+    "one nan": np.array([math.nan]),
+    "empty": np.empty(0),
+    "2-D": _KERNEL_TIMES[:45].reshape(9, 5),
+    "0-D": np.array(12.0),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("times", list(_TIME_SETS))
+@pytest.mark.parametrize("group", list(_KERNEL_GROUPS))
+def test_difference_kernels_keep_their_bits(group, times):
+    nodes = tuple(sorted(map(complex, _KERNEL_GROUPS[group]), key=exppoly._node_key))
+    spread = max(abs(z - w) for z in nodes for w in nodes)
+    for scale in (1.0, 1 / spread, 50 / spread):  # series only, then deeper squarings
+        t = _TIME_SETS[times] * scale
+        got, want = _difference_value(nodes, t), _reference_difference(nodes, t)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _with_warnings(f, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = f(*args)
+    return value, sorted(str(w.message) for w in caught)
+
+
+@pytest.mark.parametrize("times", list(_TIME_SETS))
+@pytest.mark.parametrize("gap", [0.0, 5e-324, 1e-310, 1e-300, 1e-9, 2.0, 2.0 + 0.5j])
+def test_pair_kernel_keeps_its_bits(gap, times):
+    # zero, subnormal, small and normal gaps; 1e-300 is below the normal
+    # range at the small times only.  The warnings are the reference's too:
+    # the points below the normal range divide nothing
+    for b in (-1.0, 0.0, -1.0 + 3j):
+        nodes = tuple(sorted((complex(b - gap), complex(b)), key=exppoly._node_key))
+        t = _TIME_SETS[times] * 1e8
+        got, got_warnings = _with_warnings(_difference_value, nodes, t)
+        want, want_warnings = _with_warnings(_reference_difference, nodes, t)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got_warnings == want_warnings
+
+
+def test_groups_with_equal_normalized_nodes_share_one_table():
+    shared = [exppoly._difference_table(tuple(map(complex, g)))
+              for g in [(-3.0, -1.0, -1.0), (-7.5, 2.0, 2.0), (-1e-9, 0.0, 0.0)]]
+    assert [s[0] for s in shared] == [-1.0, 2.0, 0.0]
+    assert shared[0][2] is shared[1][2] is shared[2][2]
+    assert [s[3] for s in shared] == [2, 2, 2]
+    assert exppoly._difference_table((-3 + 0j, -2 + 0j, -1 + 0j))[3] == 1
+    # the same u, (-1, 0, 0), for complex nodes: a complex table of its own,
+    # with no zero block
+    shift, r, table, zeros = exppoly._difference_table((-3 + 1j, -1 + 1j, -1 + 1j))
+    assert (shift, r, zeros) == (-1 + 1j, 2.0, 0)
+    assert np.iscomplexobj(table) and not np.iscomplexobj(shared[0][2])
+    assert table.real.tobytes() == shared[0][2].tobytes()
+    assert not table.flags.writeable and not shared[0][2].flags.writeable
+
+
+def test_scaled_squaring_takes_sorted_slices(monkeypatch):
+    # ascending times are neither sorted nor gathered again; unsorted ones
+    # are sorted once, in _difference_value
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(exppoly.np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+    nodes = (-3 + 0j, -1 + 0j, -1 + 0j)
+    t = np.geomspace(0.1, 80.0, 50)
+    _difference_value(nodes, t)
+    assert calls == []
+    _difference_value(nodes, t[::-1].copy())
+    assert calls == [1]

@@ -5,22 +5,23 @@ import pytest
 from mpmath import mp
 
 from singlim.profiles import (ProblemData, kernel_profile, norms_together, sample_together,
+                              segment_sums,
                               squared_integrals, squared_norms_together)
 import singlim.exppoly as exppoly
 import singlim.profiles as profiles_module
 from singlim.spectral import Spectrum, norm, sample_norms, squared_norms
 from singlim.timegrid import standard_grid
 
-from conftest import make_problem
+from conftest import make_problem, sample
 
 
 def at(profile, t):
     """The profile's mode values at the one time t."""
-    return profile.sample([t])[0]
+    return sample(profile, [t])[0]
 
 
 def max_gap(a, b, ts):
-    d = a.sample(ts) - b.sample(ts)
+    d = sample(a, ts) - sample(b, ts)
     return float(np.max(np.sqrt(np.sum(d**2, axis=1))))
 
 
@@ -115,7 +116,7 @@ class TestBasicProfiles:
         pd = make_problem([0.0, 1.0, 4.0], 0.05, il0=True)
         theta = pd.theta
         ts = np.linspace(0.0, 5.0, 11)
-        assert np.max(np.abs(theta.sample(ts))) == 0.0
+        assert np.max(np.abs(sample(theta, ts))) == 0.0
 
     def test_layer_slope_is_v1(self):
         pd = make_problem([0.0, 1.0, 4.0], 0.05)
@@ -129,7 +130,7 @@ class TestBasicProfiles:
         pd = make_problem([0.0, 1.0, 4.0], 0.05)
         theta = pd.theta
         ts = np.linspace(0.0, 2.0, 9)
-        residual = pd.eps * theta.deriv().deriv().sample(ts) + theta.deriv().sample(ts)
+        residual = pd.eps * sample(theta.deriv().deriv(), ts) + sample(theta.deriv(), ts)
         assert np.max(np.abs(residual)) <= 1e-13
 
 
@@ -176,7 +177,7 @@ class TestExpansionProfiles:
         )
         d = pd.derivative_expansion
         ts = np.linspace(0.0, 3.0, 7)
-        assert np.max(np.abs(d.sample(ts))) == 0.0
+        assert np.max(np.abs(sample(d, ts))) == 0.0
 
     def test_derivative_profile_requires_compatibility(self):
         pd = make_problem([1.0], 0.1)
@@ -196,7 +197,7 @@ class TestSplit:
         pd = make_problem([0.0, 1.0, 4.0], 0.05, il0=True)
         _, b = pd.splits
         ts = np.linspace(0.0, 5.0, 11)
-        assert np.max(np.abs(b.sample(ts))) == 0.0
+        assert np.max(np.abs(sample(b, ts))) == 0.0
 
     def test_zero_u0_kills_first(self):
         spec = Spectrum(np.array([1.0, 2.0]))
@@ -205,7 +206,7 @@ class TestSplit:
         )
         a, _ = pd.splits
         ts = np.linspace(0.0, 5.0, 11)
-        assert np.max(np.abs(a.sample(ts))) == 0.0
+        assert np.max(np.abs(sample(a, ts))) == 0.0
 
 
 class TestCorrectors:
@@ -214,10 +215,10 @@ class TestCorrectors:
         zero = np.zeros(2)
         pd = ProblemData(spec, 0.1, zero, zero)
         ts = np.linspace(0.0, 4.0, 9)
-        assert np.max(np.abs(pd.corrector_primary.sample(ts))) == 0.0
-        assert np.max(np.abs(pd.corrector_halfpower.sample(ts))) == 0.0
+        assert np.max(np.abs(sample(pd.corrector_primary, ts))) == 0.0
+        assert np.max(np.abs(sample(pd.corrector_halfpower, ts))) == 0.0
         for j in (1, 2):
-            assert np.max(np.abs(pd.split_correctors[j - 1].sample(ts))) == 0.0
+            assert np.max(np.abs(sample(pd.split_correctors[j - 1], ts))) == 0.0
 
     def test_primary_identity(self):
         pd = make_problem([1.0], 0.1, p=0.0)
@@ -314,7 +315,7 @@ class TestCorrectors:
             spec, 0.1, np.array([1.0]), np.array([0.0])
         )
         ts = np.linspace(0.0, 3.0, 7)
-        assert np.max(np.abs(pd.corrector_profiles[0].sample(ts))) == 0.0
+        assert np.max(np.abs(sample(pd.corrector_profiles[0], ts))) == 0.0
 
 
 def remainder_ode_residual(pd, j, w, ts):
@@ -333,7 +334,7 @@ class TestRemainders:
         )
         rem = pd.remainders[0]
         ts = np.linspace(0.0, 4.0, 9)
-        assert np.max(np.abs(rem.sample(ts))) <= 1e-14
+        assert np.max(np.abs(sample(rem, ts))) <= 1e-14
 
     def test_second_remainder_initial_data(self):
         pd = make_problem([0.0, 1.0, 4.0], 0.1)
@@ -448,7 +449,7 @@ class TestSmallEpsReference:
         lam = pd.spec.eigenvalues
         u0, u1 = pd.u0, pd.u1
         ts = _layer_times(eps)
-        got = pd.remainders[j - 1].sample(ts)
+        got = sample(pd.remainders[j - 1], ts)
         want = _mp_table(ts, lambda i, t: _remainder_mp(eps, lam[i], u0[i], u1[i], j, t))
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
@@ -464,7 +465,7 @@ class TestSmallEpsReference:
         lam = pd.spec.eigenvalues
         u0, u1 = pd.u0, pd.u1
         ts = _layer_times(eps)
-        got = pd.solution.deriv().sample(ts)
+        got = sample(pd.solution.deriv(), ts)
         want = _mp_table(
             ts,
             lambda i, t: _forced_mode_mp(
@@ -482,7 +483,7 @@ class TestSmallEpsReference:
         lam = pd.spec.eigenvalues
         u0, u1 = pd.u0, pd.u1
         ts = _layer_times(eps)
-        got = pd.remainders[j - 1].deriv().sample(ts)
+        got = sample(pd.remainders[j - 1].deriv(), ts)
         want = _mp_table(
             ts, lambda i, t: _remainder_mp(eps, lam[i], u0[i], u1[i], j, t, order=1)
         )
@@ -495,7 +496,7 @@ class TestLayerSource:
         pd = make_problem([1.0, 4.0], 0.1, il0=True)
         src = pd.layer_source
         ts = np.linspace(0.0, 4.0, 9)
-        assert np.max(np.abs(src.sample(ts))) <= 1e-14
+        assert np.max(np.abs(sample(src, ts))) <= 1e-14
 
     def test_relaxation_identity(self):
         pd = make_problem([0.0, 1.0, 4.0], 0.1)
@@ -512,7 +513,7 @@ class TestLayerSource:
         pd = make_problem([0.0, 1.0, 4.0], 0.05)
         src = pd.layer_source
         ts = standard_grid([pd.eps]).times
-        sup = float(np.max(np.sqrt(np.sum(src.sample(ts) ** 2, axis=1))))
+        sup = float(np.max(np.sqrt(np.sum(sample(src, ts) ** 2, axis=1))))
         assert np.isfinite(sup)
         assert sup > 0.0
 
@@ -533,8 +534,8 @@ class TestDerivativeConsistency:
         for prof in profiles:
             for t in ts:
                 fd = (
-                    prof.sample(np.array([t + h]))[0]
-                    - prof.sample(np.array([t - h]))[0]
+                    sample(prof, np.array([t + h]))[0]
+                    - sample(prof, np.array([t - h]))[0]
                 ) / (2 * h)
                 an = at(prof.deriv(), t)
                 scale = max(1.0, float(np.max(np.abs(an))))
@@ -566,7 +567,7 @@ class TestSampleTogether:
             assert got.shape == (ts.size, len(pd.spec))
             assert got.T.flags.c_contiguous  # mode-major buffer
             assert got.tobytes() == want.tobytes()
-            assert prof.sample(ts).tobytes() == want.tobytes()
+            assert sample(prof, ts).tobytes() == want.tobytes()
 
     def test_one_live_times_call_per_decaying_rate(self, monkeypatch):
         # dirichlet-32: every mode shares the live times of each decay rate,
@@ -607,6 +608,44 @@ class TestSampleTogether:
         b = make_problem([1.0], 0.1).solution
         with pytest.raises(ValueError):
             sample_together([a, b], np.linspace(0.0, 1.0, 3))
+
+
+class TestSegmentSums:
+    # mode 0 is 0 and mode 1's rate underflows at every time: rows with no
+    # live term; mode 2 underflows on part of the times, mode 3 lives
+    _TERMS = [[], [(0, -1e6, 1.0)], [(0, -400.0, 1e300)],
+              [(0, -3.0, 1.5), (1, -1.0, -0.25)]]
+    _TS = np.linspace(1.0, 3.0, 40)
+    _STARTS = np.array([0, 7, 8, 30])
+
+    def _sums(self, weights):
+        spec = Spectrum(np.array([0.0, 1e6, 400.0, 3.0]))
+        profile = profiles_module.ProfileFunction(
+            spec, tuple(exppoly.ExpPoly.build(t) for t in self._TERMS))
+        out = np.full((5, 4), np.nan)
+        segment_sums(profile, self._TS, weights, self._STARTS, out, [0, 2, 3, 4])
+        assert np.isnan(out[1]).all()
+        want = np.add.reduceat(weights[:, None] * sample(profile, self._TS),
+                               self._STARTS, axis=0)
+        assert out[[0, 2, 3, 4]].tobytes() == want.tobytes()
+        return out[[0, 2, 3, 4]]
+
+    def test_rows_with_no_live_term_take_plus_zero(self):
+        sums = self._sums(np.linspace(0.5, 2.0, 40))
+        assert (sums[:, :2] == 0).all() and not np.signbit(sums[:, :2]).any()
+        assert (sums[:3, 2] != 0).all() and sums[3, 2] == 0
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # 0 * inf
+    def test_any_weights_take_the_weighted_reduction(self):
+        # -0, negative and non-finite weights reach the modes with no live
+        # term too: the segment of one -0 weight sums to -0, and those with
+        # an inf or a NaN weight to NaN
+        weights = np.linspace(0.5, 2.0, 40)
+        weights[7] = -0.0
+        weights[[10, 20, 35]] = [-1.5, math.inf, math.nan]
+        dead = self._sums(weights)[:, :2]
+        assert (dead[:2] == 0).all() and np.signbit(dead[:2]).tolist() == [[False] * 2, [True] * 2]
+        assert np.isnan(dead[2:]).all()
 
 
 _PRESETS = {
@@ -715,7 +754,7 @@ class TestSharedEvaluationTable:
         assert any(m.differences for m in modes) == (eps < 0.1)
         grid = standard_grid([eps])
         table = pd.sample_times(grid.times)
-        fresh = [p.sample(grid.times) for p in profiles]
+        fresh = [sample(p, grid.times) for p in profiles]
         # one by one, forwards and backwards: each later call finds most of
         # its values made by the calls before it
         for order in (profiles, profiles[::-1]):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from singlim.spectral import Spectrum, norm, sample_norms
 from singlim.profiles import ProblemData, kernel_profile
 
-from conftest import weighted_kernel
+from conftest import sample, weighted_kernel
 
 
 def vec(*xs):
@@ -25,12 +25,12 @@ def inner(f: np.ndarray, g: np.ndarray) -> float:
 
 def semigroup(spec, t, f):
     """e^{-tA} f at time t, from the profile the package builds for it."""
-    return kernel_profile(spec, f, 0, 0.0).sample([t])[0]
+    return sample(kernel_profile(spec, f, 0, 0.0), [t])[0]
 
 
 def power(spec, s, f):
     """A^s f, from the package's operator power of the profile e^{-tA} f at t = 0."""
-    return kernel_profile(spec, f, 0, 0.0).operator_power(s).sample([0.0])[0]
+    return sample(kernel_profile(spec, f, 0, 0.0).operator_power(s), [0.0])[0]
 
 
 def smoothed(spec, eps, f):
@@ -118,14 +118,14 @@ class TestWeightedKernel:
         s = Spectrum(np.array([1.0]))
         out = weighted_kernel(s, 1.0, 1, 2.0, vec(1))
         assert out[0] == pytest.approx(math.exp(-1.0), rel=1e-15)
-        profile = kernel_profile(s, np.array([1.0]), 1, 2.0).sample([1.0])[0]
+        profile = sample(kernel_profile(s, np.array([1.0]), 1, 2.0), [1.0])[0]
         assert profile[0] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_n0_m1(self):
         s = Spectrum(np.array([2.0]))
         out = weighted_kernel(s, 0.5, 0, 1.0, vec(1))
         assert out[0] == pytest.approx(2.0 * math.exp(-1.0), rel=1e-15)
-        profile = kernel_profile(s, np.array([1.0]), 0, 1.0).sample([0.5])[0]
+        profile = sample(kernel_profile(s, np.array([1.0]), 0, 1.0), [0.5])[0]
         assert profile[0] == pytest.approx(2.0 * math.exp(-1.0), rel=1e-15)
 
     def test_rejects_bad_args(self):

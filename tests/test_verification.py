@@ -53,6 +53,7 @@ from conftest import (
     make_problem,
     reference_integral,
     reference_moment,
+    sample,
 )
 
 
@@ -320,8 +321,8 @@ class TestEnergyChecks:
         ts = standard_grid([eps]).times
         for prof, got in zip(profiles, _energy_lhs_curves(pd, profiles, ts)):
             dp = prof.deriv()
-            kinetic = pd.eps * np.sum(dp.sample(ts) ** 2, axis=1)
-            potential = np.sum(prof.operator_power(0.5).sample(ts) ** 2, axis=1)
+            kinetic = pd.eps * np.sum(sample(dp, ts) ** 2, axis=1)
+            potential = np.sum(sample(prof.operator_power(0.5), ts) ** 2, axis=1)
             dissipated = np.zeros(ts.shape)
             for mode in dp.modes:
                 dissipated += next(integrate((mode.squared(),), ts))
@@ -422,9 +423,9 @@ class TestIdentityGapsInOnePass:
         pd = ProblemData(Spectrum(np.array(lams)), eps, np.array(u0), np.array(u1))
         grid = standard_grid([eps])
         whole = []
-        sample = profiles_module.sample_together
+        together = profiles_module.sample_together
         monkeypatch.setattr(profiles_module, "sample_together",
-                            lambda profiles, ts: whole.append(ts) or sample(profiles, ts))
+                            lambda profiles, ts: whole.append(ts) or together(profiles, ts))
         with np.errstate(over="ignore", invalid="ignore"):
             gaps = self._gaps(pd, grid, monkeypatch)
             assert len(whole) == 1 and whole[0] is pd.sample_times(grid.times)
@@ -721,7 +722,7 @@ def _per_interval_convolution(integrand, ts, eps):
         offsets = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
         weights = (half[:, None] * gl_w[None, :]).ravel()
         kernel = np.exp(offsets / eps)
-        local[k] = (weights * kernel) @ integrand.sample(t_right + offsets)
+        local[k] = (weights * kernel) @ sample(integrand, t_right + offsets)
     convo = np.zeros((ts.size, len(integrand.modes)))
     for k in range(ts.size - 1):
         convo[k + 1] = math.exp(-(ts[k + 1] - ts[k]) / eps) * convo[k] + local[k]

@@ -1,16 +1,13 @@
-"""Sample grids in time with composite Simpson quadrature.
+"""Sample grids in time.
 
 The standard grid mixes a uniform sweep of the diffusive range, a
 logarithmic sweep of small times, and explicit multiples of each eps so
-that sup-norms see both the fast transient and the tail.  Quadrature uses
-one Simpson panel per grid interval (nodes plus interval midpoints), which
-integrates cubics exactly on every panel.
+that sup-norms see both the fast transient and the tail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +23,7 @@ def _distinct_sorted(times) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing sample times starting at 0, with quadrature."""
+    """Strictly increasing sample times starting at 0."""
 
     times: np.ndarray
 
@@ -44,32 +41,6 @@ class TimeGrid:
     @property
     def t_max(self) -> float:
         return float(self.times[-1])
-
-    @cached_property
-    def quad_points(self) -> np.ndarray:
-        """Grid times interleaved with panel midpoints (Simpson nodes), made
-        once per grid as a read-only array (cached_property writes the
-        instance's __dict__, which the frozen dataclass allows)."""
-        t = self.times
-        out = np.empty(2 * t.size - 1)
-        out[0::2] = t
-        out[1::2] = 0.5 * (t[:-1] + t[1:])
-        out.setflags(write=False)
-        return out
-
-    def cumulative_integral(self, values: np.ndarray) -> np.ndarray:
-        """Running integral from 0 to each grid time, samples at quad_points."""
-        values = np.asarray(values, dtype=float)
-        if values.shape[0] != 2 * self.times.size - 1:
-            raise ValueError("values must be sampled at quad_points")
-        h = np.diff(self.times)
-        left = values[0:-1:2]
-        mid = values[1::2]
-        right = values[2::2]
-        panels = h / 6.0 * (left + 4.0 * mid + right)
-        out = np.zeros(self.times.size)
-        out[1:] = np.cumsum(panels)
-        return out
 
 
 def standard_grid(

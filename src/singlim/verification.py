@@ -1,11 +1,12 @@
 """Verification layer: norms over time, inequality checks, rate regression.
 
 All time integrals of closed-form profiles are exact (through
-profiles.squared_integrals); composite Simpson quadrature on the grid is
-kept as an independent cross-check.  Each decomposition identity compares
-two independent constructions (a split corrector against its profile part
-plus eps times the directly solved remainder, for instance), so the
-identities keep holding as eps -> 0 rather than measure rounding.  They
+profiles.squared_integrals); the module's one quadrature rule,
+Gauss-Legendre panels (_gauss_panels), serves the Duhamel check and the
+cross-check of the dissipation functionals.  Each decomposition identity
+compares two independent constructions (a split corrector against its
+profile part plus eps times the directly solved remainder, for instance),
+so the identities keep holding as eps -> 0 rather than measure rounding.  They
 are one table of rows (id, a, b, note), measured in one pass by
 _sup_norm_errors, the one sup-over-times gap of the module, which the
 rate errors take too.  The L2 bounds derive w1 = A^{-1/2} u1 from the
@@ -86,10 +87,10 @@ _STATEMENTS = {
 COMPARISONS = tuple(_STATEMENTS)
 
 
-# Gauss-Legendre nodes per subpanel of the Duhamel quadrature, and the
-# widest subpanel in units of eps.  The 10-node rule integrates e^x on
-# [-a, a] to 2.3e-16 relative at a = 2, 9.9e-16 at a = 3 and 1.1e-14 at
-# a = 3.5 (measured at 40 digits), so 6 eps panels keep the kernel
+# Gauss-Legendre nodes per panel of the module's quadrature, and the
+# widest Duhamel subpanel in units of eps.  The 10-node rule integrates
+# e^x on [-a, a] to 2.3e-16 relative at a = 2, 9.9e-16 at a = 3 and
+# 1.1e-14 at a = 3.5 (measured at 40 digits), so 6 eps panels keep the kernel
 # e^{(s-t)/eps} at rounding level.  They also cover the default grid's
 # step at eps = 1e-3 (20/1999 = 10.005 eps) in two panels, where 5 eps
 # panels would take three.
@@ -109,6 +110,21 @@ _GL_HALF_WEIGHTS = np.array([
 ])
 _GL_NODES = np.concatenate([-_GL_HALF_NODES[::-1], _GL_HALF_NODES])
 _GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
+
+
+def _gauss_panels(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The nodes and weights of the 10-point Gauss-Legendre rule on each
+    panel [left[k], right[k]], flat and panel by panel (_GAUSS_NODES each)."""
+    half = 0.5 * (right - left)
+    mid = 0.5 * (right + left)
+    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    return nodes, weights
+
+
+# The largest gap, relative to max(1, |f|^2), between a dissipation curve
+# and its quadrature cross-check (max_reg_functional).
+_DISSIPATION_GATE = 1e-6
 
 # The Duhamel quadrature evaluates the nodes of consecutive grid intervals
 # together, in blocks of at most _DUHAMEL_BLOCK_NODES nodes (plus one
@@ -284,16 +300,20 @@ def max_reg_functional(
     at every grid time, and its cumulative dissipation (the integral) alone.
 
     The integral is exact per mode, as the integral of the squared profile
-    sqrt(2^n/n!) A^{(n+1)/2} e^{-tA} f weighted by t^n.  The functional is
-    cross-checked against Simpson quadrature on the grid; a gap above the
-    gate, or one that is not a number, raises ArithmeticError.
+    sqrt(2^n/n!) A^{(n+1)/2} e^{-tA} f weighted by t^n.  It is cross-checked
+    against the 10-point Gauss-Legendre rule of the Duhamel check, on one
+    panel per interval of the grid times merged with the times h0 2^j,
+    h0 = 3.5 / max(lam): on [0, h0] the fastest factor e^{-2 lam s} spans
+    e^x on [-3.5, 3.5], which the rule integrates to 1.1e-14 relative, and
+    beyond h0 it keeps at most e^{-7} of its mass, on panels no wider than
+    their left end, as every slower mode does on its own scale.  A gap
+    above _DISSIPATION_GATE max(1, |f|^2), or one that is not a number,
+    raises ArithmeticError.
     """
     if n not in (0, 1, 2):
         raise ValueError("weight order n must be 0, 1, or 2")
     if len(f) != len(spec):
         raise ValueError("vector length must match the spectrum")
-    lam = spec.eigenvalues
-    c2 = f**2
     ts = grid.times
     weighted = kernel_profile(
         spec, f, 0, (n + 1) / 2, math.sqrt(2.0**n / math.factorial(n))
@@ -302,16 +322,22 @@ def max_reg_functional(
     (semigroup,) = squared_norms_together((kernel_profile(spec, f, 0, 0.0),), ts)
     curve = semigroup / 2.0 + dissipated
 
-    # quadrature cross-check of the integral part
-    qp = grid.quad_points
-    integrand = np.zeros(qp.shape)
-    for i in range(len(spec)):
-        integrand += c2[i] * lam[i] ** (n + 1) * qp**n * np.exp(-2.0 * lam[i] * qp)
-    factor = 2.0**n / math.factorial(n)
-    quad_curve = factor * grid.cumulative_integral(integrand)
-    quad_curve += np.sum(c2 * np.exp(-2.0 * np.outer(ts, lam)), axis=1) / 2.0
-    gate = 1e-6 * max(1.0, float(np.sum(c2)))
-    gap = float(np.max(np.abs(curve - quad_curve)))
+    # quadrature cross-check of the integral part; a zero-width panel, where
+    # an h0 2^j is a grid time, adds exactly 0
+    edges = ts
+    top = float(np.max(spec.eigenvalues))
+    if top > 0:
+        h0 = 3.5 / top
+        count = math.floor(math.log2(grid.t_max) - math.log2(h0)) + 1
+        edges = np.sort(np.concatenate([ts, np.ldexp(h0, np.arange(count))]))
+    nodes, weights = _gauss_panels(edges[:-1], edges[1:])
+    (integrand,) = squared_norms_together((weighted,), nodes)
+    panels = (nodes**n * integrand * weights).reshape(-1, _GAUSS_NODES).sum(axis=1)
+    quad = np.concatenate(([0.0], np.cumsum(panels)))[np.searchsorted(edges, ts)]
+    gate = _DISSIPATION_GATE * max(1.0, float(np.sum(f**2)))
+    # taken on the whole curve, so that a semigroup part that is not finite
+    # fails the gate too
+    gap = float(np.max(np.abs(curve - (semigroup / 2.0 + quad))))
     if not gap <= gate:
         raise ArithmeticError(
             f"analytic and quadrature dissipation curves disagree by {gap:.3e}, "
@@ -691,10 +717,7 @@ def _duhamel_convolution(
         step = span / n_sub[k_sub]
         left = j_sub * step - span
         right = np.where(j_sub + 1 == n_sub[k_sub], 0.0, (j_sub + 1) * step - span)
-        half = 0.5 * (right - left)
-        mid = 0.5 * (right + left)
-        offsets = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-        weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+        offsets, weights = _gauss_panels(left, right)
         weights *= np.exp(offsets / eps)
         nodes = np.repeat(t_right[k_sub], _GAUSS_NODES) + offsets
         segment_sums(integrand, nodes, weights, first_sub * _GAUSS_NODES, local, ks)
@@ -772,9 +795,9 @@ def max_reg_checks(
             kinds = (
                 ["monotone_bounded", "limit", "finite_time_gap"] if n else ["constant"]
             )
+            tol = _DISSIPATION_GATE * scale
             reports.extend(
-                CheckReport(f"maxreg.{k}_n{n}", False, -np.inf, 1e-6 * scale, str(exc))
-                for k in kinds
+                CheckReport(f"maxreg.{k}_n{n}", False, -np.inf, tol, str(exc)) for k in kinds
             )
             continue
         if n == 0:

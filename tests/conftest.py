@@ -166,9 +166,15 @@ def sample(profile: ProfileFunction, ts) -> np.ndarray:
 
 
 def l2_time_norm_quadrature(profile: ProfileFunction, grid: TimeGrid) -> float:
-    """Simpson cross-check of verification.l2_time_norm on the same grid."""
-    samp = sample(profile, grid.quad_points)
-    return float(grid.cumulative_integral(np.sum(samp**2, axis=1))[-1])
+    """Composite Simpson cross-check of verification.l2_time_norm on the same
+    grid: one panel per interval, sampled at its ends and its midpoint."""
+    t = grid.times
+    nodes = np.empty(2 * t.size - 1)
+    nodes[0::2] = t
+    nodes[1::2] = 0.5 * (t[:-1] + t[1:])
+    values = np.sum(sample(profile, nodes) ** 2, axis=1)
+    panels = np.diff(t) / 6.0 * (values[0:-1:2] + 4.0 * values[1::2] + values[2::2])
+    return float(np.sum(panels))
 
 
 @pytest.fixture

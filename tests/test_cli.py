@@ -28,6 +28,7 @@ from singlim.cli import (
 import singlim.cli as cli
 import singlim.csvformat as csvformat
 import singlim.profiles as profiles
+import singlim.verification as verification
 from singlim.csvformat import csv_bytes
 from singlim.profiles import ProblemData
 from singlim.timegrid import standard_grid
@@ -729,31 +730,61 @@ class TestExitCodes:
         bad.write_bytes(b"\xff\xfe{")
         assert main(["verify", "--config", str(bad)]) == EXIT_CONFIG_ERROR
 
-    def test_dissipation_breakdown_is_a_fail_record(self, tmp_path):
-        # at lam = 1e12 the grid quadrature cannot resolve e^{-2 lam t}, so
-        # the closed form fails its 1e-6 cross-check
+    def test_dissipation_breakdown_is_a_fail_record(self, tmp_path, monkeypatch, capsys):
+        # a closed-form dissipation 1e-5 too large fails its 1e-6 cross-check
+        exact = verification.squared_integrals
+        monkeypatch.setattr(
+            verification, "squared_integrals",
+            lambda *args: [x * (1.0 + 1e-5) for x in exact(*args)],
+        )
         cfg = write_config(
             tmp_path,
-            spectrum=[1e12, 1.0],
+            spectrum=[1.0, 4.0],
             u0=[1.0, 1.0],
             u1=[0.0, 0.0],
             checks=["maxreg"],
         )
         out = tmp_path / "out"
-        result = subprocess.run(
-            [sys.executable, "-m", "singlim.cli", "verify", "--config", str(cfg),
-             "--out", str(out)],
-            capture_output=True,
-            text=True,
-            env=cli_env(),
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_CHECK_FAILURE
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert len(report) == 7
+        for record in report:
+            assert not record["pass"]
+            assert record["margin"] == -math.inf
+            assert record["tolerance"] == pytest.approx(2e-6)
+            assert "disagree by 1.000e-05" in record["note"]
+
+    @pytest.mark.parametrize(
+        "spectrum, data, grid",
+        [
+            ([3e5], [1.0], {}),
+            ([1e6], [1.0], {}),
+            ([1e8], [1.0], {}),
+            ([1e12, 1.0], [1.0, 1.0], {}),
+            ([(k * math.pi) ** 2 for k in range(1, 257)], [1.0] * 256, {}),
+            ("dirichlet-32", {"family": "decay", "p": 2.0}, {"log_count": 0}),
+            ("neumann-33", {"family": "decay", "p": 2.0}, {"log_count": 0}),
+        ],
+        ids=["3e5", "1e6", "1e8", "1e12-and-1", "dirichlet-256", "dirichlet-32-log0",
+             "neumann-33-log0"],
+    )
+    def test_stiff_dissipation_passes_its_cross_check(self, tmp_path, spectrum, data, grid):
+        # the fastest mode decays within one interval of the grid, and the
+        # cross-check resolves it all the same
+        cfg = write_config(
+            tmp_path,
+            spectrum=spectrum,
+            u0=data,
+            u1=data if isinstance(data, dict) else [0.0] * len(data),
+            grid={"t_max": 20.0, "linear_count": 2000, "log_count": 200,
+                  "log_floor": 1e-6, **grid},
+            checks=["maxreg"],
         )
-        assert result.returncode == EXIT_CHECK_FAILURE
-        assert "Traceback" not in result.stderr
-        report = {r["id"]: r for r in json.loads((out / "report.json").read_text())}
-        record = report["maxreg.constant_n0"]
-        assert not record["pass"]
-        assert record["margin"] == -math.inf
-        assert "disagree by 1.667e+05" in record["note"]
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert len(report) == 7 and all(record["pass"] for record in report)
 
     def test_undecayed_integrand_is_a_fail_record(self, tmp_path):
         # on a grid that ends at t = 5 the squared deviation, of order

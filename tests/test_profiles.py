@@ -779,7 +779,7 @@ class TestSharedEvaluationTable:
         same_values = standard_grid([0.1]).times
         assert same_values.tobytes() == grid.times.tobytes()
         assert pd.sample_times(same_values) is not table
-        assert pd.sample_times(grid.quad_points) is not table
+        assert pd.sample_times(standard_grid([0.01]).times) is not table
         for eps in (0.1, 0.01):
             other = make_problem([0.0, 1.0, 4.0], eps)
             assert other.sample_times(grid.times) is not table

@@ -67,27 +67,6 @@ class TestTimeGrid:
         assert grid.times[0] == 0.0
         assert np.all(np.diff(grid.times) > 0)
 
-    def test_quadrature_exact_for_cubics(self):
-        g = TimeGrid(np.array([0.0, 0.3, 1.0, 2.5]))
-        vals = g.quad_points**3
-        want = g.times**4 / 4.0
-        np.testing.assert_allclose(g.cumulative_integral(vals), want, rtol=1e-14)
-
-    def test_cumulative_matches_exact_integral(self):
-        # Simpson's error on panels of width 0.1 is h^4/2880 = 3.5e-8 relative
-        g = TimeGrid(np.linspace(0.0, 2.0, 21))
-        cum = g.cumulative_integral(np.exp(-g.quad_points))
-        np.testing.assert_allclose(cum[1:], 1.0 - np.exp(-g.times[1:]), rtol=1e-7)
-
-    def test_quad_points_are_made_once_and_read_only(self):
-        g = TimeGrid(np.array([0.0, 0.3, 1.0, 2.5]))
-        qp = g.quad_points
-        assert qp is g.quad_points
-        assert not qp.flags.writeable
-        assert qp.tolist() == [0.0, 0.15, 0.3, 0.65, 1.0, 1.75, 2.5]
-        with pytest.raises(ValueError):
-            g.cumulative_integral(np.zeros(qp.size + 1))
-
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):
             TimeGrid(np.array([0.1, 0.2]))
@@ -470,7 +449,6 @@ class TestL2TailOnTheProblemsTable:
         # both integrands on the problem's table, which gains no entry
         assert len(tables) == 2 * 32 and all(t is table for t in tables)
         assert [dict(table), table.exps, table.powers, table.diffs] == kept
-        assert "quad_points" not in vars(grid)
 
 
 class TestSquaredNorms:

@@ -235,6 +235,12 @@ def _norm_sq(f: np.ndarray) -> float:
     return norm(f) * norm(f)
 
 
+def _dissipation_gate(f: np.ndarray) -> float:
+    """The dissipation cross-check's gate, _DISSIPATION_GATE max(1, |f|^2):
+    the one value max_reg_functional tests and max_reg_checks reports."""
+    return _DISSIPATION_GATE * max(1.0, _norm_sq(f))
+
+
 def _sup_norm_errors(pairs, times) -> list[float]:
     """[sup_norm_error(a, b, times) for a, b in pairs], bit for bit: every
     distinct profile of the pairs is evaluated once, in one norms_together
@@ -334,7 +340,7 @@ def max_reg_functional(
     (integrand,) = squared_norms_together((weighted,), nodes)
     panels = (nodes**n * integrand * weights).reshape(-1, _GAUSS_NODES).sum(axis=1)
     quad = np.concatenate(([0.0], np.cumsum(panels)))[np.searchsorted(edges, ts)]
-    gate = _DISSIPATION_GATE * max(1.0, float(np.sum(f**2)))
+    gate = _dissipation_gate(f)
     # taken on the whole curve, so that a semigroup part that is not finite
     # fails the gate too
     gap = float(np.max(np.abs(curve - (semigroup / 2.0 + quad))))
@@ -795,7 +801,7 @@ def max_reg_checks(
             kinds = (
                 ["monotone_bounded", "limit", "finite_time_gap"] if n else ["constant"]
             )
-            tol = _DISSIPATION_GATE * scale
+            tol = _dissipation_gate(f)
             reports.extend(
                 CheckReport(f"maxreg.{k}_n{n}", False, -np.inf, tol, str(exc)) for k in kinds
             )

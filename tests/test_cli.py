@@ -749,11 +749,14 @@ class TestExitCodes:
         assert "Traceback" not in capsys.readouterr().err
         report = json.loads((out / "report.json").read_text())
         assert len(report) == 7
+        # the record's tolerance is the gate the note quotes, to the bit
+        gate = verification._dissipation_gate(np.array([1.0, 1.0]))
+        note = f"disagree by 1.000e-05, not within the cross-check gate {gate:.3e}"
         for record in report:
             assert not record["pass"]
             assert record["margin"] == -math.inf
-            assert record["tolerance"] == pytest.approx(2e-6)
-            assert "disagree by 1.000e-05" in record["note"]
+            assert record["tolerance"] == gate
+            assert note in record["note"]
 
     @pytest.mark.parametrize(
         "spectrum, data, grid",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -299,7 +300,7 @@ class TestOracle:
 
     def test_small_eps(self):
         # t/eps = 1e10, past the range the docstring vouches for; the error
-        # here is still about 1.4e-12 of the data
+        # here is still about 9.5e-12 of the data
         p = ModeParams(1e-9, 1.0, 1.0, 0.0)
         traj = solve_homogeneous(p)
         y, dy = oracle_at(p, ForcingTerm(0, 0, 0), 10.0, 1e-10)
@@ -358,14 +359,14 @@ STRESS_CASES = [
 class TestOracleAccuracy:
     def test_no_less_accurate_than_scipy_on_the_generator_cases(self, monkeypatch):
         # the acceptance suite's cases, with scipy's expm as the yardstick
-        # (measured: 1.6e-13 against scipy's 6.4e-13)
+        # (measured: 2.5e-13 against scipy's 6.4e-13)
         cases = oracle_generator_cases()
         ours = _worst_oracle_error(cases)
         monkeypatch.setattr(modes, "_expm", expm)
         assert ours <= _worst_oracle_error(cases)
 
     def test_holds_the_gate_on_the_stress_grid(self):
-        # measured 4.5e-9; scipy's expm reads 4.5e-8 here, and the same
+        # measured 4.6e-9; scipy's expm reads 4.5e-8 here, and the same
         # Taylor exponential scaled by the 1-norm of its matrix 5.6e-8
         assert _worst_oracle_error(STRESS_CASES) <= 1e-8
 
@@ -376,3 +377,66 @@ class TestOracleAccuracy:
         for t, got in zip(ts, modes._expm(ts[:, None, None] * m)):
             want = expm(t * m)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), t
+
+    def test_expm_gives_each_matrix_the_same_bits_in_any_stack(self):
+        # t/eps from 1e-4 to 1e5, shuffled: none to 15 squarings
+        p, f = ModeParams(1e-4, 50.0, 1.0, -1.0), ForcingTerm(2.0, 2.0, 0.01)
+        m = modes._oracle_matrix(p, f)
+        rng = np.random.default_rng(7)
+        ts = rng.permutation(np.concatenate([[0.0], np.logspace(-8.0, 1.0, 29)]))
+        singles = np.array([modes._expm(t * m) for t in ts])
+        assert singles.shape == (30, 4, 4)
+        assert np.array_equal(modes._expm(ts[:, None, None] * m), singles)
+        grid = ts.reshape(5, 6)
+        assert np.array_equal(
+            modes._expm(grid[..., None, None] * m), singles.reshape(5, 6, 4, 4)
+        )
+        ys, dys = rk_reference_path(p, f, ts, 1e-11)
+        for t, y, dy in zip(ts, ys, dys):
+            y0, dy0 = rk_reference_path(p, f, t, 1e-11)
+            assert y0.shape == dy0.shape == ()
+            assert (y0, dy0) == (y, dy)
+
+
+def _expm_50_digits(x: np.ndarray) -> np.ndarray:
+    with mp.workdps(50):
+        return np.array(mp.expm(mp.matrix(x.tolist())).tolist(), dtype=float)
+
+
+# The oracle's t M for eps, lam, with and without slowly decaying forcing of
+# size 2, at t = ratio * eps.
+def _oracle_exponents(ratio: float) -> np.ndarray:
+    return np.array(
+        [
+            ratio * eps * modes._oracle_matrix(ModeParams(eps, lam, 0.0, 0.0), f)
+            for eps, lam, f in itertools.product(
+                (1.0, 1e-2, 1e-4, 1e-7),
+                (0.0, 1.0, 50.0),
+                (ForcingTerm(2.0, 2.0, 0.01), ForcingTerm(0.0, 0.0, 0.0)),
+            )
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "ratio, bound",
+    [
+        # measured 6.7e-16 (2.1e-15 by Horner's rule in x), after at most
+        # one squaring: a few roundings
+        (1.0, 4e-15),
+        # measured 4.2e-14 (2.3e-14 by Horner's rule), after 8 to 11
+        # squarings, each of which can double the rounding error
+        (1e3, 2e-13),
+        # measured 4.57e-9 (the same by Horner's rule), after 25 to 29
+        # squarings; the oracle's gate is 1e-8
+        (2e8, 1e-8),
+    ],
+)
+def test_expm_against_50_digits(ratio, bound):
+    # |expm(x) - exp(x)|_1 / max(1, |exp(x)|_1): the solutions stay O(1),
+    # and those that decay need absolute accuracy
+    xs = _oracle_exponents(ratio)
+    for x, got in zip(xs, modes._expm(xs)):
+        want = _expm_50_digits(x)
+        err = np.abs(got - want).sum(axis=0).max()
+        assert err <= bound * max(1.0, np.abs(want).sum(axis=0).max()), x

@@ -486,12 +486,17 @@ def cmd_rates(config: ExperimentConfig, out_dir: Path) -> int:
         errors = _timed(timings, f"rates[eps={eps:g}]", lambda: rate_errors(pd, comparisons, ts))
         per_eps.append((eps, errors))
     results = _timed(timings, "rates", lambda: run_rate_experiment(per_eps, comparisons))
+    failed = {comp: r for comp, r in results.items() if isinstance(r, ValueError)}
+    for comp, exc in failed.items():  # a pair that raised: a precondition
+        if any(isinstance(found[comp], ValueError) for _, found in per_eps):
+            raise ConfigError(f"comparison {comp!r}: {exc}") from exc
+    for comp, exc in failed.items():  # a fit that cannot run on valid data
+        print(f"rate fit failed: comparison {comp!r}: {exc}", file=sys.stderr)
+    if failed:
+        return EXIT_CHECK_FAILURE
     files: dict[str, bytes] = {}
     fits = []
-    for comp, result in results.items():
-        if isinstance(result, ValueError):
-            raise ConfigError(f"comparison {comp!r}: {result}") from result
-        curve, fit = result
+    for comp, (curve, fit) in results.items():
         files[f"rates_{comp}.csv"] = csv_bytes(
             "epsilon,error", [curve.epsilons, curve.errors]
         )

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ExpPoly", "SampleTimes", "accumulate", "divided_difference_exp",
-           "evaluate", "integrate", "moment_tables"]
+__all__ = ["ExpPoly", "SampleTimes", "accumulate", "evaluate", "integrate",
+           "moment_tables"]
 
 # Below this value of |mu*t| the upward recurrence for the moments
 # int_0^t s**k exp(mu*s) ds loses digits to cancellation; use the series.
@@ -353,10 +353,10 @@ def _scaled_squaring(table: np.ndarray, zeros: int, r: float, t: np.ndarray) -> 
     The table is held entry by entry, one array over the times per entry
     i <= j, and squared as (E^2)_ij = sum_{i<=k<=j} E_ik E_kj.  A time that
     is not finite has no squaring count and gives NaN.  Through accumulate
-    and divided_difference_exp that is a NaN time, or t = inf for a group
-    whose largest rate does not decay: a decaying group never gets t = inf,
-    which is one of its dead times and reads 0.  On ascending t (NaN
-    last) the points still to square are a trailing slice.
+    that is a NaN time, or t = inf for a group whose largest rate does not
+    decay: a decaying group never gets t = inf, which is one of its dead
+    times and reads 0.  On ascending t (NaN last) the points still to
+    square are a trailing slice.
 
     The last zeros nodes of a real table (w = 0) are a block taken with
     the bits of the full arithmetic: an entry of width w is tau**w/w!
@@ -392,29 +392,6 @@ def _scaled_squaring(table: np.ndarray, zeros: int, r: float, t: np.ndarray) -> 
             e[...] = acc
     out[:finite] = entry[0, n]
     return out
-
-
-def divided_difference_exp(nodes, t):
-    """exp[z_0, ..., z_n](t): the n-th divided difference of z -> e^{zt}.
-
-    Any nodes, repeated or not, scalar or array t.  A pair uses
-    e^{bt} expm1((a-b)t)/(a-b); more nodes use a Taylor series of the
-    shifted nodes while max|w|*t is small and scaling and squaring beyond.
-    The relative error is that of the exponentials themselves (a few ulps
-    times max|z*t|), whatever the spacing of the nodes.  As in accumulate,
-    only the live times of the largest rate are evaluated: elsewhere the
-    value is exactly 0, also at t = inf for a decaying group.
-    """
-    nodes = tuple(sorted((complex(z) for z in nodes), key=_node_key))
-    times = SampleTimes(np.asarray(t, dtype=float))
-    at, tl = times.live(nodes[-1].real)
-    out = np.zeros(times.t.shape, dtype=complex)
-    n = len(nodes) - 1
-    if all(z == nodes[0] for z in nodes):
-        out[at] = tl**n * np.exp(nodes[0] * tl) / math.factorial(n)
-    else:
-        out[at] = _difference_value(nodes, tl)
-    return out if out.ndim else complex(out)
 
 
 def _lattice_paths(a: tuple, b: tuple):

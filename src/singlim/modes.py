@@ -33,7 +33,6 @@ __all__ = [
     "ForcingTerm",
     "ModeTrajectory",
     "characteristic_roots",
-    "solve_homogeneous",
     "solve_forced",
     "rk_reference_path",
 ]
@@ -79,14 +78,6 @@ class ForcingTerm:
     def is_zero(self) -> bool:
         return self.a == 0.0 and self.b == 0.0
 
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        out = (self.a + self.b * t) * np.exp(-self.nu * t)
-        return out if out.ndim else float(out)
-
-
-ZERO_FORCING = ForcingTerm(0.0, 0.0, 0.0)
-
 
 def characteristic_roots(eps: float, lam: float) -> RootPair:
     """Roots of eps*mu**2 + mu + lam = 0 with a cancellation-safe slow root.
@@ -115,82 +106,44 @@ def characteristic_roots(eps: float, lam: float) -> RootPair:
     return RootPair(complex(alpha, beta), complex(alpha, -beta))
 
 
-def _homogeneous_poly(roots: RootPair, y0: float, y1: float) -> ExpPoly:
-    """Homogeneous solution y0 e^{pt} + (y1 - p*y0) exp[p, n] matching
-    (y(0), y'(0)) = (y0, y1).
-
-    p is the slow root: with the fast root n ~ -1/eps in its place, the
-    coefficient of e^{nt} would come out of cancelling O(|y0|) terms and
-    the slope n*c would keep unit roundoff * |y0| / eps of rounding.
-    """
-    p, n = roots.mu_plus, roots.mu_minus
-    return ExpPoly.build([(0, p, y0)], [((p, n), y1 - p * y0)])
-
-
 @dataclass(frozen=True)
 class ModeTrajectory:
-    """Closed-form record for one mode: roots, forced part, evaluators.
-
-    Evaluation at 0 reproduces the initial data by construction; the
-    residual method recomputes eps*y'' + y' + lam*y - f analytically.
-    `resonance_escalation` counts the characteristic roots equal to the
-    forcing rate -nu: the extra powers of t in the forced part (0 plain,
-    1 at a simple root, 2 at the double root).  Near but unequal rates
-    count 0; they are held as divided differences instead.
+    """Closed-form solution of one mode: its exponential polynomial, and
+    `resonance_escalation`, the number of characteristic roots equal to
+    the forcing rate -nu: the extra powers of t in the forced part (0
+    plain, 1 at a simple root, 2 at the double root).  Near but unequal
+    rates count 0; they are held as divided differences instead.
     """
 
-    params: ModeParams
-    forcing: ForcingTerm
-    roots: RootPair
     poly: ExpPoly
     resonance_escalation: int
 
     def value(self, t):
         return self.poly.value(t)
 
-    def derivative(self, t):
-        return self.poly.derivative().value(t)
-
-    def residual(self, t):
-        p = self.params
-        d1 = self.poly.derivative()
-        d2 = d1.derivative()
-        return (
-            p.eps * d2.value(t)
-            + d1.value(t)
-            + p.lam * self.poly.value(t)
-            - self.forcing.value(t)
-        )
-
-
-def solve_homogeneous(p: ModeParams) -> ModeTrajectory:
-    """Exact unforced solution y0 e^{pt} + (y1 - p*y0) exp[p, n], with p
-    the slow root and n the fast one (see _homogeneous_poly)."""
-    roots = characteristic_roots(p.eps, p.lam)
-    poly = _homogeneous_poly(roots, p.y0, p.y1)
-    return ModeTrajectory(p, ZERO_FORCING, roots, poly, 0)
-
 
 def solve_forced(p: ModeParams, f: ForcingTerm) -> ModeTrajectory:
     """Exact solution with forcing (a + b*t)*exp(-nu*t).
 
-    The forced part (a/eps) exp[p, n, m] + (b/eps) exp[p, n, m, m], m = -nu,
-    is the zero-data response; its t-power terms at an exact collision of m
-    with a root are the limits of the same formula, so there is no branch
-    on q(-nu).  The homogeneous part carries the initial data.
-    `resonance_escalation` is the number of roots equal to -nu.
+    The homogeneous part y0 e^{pt} + (y1 - p*y0) exp[p, n] carries the
+    initial data, with p the slow root: with the fast root n ~ -1/eps in
+    its place, the coefficient of e^{nt} would come out of cancelling
+    O(|y0|) terms and the slope n*c would keep unit roundoff * |y0| / eps
+    of rounding.  The forced part (a/eps) exp[p, n, m] + (b/eps)
+    exp[p, n, m, m], m = -nu, is the zero-data response, added to it
+    unless the forcing is zero; its t-power terms at an exact collision of
+    m with a root are the limits of the same formula, so there is no
+    branch on q(-nu).
     """
-    if f.is_zero:
-        traj = solve_homogeneous(p)
-        return ModeTrajectory(p, f, traj.roots, traj.poly, 0)
     roots = characteristic_roots(p.eps, p.lam)
     mp, mn, m = roots.mu_plus, roots.mu_minus, complex(-f.nu)
+    poly = ExpPoly.build([(0, mp, p.y0)], [((mp, mn), p.y1 - mp * p.y0)])
+    if f.is_zero:
+        return ModeTrajectory(poly, 0)
     particular = ExpPoly.build(
         (), [((mp, mn, m), f.a / p.eps), ((mp, mn, m, m), f.b / p.eps)]
     )
-    homog = _homogeneous_poly(roots, p.y0, p.y1)
-    escalation = (mp == m) + (mn == m)
-    return ModeTrajectory(p, f, roots, homog + particular, escalation)
+    return ModeTrajectory(poly + particular, (mp == m) + (mn == m))
 
 
 # _expm's Taylor degree, and the bound on the power norm of a / 2^s that

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exppoly import ExpPoly, SampleTimes, accumulate, divided_difference_exp, integrate
+from .exppoly import ExpPoly, SampleTimes, accumulate, integrate
 from .modes import ForcingTerm, ModeParams, solve_forced
 from .spectral import Spectrum, norm, sample_norms
 
@@ -142,28 +142,13 @@ class ProblemData:
         """Semigroup flow e^{-tA} v1 of the layer slope."""
         return kernel_profile(self.spec, self.v1, 0, 0.0)
 
-    def weighted_convolution_norms(self, ts) -> np.ndarray:
-        """|eps int_0^t e^{(s-t)/eps} A e^{-sA} v1 ds| at ts, from the exact
-        eps lam v1 exp[-lam, -1/eps](t) of each mode, one divided difference
-        per mode.  The squares are added mode by mode, so no (len(ts),
-        n_modes) array is made, and the norms have the bits of
-        spectral.sample_norms of those samples: only if some sum reads inf
-        are the modes stacked for sample_norms to rescale those times, as
-        norms_together does."""
-        eps, lam = self.eps, self.spec.eigenvalues
-        with np.errstate(over="ignore", invalid="ignore"):  # see _OVERFLOW
-            scale = eps * lam * self.v1
-
-            def column(i):
-                return scale[i] * divided_difference_exp((-lam[i], -1.0 / eps), ts).real
-
-            total = np.zeros(np.shape(ts))
-            for i in range(lam.size):
-                values = column(i)
-                total += values * values
-            if not np.isinf(total).any():
-                return np.sqrt(total)
-            return sample_norms(np.stack([column(i) for i in range(lam.size)], axis=1))
+    @cached_property
+    def weighted_convolution(self) -> ProfileFunction:
+        """Operator-weighted convolution eps int_0^t e^{(s-t)/eps} A e^{-sA} v1 ds,
+        eps lam v1 exp[-lam, -1/eps](t) in each mode."""
+        eps, lam, v1 = self.eps, self.spec.eigenvalues, self.v1
+        return _explicit(self.spec, lambda i: [],
+                         lambda i: [((-lam[i], -1.0 / eps), eps * lam[i] * v1[i])])
 
     @cached_property
     def theta(self) -> ProfileFunction:
@@ -487,10 +472,12 @@ def kernel_profile(
     return _explicit(spec, lambda i: [(n, -lam[i], scale * lam[i] ** m * coeffs[i])])
 
 
-def _explicit(spec: Spectrum, terms) -> ProfileFunction:
+def _explicit(spec: Spectrum, terms, differences=lambda i: ()) -> ProfileFunction:
     """The profile whose mode i is the sum of the plain terms c t**k e^{mu t}
-    of terms(i) = [(k, mu, c), ...].  Every profile written out in closed
+    of terms(i) = [(k, mu, c), ...] and the divided differences c exp[Z](t)
+    of differences(i) = [(Z, c), ...].  Every profile written out in closed
     form is built here; each coefficient keeps its per-mode scalar form,
     since a vectorized lam**m can differ from lam[i]**m in the last bit."""
     with np.errstate(over="ignore", invalid="ignore"):  # see _OVERFLOW
-        return ProfileFunction(spec, tuple(ExpPoly.build(terms(i)) for i in range(len(spec))))
+        return ProfileFunction(spec, tuple(ExpPoly.build(terms(i), differences(i))
+                                           for i in range(len(spec))))

@@ -644,10 +644,11 @@ def byparts_convolution_bound(
     sup_t |eps int_0^t e^{(s-t)/eps} A e^{-sA} v1 ds| <= eps^{3/2}/2 * |A^{1/2}v1|,
     with the slack tol["inequality_slack"].
 
-    The convolution is exact per mode, and reduced to its norm at each time
-    mode by mode (ProblemData.weighted_convolution_norms).
+    The convolution is exact per mode (ProblemData.weighted_convolution),
+    and reduced to its norm at each time mode by mode (norms_together).
     """
-    sup = float(np.max(pd.weighted_convolution_norms(grid.times)))
+    (norms,) = norms_together((pd.weighted_convolution,), grid.times)
+    sup = float(np.max(norms))
     with np.errstate(over="ignore"):  # an overflow makes a not-finite record
         bound = pd.eps**1.5 / 2.0 * norm(pd.spec.eigenvalues**0.5 * pd.v1)
     return _at_most(

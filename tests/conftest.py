@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from singlim.exppoly import ExpPoly
-from singlim.modes import ForcingTerm, ModeParams, rk_reference_path
+from singlim.modes import ForcingTerm, ModeParams, ModeTrajectory, rk_reference_path
 from singlim.spectral import Spectrum
 from singlim.profiles import ProblemData, ProfileFunction, sample_together
 from singlim.timegrid import TimeGrid
@@ -77,6 +77,26 @@ def oracle_at(p: ModeParams, f: ForcingTerm, t: float, tol: float):
     """The oracle's (y(t), y'(t)) at a single time."""
     ys, dys = rk_reference_path(p, f, np.array([t]), tol)
     return float(ys[0]), float(dys[0])
+
+
+def forcing_value(f: ForcingTerm, t):
+    """The forcing (a + b t) e^{-nu t} at scalar or array t."""
+    t = np.asarray(t, dtype=float)
+    out = (f.a + f.b * t) * np.exp(-f.nu * t)
+    return out if out.ndim else float(out)
+
+
+def mode_derivative(traj: ModeTrajectory, t):
+    """y'(t) of a solved mode, from the derivative of its polynomial."""
+    return traj.poly.derivative().value(t)
+
+
+def mode_residual(p: ModeParams, f: ForcingTerm, traj: ModeTrajectory, t):
+    """eps y'' + y' + lam y - f at t of the solved mode traj of (p, f), from
+    the derivatives of its polynomial."""
+    d1 = traj.poly.derivative()
+    d2 = d1.derivative()
+    return p.eps * d2.value(t) + d1.value(t) + p.lam * traj.poly.value(t) - forcing_value(f, t)
 
 
 def weighted_kernel(

@@ -541,6 +541,31 @@ class TestRates:
         assert main(["rates", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
         assert not out.exists()
 
+    # three-mode at small eps: the order-2 errors of the last two eps are
+    # rounding, below the noise floor, so the fit cannot run on valid data
+    SMALL_EPS = {"spectrum": "three-mode", "u0": {"family": "decay", "p": 2.0},
+                 "u1": {"family": "decay", "p": 2.0}, "epsilons": [1e-6, 1e-7, 1e-8, 1e-9]}
+
+    def test_fit_that_cannot_run_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **self.SMALL_EPS,
+                           comparisons=["order0_thm11i", "order2_mainthm"])
+        out = tmp_path / "out"
+        assert main(["rates", "--config", str(cfg), "--out", str(out)]) == EXIT_CHECK_FAILURE
+        assert capsys.readouterr().err.splitlines() == [
+            "rate fit failed: comparison 'order2_mainthm': need at least 3 error "
+            "values above the noise floor, got 2"
+        ]
+        assert not out.exists()
+
+    def test_violated_precondition_exits_2_before_a_failed_fit(self, tmp_path, capsys):
+        # cor1 without compatible data is a config error, whichever comes first
+        cfg = write_config(tmp_path, **self.SMALL_EPS, comparisons=["order2_mainthm", "cor1"])
+        out = tmp_path / "out"
+        assert main(["rates", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: comparison 'cor1': ")
+        assert not out.exists()
+
     def test_cor1_is_the_main_expansion_curve(self, tmp_path):
         # under compatible data v1 = 0, and cor1's profile is the main
         # expansion term for term: one curve and one fit

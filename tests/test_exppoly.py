@@ -10,12 +10,11 @@ import singlim.exppoly as exppoly
 from singlim.exppoly import (
     ExpPoly,
     _difference_value,
-    divided_difference_exp,
     evaluate,
     integrate,
     moment_tables,
 )
-from singlim.modes import ForcingTerm, ModeParams, solve_forced, solve_homogeneous
+from singlim.modes import ForcingTerm, ModeParams, solve_forced
 
 from conftest import (
     integral_to_infinity,
@@ -116,19 +115,30 @@ def test_squared_integral_matches_quadrature():
     assert next(integrate((sq,), 6.0)) == pytest.approx(expected, rel=1e-10)
 
 
+def _difference(nodes, t) -> np.ndarray:
+    """exp[nodes](t) by the group kernel, the nodes sorted as build keeps a
+    group's."""
+    nodes = tuple(sorted(map(complex, nodes), key=exppoly._node_key))
+    return _difference_value(nodes, np.asarray(t, dtype=float))
+
+
+def _built_difference(nodes) -> ExpPoly:
+    return ExpPoly.build((), [(nodes, 1.0)])
+
+
 def test_divided_difference_pair_and_confluent_limit():
     ts = np.linspace(0.0, 6.0, 13)
     # well separated pair: the plain quotient is exact enough
-    got = divided_difference_exp((-1.0, -3.0), ts)
+    got = _built_difference((-1.0, -3.0)).value(ts)
     np.testing.assert_allclose(
-        got.real, (np.exp(-ts) - np.exp(-3 * ts)) / 2.0, rtol=1e-14, atol=1e-300
+        got, (np.exp(-ts) - np.exp(-3 * ts)) / 2.0, rtol=1e-14, atol=1e-300
     )
     # a pair 1e-12 apart is t e^{-t} to rounding, where the quotient is not
-    got = divided_difference_exp((-1.0, -1.0 + 1e-12), ts)
-    np.testing.assert_allclose(got.real, ts * np.exp(-ts), rtol=1e-11, atol=1e-300)
+    got = _built_difference((-1.0, -1.0 + 1e-12)).value(ts)
+    np.testing.assert_allclose(got, ts * np.exp(-ts), rtol=1e-11, atol=1e-300)
     # equal nodes are the confluent limit t^2 e^{-2t} / 2
-    got = divided_difference_exp((-2.0, -2.0, -2.0), ts)
-    np.testing.assert_allclose(got.real, ts**2 * np.exp(-2 * ts) / 2, rtol=1e-14)
+    got = _built_difference((-2.0, -2.0, -2.0)).value(ts)
+    np.testing.assert_allclose(got, ts**2 * np.exp(-2 * ts) / 2, rtol=1e-14)
 
 
 @pytest.mark.parametrize("gap", [5e-324, 3e-321, 1e-310, -5e-324j, 2e-315 + 7e-320j])
@@ -136,10 +146,10 @@ def test_divided_difference_pair_subnormal_gap(gap):
     # a gap times t below the normal range rounds to few bits or to 0; the
     # pair is then t e^{bt} to the ulp, not expm1(0)/gap = 0
     ts = np.linspace(0.0, 6.0, 13)
-    got = divided_difference_exp((-gap, 0.0), ts)
+    got = _difference((-gap, 0.0), ts)
     np.testing.assert_allclose(got.real, ts, rtol=1e-15, atol=0)
     np.testing.assert_allclose(got.imag, 0.0, atol=1e-300)
-    got = divided_difference_exp((-1.0 - gap, -1.0), ts)
+    got = _difference((-1.0 - gap, -1.0), ts)
     np.testing.assert_allclose(got.real, ts * np.exp(-ts), rtol=1e-15, atol=1e-300)
 
 
@@ -149,7 +159,7 @@ def test_divided_difference_three_nodes(spread):
     # evaluated in extended precision (exact for well separated nodes)
     nodes = (-1.0, -1.0 + spread, -1.0 - 0.7 * spread)
     ts = np.array([0.0, 0.01, 0.5, 3.0, 20.0])
-    got = divided_difference_exp(nodes, ts).real
+    got = _difference(nodes, ts).real
     z = [np.longdouble(x) for x in nodes]
     for t, g in zip(ts, got):
         if spread < 0.1:
@@ -200,7 +210,7 @@ def test_scaled_squaring_against_50_digits(nodes):
     n = len(nodes) - 1
     spread = max(abs(z - w) for z in nodes for w in nodes)
     ts = np.array([0.6, 1.0, 3.0, 10.0, 40.0, 100.0]) / spread
-    got = divided_difference_exp(nodes, np.append(ts, np.nan))
+    got = _difference(nodes, np.append(ts, np.nan))
     assert np.isnan(got[-1])
     for t, value in zip(ts, got):
         envelope = t**n / math.factorial(n) * math.exp(max(z.real for z in nodes) * t)
@@ -363,7 +373,7 @@ def test_rate_zero_reads_its_constant_at_infinity():
     assert constant.value(np.inf) == 2.0
     assert np.isnan(constant.value(np.nan))
     # a kernel mode (lam = 0) tends to u0 + eps u1
-    kernel = solve_homogeneous(ModeParams(0.1, 0.0, 1.0, 0.5)).poly
+    kernel = solve_forced(ModeParams(0.1, 0.0, 1.0, 0.5), ForcingTerm(0.0, 0.0, 0.0)).poly
     assert kernel.value(np.inf) == pytest.approx(1.05, rel=1e-15)
 
 
@@ -380,13 +390,15 @@ def test_decayed_group_reads_zero_at_infinity():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("nodes", [(-1.0, -1.5, -2.0), (-2.0, -2.0, -2.0)])
+@pytest.mark.parametrize("nodes", [(-1.0, -1.5, -2.0), (-1.0, -1.1, -1.2), (-2.0, -2.0, -2.0)])
 def test_decaying_divided_difference_reads_zero_at_infinity(nodes):
-    # a three-node and a confluent group: divided_difference_exp evaluates
-    # only the live times of the largest rate, as accumulate does
-    assert divided_difference_exp(nodes, np.inf) == 0
-    got = divided_difference_exp(nodes, [1.0, 50.0, np.inf])
-    assert got[:2].tobytes() == divided_difference_exp(nodes, [1.0, 50.0]).tobytes()
+    # three separated nodes (plain terms), a three-node group and a
+    # confluent group: accumulate evaluates only the live times of the
+    # largest rate
+    poly = _built_difference(nodes)
+    assert poly.value(np.inf) == 0
+    got = poly.value([1.0, 50.0, np.inf])
+    assert got[:2].tobytes() == poly.value([1.0, 50.0]).tobytes()
     assert got[2] == 0 and got[0] != 0
 
 

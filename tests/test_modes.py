@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +19,19 @@ from singlim.modes import (
     characteristic_roots,
     rk_reference_path,
     solve_forced,
-    solve_homogeneous,
 )
 
-from conftest import oracle_at, oracle_generator_cases, oracle_rel_err
+from conftest import (
+    forcing_value,
+    mode_derivative,
+    mode_residual,
+    oracle_at,
+    oracle_generator_cases,
+    oracle_rel_err,
+)
 
 GRID = np.linspace(0.0, 8.0, 33)
+ZERO = ForcingTerm(0.0, 0.0, 0.0)
 
 
 class TestRoots:
@@ -88,22 +98,22 @@ def test_slow_root_perturbation_bound(eps, lam):
 class TestHomogeneous:
     def test_critical_closed_form(self):
         # (1 + 2t) e^{-2t} at t=1 is 3 e^{-2}
-        traj = solve_homogeneous(ModeParams(0.25, 1.0, 1.0, 0.0))
+        traj = solve_forced(ModeParams(0.25, 1.0, 1.0, 0.0), ZERO)
         assert traj.value(1.0) == pytest.approx(3.0 * math.exp(-2.0), rel=1e-14)
 
     def test_lambda_zero_closed_form(self):
         eps, u0, u1 = 0.05, 2.0, -3.0
-        traj = solve_homogeneous(ModeParams(eps, 0.0, u0, u1))
+        traj = solve_forced(ModeParams(eps, 0.0, u0, u1), ZERO)
         for t in GRID:
             expected = u0 + eps * (1.0 - math.exp(-t / eps)) * u1
             assert traj.value(t) == pytest.approx(expected, abs=1e-14)
 
     def test_stiff_against_oracle(self):
         p = ModeParams(0.01, 1.0, 1.0, 0.0)
-        traj = solve_homogeneous(p)
-        y, dy = oracle_at(p, ForcingTerm(0, 0, 0), 1.0, 1e-12)
+        traj = solve_forced(p, ZERO)
+        y, dy = oracle_at(p, ZERO, 1.0, 1e-12)
         assert traj.value(1.0) == pytest.approx(y, rel=1e-9)
-        assert traj.derivative(1.0) == pytest.approx(dy, rel=1e-9, abs=1e-12)
+        assert mode_derivative(traj, 1.0) == pytest.approx(dy, rel=1e-9, abs=1e-12)
 
     def test_initial_conditions(self):
         for p in [
@@ -111,26 +121,30 @@ class TestHomogeneous:
             ModeParams(0.25, 1.0, -1.0, 2.0),
             ModeParams(0.9, 5.0, 0.2, 0.8),
         ]:
-            traj = solve_homogeneous(p)
+            traj = solve_forced(p, ZERO)
             scale = max(1.0, abs(p.y0), abs(p.y1))
             assert abs(traj.value(0.0) - p.y0) <= 1e-12 * scale
-            assert abs(traj.derivative(0.0) - p.y1) <= 1e-12 * scale
+            assert abs(mode_derivative(traj, 0.0) - p.y1) <= 1e-12 * scale
 
 
 class TestForced:
     def test_zero_forcing_is_homogeneous(self):
+        # zero forcing at any rate, a root's included, adds no particular
+        # part and no escalation
         p = ModeParams(0.1, 2.0, 1.0, -1.0)
-        a = solve_forced(p, ForcingTerm(0.0, 0.0, 3.0))
-        b = solve_homogeneous(p)
-        for t in GRID:
-            assert a.value(t) == pytest.approx(b.value(t), abs=1e-14)
+        homogeneous = solve_forced(p, ZERO)
+        slow = -characteristic_roots(p.eps, p.lam).mu_plus.real
+        for nu in (3.0, slow):
+            traj = solve_forced(p, ForcingTerm(0.0, 0.0, nu))
+            assert traj.poly == homogeneous.poly
+            assert traj.resonance_escalation == 0
 
     def test_nonresonant_particular(self):
-        p = ModeParams(0.1, 1.0, 0.0, 0.0)
-        traj = solve_forced(p, ForcingTerm(1.0, 0.0, 1.0))
+        p, f = ModeParams(0.1, 1.0, 0.0, 0.0), ForcingTerm(1.0, 0.0, 1.0)
+        traj = solve_forced(p, f)
         assert traj.resonance_escalation == 0
         for t in GRID:
-            assert abs(traj.residual(t)) <= 1e-10
+            assert abs(mode_residual(p, f, traj, t)) <= 1e-10
 
     def test_term_structure(self):
         # separated rates: plain e^{pt}, e^{nt}, e^{-nu t}, t e^{-nu t}
@@ -138,7 +152,7 @@ class TestForced:
         traj = solve_forced(p, ForcingTerm(1.0, 0.5, 3.0))
         assert len(traj.poly.terms) == 4 and traj.poly.differences == ()
         # forcing rate 1e-6 from the slow root: grouped, no escalation
-        nu = -traj.roots.mu_plus.real * (1.0 + 1e-6)
+        nu = -characteristic_roots(p.eps, p.lam).mu_plus.real * (1.0 + 1e-6)
         near = solve_forced(p, ForcingTerm(1.0, 0.5, nu))
         assert near.resonance_escalation == 0
         assert sorted(len(nodes) for nodes, _ in near.poly.differences) == [2, 3]
@@ -152,7 +166,7 @@ class TestForced:
         for t in GRID:
             expected = t - eps * (1.0 - math.exp(-t / eps))
             assert traj.value(t) == pytest.approx(expected, abs=1e-12)
-            assert traj.derivative(t) == pytest.approx(
+            assert mode_derivative(traj, t) == pytest.approx(
                 1.0 - math.exp(-t / eps), abs=1e-12
             )
 
@@ -160,12 +174,11 @@ class TestForced:
         # forcing at the double characteristic root escalates by t^2
         eps = 0.25
         nu = 1.0 / (2.0 * eps)
-        traj = solve_forced(
-            ModeParams(eps, 1.0 / (4.0 * eps), 0.0, 0.0), ForcingTerm(1.0, 0.5, nu)
-        )
+        p, f = ModeParams(eps, 1.0 / (4.0 * eps), 0.0, 0.0), ForcingTerm(1.0, 0.5, nu)
+        traj = solve_forced(p, f)
         assert traj.resonance_escalation == 2
         for t in GRID:
-            assert abs(traj.residual(t)) <= 1e-10
+            assert abs(mode_residual(p, f, traj, t)) <= 1e-10
 
     def test_forced_against_oracle(self):
         p = ModeParams(0.05, 3.0, 0.7, -0.2)
@@ -175,7 +188,7 @@ class TestForced:
         ys, dys = rk_reference_path(p, f, ts, 1e-11)
         for t, y, dy in zip(ts, ys, dys):
             assert traj.value(t) == pytest.approx(y, rel=1e-9, abs=1e-12)
-            assert traj.derivative(t) == pytest.approx(dy, rel=1e-9, abs=1e-12)
+            assert mode_derivative(traj, t) == pytest.approx(dy, rel=1e-9, abs=1e-12)
 
 
 @st.composite
@@ -199,14 +212,14 @@ def test_ode_residual_property(mf):
     traj = solve_forced(p, f)
     scale = max(1.0, abs(p.y0), abs(p.y1), abs(f.a), abs(f.b))
     for t in np.linspace(0.0, 6.0, 13):
-        assert abs(traj.residual(t)) <= 1e-9 * scale
+        assert abs(mode_residual(p, f, traj, t)) <= 1e-9 * scale
     # initial data reproduction: 1e-12 relative, plus a machine-precision
     # floor for near-resonant cases whose internal coefficients are large
     floor = 64 * np.finfo(float).eps * traj.poly.coefficient_scale()
     ic_tol = 1e-12 * scale + floor
     assert abs(traj.value(0.0) - p.y0) <= ic_tol
-    assert abs(traj.derivative(0.0) - p.y1) <= ic_tol * max(
-        1.0, abs(traj.roots.mu_minus)
+    assert abs(mode_derivative(traj, 0.0) - p.y1) <= ic_tol * max(
+        1.0, abs(characteristic_roots(p.eps, p.lam).mu_minus)
     )
 
 
@@ -214,7 +227,7 @@ def assert_matches_reference(traj, p, f, rel=1e-12):
     ts = np.linspace(0.0, 6.0, 61)
     ys, dys = rk_reference_path(p, f, ts, 1e-12)
     y_err = np.max(np.abs(traj.value(ts) - ys)) / np.max(np.abs(ys))
-    dy_err = np.max(np.abs(traj.derivative(ts) - dys)) / np.max(np.abs(dys))
+    dy_err = np.max(np.abs(mode_derivative(traj, ts) - dys)) / np.max(np.abs(dys))
     assert y_err <= rel, (p, f, y_err)
     assert dy_err <= rel, (p, f, dy_err)
 
@@ -273,39 +286,38 @@ def test_swept_resonance_gap(case):
 
 @pytest.mark.parametrize("eps", [0.25, 0.01])
 def test_swept_discriminant(eps):
-    zero = ForcingTerm(0.0, 0.0, 0.0)
     for d in [s * 10.0**k for k in range(-14, -1) for s in (1.0, -1.0)]:
         p = ModeParams(eps, (1.0 - d) / (4.0 * eps), 1.0, -0.5)
-        assert_matches_reference(solve_homogeneous(p), p, zero)
+        assert_matches_reference(solve_forced(p, ZERO), p, ZERO)
 
 
 class TestOracle:
     def test_constant_solution(self):
         p = ModeParams(0.2, 0.0, 1.0, 0.0)
         for t in (0.0, 0.5, 2.0):
-            y, dy = oracle_at(p, ForcingTerm(0, 0, 0), t, 1e-10)
+            y, dy = oracle_at(p, ZERO, t, 1e-10)
             assert y == pytest.approx(1.0, abs=1e-10)
             assert dy == pytest.approx(0.0, abs=1e-10)
 
     def test_critical_example(self):
-        y, _ = oracle_at(ModeParams(0.25, 1.0, 1.0, 0.0), ForcingTerm(0, 0, 0), 1.0, 1e-12)
+        y, _ = oracle_at(ModeParams(0.25, 1.0, 1.0, 0.0), ZERO, 1.0, 1e-12)
         assert y == pytest.approx(3.0 * math.exp(-2.0), rel=1e-10)
 
     def test_tolerance_validation(self):
         p = ModeParams(0.1, 1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            oracle_at(p, ForcingTerm(0, 0, 0), 1.0, 1e-3)
+            oracle_at(p, ZERO, 1.0, 1e-3)
         with pytest.raises(ValueError):
-            oracle_at(p, ForcingTerm(0, 0, 0), -1.0, 1e-10)
+            oracle_at(p, ZERO, -1.0, 1e-10)
 
     def test_small_eps(self):
         # t/eps = 1e10, past the range the docstring vouches for; the error
         # here is still about 9.5e-12 of the data
         p = ModeParams(1e-9, 1.0, 1.0, 0.0)
-        traj = solve_homogeneous(p)
-        y, dy = oracle_at(p, ForcingTerm(0, 0, 0), 10.0, 1e-10)
+        traj = solve_forced(p, ZERO)
+        y, dy = oracle_at(p, ZERO, 10.0, 1e-10)
         assert abs(y - traj.value(10.0)) <= 1e-8
-        assert abs(dy - traj.derivative(10.0)) <= 1e-8
+        assert abs(dy - mode_derivative(traj, 10.0)) <= 1e-8
 
     def test_against_adaptive_integrator(self):
         # an explicit eighth-order integrator keeps the oracle itself checked
@@ -318,7 +330,7 @@ class TestOracle:
         ts = np.linspace(0.0, 4.0, 9)
         for p, f in cases:
             sol = solve_ivp(
-                lambda t, y: (y[1], (f.value(t) - y[1] - p.lam * y[0]) / p.eps),
+                lambda t, y: (y[1], (forcing_value(f, t) - y[1] - p.lam * y[0]) / p.eps),
                 (0.0, 4.0),
                 (p.y0, p.y1),
                 method="DOP853",
@@ -440,3 +452,36 @@ def test_expm_against_50_digits(ratio, bound):
         want = _expm_50_digits(x)
         err = np.abs(got - want).sum(axis=0).max()
         assert err <= bound * max(1.0, np.abs(want).sum(axis=0).max()), x
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_perfbench(name: str, monkeypatch):
+    """perfbench/<name>.py as the module name, for this test only, read only:
+    no bytecode is written."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_oracle_binding_runs(monkeypatch):
+    # oracle-modes binds ModeParams, ForcingTerm, solve_forced(...).value and
+    # rk_reference_path(p, f, ts, tol) by name, and the tracer reads
+    # resonance_escalation; tier-1 does not run perfbench's own tests
+    workloads = _load_perfbench("workloads", monkeypatch)  # run_oracle imports it
+    child = _load_perfbench("child", monkeypatch)
+    cases = workloads.oracle_cases(1, 1)
+    result = child.run_oracle(modes, cases)
+    assert result["tracebacks"] == []
+    assert len(result["rel_err"]) == len(cases) == 4
+    assert all(err <= workloads.ORACLE_GATE for err in result["rel_err"])
+    for c in cases:
+        p = ModeParams(c["eps"], c["lam"], c["y0"], c["y1"])
+        traj = solve_forced(p, ForcingTerm(c["a"], c["b"], c["nu"]))
+        assert type(traj.resonance_escalation) is int
+    resonant = solve_forced(ModeParams(0.1, 0.0, 0.0, 0.0), ForcingTerm(1.0, 0.0, 0.0))
+    assert type(resonant.resonance_escalation) is int and resonant.resonance_escalation == 1

@@ -466,8 +466,7 @@ class TestSquaredNorms:
 
 def _sup_norm(samples):
     """max over times of |x(t)| of (n_times, n_modes) samples: the sup norm
-    that norms_together and ProblemData.weighted_convolution_norms reduce
-    mode by mode, with the same bits."""
+    that norms_together reduces mode by mode, with the same bits."""
     return float(np.max(sample_norms(samples)))
 
 

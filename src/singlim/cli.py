@@ -35,6 +35,7 @@ from .verification import (
     max_reg_checks,
     rate_checks,
     rate_errors,
+    rate_preconditions,
     remainder_data_checks,
     run_rate_experiment,
 )
@@ -87,18 +88,29 @@ def _timed(timings: dict[str, float], name: str, run):
 CHECK_GROUPS = ("identities", "data", "inequalities", "energy", "maxreg", "duhamel", "rates")
 
 
+def _rate_preconditions(config: ExperimentConfig, spec, u0, u1, alone: bool) -> dict[str, str]:
+    """The run's rate_preconditions, decided before any eps is sampled.  A
+    run whose only records are rate slopes (alone) needs a comparison."""
+    comparisons, epsilons = config["comparisons"], config["epsilons"]
+    if alone and not comparisons:
+        raise ConfigError("comparisons must be nonempty when rate slopes are all the run asserts")
+    pd = ProblemData(spec, epsilons[0], u0, u1)  # its data, not its eps, decide
+    return rate_preconditions(pd, len(epsilons), comparisons)
+
+
 def _run_checks(config: ExperimentConfig) -> tuple[list[CheckReport], dict[str, float]]:
     """The records of the configured check groups, sorted by id, and the
     wall time in seconds of each group that ran.  Per eps, one problem runs
     the per-eps groups, whose ids and timings are tagged with the eps, and
-    gives its rate errors on the run-wide grid (timed as rates[eps=...]);
-    with no comparison, or fewer than the 3 eps a fit needs (rate_checks
-    reports that), none are sampled.  Then maxreg runs on the run-wide
-    grid, and rates fits the errors."""
+    gives its rate errors on the run-wide grid (timed as rates[eps=...])
+    for each comparison whose preconditions hold (_rate_preconditions).
+    Then maxreg runs on the run-wide grid, and rates fits the errors."""
     spec, u0, u1 = config.data()
     checks, tol = config["checks"], config.to_dict()["tolerances"]
-    comparisons = config["comparisons"] if "rates" in checks else ()
-    sampled = bool(comparisons) and len(config["epsilons"]) >= 3
+    rates = "rates" in checks
+    comparisons = config["comparisons"] if rates else ()
+    violated = _rate_preconditions(config, spec, u0, u1, checks == ("rates",)) if rates else {}
+    measured = [c for c in comparisons if c not in violated]
     run_grid = config.time_grid(config["epsilons"])
     reports: list[CheckReport] = []
     timings: dict[str, float] = {}
@@ -120,15 +132,15 @@ def _run_checks(config: ExperimentConfig) -> tuple[list[CheckReport], dict[str, 
                 for report in _timed(timings, name + tag, lambda: group(pd, grid, tol)):
                     report.check_id += tag
                     reports.append(report)
-        if sampled:
+        if measured:
             errors = _timed(timings, "rates" + tag,
-                            lambda: rate_errors(pd, comparisons, run_grid.times))
+                            lambda: rate_errors(pd, measured, run_grid.times))
             per_eps.append((eps, errors))
     if "maxreg" in checks:
         f = u0 if norm(u0) > 0 else u1
         reports += _timed(timings, "maxreg", lambda: max_reg_checks(spec, f, run_grid))
-    if "rates" in checks:
-        reports += _timed(timings, "rates", lambda: rate_checks(per_eps, comparisons))
+    if rates:
+        reports += _timed(timings, "rates", lambda: rate_checks(per_eps, comparisons, violated))
     reports.sort(key=lambda r: r.check_id)
     return reports, timings
 
@@ -236,8 +248,8 @@ FIELDS = (
      lambda v, p: CHECK_GROUPS if v == "all"
      else _names(CHECK_GROUPS, v, nonempty=True)),
     ("comparisons", [],
-     f"a list of distinct comparisons for rates from {', '.join(COMPARISONS)} "
-     '(cor1 and cor2 need "u1": "il0")',
+     f"a list of distinct comparisons for rates from {', '.join(COMPARISONS)}, "
+     'nonempty for rates and for verify with checks ["rates"] (cor1 and cor2 need "u1": "il0")',
      lambda v, p: _names(COMPARISONS, v)),
     ("tolerances.identity", TOLERANCES["identity"],
      "a finite number >= 0: the identity records' tolerance, relative to "
@@ -475,9 +487,9 @@ def cmd_rates(config: ExperimentConfig, out_dir: Path) -> int:
     from .csvformat import csv_bytes  # not compiled for verify: see csvformat
 
     epsilons, comparisons = config["epsilons"], config["comparisons"]
-    if len(epsilons) < 3:
-        raise ConfigError("rates need at least 3 eps values")
     spec, u0, u1 = config.data()
+    for comp, reason in _rate_preconditions(config, spec, u0, u1, alone=True).items():
+        raise ConfigError(f"comparison {comp!r}: {reason}")  # the first violated
     ts = config.time_grid(epsilons).times
     timings: dict[str, float] = {}
     per_eps = []
@@ -487,10 +499,7 @@ def cmd_rates(config: ExperimentConfig, out_dir: Path) -> int:
         per_eps.append((eps, errors))
     results = _timed(timings, "rates", lambda: run_rate_experiment(per_eps, comparisons))
     failed = {comp: r for comp, r in results.items() if isinstance(r, ValueError)}
-    for comp, exc in failed.items():  # a pair that raised: a precondition
-        if any(isinstance(found[comp], ValueError) for _, found in per_eps):
-            raise ConfigError(f"comparison {comp!r}: {exc}") from exc
-    for comp, exc in failed.items():  # a fit that cannot run on valid data
+    for comp, exc in failed.items():
         print(f"rate fit failed: comparison {comp!r}: {exc}", file=sys.stderr)
     if failed:
         return EXIT_CHECK_FAILURE

@@ -50,6 +50,7 @@ __all__ = [
     "duhamel_residual",
     "max_reg_checks",
     "fit_rate",
+    "rate_preconditions",
     "rate_errors",
     "run_rate_experiment",
     "rate_checks",
@@ -63,25 +64,20 @@ TOLERANCES = {"identity": 1e-8, "superposition": 1e-10, "inequality_slack": 1e-8
               "sup_bound_slack": 1e-10, "duhamel": 1e-6}
 
 
-def _cor1_pair(pd: ProblemData) -> tuple[ProfileFunction, ProfileFunction]:
-    if not pd.il0_satisfied:
-        raise ValueError("cor1 requires compatible data u1 + A u0 = 0")
-    # il0_satisfied holds |v1| to a tolerance, not to 0: for data that are
-    # only nearly compatible, cor1's curve keeps the layer terms
-    # eps v1 (e^{-tA} - e^{-t/eps}), which are below that tolerance
-    return pd.solution, pd.main_expansion
-
-
 # The rate statements error <= C eps^p: comparison -> (p, the (reference,
-# candidate) profile pair it measures in a problem, or the ValueError of a
-# precondition).
+# candidate) profile pair it measures in a problem, and the reason it cannot
+# be measured on incompatible data, or None).  il0_satisfied holds |v1| to a
+# tolerance, not to 0: for nearly compatible data, cor1's curve keeps the
+# layer terms eps v1 (e^{-tA} - e^{-t/eps}), which are below that tolerance.
 _STATEMENTS = {
-    "order0_thm11i": (0.5, lambda pd: (pd.solution, pd.parabolic)),
-    "order0_thm11ii": (1.0, lambda pd: (pd.solution, pd.parabolic)),
-    "order1_theta": (1.0, lambda pd: (pd.solution, pd.parabolic + pd.theta)),
-    "order2_mainthm": (1.5, lambda pd: (pd.solution, pd.main_expansion)),
-    "cor1": (1.5, _cor1_pair),
-    "cor2": (1.5, lambda pd: (pd.solution.deriv(), pd.derivative_expansion)),
+    "order0_thm11i": (0.5, lambda pd: (pd.solution, pd.parabolic), None),
+    "order0_thm11ii": (1.0, lambda pd: (pd.solution, pd.parabolic), None),
+    "order1_theta": (1.0, lambda pd: (pd.solution, pd.parabolic + pd.theta), None),
+    "order2_mainthm": (1.5, lambda pd: (pd.solution, pd.main_expansion), None),
+    "cor1": (1.5, lambda pd: (pd.solution, pd.main_expansion),
+             "cor1 requires compatible data u1 + A u0 = 0"),
+    "cor2": (1.5, lambda pd: (pd.solution.deriv(), pd.derivative_expansion),
+             "derivative expansion requires compatible data u1 + A u0 = 0"),
 }
 
 COMPARISONS = tuple(_STATEMENTS)
@@ -244,17 +240,19 @@ def _dissipation_gate(f: np.ndarray) -> float:
 def _sup_norm_errors(pairs, times) -> list[float]:
     """[sup_norm_error(a, b, times) for a, b in pairs], bit for bit: every
     distinct profile of the pairs is evaluated once, in one norms_together
-    call that reduces each pair's a - b mode by mode.  Its sum of squares
-    at each time has the bits of that pair alone, and so does the
+    call that reduces each distinct pair's a - b mode by mode.  Its sum of
+    squares at each time has the bits of that pair alone, and so does the
     sample_norms fallback, which keeps every finite sum."""
     profiles = {id(p): p for pair in pairs for p in pair}
     index = {key: j for j, key in enumerate(profiles)}
     at = [(index[id(a)], index[id(b)]) for a, b in pairs]
+    distinct = list(dict.fromkeys(at))
     gaps = norms_together(
         list(profiles.values()), times,
-        lambda i, values: [values[a] - values[b] for a, b in at],
+        lambda i, values: [values[a] - values[b] for a, b in distinct],
     )
-    return [float(np.max(gap)) for gap in gaps]
+    peaks = dict(zip(distinct, (float(np.max(gap)) for gap in gaps)))
+    return [peaks[key] for key in at]
 
 
 def sup_norm_error(a: ProfileFunction, b: ProfileFunction, times) -> float:
@@ -882,75 +880,67 @@ def fit_rate(curve: ErrorCurve) -> RateFit:
     )
 
 
-def rate_errors(pd: ProblemData, comparisons, ts) -> dict[str, float | ValueError]:
-    """{comparison: its sup-norm error at pd's eps over the times ts, or the
-    ValueError its pair raised}.  Every distinct profile of the pairs is
-    evaluated once, in one pass (_sup_norm_errors), and comparisons that
-    name the same two profiles share one error; each error equals
-    ``sup_norm_error`` of its pair bit for bit."""
+def rate_preconditions(pd: ProblemData, n_eps: int, comparisons) -> dict[str, str]:
+    """{comparison: the precondition it violates} for a sweep of n_eps eps
+    on pd's data: fewer than 3 eps fail every comparison, incompatible data
+    cor1 and cor2.  Neither depends on eps (il0_satisfied reads only A, u0
+    and u1), so one call decides every eps; it builds no profile."""
+    if n_eps < 3:
+        return dict.fromkeys(comparisons, "need at least 3 eps values for a rate fit")
+    needed = {c: _STATEMENTS[c][2] for c in comparisons if _STATEMENTS[c][2]}
+    return needed if needed and not pd.il0_satisfied else {}
+
+
+def rate_errors(pd: ProblemData, comparisons, ts) -> dict[str, float]:
+    """{comparison: its sup-norm error at pd's eps over the times ts}, for
+    comparisons whose preconditions hold (rate_preconditions).  Every
+    distinct profile of the pairs is evaluated once, in one pass
+    (_sup_norm_errors); each error equals ``sup_norm_error`` of its pair
+    bit for bit."""
     unknown = [c for c in comparisons if c not in COMPARISONS]
     if unknown:
         raise ValueError(f"unknown comparison {unknown[0]!r}")
-    errors, pairs = {}, {}  # (reference id, candidate id) -> (pair, its comparisons)
-    for name in comparisons:
-        try:
-            pair = _STATEMENTS[name][1](pd)
-        except ValueError as exc:
-            # a fresh error without the traceback, whose frames hold pd
-            errors[name] = ValueError(*exc.args)
-            continue
-        pairs.setdefault(tuple(map(id, pair)), (pair, []))[1].append(name)
-    gaps = _sup_norm_errors([pair for pair, _ in pairs.values()], ts)
-    for (_, names), gap in zip(pairs.values(), gaps):
-        errors.update(dict.fromkeys(names, gap))
-    return errors
+    pairs = [_STATEMENTS[name][1](pd) for name in comparisons]
+    return dict(zip(comparisons, _sup_norm_errors(pairs, ts)))
 
 
 def run_rate_experiment(
     per_eps, comparisons
 ) -> dict[str, tuple[ErrorCurve, RateFit] | ValueError]:
-    """{comparison: (curve, fit), or the ValueError it raised} over one
-    (eps, rate_errors) pair per eps of a sweep, taken in descending eps, so
-    the curves and fits keep their bits in any eps order.  Each eps's errors
-    must come from times that hold its layer points eps, 2 eps, 5 eps, 10 eps
-    up to t_max, as standard_grid(eps_values) does for every eps, so that
-    each transient peak is sampled.  A comparison whose pair raised takes
-    the ValueError of its largest eps; comparisons with the same error
-    values share one curve and one fit."""
+    """{comparison: (curve, fit), or the ValueError of a fit that cannot
+    run (ErrorCurve, fit_rate)} over one (eps, rate_errors) pair per eps of
+    a sweep, taken in descending eps, so the curves and fits keep their bits
+    in any eps order.  Each eps's errors must come from times that hold its
+    layer points eps, 2 eps, 5 eps, 10 eps up to t_max, as
+    standard_grid(eps_values) does for every eps, so that each transient
+    peak is sampled."""
     per_eps = sorted(per_eps, key=lambda item: item[0], reverse=True)
-    if len(per_eps) < 3:
-        error = ValueError("need at least 3 eps values for a rate fit")
-        return {c: error for c in comparisons}
     epsilons = np.array([eps for eps, _ in per_eps])
-    results, fits = {}, {}  # fits: error values -> (curve, fit) or ValueError
+    results = {}
     for name in comparisons:
-        errors = tuple(found[name] for _, found in per_eps)
-        failed = [e for e in errors if isinstance(e, ValueError)]
-        if failed:
-            results[name] = failed[0]
-            continue
-        if errors not in fits:
-            try:
-                curve = ErrorCurve(epsilons, np.array(errors))
-                fits[errors] = curve, fit_rate(curve)
-            except ValueError as exc:
-                fits[errors] = exc
-        results[name] = fits[errors]
+        try:
+            curve = ErrorCurve(epsilons, np.array([found[name] for _, found in per_eps]))
+            results[name] = curve, fit_rate(curve)
+        except ValueError as exc:
+            results[name] = exc
     return results
 
 
-def rate_checks(per_eps, comparisons) -> list[CheckReport]:
-    """The rate.slope_<comparison> records of a sweep (run_rate_experiment).
-    An upper bound with exponent p is confirmed by any fitted slope >=
-    p - 0.05 (smooth data may decay faster) with r^2 >= 0.99."""
+def rate_checks(per_eps, comparisons, violated) -> list[CheckReport]:
+    """The rate.slope_<comparison> records of a sweep: a FAIL for each key of
+    violated (rate_preconditions), else the fit (run_rate_experiment).  An
+    upper bound with exponent p is confirmed by any fitted slope >= p - 0.05
+    (smooth data may decay faster) with r^2 >= 0.99."""
+    fits = run_rate_experiment(per_eps, [c for c in comparisons if c not in violated])
     reports = []
-    for comp, result in run_rate_experiment(per_eps, comparisons).items():
+    for comp in comparisons:
         threshold = _STATEMENTS[comp][0] - 0.05
-        if isinstance(result, ValueError):
-            passed, margin = False, float("-inf")
-            note = f"precondition violated: {result}"
+        if comp in violated:
+            passed, margin, note = False, -math.inf, f"precondition violated: {violated[comp]}"
+        elif isinstance(fits[comp], ValueError):
+            passed, margin, note = False, -math.inf, f"rate fit failed: {fits[comp]}"
         else:
-            _, fit = result
+            _, fit = fits[comp]
             passed = fit.slope >= threshold and fit.r_squared >= 0.99
             margin = min(fit.slope - threshold, fit.r_squared - 0.99)
             note = (

@@ -533,7 +533,7 @@ class TestRates:
         assert fits[0]["slope"] >= 0.95
 
     def test_failed_fit_writes_nothing(self, tmp_path):
-        # order0_thm11i fits, then cor1 fails its precondition (no il0 data)
+        # cor1 fails its precondition (no il0 data) before order0_thm11i is fitted
         cfg = write_config(
             tmp_path, epsilons=[0.1, 0.05, 0.01], comparisons=["order0_thm11i", "cor1"]
         )
@@ -609,13 +609,52 @@ class TestRates:
         fits = {f.pop("comparison"): f for f in json.loads((out / "report.json").read_text())}
         assert fits["cor1"] == fits["order2_mainthm"]
 
-    def test_too_few_eps(self, tmp_path):
-        cfg = write_config(tmp_path, epsilons=[0.1, 0.01])
+    def test_too_few_eps(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, epsilons=[0.1, 0.01], comparisons=["order0_thm11i"])
         out = tmp_path / "out"
-        assert (
-            main(["rates", "--config", str(cfg), "--out", str(out)])
-            == EXIT_CONFIG_ERROR
-        )
+        assert main(["rates", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: comparison 'order0_thm11i': need at least 3 eps values for a rate fit"
+        ]
+        assert not out.exists()
+
+
+# A run whose only assertions would be rate slopes, with no comparison
+@pytest.mark.parametrize("command, checks", [("rates", ["identities"]), ("verify", ["rates"])])
+def test_run_with_no_comparison_is_a_config_error(tmp_path, capsys, command, checks):
+    cfg = write_config(tmp_path, epsilons=[0.1, 0.05, 0.01], checks=checks)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: comparisons must be nonempty")
+    assert not out.exists()
+
+
+# simulate reads no comparison, and maxreg asserts without one
+@pytest.mark.parametrize("command, checks", [("simulate", ["rates"]), ("verify", ["rates", "maxreg"])])
+def test_no_comparison_is_allowed_where_the_run_asserts_something_else(tmp_path, command, checks):
+    cfg = write_config(tmp_path, epsilons=[0.1, 0.05, 0.01], checks=checks)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+
+
+# verify's note and rates' exit code tell a violated precondition from a
+# fit that cannot run in the same way
+@pytest.mark.parametrize("overrides, prefix, code", [
+    ({"epsilons": [0.1, 0.01], "comparisons": ["order0_thm11i"]},
+     "precondition violated: ", EXIT_CONFIG_ERROR),
+    ({"epsilons": [0.1, 0.05, 0.01], "comparisons": ["cor1"]},
+     "precondition violated: ", EXIT_CONFIG_ERROR),
+    (dict(TestRates.SMALL_EPS, comparisons=["order2_mainthm"]),
+     "rate fit failed: ", EXIT_CHECK_FAILURE),
+], ids=["too-few-eps", "cor1-incompatible", "fit-below-noise-floor"])
+def test_verify_and_rates_classify_failures_alike(tmp_path, overrides, prefix, code):
+    cfg = write_config(tmp_path, checks=["rates"], **overrides)
+    out = tmp_path / "verify"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_CHECK_FAILURE
+    (record,) = json.loads((out / "report.json").read_text())
+    assert not record["pass"] and record["note"].startswith(prefix)
+    assert main(["rates", "--config", str(cfg), "--out", str(tmp_path / "rates")]) == code
 
 
 def test_help_and_readme_list_every_field(capsys):

@@ -1,6 +1,8 @@
-"""The number comparison of tools/same_outputs.py --rtol."""
+"""The comparisons of tools/same_outputs.py: numbers under --rtol, and the
+records that moved in a report.json."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,35 @@ def test_compare_reports_each_output_that_is_not_byte_identical():
     assert same_outputs.compare(ref, new, 1e-8) == (True, "report.json 5e-08 > 1e-08")
     del new["rates.csv"]
     assert same_outputs.compare(ref, new, 1e-6)[0]  # a missing file differs
+
+
+def _report(*records) -> bytes:
+    return json.dumps(list(records), indent=2).encode()
+
+
+def test_compare_names_the_records_that_moved():
+    # verify records by id, rates fits by comparison, in both modes
+    a = {"id": "a", "pass": True, "margin": 1.0, "note": "x"}
+    b = {"id": "b", "pass": True, "margin": float("nan"), "note": "y"}
+    ref = {"exit code": b"0", "report.json": _report(a, b)}
+    new = {"exit code": b"0", "report.json": _report(dict(a, margin=1.5), b)}
+    assert same_outputs.moved_records(ref["report.json"], new["report.json"]) == ["a"]
+    assert same_outputs.compare(ref, new, None) == (True, "differs in report.json (a)")
+    assert same_outputs.compare(ref, new, 1e-6) == (True, "report.json (a) 0.333 > 1e-06")
+    new["report.json"] = _report(dict(a, note="z"), dict(b, id="c"))
+    assert same_outputs.compare(ref, new, 1e-6) == (
+        True, "report.json (a, b, c) differs in text")
+    fits = [{"comparison": c, "slope": 1.0, "intercept": 0.0, "r2": 1.0} for c in "pq"]
+    moved = [fits[0], dict(fits[1], slope=1.25)]
+    assert same_outputs.moved_records(_report(*fits), _report(*moved)) == ["q"]
+
+
+@pytest.mark.parametrize("ref, new", [
+    (b"[1.0, 2.0]", b"[1.0, 2.5]"),  # not records
+    (b'[{"id": "a"}]', b'[{"id": "a"'),  # not JSON
+    (b'{"id": "a"}', b'{"id": "b"}'),  # not a list
+])
+def test_only_record_lists_name_records(ref, new):
+    assert same_outputs.moved_records(ref, new) is None
+    assert same_outputs.compare({"report.json": ref}, {"report.json": new}, None) == (
+        True, "differs in report.json")

@@ -35,7 +35,9 @@ from singlim.verification import (
     l2_time_norm,
     max_reg_checks,
     max_reg_functional,
+    rate_checks,
     rate_errors,
+    rate_preconditions,
     remainder_data_checks,
     resolvent_bound,
     run_rate_experiment,
@@ -961,13 +963,16 @@ class TestRateExperiments:
             _sweep(spec, one, one, [0.1, 0.01, 0.001], ["nope"])
 
     def test_cor_requires_compatibility(self):
-        # the precondition fails cor1 and cor2 alone; the sweep goes on
+        # incompatible data fail cor1 and cor2 alone, compatible data none;
+        # the sweep of the others goes on
         spec = Spectrum(np.array([1.0]))
         one = decay_vector(1)
-        results = _sweep(spec, one, one, [0.1, 0.01, 0.001], COMPARISONS)
-        for comparison in ("cor1", "cor2"):
-            assert isinstance(results[comparison], ValueError)
-            assert "u1 + A u0 = 0" in str(results[comparison])
+        violated = rate_preconditions(ProblemData(spec, 0.1, one, one), 3, COMPARISONS)
+        assert list(violated) == ["cor1", "cor2"]
+        assert all(why.endswith("requires compatible data u1 + A u0 = 0")
+                   for why in violated.values())
+        assert rate_preconditions(ProblemData(spec, 0.1, one, -one), 3, COMPARISONS) == {}
+        results = _sweep(spec, one, one, [0.1, 0.01, 0.001], COMPARISONS[:4])
         for comparison in COMPARISONS[:4]:
             curve, fit = results[comparison]
             assert isinstance(curve, ErrorCurve) and np.isfinite(fit.slope)
@@ -1008,47 +1013,55 @@ class TestRateExperiments:
             assert fit == want_fit
 
     def test_too_few_eps_fail_every_comparison(self):
-        pd = make_problem([0.0, 1.0, 4.0], 0.1)
-        errors = rate_errors(pd, ["order1_theta"], standard_grid([0.1]).times)
-        results = run_rate_experiment([(0.1, errors), (0.01, errors)], ["order1_theta"])
-        assert "at least 3 eps" in str(results["order1_theta"])
+        # even on compatible data, and each record FAILs with the reason
+        pd = make_problem([0.0, 1.0, 4.0], 0.1, il0=True)
+        reason = "need at least 3 eps values for a rate fit"
+        violated = rate_preconditions(pd, 2, COMPARISONS)
+        assert violated == dict.fromkeys(COMPARISONS, reason)
+        assert rate_preconditions(pd, 3, COMPARISONS) == {}
+        for record in rate_checks([], COMPARISONS, violated):
+            assert not record.passed and record.margin == -math.inf
+            assert record.note == "precondition violated: " + reason
 
     def test_failed_precondition_keeps_no_problem_alive(self):
-        # the stored error has no traceback, whose frames would hold the
-        # problem and every profile of it until the fit
+        # a violated precondition is found without building any profile of
+        # the problem, and the reasons hold nothing of it
         pd = make_problem([0.0, 1.0, 4.0], 0.1)
         problem = weakref.ref(pd)
-        ts = standard_grid([0.1]).times
-        errors = rate_errors(pd, ["order0_thm11i", "cor1", "cor2"], ts)
+        violated = rate_preconditions(pd, 3, COMPARISONS)
+        assert list(violated) == ["cor1", "cor2"]
+        assert not any(isinstance(v, ProfileFunction) for v in vars(pd).values())
         del pd
         gc.collect()
         assert problem() is None
-        assert all("u1 + A u0 = 0" in str(errors[c]) for c in ("cor1", "cor2"))
-        assert errors["cor1"].__traceback__ is None
 
-    def test_one_fit_per_distinct_curve(self, monkeypatch):
-        calls = []
+    def test_fit_that_cannot_run_is_no_precondition(self):
+        # errors at rounding level: the fit FAILs with its own reason
+        per_eps = [(eps, {"order2_mainthm": 1e-15}) for eps in (0.1, 0.01, 0.001)]
+        results = run_rate_experiment(per_eps, ["order2_mainthm"])
+        assert isinstance(results["order2_mainthm"], ValueError)
+        (record,) = rate_checks(per_eps, ["order2_mainthm"], {})
+        assert not record.passed and record.margin == -math.inf
+        assert record.note == (
+            "rate fit failed: need at least 3 error values above the noise floor, got 0"
+        )
 
-        def counted(curve):
-            calls.append(curve)
-            return fit_rate(curve)
-
-        monkeypatch.setattr(verification, "fit_rate", counted)
+    def test_rate_errors_are_floats(self):
         pd = make_problem([0.0, 1.0, 4.0], 0.1, il0=True)
-        results = _sweep(pd.spec, pd.u0, pd.u1, [0.1, 0.01, 0.001], COMPARISONS)
-        # under il0 data theta is 0, so order1_theta's curve is order0's
-        curves = {results[c][0].errors.tobytes() for c in COMPARISONS}
-        assert len(calls) == len(curves) == 3
-        assert results["order0_thm11i"] is results["order0_thm11ii"]
-        assert results["cor1"] is results["order2_mainthm"]
+        errors = rate_errors(pd, COMPARISONS, standard_grid([0.1]).times)
+        assert list(errors) == list(COMPARISONS)
+        assert all(type(error) is float for error in errors.values())
 
     def test_shared_candidate_is_sampled_once(self, monkeypatch):
-        # cor1 and order2_mainthm both read main_expansion
-        sampled = []
+        # cor1 and order2_mainthm both read main_expansion, and with
+        # order0_thm11i and order0_thm11ii name two pairs twice: of the six
+        # pairs, four distinct ones are reduced
+        sampled, reduced = [], []
 
         def recorded(profiles, ts, combine):
             sampled.append(list(profiles))
-            return norms_together(profiles, ts, combine)
+            reduced.append(norms_together(profiles, ts, combine))
+            return reduced[-1]
 
         monkeypatch.setattr(verification, "norms_together", recorded)
         pd = make_problem([0.0, 1.0, 4.0], 0.1, il0=True)
@@ -1056,6 +1069,7 @@ class TestRateExperiments:
         errors = rate_errors(pd, COMPARISONS, grid.times)
         (profiles,) = sampled
         assert len({id(p) for p in profiles}) == len(profiles)
+        assert len(reduced[0]) == 4
         want = sup_norm_error(pd.solution, pd.main_expansion, grid.times)
         assert errors["cor1"] == errors["order2_mainthm"] == want
 

@@ -29,8 +29,9 @@ Every invocation's exit code, stdout, stderr (with the tree and output
 paths replaced by placeholders) and data files must be byte-identical, and
 so must manifest.json once its ``timestamp`` and ``timings``, which differ
 from run to run, are removed: its file list, config hash, tool version and
-environment are compared.  Each difference is printed, and the exit code
-is 1 if there is any, else 0.  The runs are serial and
+environment are compared.  Each difference is printed, a report.json with
+the ids of the verify records, or the comparisons of the rates fits, that
+moved; the exit code is 1 if there is any difference, else 0.  The runs are serial and
 take about half a minute on a 2-core machine.
 
     python tools/same_outputs.py REF --rtol 1e-14
@@ -141,14 +142,53 @@ def largest_relative_difference(ref: bytes, new: bytes) -> float | None:
     return largest
 
 
+def _records(text: bytes) -> dict[str, str] | None:
+    """{name: the record as canonical JSON} of a report.json: a verify
+    record is named by its id, a rates fit by its comparison; None unless
+    the text is a JSON list of such records."""
+    try:
+        records = json.loads(text)
+    except ValueError:
+        return None
+    if not isinstance(records, list):
+        return None
+    named = {}
+    for record in records:
+        name = isinstance(record, dict) and (record.get("id") or record.get("comparison"))
+        if not isinstance(name, str):
+            return None
+        named[name] = json.dumps(record, sort_keys=True)  # NaN equals NaN here
+    return named
+
+
+def moved_records(ref: bytes, new: bytes) -> list[str] | None:
+    """The sorted names of the records that differ between two report.json
+    files (one side only, or not equal), or None unless both are record
+    lists (_records)."""
+    old, now = _records(ref), _records(new)
+    if old is None or now is None:
+        return None
+    return sorted(name for name in old.keys() | now.keys() if old.get(name) != now.get(name))
+
+
+def _label(key: str, ref: dict[str, bytes], new: dict[str, bytes]) -> str:
+    """An output's name, and for a report.json the records that moved."""
+    if key == "report.json" and key in ref and key in new:
+        moved = moved_records(ref[key], new[key])
+        if moved:
+            return f"{key} ({', '.join(moved)})"
+    return key
+
+
 def compare(ref: dict[str, bytes], new: dict[str, bytes], rtol: float | None) -> tuple[bool, str]:
     """(whether the invocation differs, its line): the outputs that are not
-    byte-identical, or with rtol, each one's largest relative difference."""
+    byte-identical, or with rtol, each one's largest relative difference;
+    a report.json names the records that moved."""
     changed = sorted(k for k in ref.keys() | new.keys() if ref.get(k) != new.get(k))
     if not changed:
         return False, "same"
     if rtol is None:
-        return True, "differs in " + ", ".join(changed)
+        return True, "differs in " + ", ".join(_label(key, ref, new) for key in changed)
     differs, notes = False, []
     for key in changed:
         found = None
@@ -156,10 +196,11 @@ def compare(ref: dict[str, bytes], new: dict[str, bytes], rtol: float | None) ->
             found = largest_relative_difference(ref[key], new[key])
         if found is None:
             differs = True
-            notes.append(f"{key} differs in text")
+            notes.append(f"{_label(key, ref, new)} differs in text")
         else:
             differs = differs or found > rtol
-            notes.append(f"{key} {found:.3g}" + (f" > {rtol:g}" if found > rtol else ""))
+            notes.append(f"{_label(key, ref, new)} {found:.3g}"
+                         + (f" > {rtol:g}" if found > rtol else ""))
     return differs, ", ".join(notes)
 
 

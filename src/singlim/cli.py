@@ -10,13 +10,20 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import hashlib
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+try:  # hashlib loads OpenSSL's libcrypto; the built-in module gives the same digest
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -249,7 +256,8 @@ FIELDS = (
      else _names(CHECK_GROUPS, v, nonempty=True)),
     ("comparisons", [],
      f"a list of distinct comparisons for rates from {', '.join(COMPARISONS)}, "
-     'nonempty for rates and for verify with checks ["rates"] (cor1 and cor2 need "u1": "il0")',
+     'nonempty for rates and for verify with checks ["rates"] (cor1 and cor2 need '
+     'compatible data, u1 = -A u0, as "il0" gives)',
      lambda v, p: _names(COMPARISONS, v)),
     ("tolerances.identity", TOLERANCES["identity"],
      "a finite number >= 0: the identity records' tolerance, relative to "
@@ -351,7 +359,7 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return sha256(payload.encode()).hexdigest()
 
     def time_grid(self, eps_values=()) -> TimeGrid:
         return standard_grid(eps_values, **self.to_dict()["grid"])

@@ -34,7 +34,8 @@ __all__ = ["ProblemData", "ProfileFunction", "sample_together", "squared_norms_t
            "norms_together", "segment_sums", "squared_integrals", "kernel_profile"]
 
 # Tolerance deciding whether the data satisfies the compatibility condition
-# v1 = A u0 + u1 = 0 (which switches off the initial layer).
+# v1 = A u0 + u1 = 0 (which switches off the initial layer), relative to
+# |A u0| + |u1|, so that the verdict does not depend on the data's scale.
 _IL0_TOL = 1e-12
 
 # _OVERFLOW: a coefficient made of a power of a large eigenvalue (lam**2 at
@@ -106,7 +107,7 @@ class ProblemData:
     @cached_property
     def il0_satisfied(self) -> bool:
         au0 = self.spec.eigenvalues * self.u0
-        return norm(self.v1) <= _IL0_TOL * (norm(au0) + norm(self.u1) + 1.0)
+        return norm(self.v1) <= _IL0_TOL * (norm(au0) + norm(self.u1))
 
     @property
     def data_scale(self) -> float:

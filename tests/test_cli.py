@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import json
 import math
 import platform
@@ -85,6 +86,16 @@ class TestConfig:
         again = ExperimentConfig.parse(cfg.to_dict())
         assert cfg.to_dict() == again.to_dict()
         assert cfg.config_hash() == again.config_hash()
+
+    @pytest.mark.parametrize("overrides", [
+        {"spectrum": "dirichlet-32", "u0": {"family": "decay", "p": 2.0}, "u1": "il0"},
+        {"spectrum": [0.0, 2.5], "u0": [1.0, -1.0], "u1": [0.5, 0.0]},
+    ], ids=["preset", "explicit"])
+    def test_config_hash_is_sha256_of_the_canonical_json(self, overrides):
+        # manifest.json's config_hash, whichever module computes the digest
+        cfg = ExperimentConfig.parse({**BASE_CONFIG, **overrides})
+        payload = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
+        assert cfg.config_hash() == hashlib.sha256(payload.encode()).hexdigest()
 
     def test_rejects_unknown_preset(self):
         with pytest.raises(ConfigError):
@@ -1056,12 +1067,14 @@ class TestExitCodes:
 
     def test_cli_and_modes_imports_load_no_scipy(self):
         # start-up time: no module of singlim needs scipy, the oracle's
-        # matrix exponential included
+        # matrix exponential included, nor hashlib, which maps OpenSSL's
+        # libcrypto (the config hash takes the built-in SHA-256)
         for module in ("singlim.cli", "singlim.modes"):
             result = subprocess.run(
                 [sys.executable, "-c",
                  f"import sys, {module}; "
-                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+                 "print(sorted(m for m in sys.modules\n"
+                 "             if m.startswith('scipy') or m in ('hashlib', '_hashlib')))"],
                 capture_output=True,
                 text=True,
                 env=cli_env(),
@@ -1071,7 +1084,8 @@ class TestExitCodes:
 
     def test_runs_import_no_numpy_or_scipy_module(self, tmp_path):
         # a module that a run imports first is paid for inside every run
-        # (np.unique imports numpy.ma, leggauss numpy.polynomial)
+        # (np.unique imports numpy.ma, leggauss numpy.polynomial); no run
+        # loads hashlib, which maps OpenSSL's libcrypto
         cfg = write_config(
             tmp_path,
             spectrum="three-mode",
@@ -1089,13 +1103,14 @@ class TestExitCodes:
             f"    singlim.cli.main([cmd, '--config', {str(cfg)!r},\n"
             f"                      '--out', {str(tmp_path / 'out-')!r} + cmd])\n"
             "print(sorted(m for m in set(sys.modules) - before\n"
-            "             if m.startswith(('numpy', 'scipy'))))\n"
+            "             if m.startswith(('numpy', 'scipy'))),\n"
+            "      sorted(m for m in sys.modules if m in ('hashlib', '_hashlib')))\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=cli_env()
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+        assert result.stdout.strip() == "[] []"
         for cmd in ("simulate", "rates", "verify"):
             assert (tmp_path / f"out-{cmd}" / "manifest.json").exists()
 

@@ -36,6 +36,21 @@ class TestProblemData:
         assert make_problem([0.0, 1.0, 4.0], 0.1, il0=True).il0_satisfied
         assert not make_problem([0.0, 1.0, 4.0], 0.1).il0_satisfied
 
+    @pytest.mark.parametrize("k", [-60, -40, 0, 40])
+    @pytest.mark.parametrize("il0", [True, False])
+    def test_il0_flag_does_not_depend_on_the_data_scale(self, k, il0):
+        # the tolerance is relative to |A u0| + |u1| alone: small incompatible
+        # data must not pass as compatible
+        pd = make_problem([0.0, 1.0, 4.0], 0.1, il0=il0)
+        scaled = ProblemData(pd.spec, 0.1, pd.u0 * 2.0**k, pd.u1 * 2.0**k)
+        assert scaled.il0_satisfied == il0
+
+    def test_il0_flag_of_small_and_of_zero_data(self):
+        spec = Spectrum(np.array([0.0, 1.0, 4.0]))
+        small, zero = np.full(3, 2.0**-50), np.zeros(3)
+        assert not ProblemData(spec, 0.1, small, small).il0_satisfied  # v1 != 0
+        assert ProblemData(spec, 0.1, zero, zero).il0_satisfied  # 0 <= 0
+
     def test_il0_flag_is_taken_once_per_problem(self, monkeypatch):
         pd = make_problem([0.0, 1.0, 4.0], 0.1, il0=True)
         calls = []
